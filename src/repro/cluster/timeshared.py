@@ -22,14 +22,22 @@ integrated between events.  In static mode rates only change at admissions
 and completions, so the piecewise integration is exact; in dynamic mode the
 required rates drift between events and the integration is a
 piecewise-constant approximation refreshed at every event.
+
+Only the earliest completion sits in the event list: one
+``Priority.COMPLETION`` timer per cluster, at the smallest ``(eta, tick)``
+over the running jobs.  A job's ``tick`` is drawn from the simulator's
+sequence counter whenever its ETA is set, exactly as a per-job completion
+event would have drawn it, so same-instant completions — in this cluster
+or any other sharing the simulator — fire in the same order.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.perf.registry import PERF
 from repro.sim.engine import Simulator
@@ -60,7 +68,11 @@ class TSJobState:
     remaining_work: float  # seconds of dedicated-CPU work left (actual)
     consumed: float = 0.0  # seconds of work done so far
     rate: float = 0.0
-    completion: Optional[EventHandle] = field(repr=False, default=None)
+    #: projected finish time at the current rate.
+    eta: float = math.inf
+    #: simulator sequence number drawn when ``eta`` was set; orders
+    #: same-instant completions.
+    tick: int = -1
 
     @property
     def past_estimate(self) -> bool:
@@ -76,6 +88,9 @@ class TSJobState:
         if window <= 0.0:
             return 1.0
         return min(est_remaining / window, 1.0)
+
+
+_COMPLETION_ORDER = attrgetter("eta", "tick")
 
 
 class TimeSharedCluster:
@@ -95,6 +110,19 @@ class TimeSharedCluster:
         self.committed: list[float] = [0.0] * self.total_procs
         self.node_jobs: list[set[int]] = [set() for _ in range(self.total_procs)]
         self._states: dict[int, TSJobState] = {}
+        #: current share per job: the committed share (static) or the
+        #: floored required rate, refreshed at every reschedule (dynamic).
+        self._share: dict[int, float] = {}
+        #: per node: share total summed in ``node_jobs`` order, and the
+        #: residual bonus each member gets (``inf`` on an empty or an
+        #: overcommitted node).  Static mode refreshes only nodes whose
+        #: membership changed.
+        self._total: list[float] = [0.0] * self.total_procs
+        self._bonus: list[float] = [math.inf] * self.total_procs
+        #: nodes whose share total exceeds 1.
+        self._over: set[int] = set()
+        #: the completion timer, armed at the smallest (eta, tick).
+        self._timer: Optional[EventHandle] = None
         self._last_update = sim.now
         #: nodes currently failed (fault injection); excluded from admission.
         self._down: set[int] = set()
@@ -126,9 +154,8 @@ class TimeSharedCluster:
         """
         self._sync_progress()
         now = self.sim.now
-        if self.mode is ShareMode.STATIC:
-            loads = {jid: s.share for jid, s in self._states.items()}
-        else:
+        static = self.mode is ShareMode.STATIC
+        if not static:
             loads = {jid: s.required_rate(now) for jid, s in self._states.items()}
         risky = (
             {jid for jid, s in self._states.items() if s.past_estimate}
@@ -142,7 +169,7 @@ class TimeSharedCluster:
             node_set = self.node_jobs[node]
             if exclude_risky and not risky.isdisjoint(node_set):
                 continue
-            load = sum(loads[j] for j in node_set)
+            load = self._total[node] if static else sum(loads[j] for j in node_set)
             if load + share <= 1.0 + SHARE_EPS:
                 candidates.append((1.0 - load - share, node))
         candidates.sort()
@@ -181,6 +208,7 @@ class TimeSharedCluster:
             remaining_work=job.runtime,
         )
         self._states[job.job_id] = state
+        self._share[job.job_id] = state.share
         state._on_finish = on_finish  # type: ignore[attr-defined]
         for node in nodes:
             self.committed[node] += share
@@ -188,7 +216,7 @@ class TimeSharedCluster:
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_admitted")
             PERF.observe("cluster.time.committed_share", share)
-        self._reschedule(touched_nodes=state.nodes)
+        self._reschedule(state.nodes)
         return state
 
     # -- execution ---------------------------------------------------------
@@ -204,133 +232,124 @@ class TimeSharedCluster:
             state.remaining_work = max(state.remaining_work - done, 0.0)
         self._last_update = now
 
-    def _rates_snapshot(self) -> dict[int, float]:
-        """Current rate of every job, computed with one pass over the
-        job→node incidence (avoids the O(jobs²) naive recomputation)."""
-        now = self.sim.now
-        if self.mode is ShareMode.STATIC:
-            shares = {jid: s.share for jid, s in self._states.items()}
-        else:
-            shares = {
-                jid: max(s.required_rate(now), MIN_DYNAMIC_SHARE)
-                for jid, s in self._states.items()
-            }
-        rates = {jid: 1.0 for jid in self._states}
-        for node_set in self.node_jobs:
-            k = len(node_set)
-            if k == 0:
-                continue
-            total = sum(shares[j] for j in node_set)
-            if total <= 1.0 + SHARE_EPS:
-                bonus = max(1.0 - total, 0.0) / k
-                for j in node_set:
-                    rates[j] = min(rates[j], min(shares[j] + bonus, 1.0))
-            else:
-                for j in node_set:
-                    rates[j] = min(rates[j], shares[j] / total)
-        return rates
+    def _reschedule(self, touched_nodes: Iterable[int]) -> None:
+        """Re-rate jobs after the membership of ``touched_nodes`` changed,
+        then re-arm the completion timer.
 
-    def _reschedule_all(self) -> None:
-        """Recompute every job's rate and (re)schedule its completion."""
-        self._reschedule()
-
-    def _reschedule(self, touched_nodes: Optional[Sequence[int]] = None) -> None:
-        """Recompute rates and (re)schedule completions.
-
-        With ``touched_nodes`` given in static mode, only jobs holding a
-        share slot on a touched node are recomputed: a static job's rate
-        is a function of the share totals on its own nodes, so an
-        admit/complete/failure can only move the rates of its node-mates.
-        Everyone else keeps their pending completion event — in a large
-        cluster that turns the per-event O(jobs) cancel/reschedule churn
-        into O(co-located jobs).
-
-        Dynamic mode always recomputes everything: required rates drift
-        with the clock, so no job's rate is provably unchanged.
+        Static mode re-rates only the jobs on touched nodes: a static
+        job's rate depends only on the share totals of its own nodes.
+        Dynamic mode re-rates every job, since required rates drift with
+        the clock.  Re-rated jobs draw fresh ticks in admission order, as
+        the per-job completion events they stand for would have.
         """
         if PERF.enabled:
             PERF.incr("cluster.time.reschedules")
             PERF.observe("cluster.time.active_jobs", len(self._states))
         states = self._states
-        if touched_nodes is None or self.mode is not ShareMode.STATIC:
-            affected = None  # everyone
-        else:
-            affected = set()
+        now = self.sim.now
+        if self.mode is ShareMode.STATIC:
+            self._refresh_nodes(touched_nodes)
+            affected: set[int] = set()
             for node in touched_nodes:
                 affected |= self.node_jobs[node]
-            if not affected:
-                return
-        if affected is None:
-            rates = self._rates_snapshot()
+            rerate = [s for jid, s in states.items() if jid in affected] if affected else []
         else:
-            rates = self._static_rates_for(affected)
-        # Iterate the state dict (admission order) rather than the affected
-        # set so completion events are re-issued in the same deterministic
-        # order a full reschedule would use.
-        for state in states.values():
-            jid = state.job.job_id
-            if affected is not None and jid not in affected:
-                continue
-            state.rate = rates[jid]
-            if state.completion is not None:
-                state.completion.cancel()
-            if state.rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
-                raise RuntimeError(f"job {jid} starved (rate 0)")
-            eta = state.remaining_work / state.rate
-            state.completion = self.sim.schedule(
-                eta, self._complete, state, priority=Priority.COMPLETION
-            )
+            self._share = {
+                jid: max(s.required_rate(now), MIN_DYNAMIC_SHARE)
+                for jid, s in states.items()
+            }
+            self._refresh_nodes(range(len(self.node_jobs)))
+            rerate = list(states.values())
+        if rerate:
+            share = self._share
+            tick = self.sim.reserve_seqs(len(rerate))
+            for state in rerate:
+                rate = self._gang_rate(share[state.job.job_id], state.nodes)
+                if rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
+                    raise RuntimeError(f"job {state.job.job_id} starved (rate 0)")
+                state.rate = rate
+                state.eta = now + state.remaining_work / rate
+                state.tick = tick
+                tick += 1
+        self._arm_timer()
 
-    def _static_rates_for(self, job_ids: set[int]) -> dict[int, float]:
-        """Static-mode rates for ``job_ids`` only.
-
-        Per-node share totals are summed in the same ``node_jobs`` set
-        order as :meth:`_rates_snapshot`, so the floats are identical to a
-        full recomputation — the restriction changes *which* jobs are
-        computed, never their values.
-        """
-        states = self._states
+    def _refresh_nodes(self, nodes: Iterable[int]) -> None:
+        """Recompute the share total and residual bonus of ``nodes``."""
+        share = self._share
         node_jobs = self.node_jobs
-        node_cache: dict[int, tuple[float, int]] = {}
-        rates: dict[int, float] = {}
-        for jid in job_ids:
-            state = states[jid]
-            share = state.share
-            rate = 1.0
-            for node in state.nodes:
-                cached = node_cache.get(node)
-                if cached is None:
-                    members = node_jobs[node]
-                    total = sum(states[j].share for j in members)
-                    cached = node_cache[node] = (total, len(members))
-                total, k = cached
-                if total <= 1.0 + SHARE_EPS:
-                    bonus = max(1.0 - total, 0.0) / k
-                    r = min(share + bonus, 1.0)
-                else:
-                    r = share / total
-                if r < rate:
-                    rate = r
-            rates[jid] = rate
-        return rates
+        totals = self._total
+        bonus = self._bonus
+        over = self._over
+        for node in nodes:
+            members = node_jobs[node]
+            total = sum(map(share.__getitem__, members))
+            totals[node] = total
+            if total > 1.0 + SHARE_EPS:
+                bonus[node] = math.inf
+                over.add(node)
+            else:
+                bonus[node] = max(1.0 - total, 0.0) / len(members) if members else math.inf
+                over.discard(node)
 
-    def _complete(self, state: TSJobState) -> None:
-        self._sync_progress()
-        # Authoritative: rate changes always cancel and reschedule the
-        # completion, so snap the float residual rather than rescheduling a
-        # sub-resolution eta.
-        state.consumed += state.remaining_work
-        state.remaining_work = 0.0
-        del self._states[state.job.job_id]
+    def _gang_rate(self, share: float, nodes: tuple[int, ...]) -> float:
+        """Rate of a job holding ``share`` on each of ``nodes``.
+
+        It is ``min(1, share + min bonus over its nodes)``, and no more
+        than ``share / total`` on an overcommitted node.  ``fl(share + b)``
+        is monotone in ``b``, so adding the smallest bonus gives the same
+        float as the minimum of the per-node sums.
+        """
+        rate = share + min(map(self._bonus.__getitem__, nodes))
+        if rate > 1.0:
+            rate = 1.0
+        over = self._over
+        if over and not over.isdisjoint(nodes):
+            totals = self._total
+            for node in nodes:
+                if node in over:
+                    r = share / totals[node]
+                    if r < rate:
+                        rate = r
+        return rate
+
+    def _arm_timer(self) -> None:
+        """Point the completion timer at the smallest (eta, tick)."""
+        timer = self._timer
+        if not self._states:
+            if timer is not None:
+                timer.cancel()
+                self._timer = None
+            return
+        head = min(self._states.values(), key=_COMPLETION_ORDER)
+        if timer is not None:
+            if timer.seq == head.tick:
+                return
+            timer.cancel()
+        self._timer = self.sim.schedule_reserved(
+            head.eta, head.tick, self._complete, head, priority=Priority.COMPLETION
+        )
+
+    def _release(self, state: TSJobState) -> None:
+        """Drop a job from the books and free its share slots."""
+        jid = state.job.job_id
+        del self._states[jid]
+        del self._share[jid]
         for node in state.nodes:
             self.committed[node] -= state.share
             if abs(self.committed[node]) < SHARE_EPS:
                 self.committed[node] = 0.0
-            self.node_jobs[node].discard(state.job.job_id)
-        state.completion = None
+            self.node_jobs[node].discard(jid)
+
+    def _complete(self, state: TSJobState) -> None:
+        self._sync_progress()
+        # Authoritative: every rate change moves the ETA, so snap the float
+        # residual rather than rescheduling a sub-resolution eta.
+        state.consumed += state.remaining_work
+        state.remaining_work = 0.0
+        self._release(state)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_completed")
-        self._reschedule(touched_nodes=state.nodes)
+        self._reschedule(state.nodes)
         state._on_finish(state.job, self.sim.now)  # type: ignore[attr-defined]
 
     def committed_seconds_in_window(self, node: int, window: float) -> float:
@@ -372,23 +391,15 @@ class TimeSharedCluster:
         self._down.add(node_id)
         victims = [self._states[jid] for jid in sorted(self.node_jobs[node_id])]
         killed: list[tuple[Job, float]] = []
+        touched: set[int] = set()
         for state in victims:
-            if state.completion is not None:
-                state.completion.cancel()
-            del self._states[state.job.job_id]
-            for node in state.nodes:
-                self.committed[node] -= state.share
-                if abs(self.committed[node]) < SHARE_EPS:
-                    self.committed[node] = 0.0
-                self.node_jobs[node].discard(state.job.job_id)
+            self._release(state)
+            touched.update(state.nodes)
             progress = min(max(state.consumed, 0.0), state.job.runtime)
             killed.append((state.job, progress))
         if PERF.enabled and killed:
             PERF.incr("cluster.time.jobs_failed", len(killed))
-        touched: set[int] = set()
-        for state in victims:
-            touched.update(state.nodes)
-        self._reschedule(touched_nodes=sorted(touched))
+        self._reschedule(touched)
         return killed
 
     def repair_node(self, node_id: int) -> None:
@@ -416,6 +427,8 @@ class TimeSharedCluster:
         node_id = len(self.committed)
         self.committed.append(0.0)
         self.node_jobs.append(set())
+        self._total.append(0.0)
+        self._bonus.append(math.inf)
         self.total_procs += 1
         if PERF.enabled:
             PERF.incr("cluster.time.nodes_commissioned")

@@ -14,7 +14,9 @@ the parent's environment):
 ``REPRO_CHAOS_DIR``
     A scratch directory for once-only markers.  One ``<digest>.killed``
     marker is created (atomically, ``O_EXCL``) per crashed item, so a
-    resubmitted run of the same digest proceeds normally.
+    resubmitted run of the same digest proceeds normally.  Budgets are
+    held as ``kill-slot-<i>`` / ``batch-slot-<i>`` files, each claimed
+    atomically before a crash.
 ``REPRO_CHAOS_KILL``
     Maximum number of distinct work items to crash (an integer budget).
 ``REPRO_CHAOS_BATCH``
@@ -50,17 +52,7 @@ def maybe_crash(digest: str) -> None:
         return
     if budget <= 0 or not os.path.isdir(chaos_dir):
         return
-    marker = os.path.join(chaos_dir, f"{digest}.killed")
-    if os.path.exists(marker):
-        return  # this item already took its crash; run normally
-    if len([n for n in os.listdir(chaos_dir) if n.endswith(".killed")]) >= budget:
-        return
-    try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:  # lost the race: another worker crashed it
-        return
-    os.close(fd)
-    os.kill(os.getpid(), signal.SIGKILL)
+    _crash_once(chaos_dir, f"{digest}.killed", "kill", budget)
 
 
 def maybe_crash_batch(digests: list[str]) -> None:
@@ -81,14 +73,33 @@ def maybe_crash_batch(digests: list[str]) -> None:
         return
     if budget <= 0 or not os.path.isdir(chaos_dir):
         return
-    marker = os.path.join(chaos_dir, f"{digests[0]}.batchkilled")
-    if os.path.exists(marker):
-        return  # this batch already took its crash; run normally
-    if len([n for n in os.listdir(chaos_dir) if n.endswith(".batchkilled")]) >= budget:
-        return
+    _crash_once(chaos_dir, f"{digests[0]}.batchkilled", "batch", budget)
+
+
+def _create_exclusive(path: str) -> bool:
+    """Create ``path`` atomically; False if it already exists."""
     try:
-        fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:  # lost the race
-        return
-    os.close(fd)
-    os.kill(os.getpid(), signal.SIGKILL)
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        return False
+    return True
+
+
+def _crash_once(chaos_dir: str, marker: str, kind: str, budget: int) -> None:
+    """SIGKILL this process unless ``marker`` exists or ``budget`` is spent.
+
+    The budget is ``budget`` slot files claimed with ``O_EXCL`` *before* the
+    marker is written, so concurrent workers can never crash more often
+    than the budget allows (counting markers first and creating one after
+    let two workers both pass the check).
+    """
+    marker = os.path.join(chaos_dir, marker)
+    if os.path.exists(marker):
+        return  # this item already took its crash; run normally
+    if not any(
+        _create_exclusive(os.path.join(chaos_dir, f"{kind}-slot-{i}"))
+        for i in range(budget)
+    ):
+        return  # budget spent
+    if _create_exclusive(marker):
+        os.kill(os.getpid(), signal.SIGKILL)

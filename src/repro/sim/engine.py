@@ -208,6 +208,41 @@ class Simulator:
         self._push((t, priority, seq, handle))
         return handle
 
+    def reserve_seqs(self, n: int) -> int:
+        """Consume ``n`` insertion-sequence numbers; returns the first.
+
+        For a component that tracks many pending deadlines but keeps only
+        the earliest in the event list (the time-shared cluster's single
+        completion timer): it draws each deadline's tie-break here, as if
+        it had scheduled one event per deadline, and arms its timer with
+        :meth:`schedule_reserved` under the earliest one's number.  Every
+        event therefore keeps the sequence number, and so the same-instant
+        order, it would have had with one event per deadline.
+        """
+        seq = self._seq
+        self._seq = seq + n
+        return seq
+
+    def schedule_reserved(
+        self,
+        time: float,
+        seq: int,
+        fn: Callable[..., Any],
+        *args: Any,
+        priority: int = Priority.INTERNAL,
+    ) -> EventHandle:
+        """Schedule ``fn(*args)`` at absolute ``time`` under a sequence
+        number drawn earlier from :meth:`reserve_seqs`."""
+        t = time + 0.0
+        if not t >= self._now:
+            self._reject_time(t)
+        if not 0 <= seq < self._seq:
+            raise SimulationError(f"sequence number {seq} was never reserved")
+        self.events_scheduled += 1
+        handle = EventHandle(t, priority, seq, fn, args)
+        self._push((t, priority, seq, handle))
+        return handle
+
     def cancel(self, handle: EventHandle) -> bool:
         """Cancel a pending event.
 

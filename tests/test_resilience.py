@@ -10,6 +10,7 @@ import pytest
 
 from repro import perf
 from repro.core.separate import SeparateRisk
+from repro.experiments import chaos
 from repro.experiments.errors import (
     FailureRecord,
     GridExecutionError,
@@ -269,6 +270,27 @@ def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
     grid = assemble_grid(RunStore(tmp_path / "store"), POLICIES, "bid", SMALL,
                          "A", SCENARIOS)
     assert grid_to_dict(grid) == reference_doc
+
+
+@pytest.mark.parametrize("env,crash", [
+    ("REPRO_CHAOS_KILL", lambda: chaos.maybe_crash("d1")),
+    ("REPRO_CHAOS_BATCH", lambda: chaos.maybe_crash_batch(["d1", "d2"])),
+])
+def test_chaos_budget_is_claimed_before_the_marker(tmp_path, monkeypatch, env, crash):
+    """A worker that has claimed the last budget slot but not yet written
+    its marker still blocks every other worker from crashing."""
+    kills = []
+    monkeypatch.setattr(chaos.os, "kill", lambda pid, sig: kills.append(sig))
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    monkeypatch.setenv(env, "1")
+    slot = "kill-slot-0" if env == "REPRO_CHAOS_KILL" else "batch-slot-0"
+    (tmp_path / slot).touch()  # another worker's claim in flight
+    crash()
+    assert kills == []
+    (tmp_path / slot).unlink()
+    crash()
+    crash()  # the marker now exists: the same item never crashes twice
+    assert kills == [signal.SIGKILL]
 
 
 def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):

@@ -46,6 +46,30 @@ def test_schedule_nan_raises():
         sim.schedule(float("nan"), lambda: None)
 
 
+@pytest.mark.parametrize("fel", ["heap", "calendar"])
+def test_reserved_seq_keeps_insertion_order(fel):
+    """An event armed late under an early-reserved number fires where an
+    event scheduled at reservation time would have."""
+    sim = Simulator(fel=fel)
+    fired = []
+    seq = sim.reserve_seqs(2)
+    sim.schedule_at(1.0, fired.append, "scheduled after reserving")
+    sim.schedule_reserved(1.0, seq + 1, fired.append, "second reserved")
+    sim.schedule_reserved(1.0, seq, fired.append, "first reserved")
+    sim.run()
+    assert fired == ["first reserved", "second reserved", "scheduled after reserving"]
+    assert sim.events_scheduled == 3
+
+
+def test_schedule_reserved_validates():
+    sim = Simulator(start=5.0)
+    seq = sim.reserve_seqs(1)
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(1.0, seq, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_reserved(6.0, seq + 1, lambda: None)
+
+
 def test_cancelled_event_does_not_fire():
     sim = Simulator()
     fired = []

@@ -180,3 +180,34 @@ def test_deadline_met_with_exact_share():
 def test_invalid_cluster_size():
     with pytest.raises(ValueError):
         TimeSharedCluster(Simulator(), total_procs=0)
+
+
+def test_same_instant_completions_fire_in_eta_order():
+    """Ties on the finish time go to the job whose ETA was set first, even
+    when it was admitted later."""
+    sim = Simulator()
+    cluster = TimeSharedCluster(sim, total_procs=2)
+    done = []
+    record = lambda j, t: done.append((j.job_id, t))  # noqa: E731
+    cluster.admit(make_job(1, runtime=100.0), 0.5, [0], record)
+    cluster.admit(make_job(2, runtime=110.0), 0.5, [1], record)
+    # Job 3 halves job 1's rate until t=20; job 1 is then re-rated to
+    # finish at 20 + 90 = 110, the instant job 2 was set to finish at.
+    cluster.admit(make_job(3, runtime=10.0), 0.5, [0], record)
+    sim.run()
+    assert done == [(3, 20.0), (2, 110.0), (1, 110.0)]
+
+
+def test_same_instant_completions_across_clusters_keep_event_order():
+    """Clusters sharing a simulator interleave same-instant completions in
+    the order their ETAs were set, as one event per job would."""
+    sim = Simulator()
+    x = TimeSharedCluster(sim, total_procs=2)
+    y = TimeSharedCluster(sim, total_procs=1)
+    done = []
+    record = lambda j, t: done.append(j.job_id)  # noqa: E731
+    x.admit(make_job(1), 0.25, [0], record)
+    x.admit(make_job(2), 0.25, [1], record)
+    y.admit(make_job(3), 0.25, [0], record)
+    sim.run()
+    assert done == [1, 2, 3]
