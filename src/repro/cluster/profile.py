@@ -19,6 +19,25 @@ from typing import Sequence, Tuple
 Release = Tuple[float, int]
 
 
+def _first_fit(
+    now: float, free_procs: int, clamped: list[Release], procs: int, total_procs: int
+) -> float:
+    """:func:`earliest_start_time` over releases already clamped and sorted."""
+    if procs > total_procs:
+        raise ValueError(f"job needs {procs} processors but machine has {total_procs}")
+    if procs <= free_procs:
+        return now
+    available = free_procs
+    for finish, n in clamped:
+        available += n
+        if available >= procs:
+            return finish
+    raise ValueError(
+        "releases do not add up to the machine size: "
+        f"free={free_procs} + releases={sum(n for _, n in clamped)} < procs={procs}"
+    )
+
+
 def earliest_start_time(
     now: float,
     free_procs: int,
@@ -32,19 +51,8 @@ def earliest_start_time(
     finish estimate in the past (an under-estimated job still running) is
     treated as "any moment now", i.e. clamped to ``now``.
     """
-    if procs > total_procs:
-        raise ValueError(f"job needs {procs} processors but machine has {total_procs}")
-    if procs <= free_procs:
-        return now
-    available = free_procs
-    for finish, n in sorted((max(f, now), n) for f, n in releases):
-        available += n
-        if available >= procs:
-            return finish
-    raise ValueError(
-        "releases do not add up to the machine size: "
-        f"free={free_procs} + releases={sum(n for _, n in releases)} < procs={procs}"
-    )
+    clamped = sorted((max(f, now), n) for f, n in releases)
+    return _first_fit(now, free_procs, clamped, procs, total_procs)
 
 
 def easy_backfill_window(
@@ -65,13 +73,14 @@ def easy_backfill_window(
 
     (Mu'alem & Feitelson, IEEE TPDS 12(6), §2.2.)
     """
-    shadow = earliest_start_time(now, free_procs, releases, anchor_procs, total_procs)
+    clamped = sorted((max(f, now), n) for f, n in releases)
+    shadow = _first_fit(now, free_procs, clamped, anchor_procs, total_procs)
     available = free_procs
-    for finish, n in sorted((max(f, now), n) for f, n in releases):
-        if finish <= shadow:
-            available += n
-    spare = available - anchor_procs
-    return shadow, max(spare, 0)
+    for finish, n in clamped:
+        if finish > shadow:
+            break
+        available += n
+    return shadow, max(available - anchor_procs, 0)
 
 
 class Timeline:

@@ -5,23 +5,32 @@ else lives here:
 
 - Arriving jobs enter a priority queue; nothing is decided at submission
   ("new jobs are only examined and accepted prior to execution").
-- Whenever the cluster state changes, the dispatcher (re)sorts the queue,
-  applies the *generous admission control* to each job it examines — reject
-  if (i) the runtime estimate predicts a deadline miss from a start *now*,
-  or (ii) the deadline already lapsed in the queue — plus the commodity
-  budget check, then starts the head job if it fits.
+- Whenever the cluster state changes, the dispatcher applies the *generous
+  admission control* — reject if (i) the runtime estimate predicts a
+  deadline miss from a start *now*, or (ii) the deadline already lapsed in
+  the queue — plus the commodity budget check, then starts the head job if
+  it fits.
 - If the head does not fit, EASY backfilling computes the head's shadow
   time and spare processors and starts any lower-priority job that cannot
   delay that reservation (Mu'alem & Feitelson's rule).
 
-Rejecting a predicted-late candidate during a backfill scan is safe and
+Rejecting a predicted-late job before it reaches the head is safe and
 equivalent to rejecting it "at the latest time": ``now`` only grows, so a
 prediction ``now + estimate > deadline`` can never become feasible again.
+With backfilling on, the dispatcher therefore leaves every queued job
+feasible, and each dispatch first drops the jobs that stopped being so:
+new arrivals, jobs whose latest feasible start has passed (popped from a
+heap) and, under a time-of-day tariff, any job whose quote now exceeds its
+budget.  A flat quote never changes while a job waits, so it is struck once
+when the job is queued.
 """
 
 from __future__ import annotations
 
 import abc
+import bisect
+import heapq
+import itertools
 import math
 from typing import Optional
 
@@ -68,7 +77,17 @@ class BackfillPolicy(Policy, abc.ABC):
         #: completion (non-preemptive).  This switch enables the real-world
         #: discipline for the kill-at-estimate ablation.
         self.kill_at_estimate = bool(kill_at_estimate)
+        #: waiting jobs in priority order.
         self._queue: list[Job] = []
+        #: flat pricing: (admissible, cost) of each queued job, struck when
+        #: it was queued.
+        self._quotes: dict[int, tuple[bool, float]] = {}
+        #: heap of (check time, serial, job): a queued job is due for an
+        #: admission check once ``now`` passes its check time.
+        self._checks: list[tuple[float, int, Job]] = []
+        #: serial of each queued job's live ``_checks`` entry.
+        self._check_serial: dict[int, int] = {}
+        self._serials = itertools.count()
 
     def make_cluster(self, sim: Simulator, total_procs: int) -> SpaceSharedCluster:
         return SpaceSharedCluster(sim, total_procs)
@@ -87,8 +106,25 @@ class BackfillPolicy(Policy, abc.ABC):
     # -- lifecycle ------------------------------------------------------------
     def submit(self, job: Job) -> None:
         self._require_bound()
-        self._queue.append(job)
+        self._enqueue(job)
         self._dispatch()
+
+    def _enqueue(self, job: Job) -> None:
+        bisect.insort(self._queue, job, key=self.priority_key)
+        if self.tariff is None:
+            self._quotes[job.job_id] = self._budget_ok(job)
+            if self.backfilling:
+                self._check_after(job, -math.inf)
+
+    def _check_after(self, job: Job, time: float) -> None:
+        serial = next(self._serials)
+        self._check_serial[job.job_id] = serial
+        heapq.heappush(self._checks, (time, serial, job))
+
+    def _forget(self, job: Job) -> None:
+        """Discard the bookkeeping of a job leaving the queue."""
+        self._quotes.pop(job.job_id, None)
+        self._check_serial.pop(job.job_id, None)
 
     def _on_finish(self, job: Job, finish_time: float) -> None:
         if self.kill_at_estimate and job.runtime > job.estimate + TIME_EPS:
@@ -98,6 +134,13 @@ class BackfillPolicy(Policy, abc.ABC):
         self._dispatch()
 
     # -- admission ----------------------------------------------------------
+    def _quote(self, job: Job) -> tuple[bool, float]:
+        """(admissible, cost): struck when queued under flat pricing, now
+        under a tariff."""
+        if self.tariff is None:
+            return self._quotes[job.job_id]
+        return self._budget_ok(job)
+
     def _rejection_reason(self, job: Job) -> Optional[str]:
         """Generous admission control, applied when a job is examined for
         execution (not at submission)."""
@@ -107,13 +150,14 @@ class BackfillPolicy(Policy, abc.ABC):
                 return "deadline lapsed while queued"
             if now + job.estimate > job.absolute_deadline + TIME_EPS:
                 return "runtime estimate predicts deadline miss"
-        admissible, _ = self._budget_ok(job)
+        admissible, _ = self._quote(job)
         if not admissible:
             return "expected cost exceeds budget"
         return None
 
     def _start(self, job: Job) -> None:
-        _, cost = self._budget_ok(job)
+        _, cost = self._quote(job)
+        self._forget(job)
         if self.fault_config is not None and self._is_interrupted(job):
             # Restart after a node failure: the SLA was accepted before the
             # failure, so only the (re)start transition fires.
@@ -144,7 +188,13 @@ class BackfillPolicy(Policy, abc.ABC):
     def _recover_failed_job(self, job: Job) -> None:
         """Re-queue an interrupted job; the dispatcher re-examines it under
         the same generous admission control as any queued job."""
-        self._queue.append(job)
+        self._enqueue(job)
+
+    def _up_capacity(self) -> int:
+        """Processors on nodes that are not down."""
+        if self.fault_config is None:
+            return self.cluster.total_procs
+        return self.cluster.total_procs - len(self.cluster.down_nodes())
 
     def _after_failure(self, node_id: int) -> None:
         # The failure may have freed survivor nodes of a killed parallel
@@ -156,71 +206,118 @@ class BackfillPolicy(Policy, abc.ABC):
 
     # -- the dispatcher ---------------------------------------------------------
     def _dispatch(self) -> None:
-        """Run the EASY cycle until no further job can start or be rejected."""
-        while True:
-            self._queue.sort(key=self.priority_key)
+        """Start jobs off the head, then backfill, until no job can start now.
 
-            # Phase 1: pop rejected/startable jobs off the head.
-            advanced = False
-            while self._queue:
-                head = self._queue[0]
+        With backfilling on, infeasible jobs are dropped up front; plain
+        priority scheduling examines the head only, and only once it is the
+        head, because an interrupted job's failure time sets its penalty.
+        """
+        queue = self._queue
+        if self.backfilling:
+            self._drop_infeasible()
+        while queue:
+            head = queue[0]
+            if not self.backfilling:
                 reason = self._rejection_reason(head)
                 if reason is not None:
-                    self._queue.pop(0)
+                    del queue[0]
+                    self._forget(head)
                     self._drop(head, reason)
-                    advanced = True
                     continue
-                if self.cluster.can_fit(head.procs):
-                    self._queue.pop(0)
-                    self._start(head)
-                    advanced = True
-                    continue
+            if not self.cluster.can_fit(head.procs):
                 break
-            if advanced:
-                continue  # cluster state changed; re-evaluate from scratch
-            if not self._queue or not self.backfilling:
-                return
+            del queue[0]
+            self._start(head)
+        if self.backfilling and len(queue) > 1:
+            self._backfill(queue[0])
 
-            # Phase 2: backfill around the (blocked) head job.
-            head = self._queue[0]
-            up_capacity = self.cluster.total_procs
-            if self.fault_config is not None:
-                up_capacity -= len(self.cluster.down_nodes())
-            if head.procs > up_capacity:
-                # Failed nodes leave too little machine for the head until a
-                # repair; EASY's reservation is undefined, so let anything
-                # that fits the surviving capacity run meanwhile (the head
-                # cannot be delayed — it cannot start at all).
-                shadow, spare = math.inf, self.cluster.free_procs
-            else:
-                shadow, spare = easy_backfill_window(
-                    self.sim.now,
-                    self.cluster.free_procs,
-                    self.cluster.releases(),
-                    head.procs,
-                    self.cluster.total_procs,
-                )
-            for job in list(self._queue[1:]):
-                reason = self._rejection_reason(job)
-                if reason is not None:
-                    self._queue.remove(job)
-                    self._drop(job, reason)
-                    advanced = True
-                    break  # re-sort and recompute the window
-                if can_backfill(
-                    self.sim.now,
-                    self.cluster.free_procs,
-                    job.procs,
-                    job.estimate,
-                    shadow,
-                    spare,
-                ):
-                    self._queue.remove(job)
-                    self._start(job)
-                    advanced = True
-                    break  # cluster changed; recompute the window
-            if not advanced:
+    def _drop_infeasible(self) -> None:
+        """Drop, in priority order, every queued job that fails admission now.
+
+        The previous dispatch left every queued job feasible.  Under flat
+        pricing only the deadline test can fail later, once ``now`` passes
+        the job's latest feasible start, so only new jobs and jobs whose
+        check time has passed are examined; a tariff re-prices every job.
+        """
+        now = self.sim.now
+        if self.tariff is not None:
+            suspects = self._queue
+        else:
+            suspects = []
+            checks = self._checks
+            while checks and checks[0][0] < now:
+                _, serial, job = heapq.heappop(checks)
+                if self._check_serial.get(job.job_id) == serial:
+                    suspects.append(job)
+        dropped = []
+        for job in suspects:
+            reason = self._rejection_reason(job)
+            if reason is not None:
+                dropped.append((self.priority_key(job), job, reason))
+            elif self.tariff is None:
+                if self.admission_control:
+                    self._check_after(job, latest_feasible_start(job))
+                else:
+                    del self._check_serial[job.job_id]
+        if not dropped:
+            return
+        dropped.sort(key=lambda entry: entry[0])
+        gone = {job.job_id for _, job, _ in dropped}
+        self._queue[:] = [job for job in self._queue if job.job_id not in gone]
+        for _, job, reason in dropped:
+            self._forget(job)
+            self._drop(job, reason)
+
+    def _window(self, head: Job) -> tuple[float, int]:
+        """EASY shadow time and spare processors for the blocked head."""
+        if head.procs > self._up_capacity():
+            # Failed nodes leave too little machine for the head until a
+            # repair; EASY's reservation is undefined, so let anything that
+            # fits the surviving capacity run meanwhile (the head cannot be
+            # delayed — it cannot start at all).
+            return math.inf, self.cluster.free_procs
+        return easy_backfill_window(
+            self.sim.now,
+            self.cluster.free_procs,
+            self.cluster.releases(),
+            head.procs,
+            self.cluster.total_procs,
+        )
+
+    def _backfill(self, head: Job) -> None:
+        """Start, in priority order, each job that cannot delay the head.
+
+        A start only shrinks the free processors, and on a homogeneous
+        machine it leaves the shadow time alone and the spare no larger, so
+        no job already passed over can now fit: the scan goes on from where
+        it is.  On a heterogeneous machine a job slower than its estimate
+        can end past the shadow and move it later, which loosens the
+        window; the scan then restarts from the front.
+        """
+        queue = self._queue
+        cluster = self.cluster
+        now = self.sim.now
+        window = None  # computed once some job fits the free processors
+        i = 1
+        while True:
+            free = cluster.free_procs
+            if free == 0:
                 return
+            for i in range(i, len(queue)):
+                job = queue[i]
+                if job.procs <= free:
+                    if window is None:
+                        window = self._window(head)
+                    shadow, spare = window
+                    if can_backfill(now, free, job.procs, job.estimate, shadow, spare):
+                        break
+            else:
+                return
+            del queue[i]
+            self._start(job)
+            window = self._window(head)
+            if window[0] != shadow or window[1] > spare:
+                i = 1
 
     # -- introspection --------------------------------------------------------
     @property
@@ -228,4 +325,17 @@ class BackfillPolicy(Policy, abc.ABC):
         return len(self._queue)
 
     def queued_jobs(self) -> list[Job]:
-        return sorted(self._queue, key=self.priority_key)
+        return list(self._queue)
+
+
+def latest_feasible_start(job: Job) -> float:
+    """A time ``now`` must pass before ``job`` can fail the deadline test.
+
+    The test ``now + estimate > deadline + TIME_EPS`` holds only if the
+    exact sum exceeds the rounded right-hand side, i.e. only if ``now``
+    exceeds the exact difference.  Stepping the rounded difference down one
+    ulp keeps the result at or below that difference, so the check is never
+    late.  (The lapsed-deadline test implies this one, as estimates are
+    positive.)
+    """
+    return math.nextafter(job.absolute_deadline + TIME_EPS - job.estimate, -math.inf)

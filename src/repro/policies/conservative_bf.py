@@ -12,14 +12,14 @@ backfilling-discipline ablation (``benchmarks/test_ablations.py``): it sits
 between plain FCFS (no backfilling) and FCFS-BF (aggressive EASY).
 
 The generous admission control and commodity budget check apply exactly as
-in :class:`repro.policies.backfill.BackfillPolicy`.
+in :class:`repro.policies.backfill.BackfillPolicy`, which also drops the
+jobs that fail them before each plan.
 """
 
 from __future__ import annotations
 
 from repro.cluster.profile import Timeline
 from repro.policies.fcfs_bf import FCFSBackfill
-from repro.workload.job import Job
 
 
 class ConservativeBackfill(FCFSBackfill):
@@ -29,29 +29,28 @@ class ConservativeBackfill(FCFSBackfill):
 
     def _dispatch(self) -> None:
         """Plan all queued jobs on the availability timeline; start those
-        whose planned reservation is *now* (and reject infeasible jobs)."""
+        whose planned reservation is *now* (infeasible jobs are dropped
+        first, as in EASY)."""
+        self._drop_infeasible()
+        queue = self._queue
+        now = self.sim.now
         while True:
-            self._queue.sort(key=self.priority_key)
-            advanced = False
-            timeline = Timeline(
-                self.sim.now, self.cluster.free_procs, self.cluster.releases()
-            )
-            for job in list(self._queue):
-                reason = self._rejection_reason(job)
-                if reason is not None:
-                    self._queue.remove(job)
-                    self._reject(job, reason)
-                    advanced = True
-                    break  # profile unchanged but queue did; replan
+            timeline = Timeline(now, self.cluster.free_procs, self.cluster.releases())
+            up_capacity = self._up_capacity()
+            for i, job in enumerate(queue):
+                if job.procs > up_capacity:
+                    # Failed nodes leave too little machine for this job
+                    # until a repair: it gets no reservation, and nothing
+                    # can delay a job that cannot start at all.
+                    continue
                 start = timeline.find_earliest(job.procs, job.estimate)
-                if start <= self.sim.now and self.cluster.can_fit(job.procs):
+                if start <= now and self.cluster.can_fit(job.procs):
                     # The can_fit guard covers same-timestamp completions
                     # that the timeline already counts as released but whose
                     # events have not fired yet; dispatch re-runs when they do.
-                    self._queue.remove(job)
+                    del queue[i]
                     self._start(job)
-                    advanced = True
                     break  # cluster state changed; rebuild the timeline
                 timeline.reserve(start, job.procs, job.estimate)
-            if not advanced:
+            else:
                 return

@@ -1,0 +1,165 @@
+"""Pinned results of the queue-based space-shared policies.
+
+Each case reduces a seeded run to one SHA-256 digest over its objectives
+and every SLA's status, start, finish and utility, written as exact
+``float.hex`` strings, plus the reason of each rejection.  FCFS-BF, SJF-BF,
+EDF-BF, plain FCFS and Cons-BF are pinned under both economic models,
+failure-free and with correlated faults (node failures with rack outages,
+cascades and checkpoint recovery), on trace runtime estimates, so jobs
+under- and over-run their requests.  Three variants add a time-of-day
+tariff, kill-at-estimate and the admission-control ablation.
+
+A change to the dispatcher that starts, rejects or fails a different job,
+or any job at a different instant, changes a digest.  To re-pin after an
+intended behaviour change, run ``python tests/test_backfill_parity.py``
+and paste its output.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from repro.economy.models import make_model
+from repro.economy.pricing import TimeOfDayPricing
+from repro.experiments.runner import build_workload
+from repro.experiments.scenarios import ExperimentConfig
+from repro.policies import make_policy
+from repro.service.provider import CommercialComputingService
+
+POLICIES = ("FCFS-BF", "SJF-BF", "EDF-BF", "FCFS", "Cons-BF")
+MODELS = ("bid", "commodity")
+
+#: fault regimes, as virtual ``fault_*`` config fields.
+REGIMES = {
+    "none": (),
+    "correlated": (
+        ("fault_mtbf", 345_600.0),
+        ("fault_mttr", 1_800.0),
+        ("fault_recovery", "checkpoint"),
+        ("fault_domain_size", 8),
+        ("fault_domain_mtbf", 864_000.0),
+        ("fault_cascade_prob", 0.25),
+    ),
+}
+
+#: policy options of the variant cases, by name.
+VARIANTS = {
+    "tariff": lambda: {"tariff": TimeOfDayPricing(peak_multiplier=2.0)},
+    "kill-at-estimate": lambda: {"kill_at_estimate": True},
+    "no-admission-control": lambda: {"admission_control": False},
+}
+
+EXPECTED = {
+    ('FCFS-BF', 'bid', 'none'):
+        'd2a200506817a4b652a011c09d2de4122090d4e0c6d1cd82cb89e516c6d38611',
+    ('FCFS-BF', 'bid', 'correlated'):
+        '88bb6d4c48549704a5e90bd6913e3461b0774d8157f88364146aa707fe7d852f',
+    ('FCFS-BF', 'commodity', 'none'):
+        'cbdd34e538c8447aca641ccc501344b6d3d6f3b8a808c65dc461896613f41b91',
+    ('FCFS-BF', 'commodity', 'correlated'):
+        'a4141b8ff074b46a84c193e6db98835c329a69db4df45940d9cbd9bbfa65a19f',
+    ('SJF-BF', 'bid', 'none'):
+        '4a6c152c2d0c299f77cece8cf03366788b5d1ac7fd6f9df255f29ab07b03c097',
+    ('SJF-BF', 'bid', 'correlated'):
+        'd3f9dd0d577e14b4c70dd144c060a5fdeea6e2f28696e5528b182e76ca99f958',
+    ('SJF-BF', 'commodity', 'none'):
+        'b24d6ae150129e608d323f1000e6d51b0980dddf467968d300945e6636cb7e30',
+    ('SJF-BF', 'commodity', 'correlated'):
+        'aa6d1d1828a725b1098d820400f0bbb1050ef33c8de41bd4f88294a995131717',
+    ('EDF-BF', 'bid', 'none'):
+        '0aef7a4115ceb92500e11a330a807a3c76c9edd813a94bf988dd9908ccb97486',
+    ('EDF-BF', 'bid', 'correlated'):
+        '047149f76b87c4d74208883e04fe8f70ec02d6b1c021472be594e5bfde4ffe70',
+    ('EDF-BF', 'commodity', 'none'):
+        '5bf8c69ff651962de079aab560e079f9068443977bc85433bc785ccdcf20b211',
+    ('EDF-BF', 'commodity', 'correlated'):
+        '13f4ebd02d2371204e444a50fe48ab29b692cb51e9a2bc19a3fd56a1943f9e31',
+    ('FCFS', 'bid', 'none'):
+        'a8692ed9f198895a4fdaf59a2006fae6e6279919b8acd34de768d732dab5f37a',
+    ('FCFS', 'bid', 'correlated'):
+        'cb5973d3ff515fbb5123f2248a3bff8cae683da303e89d1855c04fb1b6a4c1d1',
+    ('FCFS', 'commodity', 'none'):
+        '5ed07484d73282fdce9859bc3b569a28e766c10901a5d3bf50859096eca8f945',
+    ('FCFS', 'commodity', 'correlated'):
+        '7a198a3e220b40b55541b119c5cbd9f09486012ed110b4c522748d5011c84cbf',
+    ('Cons-BF', 'bid', 'none'):
+        '7e363031d3e4aaa874c2ede9a356e609dcc773ef360e3abd700c09f5d44387fc',
+    ('Cons-BF', 'bid', 'correlated'):
+        '54fa8395cd9d5442b44925d6c4b35a8ce48b6e3ad54cde1e406ec588eca82bdb',
+    ('Cons-BF', 'commodity', 'none'):
+        '59d84bea4fed8004405030883585915d48b911fe3a0af4ed85260eda3dd8bbcc',
+    ('Cons-BF', 'commodity', 'correlated'):
+        'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
+}
+
+EXPECTED_VARIANTS = {
+    ('SJF-BF', 'commodity', 'tariff'):
+        'c9d8f3ba64db839cff47198928de5fb447514f0c37e5bf6196341516fd1f9666',
+    ('EDF-BF', 'bid', 'kill-at-estimate'):
+        '65adebbad897e44a5b9db83df4b2f59116e44e622ff03d32c32a740da91f9483',
+    ('FCFS-BF', 'commodity', 'no-admission-control'):
+        'b6b01404f6140e5575cb3dc915866114551a1b937c4b9886f7c531108cc63985',
+}
+
+
+def _hex(value) -> str:
+    return "-" if value is None else float(value).hex()
+
+
+def run_digest(policy: str, model: str, regime: str = "none", **options) -> str:
+    config = ExperimentConfig(n_jobs=200, total_procs=64, seed=11,
+                              inaccuracy_pct=100.0)
+    if REGIMES[regime]:
+        config = config.with_values(**dict(REGIMES[regime]))
+    service = CommercialComputingService(
+        make_policy(policy, **options), make_model(model),
+        total_procs=config.total_procs,
+        fault_config=config.faults if config.faults.enabled else None,
+        fault_seed=config.seed,
+    )
+    result = service.run(build_workload(config))
+    objectives = result.objectives()
+    h = hashlib.sha256()
+    h.update(" ".join(_hex(v) for v in (objectives.wait, objectives.sla,
+                                        objectives.reliability,
+                                        objectives.profitability)).encode())
+    for rec in sorted(result.records, key=lambda r: r.job.job_id):
+        h.update(f"\n{rec.job.job_id} {rec.status.name} {rec.failed} "
+                 f"{rec.killed} {_hex(rec.start_time)} {_hex(rec.finish_time)} "
+                 f"{_hex(rec.utility)} {rec.reject_reason}".encode())
+    return h.hexdigest()
+
+
+#: (policy, model, variant) of the variant cases.
+VARIANT_CASES = [
+    ("SJF-BF", "commodity", "tariff"),
+    ("EDF-BF", "bid", "kill-at-estimate"),
+    ("FCFS-BF", "commodity", "no-admission-control"),
+]
+
+CASES = [(p, m, r) for p in POLICIES for m in MODELS for r in REGIMES]
+
+
+@pytest.mark.parametrize("policy,model,regime", CASES)
+def test_backfill_results_are_pinned(policy, model, regime):
+    assert run_digest(policy, model, regime) == EXPECTED[(policy, model, regime)]
+
+
+@pytest.mark.parametrize("policy,model,variant", VARIANT_CASES)
+def test_backfill_variants_are_pinned(policy, model, variant):
+    digest = run_digest(policy, model, **VARIANTS[variant]())
+    assert digest == EXPECTED_VARIANTS[(policy, model, variant)]
+
+
+if __name__ == "__main__":
+    print("EXPECTED = {")
+    for case in CASES:
+        print(f"    {case!r}:\n        {run_digest(*case)!r},")
+    print("}")
+    print("\nEXPECTED_VARIANTS = {")
+    for policy, model, variant in VARIANT_CASES:
+        digest = run_digest(policy, model, **VARIANTS[variant]())
+        print(f"    {(policy, model, variant)!r}:\n        {digest!r},")
+    print("}")

@@ -228,6 +228,31 @@ def test_infeasible_rerun_fails_sla_and_charges_penalty():
     assert outcome.accepted and not outcome.deadline_met
 
 
+@pytest.mark.parametrize("policy", ["FCFS-BF", "Cons-BF"])
+def test_rerun_lapsing_behind_a_running_job_fails_sla(policy):
+    # Job 2 holds node 1 until t=1000; job 1 loses node 0 at t=50 and waits
+    # for node 1, where its deadline lapses in the queue.  An accepted SLA
+    # cannot be rejected, so it must fail.
+    service = _service(policy, procs=2, faults=scripted([(50.0, 0, 10_000.0)]))
+    first = _job(1, runtime=100.0, deadline=150.0)
+    blocker = _job(2, runtime=1_000.0, deadline=10_000.0)
+    service.run([first, blocker])
+    record = service.record_of(first)
+    assert record.failed and record.finish_time == 1_000.0
+    assert service.record_of(blocker).deadline_met
+
+
+def test_conservative_rerun_wider_than_surviving_machine_waits_for_repair():
+    # While its only node is down the re-queued job fits no window of the
+    # availability profile; it waits without a reservation until the repair,
+    # by which time its deadline has lapsed.
+    service = _service("Cons-BF", procs=1, faults=scripted([(50.0, 0, 10_000.0)]))
+    job = _job(runtime=100.0, deadline=150.0)
+    service.run([job])
+    record = service.record_of(job)
+    assert record.failed and record.finish_time == 10_050.0
+
+
 def test_scripted_double_failure_of_down_node_raises():
     service = _service(procs=2, faults=scripted([(10.0, 0, 100.0), (20.0, 0, 1.0)]))
     with pytest.raises(ValueError, match="already down"):
