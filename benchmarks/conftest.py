@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.figures import run_model_grids
-from repro.experiments.runner import RunCache
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig
 
 RESULTS_DIR = Path(__file__).resolve().parent.parent / "results"
@@ -45,8 +45,8 @@ def base_config() -> ExperimentConfig:
 
 
 @pytest.fixture(scope="session")
-def run_cache() -> RunCache:
-    return RunCache()
+def run_cache() -> RunStore:
+    return RunStore()
 
 
 @pytest.fixture(scope="session")

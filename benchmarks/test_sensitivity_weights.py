@@ -10,7 +10,7 @@ from conftest import one_shot
 from repro.core.objectives import OBJECTIVES, Objective
 from repro.core.weights import weight_sensitivity, winner_map
 from repro.experiments.report import format_table
-from repro.experiments.runner import RunCache
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import scenario_by_name
 from repro.experiments.sensitivity import format_tornado, tornado_analysis
 
@@ -56,7 +56,7 @@ def test_tornado_libra_riskd(benchmark, base_config, save_exhibit):
 
     def analyse():
         return tornado_analysis(
-            "LibraRiskD", "bid", base_config.for_set("B"), scenarios, RunCache()
+            "LibraRiskD", "bid", base_config.for_set("B"), scenarios, RunStore()
         )
 
     tornado = one_shot(benchmark, analyse)

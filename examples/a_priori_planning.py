@@ -13,7 +13,8 @@ Run:  python examples/a_priori_planning.py
 
 from repro.core.apriori import recommend_policy, risk_register
 from repro.core.objectives import Objective
-from repro.experiments.runner import RunCache, run_grid
+from repro.experiments.runner import run_grid
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.policies import BID_POLICIES
 
@@ -24,7 +25,7 @@ def main() -> None:
     base = ExperimentConfig(n_jobs=150, total_procs=128)
     print("measuring (a posteriori): bid-based market, Set B, "
           f"{len(SCENARIOS)} scenarios x 6 values x {len(BID_POLICIES)} policies ...")
-    grid = run_grid(BID_POLICIES, "bid", base, "B", SCENARIOS, RunCache())
+    grid = run_grid(BID_POLICIES, "bid", base, "B", SCENARIOS, RunStore())
 
     # -- risk profiles ---------------------------------------------------------
     print("\n=== per-policy risk profiles ===")

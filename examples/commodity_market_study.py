@@ -15,7 +15,8 @@ Run:  python examples/commodity_market_study.py
 
 from repro.core.objectives import OBJECTIVES
 from repro.core.ranking import rank_policies
-from repro.experiments.runner import RunCache, run_grid
+from repro.experiments.runner import run_grid
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.report import summarize_plot
 from repro.policies import COMMODITY_POLICIES
@@ -26,7 +27,7 @@ SCENARIOS = [scenario_by_name("workload"), scenario_by_name("job mix"),
 
 def main() -> None:
     base = ExperimentConfig(n_jobs=150, total_procs=128)
-    cache = RunCache()
+    cache = RunStore()
 
     for set_name in ("A", "B"):
         label = "accurate estimates" if set_name == "A" else "trace estimates"

@@ -48,7 +48,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.experiments.runner import RunCache, run_grid, run_single
+from repro.experiments.runner import run_grid, run_single
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.market import Marketplace, SyntheticSpec, market_job_stream
 from repro.perf import PERF, PerfRegistry, capture
@@ -372,23 +373,20 @@ def bench_grid(tier: BenchTier) -> dict:
     cache.  The warm/cold ratio is the resume speedup a rerun of an
     interrupted (or repeated) grid enjoys.
     """
-    from repro.experiments.parallel import run_grid_parallel
-    from repro.experiments.runstore import RunStore
-
     scenarios = [scenario_by_name(name) for name in tier.grid_scenarios]
     config = ExperimentConfig(
         n_jobs=tier.grid_jobs, total_procs=tier.grid_procs, seed=tier.seed
     )
-    serial_cache = RunCache()
+    serial_cache = RunStore()
     t0 = time.perf_counter()
     run_grid(tier.grid_policies, tier.grid_model, config, "A", scenarios, serial_cache)
     serial_wall = max(time.perf_counter() - t0, 1e-12)
 
-    parallel_cache = RunCache()
+    parallel_cache = RunStore()
     t0 = time.perf_counter()
-    run_grid_parallel(
+    run_grid(
         tier.grid_policies, tier.grid_model, config, "A", scenarios,
-        n_workers=tier.grid_workers, cache=parallel_cache,
+        cache=parallel_cache, n_workers=tier.grid_workers,
     )
     parallel_wall = max(time.perf_counter() - t0, 1e-12)
 
@@ -429,7 +427,6 @@ def bench_farm(tier: BenchTier) -> dict:
     a quick-tier ratio is too noisy to gate CI on.
     """
     from repro.experiments.pipeline import execute_plan
-    from repro.experiments.runstore import RunStore
     from repro.farm import Coordinator, Farm, WorkerAgent, plan_from_args
 
     config = ExperimentConfig(
@@ -440,7 +437,7 @@ def bench_farm(tier: BenchTier) -> dict:
         scenarios=tuple(tier.grid_scenarios[:1]),
     )
     units = plan.unique_units()
-    items = [item for item, _ in units]
+    items = [unit for unit, _ in units]
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-farm-") as tmp:
         direct_store = RunStore(Path(tmp) / "direct")

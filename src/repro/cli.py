@@ -41,7 +41,7 @@ from repro.economy.models import make_model
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
 from repro.experiments.report import format_table, summarize_figure, summarize_plot
-from repro.experiments.runner import RunCache, build_workload, run_grid
+from repro.experiments.runner import build_workload, run_grid
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by_name
 from repro.perf import capture as perf_capture
@@ -325,7 +325,7 @@ def cmd_grid(args) -> int:
         [scenario_by_name(name) for name in args.scenario]
         if args.scenario else SCENARIOS
     )
-    store = RunStore(args.cache_dir) if args.cache_dir else RunCache()
+    store = RunStore(args.cache_dir)
     base = _config_from_args(args)
     execution_policy = ExecutionPolicy(
         run_timeout=args.run_timeout,
@@ -421,7 +421,7 @@ def cmd_faults(args) -> int:
     base = ExperimentConfig(
         n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
     ).for_set(args.set)
-    store = RunStore(args.cache_dir) if args.cache_dir else RunCache()
+    store = RunStore(args.cache_dir)
     if args.sweep == "correlated":
         result = run_correlated_sweep(
             policies,
@@ -463,14 +463,6 @@ def _market_level(text: str):
     return float(text)
 
 
-def _parse_market_shard(text: str) -> tuple[int, int]:
-    """``--shard I/N`` → ``(I, N)``."""
-    index, sep, count = text.partition("/")
-    if not sep:
-        raise argparse.ArgumentTypeError("shard must look like I/N, e.g. 0/4")
-    return int(index), int(count)
-
-
 def cmd_market(args) -> int:
     from repro.experiments.marketsweep import (
         MarketConfig,
@@ -501,6 +493,11 @@ def cmd_market(args) -> int:
             print("error: --policy applies to single runs only "
                   "(sweeps are synthetic-provider markets)", file=sys.stderr)
             return 2
+        try:
+            shard = _parse_shard(args.shard)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         if args.sweep == "correlated":
             # The duel needs its own field (risky + grouped peer + steady);
             # --providers/--capacity shape the other sweeps only.
@@ -528,10 +525,8 @@ def cmd_market(args) -> int:
                 )
             else:
                 scenario = admission_market_scenario()
-        store = RunStore(args.cache_dir) if args.cache_dir else RunStore()
-        result = run_market_sweep(
-            base, scenario=scenario, store=store, shard=args.shard
-        )
+        store = RunStore(args.cache_dir)
+        result = run_market_sweep(base, scenario=scenario, store=store, shard=shard)
         print(result.table())
         execution = result.execution
         print(f"\nplan: {execution.accesses} accesses, {execution.hits} hits, "
@@ -539,7 +534,12 @@ def cmd_market(args) -> int:
               f"({execution.wall_s:.2f}s)")
         if args.cache_dir:
             print(f"run store: {store.cache_dir} "
-                  f"({len(store.document_digests())} market runs on disk)")
+                  f"({store.stats()['disk_runs']} runs on disk)")
+        if execution.failed:
+            print(f"error: {len(execution.failed)} market runs failed after "
+                  "retries were exhausted (journaled in the run store)",
+                  file=sys.stderr)
+            return 1
         return 0
 
     if args.policy:
@@ -680,7 +680,6 @@ def cmd_store(args) -> int:
     store = RunStore(args.cache_dir)
     if args.store_command == "stats":
         stats = store.stats()
-        stats["documents"] = len(store.document_digests())
         stats["index_lines"] = sum(1 for _ in store.index_entries())
         print(format_table(
             [{"statistic": k, "value": v} for k, v in stats.items()],
@@ -737,7 +736,7 @@ def cmd_frontier(args) -> int:
 
     base = _config_from_args(args)
     policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    grid = run_grid(policies, args.model, base, args.set, SCENARIOS, RunCache())
+    grid = run_grid(policies, args.model, base, args.set, SCENARIOS)
     plot = grid.integrated_plot(OBJECTIVES)
     rows = [
         {
@@ -763,7 +762,7 @@ def cmd_tornado(args) -> int:
         print(f"error: unknown policy {args.policy!r} (see `list`)", file=sys.stderr)
         return 2
     base = _config_from_args(args)
-    tornado = tornado_analysis(args.policy, args.model, base, SCENARIOS, RunCache())
+    tornado = tornado_analysis(args.policy, args.model, base, SCENARIOS)
     for objective in OBJECTIVES:
         print(format_tornado(
             tornado[objective],
@@ -776,7 +775,7 @@ def cmd_tornado(args) -> int:
 def cmd_recommend(args) -> int:
     base = _config_from_args(args)
     policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    grid = run_grid(policies, args.model, base, args.set, SCENARIOS, RunCache())
+    grid = run_grid(policies, args.model, base, args.set, SCENARIOS)
     rec = recommend_policy(grid.separate, volatility_tolerance=args.tolerance)
     print(f"recommended policy: {rec.policy}")
     print(f"  {rec.rationale}")
@@ -977,9 +976,9 @@ def build_parser() -> argparse.ArgumentParser:
                    "('off' = failure-free)")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed run store directory")
-    p.add_argument("--shard", type=_parse_market_shard, default=None,
-                   metavar="I/N", help="execute only the I-th of N "
-                   "content-hash buckets of the sweep")
+    p.add_argument("--shard", default=None, metavar="i/n",
+                   help="execute only the i-th of n content-hash buckets "
+                        "of the sweep (1-based, as for grid)")
     p.set_defaults(fn=cmd_market)
 
     p = sub.add_parser(

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 from repro.core.integrated import IntegratedRisk, integrated_risk
 from repro.core.objectives import OBJECTIVES, Objective, ObjectiveSet
 from repro.core.separate import SeparateRisk
-from repro.experiments.runner import RunCache, run_scenario, run_single
+from repro.experiments.runner import run_scenario, run_single
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
 
@@ -129,7 +129,7 @@ def run_fault_sweep(
     history at each level (both derive from ``base.seed``), preserving the
     paper's controlled-comparison discipline under faults.
     """
-    cache = cache if cache is not None else RunCache()
+    cache = cache if cache is not None else RunStore()
     fault_base = base.with_values(
         fault_enabled=True,
         fault_model=fault_model,
@@ -252,7 +252,7 @@ def run_correlated_sweep(
     policy's risk profile.  Every policy sees the identical workload and
     failure history at each level (both derive from ``base.seed``).
     """
-    cache = cache if cache is not None else RunCache()
+    cache = cache if cache is not None else RunStore()
     fault_base = base.with_values(
         fault_enabled=True,
         fault_mtbf=float(mtbf),

@@ -18,7 +18,8 @@ import numpy as np
 from repro.core.objectives import OBJECTIVES, Objective
 from repro.core.riskplot import RiskPlot
 from repro.economy.penalty import linear_utility
-from repro.experiments.runner import GridAnalysis, RunCache, run_grid
+from repro.experiments.runner import GridAnalysis, run_grid
+from repro.experiments.runstore import RunStore
 from repro.experiments.sampledata import sample_risk_plot
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig
 from repro.policies import BID_POLICIES, COMMODITY_POLICIES
@@ -91,7 +92,7 @@ def run_model_grids(
     base: ExperimentConfig,
     policies: Optional[Sequence[str]] = None,
     scenarios=SCENARIOS,
-    cache: Optional[RunCache] = None,
+    cache: Optional[RunStore] = None,
 ) -> dict[str, GridAnalysis]:
     """Both estimate sets (A and B) of one economic model's grid.
 
@@ -100,7 +101,7 @@ def run_model_grids(
     """
     if policies is None:
         policies = COMMODITY_POLICIES if model == "commodity" else BID_POLICIES
-    cache = cache if cache is not None else RunCache()
+    cache = cache if cache is not None else RunStore()
     return {
         set_name: run_grid(policies, model, base, set_name, scenarios, cache)
         for set_name in ("A", "B")

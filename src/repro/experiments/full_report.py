@@ -28,14 +28,13 @@ from repro.core.svgplot import save_svg
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
 from repro.experiments.gnuplot import export_figure, export_plot
-from repro.experiments.parallel import run_grid_parallel
 from repro.experiments.report import (
     format_table,
     perf_summary,
     summarize_figure,
     summarize_plot,
 )
-from repro.experiments.runner import GridAnalysis, RunCache
+from repro.experiments.runner import GridAnalysis, run_grid
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig
 from repro.experiments.store import save_grid
@@ -78,7 +77,7 @@ def generate_report(
     """
     base = base if base is not None else ExperimentConfig()
     out = Path(output_dir)
-    cache = RunStore(cache_dir) if cache_dir is not None else RunCache()
+    cache = RunStore(cache_dir)
     index: dict = {"output_dir": str(out), "paths": [], "recommendations": {}}
     if cache_dir is not None:
         index["cache_dir"] = str(cache_dir)
@@ -99,9 +98,9 @@ def generate_report(
     with perf_capture():
         for model, policies in (("commodity", COMMODITY_POLICIES), ("bid", BID_POLICIES)):
             for set_name in ("A", "B"):
-                grid = run_grid_parallel(
+                grid = run_grid(
                     policies, model, base, set_name, scenarios,
-                    n_workers=n_workers, cache=cache,
+                    cache=cache, n_workers=n_workers,
                 )
                 grids[(model, set_name)] = grid
                 path = out / "grids" / f"grid_{model}_set{set_name}.json"

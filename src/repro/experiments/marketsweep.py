@@ -9,14 +9,16 @@ marketplace of competing providers fixed, sweep one risk knob of the
 and read off its final market share, revenue, and loyal-user count at each
 level.
 
-Market runs flow through the same plan→execute→assemble pipeline and
-:class:`~repro.experiments.runstore.RunStore` as the grid experiments:
-every run is a pure function of its :class:`MarketConfig` (workload,
-QoS, user choices, and provider failures all derive from ``config.seed``),
-so :func:`market_run_key` content-addresses it and sweeps dedupe,
-checkpoint, resume, and shard exactly like grids.  The stored document
-format is ``repro-market-run`` — distinct from ``repro-run`` so the two
-layers can share a cache directory without ever confusing documents.
+A :class:`MarketConfig` is a :class:`~repro.experiments.runstore.Unit`,
+just as a grid cell's :class:`~repro.experiments.runstore.RunKey` is: every
+run is a pure function of its config (workload, QoS, user choices, and
+provider failures all derive from ``config.seed``), so
+:attr:`MarketConfig.digest` content-addresses it and
+:func:`~repro.experiments.pipeline.execute_plan` dedupes, shards,
+supervises (timeouts, retries, failure journal, process pool),
+checkpoints and resumes sweeps exactly as it does grids.  Market documents
+live in the store's one ``runs/`` tree next to grid documents, under the
+``repro-market-run`` format marker.
 
 Notably the digest *excludes* the population backend: the cohort and
 agent backends are bit-identical by contract (``tests/test_market_cohort``
@@ -27,16 +29,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from dataclasses import dataclass, fields, replace
 from typing import Optional, Sequence
 
-from repro.experiments.pipeline import PlanExecution
+from repro.experiments.pipeline import PlanExecution, execute_plan
 from repro.experiments.runstore import SCHEMA_VERSION, RunStore, StoreError
 from repro.market.marketplace import Marketplace
 from repro.market.provider import SyntheticSpec
 from repro.market.stream import DEFAULT_ARRIVAL_FACTOR, market_job_stream
-from repro.perf.registry import PERF
 
 #: Format marker / document version of one stored market run.
 MARKET_RUN_FORMAT = "repro-market-run"
@@ -60,11 +60,12 @@ SWEEPABLE_KNOBS = (
 
 @dataclass(frozen=True)
 class MarketConfig:
-    """Everything one market run depends on.
+    """Everything one market run depends on: one unit of a market sweep.
 
     ``providers[0]`` is by convention the *risky* provider — the one whose
     knob a :class:`MarketScenario` sweeps; the rest are the stable field
-    it competes against.
+    it competes against.  A unit's result is the per-provider outcome
+    block of its ``repro-market-run`` document.
     """
 
     providers: tuple[SyntheticSpec, ...]
@@ -115,6 +116,93 @@ class MarketConfig:
             raise StoreError(f"malformed providers block: {exc}") from exc
         return cls(**kwargs)
 
+    # -- the unit contract (see repro.experiments.runstore.Unit) -------------
+    @property
+    def digest(self) -> str:
+        """Stable content digest of this run.
+
+        Covers everything the result depends on — and deliberately *not*
+        the ``backend`` field, because the cohort/agent backends are
+        bit-identical by the parity contract.
+        """
+        payload = self.to_dict()
+        payload.pop("backend")
+        text = json.dumps(
+            {"schema": SCHEMA_VERSION, "format": MARKET_RUN_FORMAT, "config": payload},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+    @property
+    def policy(self) -> str:
+        """Failure-journal label: the risky provider's name."""
+        return self.providers[0].name
+
+    @property
+    def model(self) -> str:
+        """Failure-journal label of every market unit."""
+        return "market"
+
+    def execute(
+        self, max_sim_events: Optional[int] = None, max_sim_time: Optional[float] = None
+    ) -> dict:
+        """Simulate the market; returns the per-provider outcome block.
+
+        The budgets arm the watchdog on the marketplace's simulator.
+        """
+        market = Marketplace(
+            list(self.providers),
+            n_users=self.n_users,
+            seed=self.seed,
+            share_window=self.share_window,
+            backend=self.backend,
+        )
+        if max_sim_events is not None or max_sim_time is not None:
+            market.sim.set_budget(max_events=max_sim_events, max_sim_time=max_sim_time)
+        market.run(
+            market_job_stream(self.n_jobs, seed=self.seed, arrival_factor=self.arrival_factor)
+        )
+        loyal = market.preferred_counts()
+        outcomes = market.outcome_counts()
+        providers = {}
+        for name in market.names:
+            stats = market.stats[name]
+            providers[name] = {
+                "final_share": market.final_share(name),
+                "revenue": market.revenue(name),
+                "loyal_users": loyal.get(name, 0),
+                "submitted": stats.submitted,
+                "accepted": stats.accepted,
+                "outcomes": outcomes[name],
+            }
+        return providers
+
+    def document(self, providers: dict) -> dict:
+        """The stored JSON document of this run's outcome block."""
+        return {
+            "format": MARKET_RUN_FORMAT,
+            "version": MARKET_RUN_VERSION,
+            "schema": SCHEMA_VERSION,
+            "key": self.digest,
+            "config": self.to_dict(),
+            "providers": providers,
+        }
+
+    def load(self, doc: dict) -> dict:
+        """Validate one market-run document and return its outcome block."""
+        if doc.get("format") != MARKET_RUN_FORMAT:
+            raise StoreError(
+                f"not a {MARKET_RUN_FORMAT} document: format={doc.get('format')!r}"
+            )
+        version = doc.get("version")
+        if version != MARKET_RUN_VERSION:
+            raise StoreError(f"unsupported market run document version {version!r}")
+        providers = doc.get("providers")
+        if not isinstance(providers, dict) or not providers:
+            raise StoreError("malformed providers block")
+        return providers
+
 
 def default_market_config(**overrides) -> MarketConfig:
     """The canonical two-provider duel: a greedy ``risky`` provider versus
@@ -126,74 +214,6 @@ def default_market_config(**overrides) -> MarketConfig:
         ),
     )
     return replace(base, **overrides) if overrides else base
-
-
-def market_run_key(config: MarketConfig) -> str:
-    """Stable content digest of one market run.
-
-    Covers everything the result depends on — and deliberately *not* the
-    ``backend`` field, because the cohort/agent backends are bit-identical
-    by the parity contract.
-    """
-    payload = dict(config.to_dict())
-    payload.pop("backend")
-    text = json.dumps(
-        {"schema": SCHEMA_VERSION, "format": MARKET_RUN_FORMAT, "config": payload},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-def run_market_config(config: MarketConfig) -> dict:
-    """Simulate one market and return its JSON-ready result document."""
-    market = Marketplace(
-        list(config.providers),
-        n_users=config.n_users,
-        seed=config.seed,
-        share_window=config.share_window,
-        backend=config.backend,
-    )
-    market.run(
-        market_job_stream(
-            config.n_jobs, seed=config.seed, arrival_factor=config.arrival_factor
-        )
-    )
-    loyal = market.preferred_counts()
-    outcomes = market.outcome_counts()
-    providers = {}
-    for name in market.names:
-        stats = market.stats[name]
-        providers[name] = {
-            "final_share": market.final_share(name),
-            "revenue": market.revenue(name),
-            "loyal_users": loyal.get(name, 0),
-            "submitted": stats.submitted,
-            "accepted": stats.accepted,
-            "outcomes": outcomes[name],
-        }
-    return {
-        "format": MARKET_RUN_FORMAT,
-        "version": MARKET_RUN_VERSION,
-        "schema": SCHEMA_VERSION,
-        "config": config.to_dict(),
-        "providers": providers,
-    }
-
-
-def load_market_document(doc: dict) -> dict:
-    """Validate one market-run document and return its providers block."""
-    if doc.get("format") != MARKET_RUN_FORMAT:
-        raise StoreError(
-            f"not a {MARKET_RUN_FORMAT} document: format={doc.get('format')!r}"
-        )
-    version = doc.get("version")
-    if version != MARKET_RUN_VERSION:
-        raise StoreError(f"unsupported market run document version {version!r}")
-    providers = doc.get("providers")
-    if not isinstance(providers, dict) or not providers:
-        raise StoreError("malformed providers block")
-    return providers
 
 
 # -- plan → execute → assemble -------------------------------------------------
@@ -272,69 +292,6 @@ def market_plan(
     return scenario.configs(base)
 
 
-def execute_market_plan(
-    plan: Sequence[MarketConfig],
-    store: RunStore,
-    shard: Optional[tuple[int, int]] = None,
-) -> PlanExecution:
-    """Dedupe, (optionally) shard, simulate, checkpoint — grid semantics.
-
-    Accounting mirrors :func:`repro.experiments.pipeline.execute_plan`:
-    every plan entry is one logical access, the first access of a digest
-    the store cannot serve is a miss, and each finished run is written to
-    the store the moment it completes, so an interrupted sweep loses at
-    most the in-flight run.  ``shard=(i, n)`` keeps the misses whose
-    digest falls in the ``i``-th of ``n`` buckets — the same pure
-    content-hash assignment grids use, so shards sharing a cache
-    directory partition the sweep with no coordination.
-    """
-    if shard is not None:
-        index, count = shard
-        if count < 1 or not 0 <= index < count:
-            raise ValueError(f"shard must satisfy 0 <= i < n, got {index}/{count}")
-    t0 = time.perf_counter()
-
-    pending: list[tuple[MarketConfig, str]] = []
-    seen: set[str] = set()
-    hits = 0
-    for config in plan:
-        digest = market_run_key(config)
-        if digest in seen or store.get_document(digest, MARKET_RUN_FORMAT) is not None:
-            hits += 1
-        else:
-            seen.add(digest)
-            pending.append((config, digest))
-    misses = len(pending)
-    store.hits += hits
-    store.misses += misses
-
-    if shard is not None:
-        index, count = shard
-        mine = [
-            (config, digest)
-            for config, digest in pending
-            if int(digest[:8], 16) % count == index
-        ]
-    else:
-        mine = pending
-
-    for config, digest in mine:
-        store.put_document(digest, run_market_config(config))
-
-    wall = time.perf_counter() - t0
-    if PERF.enabled:
-        PERF.add_time("marketsweep.execute_s", wall)
-        PERF.incr("marketsweep.plans_executed")
-    return PlanExecution(
-        accesses=len(plan),
-        hits=hits,
-        misses=misses,
-        executed=len(mine),
-        deferred=misses - len(mine),
-        wall_s=wall,
-    )
-
-
 @dataclass(frozen=True)
 class MarketSweepRow:
     """One provider's outcome at one level of the sweep."""
@@ -359,7 +316,8 @@ class MarketSweepResult:
 
     @property
     def complete(self) -> bool:
-        """True when every level's document was available at assembly."""
+        """True when every level's document was available at assembly
+        (none deferred to another shard, none journaled as failed)."""
         per_level = len(self.base.providers)
         return len(self.rows) == len(self.scenario.levels) * per_level
 
@@ -383,7 +341,7 @@ class MarketSweepResult:
             )
         if not self.complete:
             lines.append("")
-            lines.append("(incomplete: some levels deferred to other shards)")
+            lines.append("(incomplete: some levels deferred to other shards or failed)")
         return "\n".join(lines)
 
 
@@ -407,15 +365,15 @@ def assemble_market_sweep(
 
     Pure read: runs nothing, so any shard (or a later process) can
     assemble from a shared cache directory.  Levels whose document is
-    missing (deferred to a peer shard that has not finished) are simply
-    absent from ``rows`` and flagged via ``MarketSweepResult.complete``.
+    missing (deferred to a peer shard that has not finished, or journaled
+    as failed) are simply absent from ``rows`` and flagged via
+    ``MarketSweepResult.complete``.
     """
     rows: list[MarketSweepRow] = []
     for level, config in zip(scenario.levels, scenario.configs(base)):
-        doc = store.get_document(market_run_key(config), MARKET_RUN_FORMAT)
-        if doc is None:
+        providers = store.lookup(config)
+        if providers is None:
             continue
-        providers = load_market_document(doc)
         for spec in config.providers:
             entry = providers.get(spec.name)
             if entry is None:
@@ -442,10 +400,14 @@ def run_market_sweep(
     store: Optional[RunStore] = None,
     shard: Optional[tuple[int, int]] = None,
 ) -> MarketSweepResult:
-    """Plan, execute, and assemble one market sweep end to end."""
+    """Plan, execute, and assemble one market sweep end to end.
+
+    ``shard=(i, n)`` (0-based) executes only that shard's misses, exactly
+    as :func:`~repro.experiments.pipeline.execute_plan` does for grids.
+    """
     base = base if base is not None else default_market_config()
     scenario = scenario if scenario is not None else mtbf_market_scenario()
     store = store if store is not None else RunStore()
     plan = market_plan(scenario, base)
-    execution = execute_market_plan(plan, store, shard=shard)
+    execution = execute_plan(plan, store, shard=shard)
     return assemble_market_sweep(store, scenario, base, execution=execution)

@@ -1,21 +1,25 @@
 """The unified experiment pipeline: plan → execute → assemble.
 
-Every grid-shaped entry point (``run_grid``, ``run_grid_parallel``,
-``run_replicated``, ``tornado_analysis``, ``generate_report``) drives the
-same three stages:
+Every study drives the same three stages over
+:class:`~repro.experiments.runstore.Unit` s — grid cells
+(:class:`~repro.experiments.runstore.RunKey`, from ``run_grid``,
+``run_replicated``, ``tornado_analysis``, ``generate_report``) and market
+runs (:class:`~repro.experiments.marketsweep.MarketConfig`, from
+``run_market_sweep``) alike:
 
-1. :func:`grid_plan` (or any list of work items) enumerates the *logical
+1. :func:`grid_plan` (or any list of units) enumerates the *logical
    accesses* of an experiment in a deterministic order — duplicates
    included, because hit/miss accounting is defined per access.
-2. :func:`execute_plan` dedupes the plan grid-wide against a
+2. :func:`execute_plan` dedupes the whole plan against a
    :class:`~repro.experiments.runstore.RunStore`, optionally keeps only
    one shard of the misses (``shard=(i, n)`` for multi-machine fan-out),
-   simulates the remainder serially or over a process pool (in *batches*
-   — one future per chunk of runs, forked workers inheriting the warmed
+   executes the remainder serially or over a process pool (in *batches*
+   — one future per chunk of units, forked workers inheriting the warmed
    trace memo — so dispatch overhead is amortised), and checkpoints
-   completed runs to the store as each run (serial) or batch (pool)
-   finishes — an interrupted grid therefore resumes by construction.
-3. :func:`assemble_grid` re-reads the store and reduces to a
+   completed units to the store as each unit (serial) or batch (pool)
+   finishes — an interrupted study therefore resumes by construction.
+3. :func:`assemble_grid` (or a study's own assembler) re-reads the store;
+   for a grid it reduces to a
    :class:`~repro.experiments.runner.GridAnalysis` exactly as the serial
    runner always has (per-scenario normalisation, Eqs. 5–6), so serial,
    parallel, sharded, and resumed executions of the same plan are
@@ -31,8 +35,8 @@ instead of aborting the grid.  :func:`assemble_grid` can then either
 refuse the incomplete store (the default) or degrade gracefully,
 marking the missing cells as explicit gaps.
 
-Simulations are pure functions of their :class:`RunKey`, which is what
-makes all of this sound: the store can replay any subset in any order.
+Units are pure functions of their digest, which is what makes all of
+this sound: the store can replay any subset in any order.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from __future__ import annotations
 import heapq
 import math
 import multiprocessing
+import os
 import random
 import signal
 import threading
@@ -63,12 +68,9 @@ from repro.experiments.errors import (
     classify_failure,
     error_from_dict,
 )
-from repro.experiments.runstore import RunKey, RunStore, StoreError
+from repro.experiments.runstore import RunKey, RunStore, StoreError, Unit
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 from repro.perf.registry import PERF
-
-#: One unit of work: simulate ``policy`` on ``config`` under ``model``.
-WorkItem = tuple[ExperimentConfig, str, str]
 
 #: perf counter per failure kind.
 _KIND_COUNTERS = {
@@ -78,13 +80,18 @@ _KIND_COUNTERS = {
 }
 
 
+def default_workers() -> int:
+    """A sensible pool size: physical parallelism minus one for the parent."""
+    return max((os.cpu_count() or 2) - 1, 1)
+
+
 def grid_plan(
     policies: Sequence[str],
     model_name: str,
     base: ExperimentConfig,
     set_name: str = "A",
     scenarios: Sequence[Scenario] = SCENARIOS,
-) -> list[WorkItem]:
+) -> list[RunKey]:
     """The logical accesses of one Table VI grid, in deterministic order.
 
     The default configuration appears in every scenario, so the plan
@@ -93,7 +100,7 @@ def grid_plan(
     """
     base = base.for_set(set_name)
     return [
-        (config, policy, model_name)
+        RunKey(config, policy, model_name)
         for scenario in scenarios
         for config in scenario.configs(base)
         for policy in policies
@@ -120,7 +127,7 @@ class ExecutionPolicy:
     #: doubles it, capped at ``backoff_cap``, jittered to 50–150 %.
     backoff_base: float = 0.5
     backoff_cap: float = 30.0
-    #: simulation watchdog budgets handed to every ``run_single``.
+    #: simulation watchdog budgets handed to every ``Unit.execute``.
     max_sim_events: Optional[int] = None
     max_sim_time: Optional[float] = None
     #: what a caller should do with journaled failures: ``"abort"`` raises
@@ -180,8 +187,8 @@ class PlanExecution:
 
     accesses: int  #: logical accesses in the plan (duplicates included)
     hits: int  #: accesses served by the store (memory or disk)
-    misses: int  #: unique keys that needed simulation
-    executed: int  #: runs simulated by this call (== misses unless sharded)
+    misses: int  #: unique units that needed executing
+    executed: int  #: units executed by this call (== misses unless sharded)
     deferred: int  #: misses left to other shards
     wall_s: float
     #: digests that exhausted their retries (journaled in the store).
@@ -237,37 +244,29 @@ def _wall_clock_limit(seconds: Optional[float]):
 
 
 def _worker(
-    item: WorkItem,
+    unit: Unit,
     run_timeout: Optional[float] = None,
     max_sim_events: Optional[int] = None,
     max_sim_time: Optional[float] = None,
-) -> tuple[WorkItem, Optional[ObjectiveSet], Optional[dict], Optional[dict]]:
-    """Simulate one work item in a worker process.
+) -> tuple[object, Optional[dict], Optional[dict]]:
+    """Execute one unit in a worker process.
 
-    Returns ``(item, objectives, perf_delta, error)``: exactly one of
-    ``objectives`` / ``error`` is set.  Failures come back as *data*
+    Returns ``(result, perf_delta, error)``: exactly one of ``result`` /
+    ``error`` is set.  Failures come back as *data*
     (:meth:`RunError.to_dict`) rather than raised exceptions, so the
     parent never depends on cross-process exception pickling; a raised
     :class:`BrokenProcessPool` therefore always means the process died.
-    ``perf_delta`` is the per-item delta of the worker's perf counters
+    ``perf_delta`` is the per-unit delta of the worker's perf counters
     (when the registry is enabled there) so the parent can fold
     worker-side activity back into its own registry.
     """
-    from repro.experiments.runner import run_single
-
-    chaos.maybe_crash(RunKey(*item).digest)
+    chaos.maybe_crash(unit.digest)
     before = dict(PERF.counters) if PERF.enabled else None
     error: Optional[dict] = None
-    objectives: Optional[ObjectiveSet] = None
+    result = None
     try:
         with _wall_clock_limit(run_timeout):
-            objectives = run_single(
-                item[0],
-                item[1],
-                item[2],
-                max_sim_events=max_sim_events,
-                max_sim_time=max_sim_time,
-            )
+            result = unit.execute(max_sim_events, max_sim_time)
     except KeyboardInterrupt:
         raise
     except Exception as exc:
@@ -279,40 +278,40 @@ def _worker(
             for name, value in PERF.counters.items()
             if value != before.get(name, 0)
         }
-    return item, objectives, delta, error
+    return result, delta, error
 
 
 def _worker_batch(
-    items: Sequence[WorkItem],
+    units: Sequence[Unit],
     run_timeout: Optional[float] = None,
     max_sim_events: Optional[int] = None,
     max_sim_time: Optional[float] = None,
-) -> list[tuple[WorkItem, Optional[ObjectiveSet], Optional[dict], Optional[dict]]]:
-    """Simulate a batch of work items in one worker process.
+) -> list[tuple[object, Optional[dict], Optional[dict]]]:
+    """Execute a batch of units in one worker process.
 
-    One future per batch instead of one per run: the per-item
+    One future per batch instead of one per unit: the per-unit
     :func:`_worker` semantics (wall-clock alarm, error-as-data, perf
     delta, chaos hook) are unchanged, but the pickling/IPC round trip is
     paid once per batch.  A worker that dies mid-batch loses the whole
     batch's results — the supervisor splits the batch into singletons to
-    isolate the culprit, so an item is never charged an attempt for a
+    isolate the culprit, so a unit is never charged an attempt for a
     batchmate's crash.
 
     The batch-level chaos hook (:func:`chaos.maybe_crash_batch`) fires
-    before any item runs, so an armed "correlated outage" kills the
+    before any unit runs, so an armed "correlated outage" kills the
     worker while it holds the *whole* batch — the exact failure shape a
     fault domain produces — and the split-and-rerun path is exercised.
     """
-    if len(items) > 1:
-        chaos.maybe_crash_batch([RunKey(*item).digest for item in items])
-    return [_worker(item, run_timeout, max_sim_events, max_sim_time) for item in items]
+    if len(units) > 1:
+        chaos.maybe_crash_batch([unit.digest for unit in units])
+    return [_worker(unit, run_timeout, max_sim_events, max_sim_time) for unit in units]
 
 
 def _chunk_batches(
-    mine: Sequence[tuple[WorkItem, str]],
+    mine: Sequence[tuple[Unit, str]],
     n_workers: int,
     policy: ExecutionPolicy,
-) -> list[list[tuple[WorkItem, str]]]:
+) -> list[list[tuple[Unit, str]]]:
     """Split the miss list into dispatch batches, preserving order.
 
     Auto-sizing targets four batches per worker: large enough to amortise
@@ -351,8 +350,8 @@ class _Supervisor:
         self.failed: list[str] = []
         self.retries = 0
 
-    def note_failure(self, item: WorkItem, digest: str, error: RunError) -> bool:
-        """Record one failed attempt; True when the item should be retried."""
+    def note_failure(self, unit: Unit, digest: str, error: RunError) -> bool:
+        """Record one failed attempt; True when the unit should be retried."""
         attempts = self.attempts.get(digest, 0) + 1
         self.attempts[digest] = attempts
         if PERF.enabled:
@@ -363,40 +362,32 @@ class _Supervisor:
                 PERF.incr("pipeline.retries")
             return True
         self.store.record_failure(
-            FailureRecord.from_error(digest, item[1], item[2], error, attempts)
+            FailureRecord.from_error(digest, unit.policy, unit.model, error, attempts)
         )
         self.failed.append(digest)
         return False
 
 
 def _execute_serial(
-    mine: Sequence[tuple[WorkItem, str]], store: RunStore, policy: ExecutionPolicy
+    mine: Sequence[tuple[Unit, str]], store: RunStore, policy: ExecutionPolicy
 ) -> _Supervisor:
-    from repro.experiments.runner import run_single
-
     supervisor = _Supervisor(store, policy)
-    for item, digest in mine:
+    for unit, digest in mine:
         while True:
             try:
                 with _wall_clock_limit(policy.run_timeout):
-                    objectives = run_single(
-                        item[0],
-                        item[1],
-                        item[2],
-                        max_sim_events=policy.max_sim_events,
-                        max_sim_time=policy.max_sim_time,
-                    )
+                    result = unit.execute(policy.max_sim_events, policy.max_sim_time)
             except KeyboardInterrupt:
                 raise
             except Exception as exc:
                 error = classify_failure(exc)
-                if supervisor.note_failure(item, digest, error):
+                if supervisor.note_failure(unit, digest, error):
                     policy.sleep(
                         policy.backoff_delay(digest, supervisor.attempts[digest])
                     )
                     continue
                 break
-            store.put(item[0], item[1], item[2], objectives)
+            store.record(unit, result)
             break
     return supervisor
 
@@ -419,7 +410,7 @@ def _kill_pool(pool: ProcessPoolExecutor) -> None:
 
 
 def _execute_pool(
-    mine: Sequence[tuple[WorkItem, str]],
+    mine: Sequence[tuple[Unit, str]],
     store: RunStore,
     n_workers: int,
     policy: ExecutionPolicy,
@@ -428,10 +419,10 @@ def _execute_pool(
 
     Dispatch is *batched* (see :attr:`ExecutionPolicy.batch_size`): the
     miss list is chunked up front, each batch is one future, and every
-    run in a completed batch is checkpointed when the batch lands.
+    unit in a completed batch is checkpointed when the batch lands.
     Invariants: at most ``n_workers`` batches are in flight; a broken
     pool is rebuilt and only the in-flight batches are resubmitted; a
-    multi-run batch that crashes or straggles is split into singletons
+    multi-unit batch that crashes or straggles is split into singletons
     *without charging attempts* (only the culprit singleton is charged on
     its own rerun — batchmates are innocent); retries re-enter as
     singletons after waiting out their backoff in a delay queue.
@@ -441,22 +432,22 @@ def _execute_pool(
     supervisor = _Supervisor(store, policy)
     # Fork-once: synthesise the base traces in the parent *before* the
     # pool exists, so forked workers inherit the warm memo.
-    warm_trace_memo([item for item, _ in mine])
-    queue: deque[list[tuple[WorkItem, str]]] = deque(
+    warm_trace_memo([unit for unit, _ in mine if isinstance(unit, RunKey)])
+    queue: deque[list[tuple[Unit, str]]] = deque(
         _chunk_batches(mine, n_workers, policy)
     )
-    #: backoff heap: (ready_time, seq, item, digest) — retries are singletons.
-    delayed: list[tuple[float, int, WorkItem, str]] = []
+    #: backoff heap: (ready_time, seq, unit, digest) — retries are singletons.
+    delayed: list[tuple[float, int, Unit, str]] = []
     seq = 0
     inflight: dict = {}  # future -> (batch, deadline)
     pool = _new_pool(n_workers)
 
-    def submit(batch: list[tuple[WorkItem, str]]) -> bool:
+    def submit(batch: list[tuple[Unit, str]]) -> bool:
         nonlocal pool
         try:
             future = pool.submit(
                 _worker_batch,
-                [item for item, _ in batch],
+                [unit for unit, _ in batch],
                 policy.run_timeout,
                 policy.max_sim_events,
                 policy.max_sim_time,
@@ -469,7 +460,7 @@ def _execute_pool(
             return False
         deadline = None
         if policy.straggler_deadline() is not None:
-            # The in-worker alarm is per run; the supervisor's deadline
+            # The in-worker alarm is per unit; the supervisor's deadline
             # covers the whole batch.
             deadline = policy.clock() + policy.straggler_deadline() * len(batch)
         inflight[future] = (batch, deadline)
@@ -488,36 +479,36 @@ def _execute_pool(
         if PERF.enabled:
             PERF.incr("pipeline.pool_rebuilds")
 
-    def split(batch: list[tuple[WorkItem, str]]) -> None:
-        """Resubmit a failed multi-run batch as singletons, uncharged."""
+    def split(batch: list[tuple[Unit, str]]) -> None:
+        """Resubmit a failed multi-unit batch as singletons, uncharged."""
         for entry in reversed(batch):
             queue.appendleft([entry])
         if PERF.enabled:
             PERF.incr("pipeline.batch_splits")
 
-    def note(item: WorkItem, digest: str, error: RunError) -> None:
+    def note(unit: Unit, digest: str, error: RunError) -> None:
         nonlocal seq
-        if supervisor.note_failure(item, digest, error):
+        if supervisor.note_failure(unit, digest, error):
             ready = policy.clock() + policy.backoff_delay(
                 digest, supervisor.attempts[digest]
             )
-            heapq.heappush(delayed, (ready, seq, item, digest))
+            heapq.heappush(delayed, (ready, seq, unit, digest))
             seq += 1
 
-    def handle_outcome(batch: list[tuple[WorkItem, str]], future) -> None:
+    def handle_outcome(batch: list[tuple[Unit, str]], future) -> None:
         try:
             results = future.result()
         except BrokenProcessPool:
             # The worker running (or queued for) this future died.  A
-            # multi-run batch cannot tell which run was the culprit:
+            # multi-unit batch cannot tell which unit was the culprit:
             # split it and let the culprit's own singleton take the
             # charge on its rerun.
             if len(batch) > 1:
                 split(batch)
                 return
-            item, digest = batch[0]
+            unit, digest = batch[0]
             note(
-                item,
+                unit,
                 digest,
                 RunCrashed(
                     "worker process died (BrokenProcessPool) — "
@@ -529,25 +520,23 @@ def _execute_pool(
             if len(batch) > 1:
                 split(batch)
                 return
-            item, digest = batch[0]
-            note(item, digest, classify_failure(exc))
+            unit, digest = batch[0]
+            note(unit, digest, classify_failure(exc))
             return
-        for (item, digest), (_, objectives, perf_delta, error_doc) in zip(
-            batch, results
-        ):
+        for (unit, digest), (result, perf_delta, error_doc) in zip(batch, results):
             if perf_delta and PERF.enabled:
                 PERF.merge_counters(perf_delta)
             if error_doc is None:
-                store.put(item[0], item[1], item[2], objectives)
+                store.record(unit, result)
             else:
-                note(item, digest, error_from_dict(error_doc))
+                note(unit, digest, error_from_dict(error_doc))
 
     try:
         while queue or delayed or inflight:
             now = policy.clock()
             while delayed and delayed[0][0] <= now:
-                _, _, item, digest = heapq.heappop(delayed)
-                queue.append([(item, digest)])
+                _, _, unit, digest = heapq.heappop(delayed)
+                queue.append([(unit, digest)])
             while queue and len(inflight) < n_workers:
                 if not submit(queue.popleft()):
                     break
@@ -574,8 +563,8 @@ def _execute_pool(
                 continue
             # Straggler backstop: a worker stuck past its deadline (e.g.
             # wedged in C code where SIGALRM cannot fire) is evicted by
-            # killing the pool; innocent in-flight items are resubmitted
-            # without being charged an attempt, and a multi-run batch is
+            # killing the pool; innocent in-flight units are resubmitted
+            # without being charged an attempt, and a multi-unit batch is
             # split so only the actual straggler is ever charged.
             now = policy.clock()
             expired = [
@@ -589,9 +578,9 @@ def _execute_pool(
                     if len(batch) > 1:
                         split(batch)
                         continue
-                    item, digest = batch[0]
+                    unit, digest = batch[0]
                     note(
-                        item,
+                        unit,
                         digest,
                         RunTimeout(
                             "run exceeded the supervisor's straggler deadline "
@@ -616,48 +605,51 @@ def _execute_pool(
 
 
 def execute_plan(
-    plan: Sequence[WorkItem],
+    plan: Sequence[Unit],
     store: RunStore,
     n_workers: int = 1,
     shard: Optional[tuple[int, int]] = None,
     execution: ExecutionPolicy = DEFAULT_EXECUTION,
 ) -> PlanExecution:
-    """Dedupe, (optionally) shard, simulate under supervision, checkpoint.
+    """Dedupe, (optionally) shard, execute under supervision, checkpoint.
 
     Accounting matches the serial runner's per-access semantics: every
-    plan entry is one logical access; the first access of a key the store
-    cannot serve is a miss, every other access is a hit.  Misses are
-    simulated in first-access order (serially) or fanned over a process
-    pool, and each finished run is written to the store the moment it
-    completes, so an interrupted call loses at most the in-flight runs.
+    plan entry is one logical access; the first access of a digest the
+    store cannot serve is a miss, every other access is a hit.  Misses are
+    executed in first-access order (serially) or fanned over a process
+    pool, and each finished unit is written to the store the moment it
+    completes, so an interrupted call loses at most the in-flight units.
+    A plain ``(config, policy, model)`` triple is read as a
+    :class:`RunKey`.
 
-    ``shard=(i, n)`` keeps only the misses whose key digest falls in the
-    ``i``-th of ``n`` buckets, for splitting one grid across machines that
+    ``shard=(i, n)`` keeps only the misses whose digest falls in the
+    ``i``-th of ``n`` buckets, for splitting one plan across machines that
     share a cache directory.  Assignment is a pure function of the
-    content hash, so it is stable no matter how much of the grid other
+    content hash, so it is stable no matter how much of the plan other
     shards have already checkpointed; the returned :class:`PlanExecution`
     reports the deferred remainder.
 
-    ``execution`` supervises the simulations (timeouts, retries with
-    backoff, crash recovery — see :class:`ExecutionPolicy`).  Runs that
-    exhaust their retries are journaled in the store and reported in
+    ``execution`` supervises the units (timeouts, retries with backoff,
+    crash recovery — see :class:`ExecutionPolicy`).  Units that exhaust
+    their retries are journaled in the store and reported in
     ``PlanExecution.failed``; the plan itself always runs to the end, so
-    one poisoned cell cannot abort a long sweep.
+    one poisoned unit cannot abort a long sweep.
     """
     shard = _parse_shard(shard)
     t0 = time.perf_counter()
 
-    pending: list[tuple[WorkItem, str]] = []
+    pending: list[tuple[Unit, str]] = []
     seen: set[str] = set()
     hits = 0
-    for item in plan:
-        config, policy, model = item
-        digest = RunKey(config, policy, model).digest
-        if digest in seen or store.get(config, policy, model) is not None:
+    for unit in plan:
+        if type(unit) is tuple:
+            unit = RunKey(*unit)
+        digest = unit.digest
+        if digest in seen or store.lookup(unit) is not None:
             hits += 1
         else:
             seen.add(digest)
-            pending.append((item, digest))
+            pending.append((unit, digest))
     misses = len(pending)
     store.hits += hits
     store.misses += misses
@@ -668,7 +660,7 @@ def execute_plan(
     if shard is not None:
         index, count = shard
         mine = [
-            (item, digest) for item, digest in pending
+            (unit, digest) for unit, digest in pending
             if int(digest[:8], 16) % count == index
         ]
     else:

@@ -17,7 +17,7 @@ from scipy import stats as scipy_stats
 
 from repro.core.objectives import Objective
 from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
-from repro.experiments.runner import GridAnalysis, RunCache
+from repro.experiments.runner import GridAnalysis
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 
@@ -146,7 +146,7 @@ def run_replicated(
     rather than draining one replicate at a time, and a disk-backed
     ``cache`` resumes an interrupted replication study mid-seed.
     """
-    cache = cache if cache is not None else RunCache()
+    cache = cache if cache is not None else RunStore()
     bases = [base.with_values(seed=seed) for seed in seeds]
     plan = [
         item

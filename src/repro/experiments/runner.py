@@ -6,11 +6,10 @@ policy evaluated at a given configuration sees the *identical* job list
 objective is normalised across exactly the policies being compared.
 
 Runs are cached per ``(config, policy, model)`` in a
-:class:`~repro.experiments.runstore.RunStore` (:class:`RunCache` is its
-memory-only form); the default configuration appears in all twelve
-scenarios, so a full grid reuses it eleven times per policy.  Grid-shaped
-work flows through :mod:`repro.experiments.pipeline`, which dedupes,
-shards, checkpoints, and resumes against the store.
+:class:`~repro.experiments.runstore.RunStore`; the default configuration
+appears in all twelve scenarios, so a full grid reuses it eleven times per
+policy.  Grid-shaped work flows through :mod:`repro.experiments.pipeline`,
+which dedupes, shards, checkpoints, and resumes against the store.
 """
 
 from __future__ import annotations
@@ -67,7 +66,7 @@ def warm_trace_memo(items) -> int:
     Called by the pool executor *before* it forks workers: the traces
     land in ``_TRACE_MEMO`` in the parent, so every forked worker
     inherits them by copy-on-write instead of each synthesising its own.
-    ``items`` is any iterable of ``(config, policy, model)`` work items;
+    ``items`` is any iterable of ``(config, policy, model)`` grid units;
     at most ``_TRACE_MEMO_MAX`` distinct traces are warmed (warming more
     would just evict earlier entries).  Returns the number warmed.
     """
@@ -112,18 +111,6 @@ def build_workload(config: ExperimentConfig) -> list[Job]:
     assign_qos(jobs, config.qos_spec(), rng=RngStreams(seed=config.seed).get("qos"))
     apply_inaccuracy(jobs, config.inaccuracy_pct)
     return jobs
-
-
-class RunCache(RunStore):
-    """Memory-only store of finished runs (the run store's L1, standalone).
-
-    Kept under its historical name: everything that accepted a ``RunCache``
-    now equally accepts a disk-backed
-    :class:`~repro.experiments.runstore.RunStore`.
-    """
-
-    def __init__(self) -> None:
-        super().__init__(cache_dir=None)
 
 
 def run_single(
@@ -298,25 +285,30 @@ def run_grid(
     scenarios: Sequence[Scenario] = SCENARIOS,
     cache: Optional[RunStore] = None,
     wait_method: str = "grid-max",
+    n_workers: int = 1,
 ) -> GridAnalysis:
     """Run the full Table VI grid for one economic model and estimate set.
 
-    Serial form of the unified pipeline: plan → execute (in-process,
-    checkpointing each run to ``cache`` as it completes) → assemble.  With
-    a disk-backed :class:`~repro.experiments.runstore.RunStore` as the
-    cache, an interrupted grid resumes from where it stopped.
+    The unified pipeline end to end: plan → execute (checkpointing each
+    run to ``cache`` as it completes, in-process or over ``n_workers``
+    pool processes) → assemble.  Results are bit-identical for every
+    ``n_workers``.  With a disk-backed
+    :class:`~repro.experiments.runstore.RunStore` as the cache, an
+    interrupted grid resumes from where it stopped.
     """
     from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
 
-    cache = cache if cache is not None else RunCache()
+    cache = cache if cache is not None else RunStore()
     t0 = time.perf_counter()
     execute_plan(
-        grid_plan(policies, model_name, base, set_name, scenarios), cache, n_workers=1
+        grid_plan(policies, model_name, base, set_name, scenarios),
+        cache,
+        n_workers=n_workers,
     )
     grid = assemble_grid(
         cache, policies, model_name, base, set_name, scenarios, wait_method
     )
     if PERF.enabled:
-        PERF.add_time("runner.grid_serial_s", time.perf_counter() - t0)
+        PERF.add_time("runner.grid_s", time.perf_counter() - t0)
         PERF.incr("runner.grids")
     return grid

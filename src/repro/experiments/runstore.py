@@ -1,41 +1,43 @@
-"""Content-addressed persistence of individual simulation runs.
+"""Content-addressed persistence of units of work.
 
-Every simulation in the evaluation is a pure function of its
-``(ExperimentConfig, policy, economic model)`` triple — the workload is
-synthesised from the config's seed and the engine is deterministic.  That
-makes each run *content addressable*: :class:`RunKey` hashes the triple
-(plus :data:`SCHEMA_VERSION`, so incompatible code revisions never collide)
-into a stable digest, and :class:`RunStore` keeps finished
-:class:`~repro.core.objectives.ObjectiveSet` s under that digest.
+Every simulation in the evaluation is a pure function of its inputs — the
+workload is synthesised from the config's seed and the engine is
+deterministic.  That makes each run *content addressable*.  A :class:`Unit`
+is one such run: it knows its digest, how to execute itself, and how to
+turn its result into a JSON document and back.  Two kinds exist:
+:class:`RunKey`, one grid cell ``(ExperimentConfig, policy, economic
+model)``, and :class:`~repro.experiments.marketsweep.MarketConfig`, one
+market run.  Digests cover :data:`SCHEMA_VERSION`, so incompatible code
+revisions never collide, and :class:`RunStore` keeps finished results
+under them.
 
 The store is two-layered:
 
-- **L1** — a per-process dict (what the historical ``RunCache`` was);
+- **L1** — a per-process dict (a store without a ``cache_dir`` is only
+  this layer);
 - **L2** — an optional on-disk cache directory of one JSON document per
-  run, written atomically (temp file + ``os.replace``) so a killed grid
+  unit, written atomically (temp file + ``os.replace``) so a killed grid
   never leaves a truncated document behind, and loaded tolerantly (a
   corrupt or incompatible file is a miss, never a crash).
 
 Layout of a cache directory::
 
     <cache_dir>/
-      index.jsonl                  append-only per-run metadata lines
-      runs/<digest[:2]>/<digest>.json
-      docs/<digest[:2]>/<digest>.json   generic documents (e.g. market
-                                   runs) under caller-computed digests
+      index.jsonl                  append-only per-document metadata lines
+      runs/<digest[:2]>/<digest>.json   one document per unit, every kind
       failures.jsonl               append-only failure journal (one JSON
                                    line per exhausted-retries failure)
-      quarantine/<digest>.json     corrupt/foreign run documents, moved
+      quarantine/<digest>.json     corrupt/foreign documents, moved
                                    aside for diagnosis instead of deleted
 
-Because keys are content hashes, *resume is free*: rerunning any grid
-against a populated cache dir only simulates the missing keys.  Failed
-cells are first-class too: the supervisor journals them under the same
-digest (:meth:`RunStore.record_failure`), and a later successful ``put``
-of the digest resolves the failure — the journal stays append-only, the
-run document wins.  A corrupt or truncated run document is evidence of a
-crash: it is *quarantined* (moved into ``quarantine/``), counted under
-``runstore.quarantined``, and treated as a miss.
+Because keys are content hashes, *resume is free*: rerunning any plan
+against a populated cache dir only simulates the missing units.  Failed
+units are first-class too: the supervisor journals them under the same
+digest (:meth:`RunStore.record_failure`), and a later successful
+:meth:`RunStore.record` of the digest resolves the failure — the journal
+stays append-only, the document wins.  A corrupt or truncated document is
+evidence of a crash: it is *quarantined* (moved into ``quarantine/``),
+counted under ``runstore.quarantined``, and treated as a miss.
 
 Stores on different machines (or different worker processes of a
 :mod:`repro.farm` grid farm) converge through :meth:`RunStore.merge_from`:
@@ -45,7 +47,7 @@ with differing bytes is a contract violation and both sides are
 quarantined as evidence, and failure journals concatenate so the latest
 record per digest wins.  The append-only ``index.jsonl`` is advisory
 metadata; :meth:`RunStore.compact` rewrites it atomically (dedupe by
-digest, drop entries whose run document is gone) so it stays bounded
+digest, drop entries whose document is gone) so it stays bounded
 across resumes and merges.
 
 The perf registry sees every store interaction under the ``runstore.*``
@@ -61,9 +63,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Iterator, Optional, Union
+from typing import Any, Iterator, NamedTuple, Optional, Protocol, Union
 
 from repro.core.objectives import OBJECTIVES, Objective, ObjectiveSet
 from repro.experiments.errors import FailureRecord
@@ -142,20 +144,45 @@ def objectives_from_dict(doc: dict) -> ObjectiveSet:
         raise StoreError(f"malformed objectives block: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class RunKey:
-    """Stable content identity of one simulation run.
+class Unit(Protocol):
+    """One content-addressed unit of work, as the pipeline and store see it.
 
-    The digest covers the full configuration, the policy name, the economic
-    model, and :data:`SCHEMA_VERSION` — everything the result depends on.
+    ``digest`` names the unit's document in every store; ``policy`` and
+    ``model`` are the two labels a :class:`FailureRecord` journals.
+    ``execute`` runs the unit under the simulation watchdog budgets and
+    returns its result; ``document`` wraps a result into the stored JSON
+    document (which carries ``key`` and ``format``) and ``load`` is its
+    inverse, raising :class:`StoreError` on a foreign or malformed one.
+    """
+
+    digest: str
+    policy: str
+    model: str
+
+    def execute(
+        self, max_sim_events: Optional[int] = None, max_sim_time: Optional[float] = None
+    ) -> Any: ...
+
+    def document(self, result: Any) -> dict: ...
+
+    def load(self, doc: dict) -> Any: ...
+
+
+class RunKey(NamedTuple):
+    """One grid cell: simulate ``policy`` on ``config`` under ``model``.
+
+    A plain ``(config, policy, model)`` tuple by shape, so plans unpack
+    and hash exactly as triples do.  The digest covers the full
+    configuration, the policy name, the economic model, and
+    :data:`SCHEMA_VERSION` — everything the result depends on.
     """
 
     config: ExperimentConfig
     policy: str
     model: str
-    digest: str = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self) -> None:
+    @property
+    def digest(self) -> str:
         payload = json.dumps(
             {
                 "schema": SCHEMA_VERSION,
@@ -166,8 +193,19 @@ class RunKey:
             sort_keys=True,
             separators=(",", ":"),
         )
-        object.__setattr__(
-            self, "digest", hashlib.sha256(payload.encode("utf-8")).hexdigest()
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def execute(
+        self, max_sim_events: Optional[int] = None, max_sim_time: Optional[float] = None
+    ) -> ObjectiveSet:
+        from repro.experiments.runner import run_single
+
+        return run_single(
+            self.config,
+            self.policy,
+            self.model,
+            max_sim_events=max_sim_events,
+            max_sim_time=max_sim_time,
         )
 
     def document(self, objectives: ObjectiveSet) -> dict:
@@ -182,6 +220,9 @@ class RunKey:
             "config": config_to_dict(self.config),
             "objectives": objectives_to_dict(objectives),
         }
+
+    def load(self, doc: dict) -> ObjectiveSet:
+        return load_run_document(doc)
 
 
 def load_run_document(doc: dict) -> ObjectiveSet:
@@ -228,10 +269,8 @@ class MergeReport:
     silently trusting either side.
     """
 
-    runs_copied: int = 0  #: run documents new to the destination
+    runs_copied: int = 0  #: documents new to the destination
     runs_deduped: int = 0  #: identical bytes already present (skipped)
-    docs_copied: int = 0  #: generic documents new to the destination
-    docs_deduped: int = 0
     conflicts: int = 0  #: same digest, differing bytes (both quarantined)
     corrupt: int = 0  #: unreadable/invalid source documents (quarantined)
     failure_records: int = 0  #: journal lines appended
@@ -246,26 +285,24 @@ class MergeReport:
 
     def summary(self) -> str:
         return (
-            f"{self.runs_copied} runs + {self.docs_copied} docs merged, "
-            f"{self.runs_deduped + self.docs_deduped} deduped, "
+            f"{self.runs_copied} runs merged, {self.runs_deduped} deduped, "
             f"{self.conflicts} conflicts, {self.corrupt} corrupt, "
             f"{self.failure_records} failure records"
         )
 
 
 class RunStore:
-    """Two-layer (memory + optional disk) store of finished runs.
+    """Two-layer (memory + optional disk) store of finished units.
 
-    Drop-in compatible with the historical ``RunCache``: ``get``/``put``
-    take ``(config, policy, model)``, and the ``hits``/``misses`` counters
-    are **caller-managed** (the pipeline and :func:`run_single` own the
-    logical access accounting, so serial and parallel grids report
-    identical statistics).
+    :meth:`lookup` and :meth:`record` take any :class:`Unit`;
+    ``get``/``put`` are their grid spelling over ``(config, policy,
+    model)``.  The ``hits``/``misses`` counters are **caller-managed** (the
+    pipeline and :func:`run_single` own the logical access accounting, so
+    serial and parallel grids report identical statistics).
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
-        self._memory: dict[str, ObjectiveSet] = {}
-        self._docs: dict[str, dict] = {}
+        self._memory: dict[str, Any] = {}
         self._failures: dict[str, FailureRecord] = {}
         self.hits = 0
         self.misses = 0
@@ -275,36 +312,33 @@ class RunStore:
             (self.cache_dir / "runs").mkdir(parents=True, exist_ok=True)
 
     # -- addressing ----------------------------------------------------------
-    @staticmethod
-    def key_for(config: ExperimentConfig, policy: str, model: str) -> RunKey:
-        return RunKey(config, policy, model)
+    def run_path(self, unit: Unit) -> Optional[Path]:
+        """Where this unit's document lives on disk (None when memory-only)."""
+        return self._path(unit.digest)
 
-    def run_path(self, key: RunKey) -> Optional[Path]:
-        """Where this key's document lives on disk (None when memory-only)."""
+    def _path(self, digest: str) -> Optional[Path]:
         if self.cache_dir is None:
             return None
-        return self.cache_dir / "runs" / key.digest[:2] / f"{key.digest}.json"
+        return self.cache_dir / "runs" / digest[:2] / f"{digest}.json"
 
     # -- lookup --------------------------------------------------------------
-    def get(
-        self, config: ExperimentConfig, policy: str, model: str
-    ) -> Optional[ObjectiveSet]:
-        """The stored result for the triple, or None.
+    def lookup(self, unit: Unit) -> Any:
+        """The stored result of ``unit``, or None.
 
         Disk entries are promoted into the memory layer on first touch.
         Never raises on bad disk state: a corrupt, truncated, or
         incompatible document is treated as a miss (and counted under
         ``runstore.corrupt_skipped``).
         """
-        key = RunKey(config, policy, model)
-        value = self._memory.get(key.digest)
+        digest = unit.digest
+        value = self._memory.get(digest)
         if value is not None:
             if PERF.enabled:
                 PERF.incr("runstore.hits")
             return value
-        value = self._load_disk(key)
+        value = self._load_disk(unit, digest)
         if value is not None:
-            self._memory[key.digest] = value
+            self._memory[digest] = value
             if PERF.enabled:
                 PERF.incr("runstore.hits")
                 PERF.incr("runstore.disk_hits")
@@ -313,8 +347,14 @@ class RunStore:
             PERF.incr("runstore.misses")
         return None
 
-    def _load_disk(self, key: RunKey) -> Optional[ObjectiveSet]:
-        path = self.run_path(key)
+    def get(
+        self, config: ExperimentConfig, policy: str, model: str
+    ) -> Optional[ObjectiveSet]:
+        """The stored result for one grid cell, or None."""
+        return self.lookup(RunKey(config, policy, model))
+
+    def _load_disk(self, unit: Unit, digest: str) -> Any:
+        path = self._path(digest)
         if path is None:
             return None
         try:
@@ -322,7 +362,10 @@ class RunStore:
         except OSError:
             return None
         try:
-            value = load_run_document(json.loads(text))
+            doc = json.loads(text)
+            if not isinstance(doc, dict) or doc.get("key") != digest:
+                raise StoreError(f"document does not match its digest {digest}")
+            value = unit.load(doc)
         except (StoreError, ValueError):
             # Truncated write, manual edit, or a foreign/newer document:
             # resume by re-simulating rather than failing the whole grid.
@@ -337,7 +380,7 @@ class RunStore:
         return value
 
     def _quarantine(self, path: Path) -> None:
-        """Move a corrupt run document into ``<cache_dir>/quarantine/``.
+        """Move a corrupt document into ``<cache_dir>/quarantine/``.
 
         Collisions (the same digest quarantined twice across crashes) get a
         numeric suffix so no evidence is ever overwritten.  Failure to move
@@ -360,6 +403,23 @@ class RunStore:
             PERF.incr("runstore.quarantined")
 
     # -- storage -------------------------------------------------------------
+    def record(self, unit: Unit, value: Any) -> None:
+        """Record a finished unit (checkpointing it to disk when configured)."""
+        doc = unit.document(value)
+        digest = doc["key"]  # every document carries its own digest
+        self._memory[digest] = value
+        # A finished run resolves any journaled failure of the same unit.
+        self._failures.pop(digest, None)
+        path = self._path(digest)
+        if path is None:
+            return
+        path.parent.mkdir(parents=True, exist_ok=True)
+        n_bytes = atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+        self._append_index(doc)
+        if PERF.enabled:
+            PERF.incr("runstore.bytes_written", n_bytes)
+            PERF.incr("runstore.runs_persisted")
+
     def put(
         self,
         config: ExperimentConfig,
@@ -367,132 +427,35 @@ class RunStore:
         model: str,
         value: ObjectiveSet,
     ) -> None:
-        """Record a finished run (checkpointing it to disk when configured)."""
-        key = RunKey(config, policy, model)
-        self._memory[key.digest] = value
-        # A finished run resolves any journaled failure of the same cell.
-        self._failures.pop(key.digest, None)
-        path = self.run_path(key)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        n_bytes = atomic_write_text(
-            path, json.dumps(key.document(value), indent=1, sort_keys=True) + "\n"
-        )
-        self._append_index(key)
-        if PERF.enabled:
-            PERF.incr("runstore.bytes_written", n_bytes)
-            PERF.incr("runstore.runs_persisted")
+        """Record one finished grid cell."""
+        self.record(RunKey(config, policy, model), value)
 
-    def _append_index(self, key: RunKey) -> None:
+    def _append_index(self, doc: dict) -> None:
+        """Append the ``index.jsonl`` line of one stored document.
+
+        ``key`` and ``format``, plus ``policy``, ``model``, ``seed`` and
+        ``n_jobs`` where the document (or its ``config`` block) has them.
+        """
         assert self.cache_dir is not None
-        line = json.dumps(
-            {
-                "key": key.digest,
-                "policy": key.policy,
-                "model": key.model,
-                "seed": key.config.seed,
-                "n_jobs": key.config.n_jobs,
-            },
-            sort_keys=True,
-        )
+        entry = {"key": doc.get("key"), "format": doc.get("format")}
+        for name in ("policy", "model"):
+            if name in doc:
+                entry[name] = doc[name]
+        config = doc.get("config")
+        if isinstance(config, dict):
+            for name in ("seed", "n_jobs"):
+                if name in config:
+                    entry[name] = config[name]
         with open(self.cache_dir / "index.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-
-    # -- generic documents ---------------------------------------------------
-    # Run documents above are ObjectiveSet-shaped; other experiment layers
-    # (e.g. market runs, which produce per-provider share/revenue tables)
-    # reuse the same two-layer content-addressed discipline through these
-    # format-agnostic methods.  The caller owns the digest computation and
-    # stamps its own ``format`` marker, so foreign documents are never
-    # confused with ObjectiveSet runs and incompatible schemas never
-    # collide.
-
-    def document_path(self, digest: str) -> Optional[Path]:
-        """Where a generic document lives on disk (None when memory-only)."""
-        if self.cache_dir is None:
-            return None
-        return self.cache_dir / "docs" / digest[:2] / f"{digest}.json"
-
-    def get_document(self, digest: str, fmt: str) -> Optional[dict]:
-        """The stored document for ``digest``, or None.
-
-        Same never-raises contract as :meth:`get`: disk entries are
-        promoted into the memory layer on first touch, and a corrupt,
-        truncated, or wrong-format file is quarantined and treated as a
-        miss (counted under ``runstore.corrupt_skipped``).
-        """
-        doc = self._docs.get(digest)
-        if doc is not None:
-            if PERF.enabled:
-                PERF.incr("runstore.doc_hits")
-            return doc
-        path = self.document_path(digest)
-        if path is not None:
-            try:
-                text = path.read_text()
-            except OSError:
-                text = None
-            if text is not None:
-                try:
-                    doc = json.loads(text)
-                    if (
-                        not isinstance(doc, dict)
-                        or doc.get("format") != fmt
-                        or doc.get("key") != digest
-                    ):
-                        raise StoreError(f"not a {fmt} document")
-                except (StoreError, ValueError):
-                    self._quarantine(path)
-                    if PERF.enabled:
-                        PERF.incr("runstore.corrupt_skipped")
-                else:
-                    self._docs[digest] = doc
-                    if PERF.enabled:
-                        PERF.incr("runstore.doc_hits")
-                        PERF.incr("runstore.bytes_read", len(text.encode("utf-8")))
-                    return doc
-        if PERF.enabled:
-            PERF.incr("runstore.doc_misses")
-        return None
-
-    def put_document(self, digest: str, doc: dict) -> None:
-        """Record a finished document under a caller-computed ``digest``.
-
-        ``doc`` must carry a non-empty ``format`` marker (how readers
-        recognise their own documents); it is stamped with ``key=digest``
-        and checkpointed atomically like every run document.
-        """
-        fmt = doc.get("format")
-        if not isinstance(fmt, str) or not fmt:
-            raise StoreError("document must carry a non-empty 'format' marker")
-        stored = dict(doc)
-        stored["key"] = digest
-        self._docs[digest] = stored
-        path = self.document_path(digest)
-        if path is None:
-            return
-        path.parent.mkdir(parents=True, exist_ok=True)
-        n_bytes = atomic_write_text(
-            path, json.dumps(stored, indent=1, sort_keys=True) + "\n"
-        )
-        if PERF.enabled:
-            PERF.incr("runstore.bytes_written", n_bytes)
-            PERF.incr("runstore.docs_persisted")
-
-    def document_digests(self) -> set[str]:
-        """Digests of every generic document currently on disk."""
-        if self.cache_dir is None:
-            return set()
-        return {p.stem for p in (self.cache_dir / "docs").glob("??/*.json")}
+            fh.write(json.dumps(entry, sort_keys=True) + "\n")
 
     # -- failure journal -----------------------------------------------------
     def record_failure(self, record: FailureRecord) -> None:
-        """Journal a run that exhausted its retries.
+        """Journal a unit that exhausted its retries.
 
         The journal (``failures.jsonl``) is append-only and shares the
-        run documents' content addressing: the record's ``digest`` *is*
-        the cell's :class:`RunKey` digest, so resumes, degrade-mode
+        documents' content addressing: the record's ``digest`` *is* the
+        unit's digest, so resumes, degrade-mode
         assembly, and humans grepping the journal all name the same
         artefact.  Appends are atomic at the line level (a single
         ``write`` of one ``\\n``-terminated line), matching the
@@ -509,7 +472,7 @@ class RunStore:
     def failures(self) -> dict[str, FailureRecord]:
         """Unresolved failures: latest journal record per digest.
 
-        A digest whose run document exists (in memory or on disk) is
+        A digest whose document exists (in memory or on disk) is
         resolved — a retry or another shard eventually succeeded — and is
         excluded, so the journal being append-only never makes a healthy
         grid look degraded.  Malformed journal lines are skipped.
@@ -556,11 +519,11 @@ class RunStore:
         if PERF.enabled:
             PERF.incr("runstore.quarantined")
 
-    def _merge_tree(self, other: "RunStore", kind: str) -> MergeReport:
-        """Union one document tree (``runs`` or ``docs``) from ``other``."""
+    def _merge_runs(self, other: "RunStore") -> MergeReport:
+        """Union ``other``'s document tree into this one."""
         assert self.cache_dir is not None and other.cache_dir is not None
         report = MergeReport()
-        for src in sorted((other.cache_dir / kind).glob("??/*.json")):
+        for src in sorted((other.cache_dir / "runs").glob("??/*.json")):
             digest = src.stem
             try:
                 data = src.read_bytes()
@@ -571,75 +534,53 @@ class RunStore:
                 doc = json.loads(data.decode("utf-8"))
                 if not isinstance(doc, dict) or doc.get("key") != digest:
                     raise StoreError(f"document does not match its digest {digest}")
-                if kind == "runs":
-                    load_run_document(doc)
-                elif not isinstance(doc.get("format"), str) or not doc["format"]:
-                    raise StoreError("generic document without a 'format' marker")
+                if not isinstance(doc.get("format"), str) or not doc["format"]:
+                    raise StoreError("document without a 'format' marker")
             except (StoreError, ValueError, UnicodeDecodeError):
                 # A corrupt source document is evidence of a crash on the
                 # worker side: keep the bytes, skip the digest, carry on.
                 self._quarantine_bytes(src.name, data)
                 report += MergeReport(corrupt=1)
                 continue
-            dst = self.cache_dir / kind / digest[:2] / f"{digest}.json"
+            dst = self._path(digest)
             if dst.exists():
                 try:
                     ours = dst.read_bytes()
                 except OSError:
                     ours = None
                 if ours == data:
-                    report += (
-                        MergeReport(runs_deduped=1)
-                        if kind == "runs"
-                        else MergeReport(docs_deduped=1)
-                    )
+                    report += MergeReport(runs_deduped=1)
                     continue
                 # Same digest, different bytes: the purity contract is
                 # broken somewhere.  Trusting either side would silently
                 # poison every later resume, so quarantine both and let
-                # the cell re-run.
+                # the unit re-run.
                 self._quarantine(dst)
                 self._quarantine_bytes(src.name, data)
                 self._memory.pop(digest, None)
-                self._docs.pop(digest, None)
                 report += MergeReport(conflicts=1)
                 continue
             dst.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_text(dst, data.decode("utf-8"))
-            if kind == "runs":
-                config = doc.get("config", {})
-                line = json.dumps(
-                    {
-                        "key": digest,
-                        "policy": doc.get("policy", ""),
-                        "model": doc.get("model", ""),
-                        "seed": config.get("seed"),
-                        "n_jobs": config.get("n_jobs"),
-                    },
-                    sort_keys=True,
-                )
-                with open(self.cache_dir / "index.jsonl", "a", encoding="utf-8") as fh:
-                    fh.write(line + "\n")
-                report += MergeReport(runs_copied=1)
-            else:
-                report += MergeReport(docs_copied=1)
+            self._append_index(doc)
+            report += MergeReport(runs_copied=1)
         return report
 
     def merge_from(self, other: "RunStore") -> MergeReport:
         """Union another store's artefacts into this one.
 
-        The three artefact families merge by their own disciplines:
+        The two artefact families merge by their own disciplines:
 
-        - ``runs/`` and ``docs/`` — content-addressed documents.  A digest
-          new to this store is copied (atomically); identical bytes
+        - ``runs/`` — content-addressed documents of every unit kind.  A
+          digest new to this store is copied (atomically); identical bytes
           dedupe; *conflicting* bytes for the same digest quarantine both
           sides (see :class:`MergeReport`); a corrupt source document is
           quarantined and counted, never merged.
         - ``failures.jsonl`` — journals concatenate (this store's lines
           first, then the source's), so :meth:`failures`' latest-record-
           wins rule resolves overlapping digests in favour of the merged
-          source, and a digest whose run document arrived in the same
-          merge is resolved outright.
+          source, and a digest whose document arrived in the same merge
+          is resolved outright.
 
         Both stores must be disk-backed.  The index is compacted
         afterwards so repeated syncs cannot grow it without bound.
@@ -647,7 +588,7 @@ class RunStore:
         """
         if self.cache_dir is None or other.cache_dir is None:
             raise StoreError("merge_from requires disk-backed stores on both sides")
-        report = self._merge_tree(other, "runs") + self._merge_tree(other, "docs")
+        report = self._merge_runs(other)
         journal = other.cache_dir / "failures.jsonl"
         try:
             lines = journal.read_text().splitlines()
@@ -666,20 +607,18 @@ class RunStore:
         if PERF.enabled:
             PERF.incr("runstore.merges")
             PERF.incr("runstore.merge_runs_copied", report.runs_copied)
-            PERF.incr("runstore.merge_docs_copied", report.docs_copied)
-            PERF.incr("runstore.merge_deduped",
-                      report.runs_deduped + report.docs_deduped)
+            PERF.incr("runstore.merge_deduped", report.runs_deduped)
             PERF.incr("runstore.merge_conflicts", report.conflicts)
             PERF.incr("runstore.merge_corrupt", report.corrupt)
         return report
 
     def compact(self) -> tuple[int, int]:
-        """Atomically rewrite ``index.jsonl`` to one line per live run.
+        """Atomically rewrite ``index.jsonl`` to one line per live document.
 
         The index is append-only during normal operation, so resumes,
         retries, and merges grow it without bound.  Compaction dedupes by
         digest (last record wins, first-seen order preserved), drops
-        malformed lines and entries whose run document no longer exists
+        malformed lines and entries whose document no longer exists
         (e.g. quarantined by a merge conflict), and rewrites via the same
         tmp+rename discipline as every document.  Returns
         ``(lines_before, lines_after)``; a memory-only store is a no-op.
@@ -712,11 +651,11 @@ class RunStore:
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
-        """Number of runs in the memory layer (RunCache-compatible)."""
+        """Number of results in the memory layer."""
         return len(self._memory)
 
     def disk_digests(self) -> set[str]:
-        """Digests of every run document currently on disk."""
+        """Digests of every document currently on disk (every unit kind)."""
         if self.cache_dir is None:
             return set()
         return {p.stem for p in (self.cache_dir / "runs").glob("??/*.json")}

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 from repro.core.objectives import OBJECTIVES, Objective
 from repro.experiments.pipeline import execute_plan
-from repro.experiments.runner import RunCache
-from repro.experiments.runstore import RunStore
+from repro.experiments.runstore import RunKey, RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 
 
@@ -48,9 +47,9 @@ def tornado_analysis(
     through the unified pipeline, so they dedupe against — and checkpoint
     into — the given store and can fan out over a process pool.
     """
-    cache = cache if cache is not None else RunCache()
-    plan = [(base, policy, model_name)] + [
-        (config, policy, model_name)
+    cache = cache if cache is not None else RunStore()
+    plan = [RunKey(base, policy, model_name)] + [
+        RunKey(config, policy, model_name)
         for scenario in scenarios
         for config in scenario.configs(base)
     ]

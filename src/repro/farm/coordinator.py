@@ -138,13 +138,13 @@ class Farm:
             )
             os.replace(tmp, plan_path)
         created = 0
-        for item, digest in plan.unique_units():
+        for unit, digest in plan.unique_units():
             unit_path = self.units_dir(job_id) / f"{digest}.json"
             if unit_path.exists():
                 continue
             tmp = unit_path.with_name(f".{unit_path.name}.tmp{os.getpid()}")
             tmp.write_text(
-                json.dumps(unit_document(item, digest), indent=1, sort_keys=True)
+                json.dumps(unit_document(unit, digest), indent=1, sort_keys=True)
                 + "\n"
             )
             os.replace(tmp, unit_path)

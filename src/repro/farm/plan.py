@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
-from repro.experiments.pipeline import ExecutionPolicy, WorkItem, grid_plan
+from repro.experiments.pipeline import ExecutionPolicy, grid_plan
 from repro.experiments.runstore import (
     SCHEMA_VERSION,
     RunKey,
@@ -84,22 +84,22 @@ class FarmPlan:
         kwargs.update(overrides)
         return ExecutionPolicy(**kwargs)
 
-    def work_items(self) -> list[WorkItem]:
+    def work_items(self) -> list[RunKey]:
         """The plan's logical accesses, exactly as a local grid would run."""
         return grid_plan(
             self.policies, self.model, self.config, self.set_name,
             self.scenario_objects(),
         )
 
-    def unique_units(self) -> list[tuple[WorkItem, str]]:
-        """Deduped ``(item, digest)`` pairs in first-access order."""
-        units: list[tuple[WorkItem, str]] = []
+    def unique_units(self) -> list[tuple[RunKey, str]]:
+        """Deduped ``(unit, digest)`` pairs in first-access order."""
+        units: list[tuple[RunKey, str]] = []
         seen: set[str] = set()
-        for item in self.work_items():
-            digest = RunKey(*item).digest
+        for unit in self.work_items():
+            digest = unit.digest
             if digest not in seen:
                 seen.add(digest)
-                units.append((item, digest))
+                units.append((unit, digest))
         return units
 
     def to_dict(self) -> dict:
@@ -157,24 +157,23 @@ class FarmPlan:
             raise StoreError(f"malformed farm plan: {exc}") from exc
 
 
-def unit_document(item: WorkItem, digest: str) -> dict:
+def unit_document(unit: RunKey, digest: str) -> dict:
     """The on-disk JSON document of one claimable work unit."""
-    config, policy, model = item
     return {
         "format": UNIT_FORMAT,
         "key": digest,
-        "config": config_to_dict(config),
-        "policy": policy,
-        "model": model,
+        "config": config_to_dict(unit.config),
+        "policy": unit.policy,
+        "model": unit.model,
     }
 
 
-def unit_from_document(doc: dict) -> tuple[WorkItem, str]:
+def unit_from_document(doc: dict) -> tuple[RunKey, str]:
     """Inverse of :func:`unit_document` (raises ``StoreError`` when foreign)."""
     if doc.get("format") != UNIT_FORMAT:
         raise StoreError(f"not a {UNIT_FORMAT} document: format={doc.get('format')!r}")
     try:
-        item = (
+        unit = RunKey(
             config_from_dict(doc["config"]),
             str(doc["policy"]),
             str(doc["model"]),
@@ -182,7 +181,7 @@ def unit_from_document(doc: dict) -> tuple[WorkItem, str]:
         digest = str(doc["key"])
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreError(f"malformed work unit: {exc}") from exc
-    return item, digest
+    return unit, digest
 
 
 def load_plan_text(text: str) -> FarmPlan:

@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments import chaos
-from repro.experiments.runstore import RunStore, StoreError
+from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.farm import leases as leases_mod
 from repro.farm.coordinator import Farm
 from repro.farm.plan import FarmPlan, unit_from_document
@@ -52,7 +52,7 @@ class ClaimedUnit:
     """One unit this worker holds the lease for."""
 
     job_id: str
-    item: tuple
+    unit: RunKey
     digest: str
     lease: leases_mod.Lease
     lease_path: Path
@@ -120,7 +120,7 @@ class WorkerAgent:
                 if lease is None:
                     continue
                 try:
-                    item, unit_digest = unit_from_document(
+                    unit, unit_digest = unit_from_document(
                         json.loads(unit_path.read_text())
                     )
                 except (OSError, ValueError, StoreError):
@@ -133,7 +133,7 @@ class WorkerAgent:
                     continue
                 if PERF.enabled:
                     PERF.incr("farm.units_claimed")
-                return ClaimedUnit(job_id, item, digest, lease, lease_path)
+                return ClaimedUnit(job_id, unit, digest, lease, lease_path)
         return None
 
     # -- executing -----------------------------------------------------------
@@ -173,7 +173,7 @@ class WorkerAgent:
         beat.start()
         try:
             execution = execute_plan(
-                [claimed.item], self.store, execution=plan.execution_policy()
+                [claimed.unit], self.store, execution=plan.execution_policy()
             )
         finally:
             stop.set()

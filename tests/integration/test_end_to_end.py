@@ -8,11 +8,12 @@ scales are fixed so the assertions are deterministic.
 import pytest
 
 from repro.core.objectives import Objective
-from repro.experiments.runner import RunCache, run_grid, run_single
+from repro.experiments.runner import run_grid, run_single
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by_name
 
 BASE = ExperimentConfig(n_jobs=250, total_procs=128)
-CACHE = RunCache()
+CACHE = RunStore()
 
 
 def objectives(policy, model, set_name="A", **over):

@@ -322,6 +322,30 @@ def test_market_sweep_resumes_from_cache_dir(tmp_path, capsys):
     assert "0 executed" in out and "2 hits" in out
 
 
+def test_market_sweep_shards_like_grid(tmp_path, capsys):
+    args = (
+        "market", "--users", "60", "--jobs", "100", "--sweep", "mtbf",
+        "--levels", "off", "3600", "86400",
+    )
+    for bad in ("3/2", "0/2", "x"):
+        code, out, err = run_cli(capsys, *args, "--shard", bad)
+        assert code == 2
+        assert err.startswith("error: shard") and out == ""
+    cached = ("--cache-dir", str(tmp_path))
+    executed = 0
+    for shard in ("1/2", "2/2"):
+        code, out, _ = run_cli(capsys, *args, *cached, "--shard", shard)
+        assert code == 0
+        executed += int(out.split(" executed")[0].rsplit(" ", 1)[1])
+    assert executed == 3
+    code, out, _ = run_cli(capsys, *args, *cached)
+    assert code == 0
+    assert "0 executed" in out and "3 hits" in out
+    code, reference, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert out.split("\nplan:")[0] == reference.split("\nplan:")[0]
+
+
 def test_market_argument_validation(capsys):
     code, _, err = run_cli(capsys, "market", "--providers", "1")
     assert code == 2

@@ -91,10 +91,11 @@ def test_incompatible_grids_rejected():
 
 
 def test_on_real_grids():
-    from repro.experiments.runner import RunCache, run_grid
+    from repro.experiments.runner import run_grid
+    from repro.experiments.runstore import RunStore
     from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 
-    cache = RunCache()
+    cache = RunStore()
     base = ExperimentConfig(n_jobs=40, total_procs=32)
     scen = [scenario_by_name("job mix")]
     a = run_grid(["FCFS-BF", "Libra"], "commodity", base, "A", scen, cache)

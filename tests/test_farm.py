@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.experiments.pipeline import ExecutionPolicy
-from repro.experiments.runner import RunCache, run_grid
+from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.store import grid_to_dict
@@ -40,7 +40,7 @@ def small_plan(**kwargs) -> FarmPlan:
 def serial_reference() -> dict:
     return grid_to_dict(
         run_grid(POLICIES, "bid", SMALL, "A", [scenario_by_name(SCENARIO)],
-                 RunCache())
+                 RunStore())
     )
 
 
@@ -246,7 +246,7 @@ def test_dead_worker_on_correlated_fault_grid_is_stolen_bit_identically(tmp_path
     )
     reference = grid_to_dict(
         run_grid(POLICIES, "bid", correlated, "A",
-                 [scenario_by_name(SCENARIO)], RunCache())
+                 [scenario_by_name(SCENARIO)], RunStore())
     )
     farm = Farm(tmp_path)
     job_id = farm.create_job(

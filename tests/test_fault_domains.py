@@ -19,7 +19,7 @@ from repro.experiments.pipeline import (
     execute_plan,
     grid_plan,
 )
-from repro.experiments.runner import RunCache, run_grid, run_single
+from repro.experiments.runner import run_grid, run_single
 from repro.experiments.runstore import SCHEMA_VERSION, RunKey, RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.store import grid_to_dict
@@ -327,7 +327,7 @@ CORRELATED = ExperimentConfig(n_jobs=20, total_procs=16).with_values(
 def _correlated_reference() -> dict:
     return grid_to_dict(
         run_grid(POLICIES, "bid", CORRELATED, "A",
-                 [scenario_by_name(SCENARIO)], RunCache())
+                 [scenario_by_name(SCENARIO)], RunStore())
     )
 
 
@@ -342,7 +342,7 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
     plan = grid_plan(POLICIES, "bid", CORRELATED, "A", scenarios)
 
     # Process pool.
-    pool_store = RunCache()
+    pool_store = RunStore()
     execution = execute_plan(
         plan, pool_store, n_workers=2, execution=ExecutionPolicy(**FAST)
     )

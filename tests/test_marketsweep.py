@@ -1,4 +1,5 @@
-"""Market sweeps through the RunStore: dedupe, checkpoint, resume, shard."""
+"""Market sweeps as pipeline units: dedupe, checkpoint, resume, shard,
+supervise — and one cache directory shared with grid runs."""
 
 import json
 
@@ -11,14 +12,21 @@ from repro.experiments.marketsweep import (
     admission_market_scenario,
     assemble_market_sweep,
     default_market_config,
-    execute_market_plan,
     market_plan,
-    market_run_key,
     mtbf_market_scenario,
-    run_market_config,
     run_market_sweep,
 )
-from repro.experiments.runstore import RunStore, StoreError
+from repro.experiments.pipeline import (
+    ExecutionPolicy,
+    assemble_grid,
+    execute_plan,
+    grid_plan,
+)
+from repro.experiments.runner import run_grid
+from repro.experiments.runstore import RunKey, RunStore, StoreError
+from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
+from repro.experiments.store import grid_to_dict
+from repro.sim import SimBudgetExceeded
 
 
 def small_config(**overrides):
@@ -49,9 +57,9 @@ def test_market_config_roundtrip():
 
 def test_market_run_key_is_content_addressed():
     a = small_config()
-    assert market_run_key(a) == market_run_key(small_config())
-    assert market_run_key(a) != market_run_key(small_config(seed=1))
-    assert market_run_key(a) != market_run_key(a.with_risky(mtbf=3600.0))
+    assert a.digest == small_config().digest
+    assert a.digest != small_config(seed=1).digest
+    assert a.digest != a.with_risky(mtbf=3600.0).digest
 
 
 def test_market_run_key_ignores_backend():
@@ -60,7 +68,19 @@ def test_market_run_key_ignores_backend():
     from dataclasses import replace
 
     a = small_config()
-    assert market_run_key(a) == market_run_key(replace(a, backend="agents"))
+    assert a.digest == replace(a, backend="agents").digest
+
+
+def test_unit_digests_are_pinned():
+    # Cache directories written before grid and market runs became one
+    # unit kind must still be served as hits.
+    grid_unit = RunKey(ExperimentConfig(n_jobs=50, total_procs=32), "FCFS-BF", "bid")
+    assert grid_unit.digest == (
+        "6c19c036e6946baf98a48896f868795158b821ac3be9bb3ff7f55641366c3bc9"
+    )
+    assert small_config().digest == (
+        "9f71177d2fdbe2722f969d60a26638f8b148205e098a83a3f6e7364b6c581ba5"
+    )
 
 
 def test_scenario_validation():
@@ -77,51 +97,131 @@ def test_scenario_varies_only_the_risky_provider():
     assert all(c.providers[1] == base.providers[1] for c in configs)
 
 
-# -- document layer ------------------------------------------------------------
+# -- market documents in the run store ----------------------------------------
 
 def test_document_layer_roundtrip(tmp_path):
     store = RunStore(tmp_path)
     config = small_config()
-    digest = market_run_key(config)
-    assert store.get_document(digest, MARKET_RUN_FORMAT) is None
-    doc = run_market_config(config)
-    store.put_document(digest, doc)
+    assert store.lookup(config) is None
+    providers = config.execute()
+    store.record(config, providers)
     # A fresh store reads it back from disk, format-checked.
-    again = RunStore(tmp_path).get_document(digest, MARKET_RUN_FORMAT)
-    assert again is not None
-    assert again["providers"] == doc["providers"]
-    assert again["key"] == digest
-    # The wrong format marker is a miss, not a crash.
-    assert RunStore(tmp_path).get_document(digest, "repro-run") is None
+    assert RunStore(tmp_path).lookup(config) == providers
+    doc = json.loads(store.run_path(config).read_text())
+    assert doc["key"] == config.digest
+    assert doc["format"] == MARKET_RUN_FORMAT
+    assert doc == config.document(providers)
 
 
-def test_document_requires_format_marker(tmp_path):
-    store = RunStore(tmp_path)
+def test_document_requires_format_marker():
+    config = small_config()
+    doc = config.document(config.execute())
+    with pytest.raises(StoreError, match=MARKET_RUN_FORMAT):
+        config.load({**doc, "format": "repro-run"})
     with pytest.raises(StoreError):
-        store.put_document("ab" * 32, {"providers": {}})
+        config.load({**doc, "providers": {}})
+    assert config.load(doc) == doc["providers"]
 
 
 def test_corrupt_document_is_quarantined(tmp_path):
     store = RunStore(tmp_path)
     config = small_config()
-    digest = market_run_key(config)
-    store.put_document(digest, run_market_config(config))
-    path = store.document_path(digest)
+    store.record(config, config.execute())
+    path = store.run_path(config)
     path.write_text("{truncated")
     fresh = RunStore(tmp_path)
-    assert fresh.get_document(digest, MARKET_RUN_FORMAT) is None
+    assert fresh.lookup(config) is None
     assert not path.exists()
     assert list((tmp_path / "quarantine").iterdir())
 
 
+def test_execute_arms_the_watchdog():
+    with pytest.raises(SimBudgetExceeded):
+        small_config().execute(max_sim_events=10)
+
+
+# -- one cache directory, both unit kinds --------------------------------------
+
+GRID_BASE = ExperimentConfig(n_jobs=20, total_procs=16)
+GRID_SCENARIOS = [scenario_by_name("job mix")]
+GRID_POLICIES = ["FCFS-BF"]
+
+
+def mixed_store(path, grid=True, levels=(None, 3600.0)) -> RunStore:
+    """A disk store holding a small grid and a small market sweep."""
+    store = RunStore(path)
+    if grid:
+        execute_plan(grid_plan(GRID_POLICIES, "bid", GRID_BASE, "A", GRID_SCENARIOS), store)
+    execute_plan(market_plan(mtbf_market_scenario(levels), small_config()), store)
+    return store
+
+
+def market_digests(levels=(None, 3600.0)):
+    return {c.digest for c in mtbf_market_scenario(levels).configs(small_config())}
+
+
 def test_documents_and_runs_share_a_cache_dir(tmp_path):
-    # Market documents must not leak into the ObjectiveSet-run digests.
-    store = RunStore(tmp_path)
+    store = mixed_store(tmp_path)
+    grid_digests = {
+        unit.digest
+        for unit in grid_plan(GRID_POLICIES, "bid", GRID_BASE, "A", GRID_SCENARIOS)
+    }
+    assert len(grid_digests) == 6
+    assert RunStore(tmp_path).disk_digests() == grid_digests | market_digests()
+    assert not (tmp_path / "docs").exists()
+
+
+def test_mixed_merge_copies_and_dedupes_both_kinds(tmp_path):
+    dest = mixed_store(tmp_path / "dest", levels=(None,))
+    src = mixed_store(tmp_path / "src")
+    report = dest.merge_from(src)
+    # The second market level is new; six grid cells + one level dedupe.
+    assert (report.runs_copied, report.runs_deduped) == (1, 7)
+    assert report.conflicts == report.corrupt == 0
+    assert dest.disk_digests() == src.disk_digests()
+    again = dest.merge_from(src)
+    assert (again.runs_copied, again.runs_deduped) == (0, 8)
+    assert RunStore(tmp_path / "dest").lookup(small_config()) == src.lookup(small_config())
+
+
+def test_mixed_merge_conflict_quarantines_both_market_sides(tmp_path):
+    dest = mixed_store(tmp_path / "dest")
+    src = mixed_store(tmp_path / "src")
     config = small_config()
-    digest = market_run_key(config)
-    store.put_document(digest, run_market_config(config))
-    assert store.document_digests() == {digest}
-    assert store.disk_digests() == set()
+    path = src.run_path(config)
+    doc = json.loads(path.read_text())
+    doc["providers"]["risky"]["revenue"] = 1.0
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+
+    report = dest.merge_from(src)
+    assert report.conflicts == 1
+    quarantined = list((tmp_path / "dest" / "quarantine").glob(f"{config.digest}*"))
+    assert len(quarantined) == 2
+    assert config.digest not in dest.disk_digests()
+    assert dest.lookup(config) is None
+
+
+def test_mixed_compact_keeps_one_index_line_per_document(tmp_path):
+    store = mixed_store(tmp_path)
+    config = small_config()
+    store.record(config, store.lookup(config))  # duplicate index line
+    before, after = store.compact()
+    assert (before, after) == (9, 8)
+    entries = list(store.index_entries())
+    assert len({e["key"] for e in entries}) == 8
+    market = [e for e in entries if e["format"] == MARKET_RUN_FORMAT]
+    assert {e["key"] for e in market} == market_digests()
+    assert all(e["seed"] == 0 and e["n_jobs"] == 120 for e in market)
+    assert {e["format"] for e in entries} == {"repro-run", MARKET_RUN_FORMAT}
+
+
+def test_mixed_store_assembles_the_same_grid(tmp_path):
+    grid_only = run_grid(GRID_POLICIES, "bid", GRID_BASE, "A", GRID_SCENARIOS,
+                         RunStore(tmp_path / "grid"))
+    mixed_store(tmp_path / "mixed")
+    mixed = assemble_grid(RunStore(tmp_path / "mixed"), GRID_POLICIES, "bid",
+                          GRID_BASE, "A", GRID_SCENARIOS)
+    assert grid_to_dict(mixed) == grid_to_dict(grid_only)
 
 
 # -- plan → execute → assemble -------------------------------------------------
@@ -130,7 +230,7 @@ def test_execute_deduplicates_plan(tmp_path):
     store = RunStore(tmp_path)
     base = small_config()
     plan = market_plan(mtbf_market_scenario((None, 3600.0)), base)
-    execution = execute_market_plan(plan + plan, store)
+    execution = execute_plan(plan + plan, store)
     assert execution.accesses == 4
     assert execution.misses == 2
     assert execution.hits == 2
@@ -154,7 +254,7 @@ def test_sharded_sweep_partitions_and_assembles(tmp_path):
     scenario = mtbf_market_scenario()
     plan = market_plan(scenario, base)
     shards = [
-        execute_market_plan(plan, RunStore(tmp_path), shard=(i, 2))
+        execute_plan(plan, RunStore(tmp_path), shard=(i, 2))
         for i in range(2)
     ]
     assert sum(s.executed for s in shards) == len(plan)
@@ -169,7 +269,7 @@ def test_sharded_sweep_partitions_and_assembles(tmp_path):
 
 def test_shard_validation(tmp_path):
     with pytest.raises(ValueError):
-        execute_market_plan([small_config()], RunStore(tmp_path), shard=(2, 2))
+        execute_plan([small_config()], RunStore(tmp_path), shard=(2, 2))
 
 
 def test_incomplete_assembly_is_flagged(tmp_path):
@@ -179,11 +279,101 @@ def test_incomplete_assembly_is_flagged(tmp_path):
     scenario = mtbf_market_scenario((None, 3600.0))
     store = RunStore(tmp_path)
     first = scenario.configs(base)[0]
-    store.put_document(market_run_key(first), run_market_config(first))
+    store.record(first, first.execute())
     result = assemble_market_sweep(store, scenario, base)
     assert not result.complete
     assert len(result.rows) == len(base.providers)
     assert "incomplete" in result.table()
+
+
+# -- market units under the supervisor -----------------------------------------
+
+NO_SLEEP = dict(backoff_base=0.0, sleep=lambda seconds: None)
+SCENARIO = mtbf_market_scenario((None, 3600.0))
+
+
+def test_transient_market_failure_is_retried(tmp_path, monkeypatch):
+    real = MarketConfig.execute
+    calls = []
+
+    def flaky(self, *budgets):
+        calls.append(self.digest)
+        if len(calls) == 1:
+            raise RuntimeError("transient resource blip")
+        return real(self, *budgets)
+
+    monkeypatch.setattr(MarketConfig, "execute", flaky)
+    store = RunStore(tmp_path)
+    execution = execute_plan(market_plan(SCENARIO, small_config()), store,
+                             execution=ExecutionPolicy(**NO_SLEEP))
+    assert execution.retries == 1
+    assert execution.failed == ()
+    assert calls[0] == calls[1]  # the failed unit itself was re-run
+    assert store.failures() == {}
+    monkeypatch.setattr(MarketConfig, "execute", real)
+    assert run_market_sweep(small_config(), SCENARIO, RunStore(tmp_path)).complete
+
+
+def test_exhausted_market_unit_is_journaled_then_resolved(tmp_path, monkeypatch):
+    base = small_config()
+    poisoned = SCENARIO.configs(base)[1]
+    real = MarketConfig.execute
+
+    def poison(self, *budgets):
+        if self.digest == poisoned.digest:
+            raise ValueError("deterministic poison")
+        return real(self, *budgets)
+
+    monkeypatch.setattr(MarketConfig, "execute", poison)
+    policy = ExecutionPolicy(max_retries=1, **NO_SLEEP)
+    execution = execute_plan(market_plan(SCENARIO, base), RunStore(tmp_path),
+                             execution=policy)
+    assert execution.failed == (poisoned.digest,)
+    journal = [json.loads(line) for line in
+               (tmp_path / "failures.jsonl").read_text().splitlines()]
+    assert [r["digest"] for r in journal] == [poisoned.digest]
+    assert (journal[0]["policy"], journal[0]["model"]) == ("risky", "market")
+    record = RunStore(tmp_path).failures()[poisoned.digest]
+    assert record.attempts == 2 and "deterministic poison" in record.message
+    assert not assemble_market_sweep(RunStore(tmp_path), SCENARIO, base).complete
+
+    monkeypatch.setattr(MarketConfig, "execute", real)
+    store = RunStore(tmp_path)
+    rerun = run_market_sweep(base, SCENARIO, store)
+    assert rerun.execution.executed == 1
+    assert rerun.complete
+    assert store.failures() == {}
+    assert RunStore(tmp_path).failures() == {}
+
+
+def test_pool_rows_match_serial(tmp_path):
+    base = small_config()
+    serial = run_market_sweep(base, SCENARIO)
+    store = RunStore(tmp_path)
+    execution = execute_plan(market_plan(SCENARIO, base), store, n_workers=2)
+    assert execution.complete and execution.executed == 2
+    assert assemble_market_sweep(store, SCENARIO, base).rows == serial.rows
+
+
+def test_pool_sweep_survives_sigkilled_worker(tmp_path, monkeypatch):
+    base = small_config()
+    serial = run_market_sweep(base, SCENARIO)
+    chaos_dir = tmp_path / "chaos"
+    chaos_dir.mkdir()
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
+    monkeypatch.setenv("REPRO_CHAOS_KILL", "1")
+    store = RunStore(tmp_path / "store")
+    execution = execute_plan(
+        market_plan(SCENARIO, base), store, n_workers=2,
+        execution=ExecutionPolicy(max_retries=3, backoff_base=0.001,
+                                  backoff_cap=0.002, poll_interval=0.02),
+    )
+    assert len(list(chaos_dir.glob("*.killed"))) == 1
+    assert execution.complete
+    monkeypatch.delenv("REPRO_CHAOS_DIR")
+    monkeypatch.delenv("REPRO_CHAOS_KILL")
+    rows = assemble_market_sweep(RunStore(tmp_path / "store"), SCENARIO, base).rows
+    assert rows == serial.rows
 
 
 # -- the §3 claim --------------------------------------------------------------
@@ -201,6 +391,5 @@ def test_unreliable_provider_loses_the_market(tmp_path):
     assert risky[3600.0].revenue < risky[None].revenue
     assert risky[3600.0].violated > risky[None].violated
     # The document on disk is plain JSON a human can read.
-    digest = market_run_key(small_config(n_users=200, n_jobs=400))
-    text = RunStore(tmp_path).document_path(digest).read_text()
+    text = RunStore(tmp_path).run_path(small_config(n_users=200, n_jobs=400)).read_text()
     assert json.loads(text)["format"] == MARKET_RUN_FORMAT

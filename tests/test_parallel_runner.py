@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core.objectives import Objective
-from repro.experiments.parallel import default_workers, run_grid_parallel
-from repro.experiments.runner import RunCache, run_grid
+from repro.experiments.pipeline import default_workers
+from repro.experiments.runner import run_grid
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 
 SMALL = ExperimentConfig(n_jobs=30, total_procs=32)
@@ -17,7 +18,7 @@ def test_default_workers_positive():
 
 
 def test_single_worker_falls_back_to_serial():
-    a = run_grid_parallel(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=1)
+    a = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=1)
     b = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS)
     assert a.separate == b.separate
 
@@ -25,7 +26,7 @@ def test_single_worker_falls_back_to_serial():
 @pytest.mark.slow
 def test_parallel_matches_serial_exactly():
     serial = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    parallel = run_grid_parallel(
+    parallel = run_grid(
         POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2
     )
     assert parallel.policies == serial.policies
@@ -40,10 +41,10 @@ def test_parallel_matches_serial_exactly():
 
 
 def test_serial_and_single_worker_cache_statistics_match():
-    serial_cache = RunCache()
+    serial_cache = RunStore()
     run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, serial_cache)
-    parallel_cache = RunCache()
-    run_grid_parallel(
+    parallel_cache = RunStore()
+    run_grid(
         POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=1, cache=parallel_cache
     )
     assert (parallel_cache.hits, parallel_cache.misses) == (
@@ -57,10 +58,10 @@ def test_serial_and_single_worker_cache_statistics_match():
 def test_parallel_cache_statistics_match_serial():
     """The pool runner must report the same hit/miss accounting as the
     serial runner — on a cold cache and on a fully warm one."""
-    serial_cache = RunCache()
+    serial_cache = RunStore()
     run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, serial_cache)
-    parallel_cache = RunCache()
-    run_grid_parallel(
+    parallel_cache = RunStore()
+    run_grid(
         POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=parallel_cache
     )
     assert (parallel_cache.hits, parallel_cache.misses) == (
@@ -70,7 +71,7 @@ def test_parallel_cache_statistics_match_serial():
     assert len(parallel_cache) == len(serial_cache)
     # Warm re-run: both paths see pure hits, zero new misses.
     run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, serial_cache)
-    run_grid_parallel(
+    run_grid(
         POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=parallel_cache
     )
     assert (parallel_cache.hits, parallel_cache.misses) == (
@@ -81,10 +82,10 @@ def test_parallel_cache_statistics_match_serial():
 
 @pytest.mark.slow
 def test_parallel_populates_shared_cache():
-    cache = RunCache()
-    run_grid_parallel(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=cache)
+    cache = RunStore()
+    run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=cache)
     before = len(cache)
     assert before > 0
     # A second call over the same grid does zero new simulations.
-    run_grid_parallel(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=cache)
+    run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=cache)
     assert len(cache) == before

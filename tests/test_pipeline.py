@@ -4,13 +4,12 @@ interrupted-grid resume semantics the run store guarantees."""
 import pytest
 
 from repro import perf
-from repro.experiments.parallel import run_grid_parallel
 from repro.experiments.pipeline import (
     assemble_grid,
     execute_plan,
     grid_plan,
 )
-from repro.experiments.runner import RunCache, run_grid
+from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.store import grid_to_dict
@@ -50,7 +49,7 @@ def test_grid_plan_applies_estimate_set():
 
 def test_execute_plan_accounting_matches_serial_semantics():
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    store = RunCache()
+    store = RunStore()
     execution = execute_plan(plan, store)
     assert execution.accesses == len(plan)
     assert execution.misses == len(unique_items(plan))
@@ -65,9 +64,9 @@ def test_execute_plan_accounting_matches_serial_semantics():
 
 def test_execute_plan_rejects_bad_shard():
     with pytest.raises(ValueError):
-        execute_plan([], RunCache(), shard=(3, 3))
+        execute_plan([], RunStore(), shard=(3, 3))
     with pytest.raises(ValueError):
-        execute_plan([], RunCache(), shard=(-1, 2))
+        execute_plan([], RunStore(), shard=(-1, 2))
 
 
 def test_sharded_execution_covers_the_grid_exactly_once(tmp_path):
@@ -88,7 +87,7 @@ def test_sharded_execution_covers_the_grid_exactly_once(tmp_path):
 
 
 def test_assemble_refuses_incomplete_store():
-    store = RunCache()
+    store = RunStore()
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
     execute_plan(plan, store, shard=(0, 2))  # half the misses only
     with pytest.raises(StoreError, match="incomplete"):
@@ -139,7 +138,7 @@ def test_interrupted_grid_resumes_only_missing_keys_parallel(tmp_path):
     execute_plan(unique[:n_done], partial)
 
     resumed_store = RunStore(tmp_path)
-    grid = run_grid_parallel(
+    grid = run_grid(
         POLICIES, "bid", SMALL, "A", SCENARIOS, n_workers=2, cache=resumed_store
     )
     # Only the missing keys were dispatched…

@@ -26,7 +26,7 @@ from repro.experiments.pipeline import (
     execute_plan,
     grid_plan,
 )
-from repro.experiments.runner import RunCache, run_grid, run_single
+from repro.experiments.runner import run_grid, run_single
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.store import grid_to_dict
@@ -151,7 +151,7 @@ def test_transient_failure_is_retried_then_succeeds(monkeypatch):
         max_retries=2, backoff_base=1.0, backoff_cap=8.0,
         clock=fake.clock, sleep=fake.sleep,
     )
-    store = RunCache()
+    store = RunStore()
     with perf.capture() as registry:
         execution = execute_plan(plan, store, execution=policy)
         counters = dict(registry.counters)
@@ -185,7 +185,7 @@ def test_exhausted_retries_journal_and_continue(monkeypatch):
     monkeypatch.setattr("repro.experiments.runner.run_single", poisoned_run)
     fake = FakeClock()
     policy = ExecutionPolicy(max_retries=1, clock=fake.clock, sleep=fake.sleep)
-    store = RunCache()
+    store = RunStore()
     execution = execute_plan(plan, store, execution=policy)
     # The poisoned cell failed after 2 attempts; everything else completed.
     assert execution.failed == (poisoned,)
@@ -206,7 +206,7 @@ def test_watchdog_timeout_classified_and_journaled():
     policy = ExecutionPolicy(
         max_sim_events=5, max_retries=1, clock=fake.clock, sleep=fake.sleep
     )
-    store = RunCache()
+    store = RunStore()
     execution = execute_plan(plan, store, execution=policy)
     assert len(execution.failed) == execution.misses  # every cell timed out
     for digest in execution.failed:
@@ -233,7 +233,7 @@ def test_wall_clock_timeout_serial():
 def test_pool_path_matches_serial_reference():
     reference_doc = grid_to_dict(run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS))
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    store = RunCache()
+    store = RunStore()
     execution = execute_plan(
         plan, store, n_workers=2, execution=ExecutionPolicy(**FAST)
     )
@@ -336,7 +336,7 @@ def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):
 def degraded_store_and_failed():
     """A store with one scenario fully executed except one poisoned cell."""
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    store = RunCache()
+    store = RunStore()
     execution = execute_plan(plan, store, execution=ExecutionPolicy())
     assert execution.complete
     # Knock one cell out after the fact: drop it from memory and journal it.
@@ -378,7 +378,7 @@ def test_degrade_assembly_marks_gaps_and_keeps_survivors():
 
 def test_degrade_assembly_with_whole_policy_missing_yields_gap_markers():
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    store = RunCache()
+    store = RunStore()
     execute_plan(plan, store, execution=ExecutionPolicy())
     # Remove every Libra run in the scenario → NaN gap markers for Libra.
     for config, policy, model in plan:
@@ -420,5 +420,5 @@ def test_gap_renders_explicitly_in_tables():
 
 def test_assemble_rejects_unknown_on_missing():
     with pytest.raises(ValueError, match="on_missing"):
-        assemble_grid(RunCache(), POLICIES, "bid", SMALL, "A", SCENARIOS,
+        assemble_grid(RunStore(), POLICIES, "bid", SMALL, "A", SCENARIOS,
                       on_missing="ignore")

@@ -6,12 +6,12 @@ import pytest
 from repro.core.objectives import Objective
 from repro.experiments.runner import (
     GridAnalysis,
-    RunCache,
     build_workload,
     run_grid,
     run_scenario,
     run_single,
 )
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 
 SMALL = ExperimentConfig(n_jobs=40, total_procs=32)
@@ -77,7 +77,7 @@ def test_run_single_returns_objectives():
 
 
 def test_run_single_cache_hits():
-    cache = RunCache()
+    cache = RunStore()
     a = run_single(SMALL, "FCFS-BF", "bid", cache)
     b = run_single(SMALL, "FCFS-BF", "bid", cache)
     assert a == b
@@ -87,7 +87,7 @@ def test_run_single_cache_hits():
 
 
 def test_cache_distinguishes_policy_and_model():
-    cache = RunCache()
+    cache = RunStore()
     run_single(SMALL, "FCFS-BF", "bid", cache)
     run_single(SMALL, "FCFS-BF", "commodity", cache)
     run_single(SMALL, "EDF-BF", "bid", cache)
@@ -120,7 +120,7 @@ def test_run_grid_and_plots():
 
 def test_grid_cache_reuses_default_config():
     scenarios = [scenario_by_name("job mix"), scenario_by_name("workload")]
-    cache = RunCache()
+    cache = RunStore()
     run_grid(["FCFS-BF"], "bid", SMALL, "A", scenarios, cache)
     # Default config (job mix=20, workload=0.25) appears in both scenarios.
     assert cache.hits >= 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.objectives import OBJECTIVES, Objective
-from repro.experiments.runner import RunCache
+from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.experiments.sensitivity import TornadoBar, format_tornado, tornado_analysis
 
@@ -13,7 +13,7 @@ SCEN = [scenario_by_name("workload"), scenario_by_name("job mix")]
 
 @pytest.fixture(scope="module")
 def tornado():
-    return tornado_analysis("FCFS-BF", "bid", SMALL, SCEN, RunCache())
+    return tornado_analysis("FCFS-BF", "bid", SMALL, SCEN, RunStore())
 
 
 def test_all_objectives_analysed(tornado):
