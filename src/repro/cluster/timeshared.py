@@ -21,7 +21,10 @@ progresses gang-style at the minimum of its per-node rates.  Progress is
 integrated between events.  In static mode rates only change at admissions
 and completions, so the piecewise integration is exact; in dynamic mode the
 required rates drift between events and the integration is a
-piecewise-constant approximation refreshed at every event.
+piecewise-constant approximation refreshed at every event.  Progress is
+only integrated when the clock has moved, so the required rates and node
+loads an arrival's admission query derives are kept for the instant and
+reused by the admission that follows.
 
 Only the earliest completion sits in the event list: one
 ``Priority.COMPLETION`` timer per cluster, at the smallest ``(eta, tick)``
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -73,6 +76,11 @@ class TSJobState:
     #: simulator sequence number drawn when ``eta`` was set; orders
     #: same-instant completions.
     tick: int = -1
+    #: the job's absolute deadline, read once at admission.
+    absolute_deadline: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.absolute_deadline = self.job.absolute_deadline
 
     @property
     def past_estimate(self) -> bool:
@@ -84,7 +92,7 @@ class TSJobState:
         """Average rate needed from ``now`` to still meet the deadline,
         based on the *estimated* remaining work."""
         est_remaining = max(self.job.estimate - self.consumed, 0.0)
-        window = self.job.absolute_deadline - now
+        window = self.absolute_deadline - now
         if window <= 0.0:
             return 1.0
         return min(est_remaining / window, 1.0)
@@ -121,6 +129,16 @@ class TimeSharedCluster:
         self._bonus: list[float] = [math.inf] * self.total_procs
         #: nodes whose share total exceeds 1.
         self._over: set[int] = set()
+        #: what one instant's admissions share, derived on first use and
+        #: dropped when progress is next integrated.  Dynamic mode: every
+        #: job's required rate (``None`` until derived), and per node the
+        #: plain sum of its jobs' required rates in ``node_jobs`` order
+        #: (0.0 on an empty node, ``None`` until derived again after a
+        #: membership change).  Both modes: the jobs past their estimate,
+        #: for the risk filter.
+        self._rates: Optional[dict[int, float]] = None
+        self._raw: list[Optional[float]] = [0.0] * self.total_procs
+        self._risky: Optional[set[int]] = None
         #: the completion timer, armed at the smallest (eta, tick).
         self._timer: Optional[EventHandle] = None
         self._last_update = sim.now
@@ -136,13 +154,12 @@ class TimeSharedCluster:
         if self.mode is ShareMode.STATIC:
             return self.committed[node]
         self._sync_progress()
-        now = self.sim.now
-        return sum(self._states[j].required_rate(now) for j in self.node_jobs[node])
+        return self._raw_loads()[node]
 
     def node_has_risk(self, node: int) -> bool:
-        """Dynamic mode: any job on the node already past its estimate."""
+        """Any job on the node already past its estimate (LibraRiskD's risk)."""
         self._sync_progress()
-        return any(self._states[j].past_estimate for j in self.node_jobs[node])
+        return not self._risky_jobs().isdisjoint(self.node_jobs[node])
 
     def feasible_nodes(
         self, share: float, exclude_risky: bool = False
@@ -150,30 +167,74 @@ class TimeSharedCluster:
         """Nodes able to take an additional ``share``, best-fit first.
 
         Best fit (paper §5.2): nodes with the least processor time left
-        after placing the job are preferred, saturating each node.
+        after placing the job are preferred, saturating each node.  A
+        node's load is its committed share total (static) or the sum of
+        its jobs' required rates (dynamic).
+        """
+        self._sync_progress()
+        loads = self._total if self.mode is ShareMode.STATIC else self._raw_loads()
+        excluded = self._down | self._retired
+        if exclude_risky:
+            states = self._states
+            for jid in self._risky_jobs():
+                excluded.update(states[jid].nodes)
+        limit = 1.0 + SHARE_EPS
+        candidates = [
+            (1.0 - load - share, node)
+            for node, load in enumerate(loads)
+            if load + share <= limit and node not in excluded
+        ]
+        candidates.sort()
+        return [node for _, node in candidates]
+
+    def committed_seconds(self, nodes: Sequence[int], window: float) -> list[float]:
+        """Processor-seconds of each of ``nodes`` committed to current jobs
+        within the next ``window`` seconds (Libra+$'s RESMax − RESFree).
+
+        Each job's share occupies a node only until its own deadline — a
+        reservation expiring early in the window leaves the remainder
+        free for the job being priced.  A job holding several of the
+        nodes is counted once and its seconds reused on each.
         """
         self._sync_progress()
         now = self.sim.now
-        static = self.mode is ShareMode.STATIC
-        if not static:
-            loads = {jid: s.required_rate(now) for jid, s in self._states.items()}
-        risky = (
-            {jid for jid, s in self._states.items() if s.past_estimate}
-            if exclude_risky
-            else frozenset()
-        )
-        candidates = []
-        for node in range(len(self.committed)):
-            if node in self._down or node in self._retired:
-                continue
-            node_set = self.node_jobs[node]
-            if exclude_risky and not risky.isdisjoint(node_set):
-                continue
-            load = self._total[node] if static else sum(loads[j] for j in node_set)
-            if load + share <= 1.0 + SHARE_EPS:
-                candidates.append((1.0 - load - share, node))
-        candidates.sort()
-        return [node for _, node in candidates]
+        states = self._states
+        node_jobs = self.node_jobs
+        held = {}
+        for jid in set().union(*(node_jobs[node] for node in nodes)):
+            state = states[jid]
+            held[jid] = state.share * max(0.0, min(state.absolute_deadline - now, window))
+        return [sum(map(held.__getitem__, node_jobs[node])) for node in nodes]
+
+    def _required_rates(self) -> dict[int, float]:
+        """Every job's required rate at the current instant, derived once
+        per instant and kept up to date by admissions and releases."""
+        rates = self._rates
+        if rates is None:
+            now = self.sim.now
+            rates = self._rates = {
+                jid: s.required_rate(now) for jid, s in self._states.items()
+            }
+        return rates
+
+    def _raw_loads(self) -> list[float]:
+        """Per node, the sum of its jobs' required rates now."""
+        raw = self._raw
+        rates = self._required_rates().__getitem__
+        node_jobs = self.node_jobs
+        for node, load in enumerate(raw):
+            if load is None:
+                raw[node] = sum(map(rates, node_jobs[node]))
+        return raw  # type: ignore[return-value]
+
+    def _risky_jobs(self) -> set[int]:
+        """Jobs past their estimate at the current instant."""
+        risky = self._risky
+        if risky is None:
+            risky = self._risky = {
+                jid for jid, s in self._states.items() if s.past_estimate
+            }
+        return risky
 
     def admit(
         self,
@@ -207,12 +268,21 @@ class TimeSharedCluster:
             start_time=self.sim.now,
             remaining_work=job.runtime,
         )
-        self._states[job.job_id] = state
-        self._share[job.job_id] = state.share
+        jid = job.job_id
+        self._states[jid] = state
+        self._share[jid] = state.share
         state._on_finish = on_finish  # type: ignore[attr-defined]
+        committed = self.committed
+        node_jobs = self.node_jobs
+        raw = self._raw
         for node in nodes:
-            self.committed[node] += share
-            self.node_jobs[node].add(job.job_id)
+            committed[node] += share
+            node_jobs[node].add(jid)
+            raw[node] = None
+        if self._rates is not None:
+            self._rates[jid] = state.required_rate(self.sim.now)
+        if self._risky is not None and state.past_estimate:
+            self._risky.add(jid)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_admitted")
             PERF.observe("cluster.time.committed_share", share)
@@ -221,7 +291,8 @@ class TimeSharedCluster:
 
     # -- execution ---------------------------------------------------------
     def _sync_progress(self) -> None:
-        """Integrate work done since the last rate change."""
+        """Integrate work done since the last rate change.  Once the clock
+        has moved, what was kept for the previous instant is dropped."""
         now = self.sim.now
         dt = now - self._last_update
         if dt <= 0.0:
@@ -229,8 +300,13 @@ class TimeSharedCluster:
         for state in self._states.values():
             done = state.rate * dt
             state.consumed += done
-            state.remaining_work = max(state.remaining_work - done, 0.0)
+            left = state.remaining_work - done
+            state.remaining_work = 0.0 if left < 0.0 else left  # = max(left, 0.0)
         self._last_update = now
+        self._risky = None
+        if self._rates is not None:
+            self._rates = None
+            self._raw = [None if members else 0.0 for members in self.node_jobs]
 
     def _reschedule(self, touched_nodes: Iterable[int]) -> None:
         """Re-rate jobs after the membership of ``touched_nodes`` changed,
@@ -239,39 +315,62 @@ class TimeSharedCluster:
         Static mode re-rates only the jobs on touched nodes: a static
         job's rate depends only on the share totals of its own nodes.
         Dynamic mode re-rates every job, since required rates drift with
-        the clock.  Re-rated jobs draw fresh ticks in admission order, as
-        the per-job completion events they stand for would have.
+        the clock, and so finds the timer's new head on the way.  Re-rated
+        jobs draw fresh ticks in admission order, as the per-job completion
+        events they stand for would have.
+
+        A job's rate is ``min(1, share + min bonus over its nodes)``, and
+        no more than ``share / total`` on an overcommitted node.
+        ``fl(share + b)`` is monotone in ``b``, so adding the smallest
+        bonus gives the same float as the minimum of the per-node sums.
         """
         if PERF.enabled:
             PERF.incr("cluster.time.reschedules")
             PERF.observe("cluster.time.active_jobs", len(self._states))
         states = self._states
         now = self.sim.now
-        if self.mode is ShareMode.STATIC:
+        static = self.mode is ShareMode.STATIC
+        if static:
             self._refresh_nodes(touched_nodes)
             affected: set[int] = set()
             for node in touched_nodes:
                 affected |= self.node_jobs[node]
             rerate = [s for jid, s in states.items() if jid in affected] if affected else []
         else:
-            self._share = {
-                jid: max(s.required_rate(now), MIN_DYNAMIC_SHARE)
-                for jid, s in states.items()
-            }
-            self._refresh_nodes(range(len(self.node_jobs)))
+            self._refresh_dynamic(touched_nodes)
             rerate = list(states.values())
+        head = None
         if rerate:
             share = self._share
+            bonus = self._bonus.__getitem__
+            over = self._over
+            totals = self._total
             tick = self.sim.reserve_seqs(len(rerate))
+            first = math.inf
             for state in rerate:
-                rate = self._gang_rate(share[state.job.job_id], state.nodes)
+                nodes = state.nodes
+                own = share[state.job.job_id]
+                rate = own + min(map(bonus, nodes))
+                if rate > 1.0:
+                    rate = 1.0
+                if over and not over.isdisjoint(nodes):
+                    for node in nodes:
+                        if node in over:
+                            r = own / totals[node]
+                            if r < rate:
+                                rate = r
                 if rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
                     raise RuntimeError(f"job {state.job.job_id} starved (rate 0)")
                 state.rate = rate
-                state.eta = now + state.remaining_work / rate
+                state.eta = eta = now + state.remaining_work / rate
                 state.tick = tick
                 tick += 1
-        self._arm_timer()
+                # Ticks rise through the loop, so the first smallest ETA
+                # is the smallest (eta, tick).
+                if eta < first:
+                    first = eta
+                    head = state
+        self._arm_timer(None if static else head)
 
     def _refresh_nodes(self, nodes: Iterable[int]) -> None:
         """Recompute the share total and residual bonus of ``nodes``."""
@@ -287,40 +386,72 @@ class TimeSharedCluster:
             if total > 1.0 + SHARE_EPS:
                 bonus[node] = math.inf
                 over.add(node)
+            elif members:
+                free = 1.0 - total
+                bonus[node] = (0.0 if free < 0.0 else free) / len(members)
+                over.discard(node)
             else:
-                bonus[node] = max(1.0 - total, 0.0) / len(members) if members else math.inf
+                bonus[node] = math.inf
                 over.discard(node)
 
-    def _gang_rate(self, share: float, nodes: tuple[int, ...]) -> float:
-        """Rate of a job holding ``share`` on each of ``nodes``.
+    def _refresh_dynamic(self, touched_nodes: Iterable[int]) -> None:
+        """Dynamic mode: floor every required rate into a share and refresh
+        every occupied node, and the touched nodes that became empty.
 
-        It is ``min(1, share + min bonus over its nodes)``, and no more
-        than ``share / total`` on an overcommitted node.  ``fl(share + b)``
-        is monotone in ``b``, so adding the smallest bonus gives the same
-        float as the minimum of the per-node sums.
+        A node none of whose jobs is floored has a share total equal to its
+        raw required-rate sum — the same floats added in the same order —
+        so a raw sum still valid at this instant is reused, and a fresh
+        total is kept as the node's raw sum.  A node is summed again only
+        when its raw sum is stale (its membership changed, or the clock
+        moved) or it holds a floored job.
         """
-        rate = share + min(map(self._bonus.__getitem__, nodes))
-        if rate > 1.0:
-            rate = 1.0
+        rates = self._required_rates()
+        share = self._share = {
+            jid: MIN_DYNAMIC_SHARE if r < MIN_DYNAMIC_SHARE else r
+            for jid, r in rates.items()
+        }
+        states = self._states
+        floored = {
+            node
+            for jid, r in rates.items() if r < MIN_DYNAMIC_SHARE
+            for node in states[jid].nodes
+        }
+        raw = self._raw
+        totals = self._total
+        bonus = self._bonus
         over = self._over
-        if over and not over.isdisjoint(nodes):
-            totals = self._total
-            for node in nodes:
-                if node in over:
-                    r = share / totals[node]
-                    if r < rate:
-                        rate = r
-        return rate
+        over.clear()
+        limit = 1.0 + SHARE_EPS
+        shares = share.__getitem__
+        for node, members in enumerate(self.node_jobs):
+            if not members:
+                continue
+            if node in floored:
+                total = sum(map(shares, members))
+            else:
+                total = raw[node]
+                if total is None:
+                    total = raw[node] = sum(map(shares, members))
+            totals[node] = total
+            if total > limit:
+                bonus[node] = math.inf
+                over.add(node)
+            else:
+                free = 1.0 - total
+                bonus[node] = (0.0 if free < 0.0 else free) / len(members)
+        self._refresh_nodes(n for n in touched_nodes if not self.node_jobs[n])
 
-    def _arm_timer(self) -> None:
-        """Point the completion timer at the smallest (eta, tick)."""
+    def _arm_timer(self, head: Optional[TSJobState] = None) -> None:
+        """Point the completion timer at the smallest (eta, tick), which is
+        ``head`` when the caller already knows it."""
         timer = self._timer
         if not self._states:
             if timer is not None:
                 timer.cancel()
                 self._timer = None
             return
-        head = min(self._states.values(), key=_COMPLETION_ORDER)
+        if head is None:
+            head = min(self._states.values(), key=_COMPLETION_ORDER)
         if timer is not None:
             if timer.seq == head.tick:
                 return
@@ -334,11 +465,19 @@ class TimeSharedCluster:
         jid = state.job.job_id
         del self._states[jid]
         del self._share[jid]
+        if self._rates is not None:
+            del self._rates[jid]
+        if self._risky is not None:
+            self._risky.discard(jid)
+        committed = self.committed
+        raw = self._raw
         for node in state.nodes:
-            self.committed[node] -= state.share
-            if abs(self.committed[node]) < SHARE_EPS:
-                self.committed[node] = 0.0
-            self.node_jobs[node].discard(jid)
+            committed[node] -= state.share
+            if abs(committed[node]) < SHARE_EPS:
+                committed[node] = 0.0
+            members = self.node_jobs[node]
+            members.discard(jid)
+            raw[node] = None if members else 0.0
 
     def _complete(self, state: TSJobState) -> None:
         self._sync_progress()
@@ -351,22 +490,6 @@ class TimeSharedCluster:
             PERF.incr("cluster.time.jobs_completed")
         self._reschedule(state.nodes)
         state._on_finish(state.job, self.sim.now)  # type: ignore[attr-defined]
-
-    def committed_seconds_in_window(self, node: int, window: float) -> float:
-        """Processor-seconds of ``node`` committed to current jobs within the
-        next ``window`` seconds (Libra+$'s RESMax − RESFree).
-
-        Each job's share occupies the node only until its own deadline —
-        a reservation expiring early in the window leaves the remainder
-        free for the job being priced.
-        """
-        self._sync_progress()
-        now = self.sim.now
-        return sum(
-            self._states[j].share
-            * max(0.0, min(self._states[j].job.absolute_deadline - now, window))
-            for j in self.node_jobs[node]
-        )
 
     # -- fault injection -----------------------------------------------------
     def enable_node_tracking(self) -> None:
@@ -429,6 +552,7 @@ class TimeSharedCluster:
         self.node_jobs.append(set())
         self._total.append(0.0)
         self._bonus.append(math.inf)
+        self._raw.append(0.0)
         self.total_procs += 1
         if PERF.enabled:
             PERF.incr("cluster.time.nodes_commissioned")

@@ -22,9 +22,7 @@ class LibraDollar(Libra):
     name = "Libra+$"
 
     def quote(self, job: Job, nodes: list[int]) -> float:
-        committed = [
-            self.cluster.committed_seconds_in_window(n, job.deadline) for n in nodes
-        ]
+        committed = self.cluster.committed_seconds(nodes, job.deadline)
         return libra_dollar_cost(job, committed, self.pricing)
 
     def expected_cost(self, job: Job) -> float:  # pragma: no cover - quote()

@@ -6,6 +6,10 @@ must reproduce the M/M/1 formulas.  These tests drive exactly that system
 through the *full* service stack (provider, policy, SLA records) and check
 the analytic answers — strong end-to-end evidence that waiting, service,
 and utilisation arithmetic are right.
+
+The time-shared cluster is checked the same way: one node shared by jobs
+with unreachable deadlines is an M/G/1 processor-sharing queue, whose
+mean sojourn time is E[S]/(1−ρ) whatever the service distribution.
 """
 
 import numpy as np
@@ -13,6 +17,7 @@ import pytest
 
 from repro.core.car import response_times
 from repro.economy.models import make_model
+from repro.policies import make_policy
 from repro.policies.fcfs import FCFSPlain
 from repro.service.provider import CommercialComputingService
 from repro.workload.job import Job
@@ -84,3 +89,45 @@ def test_md1_waits_half_of_mm1():
     rho = lam / mu
     expected_wq = rho / (2 * mu * (1 - rho))  # P-K for M/D/1: 0.5
     assert waits.mean() == pytest.approx(expected_wq, rel=0.10)
+
+
+def service_times(distribution, rng, n):
+    """Service times with mean 1 s."""
+    if distribution == "exponential":
+        return rng.exponential(1.0, size=n)
+    if distribution == "deterministic":
+        return np.ones(n)
+    return np.where(rng.random(n) < 0.8, 0.5, 3.0)  # bimodal
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("distribution", ["exponential", "deterministic", "bimodal"])
+def test_mg1_ps_mean_sojourn_is_insensitive(distribution):
+    """M/G/1-PS on one time-shared node, under both share disciplines.
+
+    With deadline 1e12 s every job's share ``estimate / deadline`` is
+    negligible, so each of the k jobs present runs at rate 1/k: Libra's
+    static shares leave the whole node as an equal bonus, and LibraRiskD's
+    required rates all sit on the ``MIN_DYNAMIC_SHARE`` floor.
+    """
+    lam, n = 0.5, 20_000
+    rng = np.random.default_rng(0)
+    submits = np.cumsum(rng.exponential(1.0 / lam, size=n))
+    services = np.maximum(service_times(distribution, rng, n), 1e-9)
+    means = {}
+    for policy in ("Libra", "LibraRiskD"):
+        jobs = [
+            Job(job_id=i + 1, submit_time=float(submits[i]), runtime=float(services[i]),
+                estimate=float(services[i]), procs=1, deadline=1e12, budget=1e12)
+            for i in range(n)
+        ]
+        service = CommercialComputingService(
+            make_policy(policy), make_model("bid"), total_procs=1
+        )
+        result = service.run(jobs)
+        times = response_times(result.outcomes)
+        assert len(times) == n  # every job admitted and finished
+        means[policy] = times[2000:].mean()
+    # E[T] = E[S] / (1 - rho) = 2.0 for any service distribution.
+    assert means["Libra"] == pytest.approx(1.0 / (1.0 - lam), rel=0.08)
+    assert means["LibraRiskD"] == pytest.approx(means["Libra"], rel=1e-9)

@@ -1,27 +1,42 @@
-"""Property tests of the time-shared cluster against its reference rate rule.
+"""Property tests of the time-shared cluster against its reference rules.
 
 Random sequences of admissions (including over-committing ones no policy
 would make), completions, timer firings, clock advances, node failures,
-repairs, commissions and decommissions are driven in both share modes.
+repairs, commissions and decommissions are driven in both share modes,
+together with admission queries (``feasible_nodes``, with and without the
+risk filter), Libra+$ quotes (``committed_seconds``) and bursts of
+query-then-admit pairs at one instant — the path on which the cluster
+reuses the required rates and node loads it derived for the instant.
+
 After every operation the completion timer must sit at the smallest
-``(eta, tick)`` over the running jobs, and after every operation that
-re-rates jobs each stored rate must equal
-:func:`timeshared_reference.reference_rates` bit for bit.
+``(eta, tick)`` over the running jobs, every occupied node's share total
+must equal a fresh sum in ``node_jobs`` order, and whatever the cluster
+keeps for the current instant must equal a fresh derivation.  After every
+operation that re-rates jobs each stored rate must equal
+:func:`timeshared_reference.reference_rates` bit for bit; queries and
+quotes must equal their references exactly.
 """
 
 from __future__ import annotations
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from timeshared_reference import reference_rates
+from timeshared_reference import (
+    reference_committed_seconds,
+    reference_feasible_nodes,
+    reference_rates,
+    reference_required_rate,
+    reference_shares,
+)
 
-from repro.cluster.timeshared import ShareMode, TimeSharedCluster
+from repro.cluster.timeshared import SHARE_EPS, ShareMode, TimeSharedCluster
 from repro.sim import Simulator
 from repro.workload.job import Job
 
 #: admissions are drawn three times as often so that nodes fill up.
 OPS = ("admit", "admit", "admit", "complete", "step", "advance",
-       "fail", "repair", "commission", "decommission")
+       "fail", "repair", "commission", "decommission",
+       "feasible", "quote", "burst")
 
 
 def check_timer(cluster: TimeSharedCluster, sim: Simulator) -> None:
@@ -44,6 +59,53 @@ def check_rates(cluster: TimeSharedCluster) -> None:
     got = {jid: s.rate.hex() for jid, s in cluster._states.items()}
     want = {jid: r.hex() for jid, r in reference_rates(cluster).items()}
     assert got == want
+    shares = reference_shares(cluster, cluster.sim.now)
+    assert {j: v.hex() for j, v in cluster._share.items()} == \
+        {j: v.hex() for j, v in shares.items()}
+
+
+def check_totals(cluster: TimeSharedCluster) -> None:
+    """Occupied nodes: totals and the overcommitted set match the shares.
+    Empty nodes: total 0, no bonus, not overcommitted."""
+    share = cluster._share
+    for node, members in enumerate(cluster.node_jobs):
+        total = cluster._total[node]
+        if not members:
+            assert total == 0.0 and cluster._bonus[node] == float("inf")
+            assert node not in cluster._over
+            continue
+        assert total.hex() == float(sum(share[j] for j in members)).hex()
+        assert (node in cluster._over) == (total > 1.0 + SHARE_EPS)
+
+
+def check_instant_caches(cluster: TimeSharedCluster) -> None:
+    """What the cluster keeps for the instant of its last progress update
+    equals a fresh derivation at that instant."""
+    now = cluster._last_update
+    states = cluster._states
+    rates = cluster._rates
+    if rates is not None:
+        assert cluster.mode is ShareMode.DYNAMIC
+        assert {j: r.hex() for j, r in rates.items()} == {
+            j: reference_required_rate(s, now).hex() for j, s in states.items()
+        }
+    for node, members in enumerate(cluster.node_jobs):
+        raw = cluster._raw[node]
+        if not members:
+            assert raw == 0.0
+        elif raw is not None:
+            assert rates is not None, "a node load outlived the instant's rates"
+            fresh = sum(reference_required_rate(states[j], now) for j in members)
+            assert raw.hex() == float(fresh).hex()
+    if cluster._risky is not None:
+        assert cluster._risky == {j for j, s in states.items() if s.past_estimate}
+
+
+def check_feasible(cluster: TimeSharedCluster, share: float,
+                   exclude_risky: bool) -> list[int]:
+    got = cluster.feasible_nodes(share, exclude_risky=exclude_risky)
+    assert got == reference_feasible_nodes(cluster, share, exclude_risky)
+    return got
 
 
 def up_nodes(cluster: TimeSharedCluster) -> list[int]:
@@ -58,6 +120,20 @@ def test_rates_and_timer_match_reference(mode, data):
     cluster = TimeSharedCluster(sim, total_procs=5, mode=mode)
     finished: list[int] = []
     next_id = 1
+
+    def draw_job(procs: int) -> Job:
+        nonlocal next_id
+        runtime = data.draw(st.floats(1.0, 1_000.0), label="runtime")
+        estimate = runtime * data.draw(st.floats(0.3, 2.0), label="accuracy")
+        deadline = estimate * data.draw(st.floats(1.0, 6.0), label="slack")
+        job = Job(job_id=next_id, submit_time=sim.now, runtime=runtime,
+                  estimate=estimate, procs=procs, deadline=deadline)
+        next_id += 1
+        return job
+
+    def on_finish(job: Job, _time: float) -> None:
+        finished.append(job.job_id)
+
     for _ in range(data.draw(st.integers(1, 40), label="n_ops")):
         op = data.draw(st.sampled_from(OPS), label="op")
         rerated = True
@@ -69,14 +145,36 @@ def test_rates_and_timer_match_reference(mode, data):
                 st.lists(st.sampled_from(nodes), min_size=1, max_size=3, unique=True),
                 label="nodes",
             )
-            runtime = data.draw(st.floats(1.0, 1_000.0), label="runtime")
-            estimate = runtime * data.draw(st.floats(0.3, 2.0), label="accuracy")
-            deadline = estimate * data.draw(st.floats(1.0, 6.0), label="slack")
+            job = draw_job(len(placed))
             share = data.draw(st.floats(0.05, 1.0), label="share")
-            job = Job(job_id=next_id, submit_time=sim.now, runtime=runtime,
-                      estimate=estimate, procs=len(placed), deadline=deadline)
-            next_id += 1
-            cluster.admit(job, share, placed, lambda j, t: finished.append(j.job_id))
+            cluster.admit(job, share, placed, on_finish)
+        elif op == "feasible":
+            share = data.draw(st.floats(0.01, 1.0), label="share")
+            check_feasible(cluster, share, data.draw(st.booleans(), label="risky"))
+            # A query integrates progress but re-rates nothing.
+            rerated = mode is ShareMode.STATIC
+        elif op == "quote":
+            nodes = data.draw(
+                st.lists(st.sampled_from(range(len(cluster.node_jobs))),
+                         min_size=1, max_size=3, unique=True),
+                label="nodes",
+            )
+            window = data.draw(st.floats(1.0, 5_000.0), label="window")
+            got = cluster.committed_seconds(nodes, window)
+            want = [reference_committed_seconds(cluster, n, window) for n in nodes]
+            assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+            rerated = mode is ShareMode.STATIC
+        elif op == "burst":
+            # Policy-style admissions at one instant: every query after the
+            # first reuses what the cluster derived for the instant.
+            exclude_risky = data.draw(st.booleans(), label="risky")
+            for _ in range(data.draw(st.integers(2, 4), label="burst")):
+                share = data.draw(st.floats(0.01, 0.6), label="share")
+                fits = check_feasible(cluster, share, exclude_risky)
+                procs = data.draw(st.integers(1, 3), label="procs")
+                if len(fits) >= procs:
+                    cluster.admit(draw_job(procs), share, fits[:procs], on_finish)
+                check_instant_caches(cluster)
         elif op == "complete":
             running = cluster.active_jobs()
             if not running:
@@ -110,6 +208,8 @@ def test_rates_and_timer_match_reference(mode, data):
                 continue
             cluster.decommission_node(data.draw(st.sampled_from(nodes), label="node"))
         check_timer(cluster, sim)
+        check_totals(cluster)
+        check_instant_caches(cluster)
         if rerated:
             check_rates(cluster)
     sim.run()

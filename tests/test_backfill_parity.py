@@ -10,14 +10,19 @@ under- and over-run their requests.  Three variants add a time-of-day
 tariff, kill-at-estimate and the admission-control ablation.
 
 A change to the dispatcher that starts, rejects or fails a different job,
-or any job at a different instant, changes a digest.  To re-pin after an
+or any job at a different instant, changes a digest.  Each table has a
+twin for the compensated ``sum()`` of CPython 3.12 and later (see
+:mod:`sum_emulation`); the native semantics are checked against their
+table and the other ones under the emulation.  To re-pin after an
 intended behaviour change, run ``python tests/test_backfill_parity.py``
-and paste its output.
+and ``python tests/test_backfill_parity.py --compensated`` and paste
+their output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import sys
 
 import pytest
 
@@ -27,6 +32,7 @@ from repro.experiments.runner import build_workload
 from repro.experiments.scenarios import ExperimentConfig
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
+from sum_emulation import EMULATED_COMPENSATED, NATIVE_COMPENSATED, builtin_sum
 
 POLICIES = ("FCFS-BF", "SJF-BF", "EDF-BF", "FCFS", "Cons-BF")
 MODELS = ("bid", "commodity")
@@ -103,6 +109,58 @@ EXPECTED_VARIANTS = {
         'b6b01404f6140e5575cb3dc915866114551a1b937c4b9886f7c531108cc63985',
 }
 
+EXPECTED_COMPENSATED = {
+    ('FCFS-BF', 'bid', 'none'):
+        '8cb8ce3857656b910729a81879c57e240f6236564b5c23e847d8c181b36d3df1',
+    ('FCFS-BF', 'bid', 'correlated'):
+        '323a2d8c94c68bfc0781210ebd7738ce4ae3e40416d5e198fa55f920b70534ac',
+    ('FCFS-BF', 'commodity', 'none'):
+        '301dc1aac4123fe8f298276f724fc8a31b536e901d8126c248e014af1248d116',
+    ('FCFS-BF', 'commodity', 'correlated'):
+        '50dcba8fe1259932c4c5ce36fe6d96e239f46e85f6b03c598029fcd5b9e592d9',
+    ('SJF-BF', 'bid', 'none'):
+        '4c7ea0753f6332fcc897a1e715b5974541efe1cdadaa106e3d678662546ffddb',
+    ('SJF-BF', 'bid', 'correlated'):
+        '406e95f095c82acedf1b6d31ea80b18973989e435f8cc7fc46dd90106537ee0c',
+    ('SJF-BF', 'commodity', 'none'):
+        '67a4e33a762b5aab7acdb0e789199fbfcba4418d9d4ea18b07edd22e40cfe556',
+    ('SJF-BF', 'commodity', 'correlated'):
+        'e5867fceadc5bd48d1b5b0c41db7ab8090794b9f4bf52e527e8a67abfb62df82',
+    ('EDF-BF', 'bid', 'none'):
+        '2b33af6652200ff35d1d7a20ef6210e0fcfafabbf8d98c7b6072d9ff8d067ded',
+    ('EDF-BF', 'bid', 'correlated'):
+        '38c7824308f7f3e3181884b873ed0730b84a96dddf748f3a11f4221de11d32bd',
+    ('EDF-BF', 'commodity', 'none'):
+        '2098636fe94c75c43d3d2d21a9b8cd8663830834f07cf20009c3cf85f4577f90',
+    ('EDF-BF', 'commodity', 'correlated'):
+        '91a3ea12c672907ccae702d136815b1c0f8d5966cf9a2a27c9b2cbb0b07f2ae0',
+    ('FCFS', 'bid', 'none'):
+        '12a9a708c0d39e3d404dc9ead89bdf6d9f545d79e6c81bd06373fa3d5488b9f6',
+    ('FCFS', 'bid', 'correlated'):
+        '15283a8cf53f491511514821aa8a792f295ae4bd1a30ee61b52b14fe9b426793',
+    ('FCFS', 'commodity', 'none'):
+        'f7f108e59d03c51ec3f4085f3e14e7cfac2b25858bb4b10b2643e3deec382957',
+    ('FCFS', 'commodity', 'correlated'):
+        '3eced62fd429d4578ad65cc0b4399df716492bc8efa89feeff1cfae4a6e95139',
+    ('Cons-BF', 'bid', 'none'):
+        '1831cb83f35f6f66ea60a0b31fbc5bc779b54d454516f2b19d9f071e1c8427cb',
+    ('Cons-BF', 'bid', 'correlated'):
+        '178dad8ae552cf5473755261023de42887291106703fd9d95560cb0efdab1270',
+    ('Cons-BF', 'commodity', 'none'):
+        '9f28d165825783784ba0e129b842f0dc49ded1f78152e77aae2ddb659353dcb8',
+    ('Cons-BF', 'commodity', 'correlated'):
+        'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
+}
+
+EXPECTED_VARIANTS_COMPENSATED = {
+    ('SJF-BF', 'commodity', 'tariff'):
+        'c9d8f3ba64db839cff47198928de5fb447514f0c37e5bf6196341516fd1f9666',
+    ('EDF-BF', 'bid', 'kill-at-estimate'):
+        'cbfdac52b467eb7cc7ab89ed9fc2857ecd12ddc858bb16c5d08c080037abd411',
+    ('FCFS-BF', 'commodity', 'no-admission-control'):
+        '871e4628c0a4cce52927d4d68f91f52fd9157e812a2f7fa5a8e94403c7e1932a',
+}
+
 
 def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
@@ -142,24 +200,54 @@ VARIANT_CASES = [
 CASES = [(p, m, r) for p in POLICIES for m in MODELS for r in REGIMES]
 
 
+def tables(compensated: bool) -> tuple[dict, dict]:
+    """The case and variant pins of one ``sum()`` semantics."""
+    if compensated:
+        return EXPECTED_COMPENSATED, EXPECTED_VARIANTS_COMPENSATED
+    return EXPECTED, EXPECTED_VARIANTS
+
+
+NATIVE_CASES, NATIVE_VARIANTS = tables(NATIVE_COMPENSATED)
+EMULATED_CASES, EMULATED_VARIANTS = tables(EMULATED_COMPENSATED)
+
+
+def variant_digest(policy: str, model: str, variant: str) -> str:
+    return run_digest(policy, model, **VARIANTS[variant]())
+
+
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_backfill_results_are_pinned(policy, model, regime):
-    assert run_digest(policy, model, regime) == EXPECTED[(policy, model, regime)]
+    assert run_digest(policy, model, regime) == NATIVE_CASES[(policy, model, regime)]
 
 
 @pytest.mark.parametrize("policy,model,variant", VARIANT_CASES)
 def test_backfill_variants_are_pinned(policy, model, variant):
-    digest = run_digest(policy, model, **VARIANTS[variant]())
-    assert digest == EXPECTED_VARIANTS[(policy, model, variant)]
+    assert variant_digest(policy, model, variant) == NATIVE_VARIANTS[(policy, model, variant)]
+
+
+@pytest.mark.parametrize("policy,model,regime", CASES)
+def test_backfill_results_are_pinned_under_emulated_sum(policy, model, regime):
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = run_digest(policy, model, regime)
+    assert digest == EMULATED_CASES[(policy, model, regime)]
+
+
+@pytest.mark.parametrize("policy,model,variant", VARIANT_CASES)
+def test_backfill_variants_are_pinned_under_emulated_sum(policy, model, variant):
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = variant_digest(policy, model, variant)
+    assert digest == EMULATED_VARIANTS[(policy, model, variant)]
 
 
 if __name__ == "__main__":
-    print("EXPECTED = {")
-    for case in CASES:
-        print(f"    {case!r}:\n        {run_digest(*case)!r},")
-    print("}")
-    print("\nEXPECTED_VARIANTS = {")
-    for policy, model, variant in VARIANT_CASES:
-        digest = run_digest(policy, model, **VARIANTS[variant]())
-        print(f"    {(policy, model, variant)!r}:\n        {digest!r},")
-    print("}")
+    compensated = "--compensated" in sys.argv[1:]
+    suffix = "_COMPENSATED" if compensated else ""
+    with builtin_sum(compensated):
+        print(f"EXPECTED{suffix} = {{")
+        for case in CASES:
+            print(f"    {case!r}:\n        {run_digest(*case)!r},")
+        print("}")
+        print(f"\nEXPECTED_VARIANTS{suffix} = {{")
+        for case in VARIANT_CASES:
+            print(f"    {case!r}:\n        {variant_digest(*case)!r},")
+        print("}")

@@ -155,6 +155,34 @@ def test_dynamic_load_shrinks_as_job_progresses():
     assert cluster.node_share_load(0) == pytest.approx(50.0 / 150.0, rel=1e-6)
 
 
+def test_committed_seconds_counts_each_share_until_its_deadline():
+    sim = Simulator()
+    cluster = TimeSharedCluster(sim, total_procs=3)
+    # Job 1 holds 0.5 on nodes 0 and 1 until t=400; job 2 holds 0.25 on
+    # node 1 until t=100, so it occupies only part of a 300 s window.
+    cluster.admit(make_job(1, runtime=200.0, procs=2, deadline=400.0),
+                  0.5, [0, 1], lambda j, t: None)
+    cluster.admit(make_job(2, runtime=25.0, deadline=100.0), 0.25, [1], lambda j, t: None)
+    assert cluster.committed_seconds([0, 1, 2], 300.0) == [150.0, 175.0, 0.0]
+    assert cluster.committed_seconds([1], 50.0) == [37.5]
+
+
+def test_dynamic_load_and_risk_are_rederived_after_the_clock_moves():
+    sim = Simulator()
+    cluster = TimeSharedCluster(sim, total_procs=1, mode=ShareMode.DYNAMIC)
+    cluster.admit(make_job(1, runtime=100.0, estimate=50.0, deadline=200.0),
+                  0.25, [0], lambda j, t: None)
+    assert cluster.node_share_load(0) == 0.25
+    assert not cluster.node_has_risk(0)
+    # A second admission at the same instant adds to the kept load.
+    cluster.admit(make_job(2, runtime=10.0, deadline=100.0), 0.1, [0], lambda j, t: None)
+    assert cluster.node_share_load(0) == 0.25 + 0.1
+    sim.run(until=80.0)
+    # Job 2 has finished, and job 1 has run past its 50 s estimate.
+    assert cluster.node_share_load(0) == 0.0
+    assert cluster.node_has_risk(0)
+
+
 def test_utilization_tracks_commitments():
     sim = Simulator()
     cluster = TimeSharedCluster(sim, total_procs=4)

@@ -5,17 +5,26 @@ and every SLA's status, start, finish and utility, written as exact
 ``float.hex`` strings.  Libra, Libra+$ and LibraRiskD are pinned under
 both economic models in three fault regimes — none, scripted rack
 outages, and stochastic node failures with rack outages and cascades —
-plus one marketplace whose time-shared providers share a simulator.
+plus one marketplace whose time-shared providers share a simulator, and
+a burst workload whose arrivals are snapped to the half hour, so that up
+to nine jobs are placed and admitted at one instant.
 
 A change to the cluster's rate or completion arithmetic that moves any
 float by one ulp, or reorders two same-instant completions, changes a
-digest.  To re-pin after an intended behaviour change, run
-``python tests/test_timeshared_parity.py`` and paste its output.
+digest.  Each table has a twin for the compensated ``sum()`` of CPython
+3.12 and later (see :mod:`sum_emulation`); the native semantics are
+checked against their table and the other ones under the emulation.  To
+re-pin after an intended behaviour change, run
+``python tests/test_timeshared_parity.py`` and
+``python tests/test_timeshared_parity.py --compensated`` and paste their
+output.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
+import sys
 
 import pytest
 
@@ -26,6 +35,7 @@ from repro.market.marketplace import Marketplace, ProviderSpec
 from repro.market.stream import market_job_stream
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
+from sum_emulation import EMULATED_COMPENSATED, NATIVE_COMPENSATED, builtin_sum
 
 POLICIES = ("Libra", "Libra+$", "LibraRiskD")
 MODELS = ("bid", "commodity")
@@ -94,6 +104,80 @@ EXPECTED = {
 
 EXPECTED_MARKET = 'f97b715ea299b34366591c56b8162c5b8fb78ced9ed43cf7a745159dee90c698'
 
+EXPECTED_BURST = {
+    ('Libra', 'bid'):
+        'fa6c67a27fa07858b368dd8ff1c1c3b2f24ae412339cb3b685fbca6bf41de203',
+    ('Libra', 'commodity'):
+        '8ed03989d03f3b87977fc216b18657330fe865cc4b169a5008d3f14619410337',
+    ('Libra+$', 'bid'):
+        'fa6c67a27fa07858b368dd8ff1c1c3b2f24ae412339cb3b685fbca6bf41de203',
+    ('Libra+$', 'commodity'):
+        '5ade9665c72a8fd043bb6f1f04f73abd66cecc3e0b3144e7d0427309d9b05926',
+    ('LibraRiskD', 'bid'):
+        '80d6c33f484b20bea635971160bd4ba8d8d47b2d14d1dac3c58546216dfef00e',
+    ('LibraRiskD', 'commodity'):
+        '38c75a78b7e4fa6e18b9202969225df183a289d53f959521f595d491517352dd',
+}
+
+EXPECTED_COMPENSATED = {
+    ('Libra', 'bid', 'none'):
+        '2c0976d4e2ce5d8e36a9fab1359f5edca7708aae34a1b32ad379529f049023d4',
+    ('Libra', 'bid', 'rack-outages'):
+        '6c811f9b9e9b33fbe8805385e874f50651ab41851657ae69e65d819019aa7a83',
+    ('Libra', 'bid', 'mtbf-cascade'):
+        '33aecaab69774d44e9e935be8534bdddbb7a589aca2b431284f2e18358b93ee7',
+    ('Libra', 'commodity', 'none'):
+        'fda41a12a79732df3bdb271a48595218a7c96cd0195435d16bd4561a4d5b6aa2',
+    ('Libra', 'commodity', 'rack-outages'):
+        'b1a6eb8d176da481416e9508b2eeb5ba3ab1bf71239fe61e00dc54f95c560df5',
+    ('Libra', 'commodity', 'mtbf-cascade'):
+        '201c1261abd3e3c60ba12d020ee961d906a322b538b41ea1a5a637df8e0e3011',
+    ('Libra+$', 'bid', 'none'):
+        '2c0976d4e2ce5d8e36a9fab1359f5edca7708aae34a1b32ad379529f049023d4',
+    ('Libra+$', 'bid', 'rack-outages'):
+        '6c811f9b9e9b33fbe8805385e874f50651ab41851657ae69e65d819019aa7a83',
+    ('Libra+$', 'bid', 'mtbf-cascade'):
+        '33aecaab69774d44e9e935be8534bdddbb7a589aca2b431284f2e18358b93ee7',
+    ('Libra+$', 'commodity', 'none'):
+        'e117ca30ceb2e509c16dd2b964f745b6984d1ae7dbefd7d342c0dbb0352a38bc',
+    ('Libra+$', 'commodity', 'rack-outages'):
+        '4c52da93224d0ec01adb85e238ccda5328d7f980468d74b3730d9004eac7dd02',
+    ('Libra+$', 'commodity', 'mtbf-cascade'):
+        'a93062f3c2365c2ebf49ef48ac327f5326da5a68e4eb19dfb463ce089f37ee8c',
+    ('LibraRiskD', 'bid', 'none'):
+        'a203e5c19da67651adff87343396cbd9228e79d40d913ad51854725435ceaa29',
+    ('LibraRiskD', 'bid', 'rack-outages'):
+        '4f9b121e43edaaa564f0841ea3b82b0dd0320713e00dec94a066903cda502c9a',
+    ('LibraRiskD', 'bid', 'mtbf-cascade'):
+        '265a8608daead0111411f1a3f4cb16942715e3b5e3992e484720d5e0b78375c3',
+    ('LibraRiskD', 'commodity', 'none'):
+        '06aaf4818b53b5f0e6a83415ea582dbd78994fe5cecb009ab145018cafd0f503',
+    ('LibraRiskD', 'commodity', 'rack-outages'):
+        '01c345a090865ede03f88f5f058c510433822bad0fe1b85e0843d652aad498dd',
+    ('LibraRiskD', 'commodity', 'mtbf-cascade'):
+        '99fb24c5da9dc872fb31f99a169a517cf1d1384484647944cdcbc0ab34fce6fc',
+}
+
+EXPECTED_MARKET_COMPENSATED = '5d5c2e9a06a1b285c2bae418ce282be41acc33758379cf72179367c27d319905'
+
+EXPECTED_BURST_COMPENSATED = {
+    ('Libra', 'bid'):
+        'aa1668e4ccea07757e272ffde5ea1dee2c266756d71cf5ebdd312f6320237b92',
+    ('Libra', 'commodity'):
+        '3f211e33ac4da335f1a9f9cc999de9827399383625d4cef51ab526c950b4f976',
+    ('Libra+$', 'bid'):
+        'aa1668e4ccea07757e272ffde5ea1dee2c266756d71cf5ebdd312f6320237b92',
+    ('Libra+$', 'commodity'):
+        '9baaf4fdfc38fb38ddf2b5a804b9203b342d7de61b531548e43cd2eaeed4c926',
+    ('LibraRiskD', 'bid'):
+        'ae45357e634f567bf0002f1d2f5365d5e9381dccb82f86862084a27193203cbd',
+    ('LibraRiskD', 'commodity'):
+        '82de741774d9bf4a170c2bfd8538ad033a8d859d3c67b934ea15fca489bff069',
+}
+
+#: arrivals of the burst workload are snapped down to this grid.
+BURST_SECONDS = 1_800.0
+
 
 def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
@@ -113,6 +197,14 @@ def _record_lines(records):
                f"{_hex(rec.finish_time)} {_hex(rec.utility)}")
 
 
+def _result_digest(result) -> str:
+    objectives = result.objectives()
+    head = " ".join(_hex(v) for v in (objectives.wait, objectives.sla,
+                                      objectives.reliability,
+                                      objectives.profitability))
+    return _digest([head, *_record_lines(result.records)])
+
+
 def case_digest(policy: str, model: str, regime: str) -> str:
     config = ExperimentConfig(n_jobs=80, total_procs=64, seed=11)
     if REGIMES[regime]:
@@ -123,12 +215,19 @@ def case_digest(policy: str, model: str, regime: str) -> str:
         fault_config=config.faults if config.faults.enabled else None,
         fault_seed=config.seed,
     )
-    result = service.run(build_workload(config))
-    objectives = result.objectives()
-    head = " ".join(_hex(v) for v in (objectives.wait, objectives.sla,
-                                      objectives.reliability,
-                                      objectives.profitability))
-    return _digest([head, *_record_lines(result.records)])
+    return _result_digest(service.run(build_workload(config)))
+
+
+def burst_digest(policy: str, model: str) -> str:
+    config = ExperimentConfig(n_jobs=120, total_procs=64, seed=11,
+                              inaccuracy_pct=100.0)
+    jobs = build_workload(config)
+    for job in jobs:
+        job.submit_time = math.floor(job.submit_time / BURST_SECONDS) * BURST_SECONDS
+    service = CommercialComputingService(
+        make_policy(policy), make_model(model), total_procs=config.total_procs,
+    )
+    return _result_digest(service.run(jobs))
 
 
 def market_digest() -> str:
@@ -149,20 +248,64 @@ def market_digest() -> str:
 
 
 CASES = [(p, m, r) for p in POLICIES for m in MODELS for r in REGIMES]
+BURST_CASES = [(p, m) for p in POLICIES for m in MODELS]
+
+
+def tables(compensated: bool) -> tuple[dict, str, dict]:
+    """The case, market and burst pins of one ``sum()`` semantics."""
+    if compensated:
+        return EXPECTED_COMPENSATED, EXPECTED_MARKET_COMPENSATED, EXPECTED_BURST_COMPENSATED
+    return EXPECTED, EXPECTED_MARKET, EXPECTED_BURST
+
+
+NATIVE_CASES, NATIVE_MARKET, NATIVE_BURST = tables(NATIVE_COMPENSATED)
+EMULATED_CASES, EMULATED_MARKET, EMULATED_BURST = tables(EMULATED_COMPENSATED)
 
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_timeshared_results_are_pinned(policy, model, regime):
-    assert case_digest(policy, model, regime) == EXPECTED[(policy, model, regime)]
+    assert case_digest(policy, model, regime) == NATIVE_CASES[(policy, model, regime)]
 
 
 def test_timeshared_market_results_are_pinned():
-    assert market_digest() == EXPECTED_MARKET
+    assert market_digest() == NATIVE_MARKET
+
+
+@pytest.mark.parametrize("policy,model", BURST_CASES)
+def test_timeshared_burst_results_are_pinned(policy, model):
+    assert burst_digest(policy, model) == NATIVE_BURST[(policy, model)]
+
+
+@pytest.mark.parametrize("policy,model,regime", CASES)
+def test_timeshared_results_are_pinned_under_emulated_sum(policy, model, regime):
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = case_digest(policy, model, regime)
+    assert digest == EMULATED_CASES[(policy, model, regime)]
+
+
+def test_timeshared_market_results_are_pinned_under_emulated_sum():
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = market_digest()
+    assert digest == EMULATED_MARKET
+
+
+@pytest.mark.parametrize("policy,model", BURST_CASES)
+def test_timeshared_burst_results_are_pinned_under_emulated_sum(policy, model):
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = burst_digest(policy, model)
+    assert digest == EMULATED_BURST[(policy, model)]
 
 
 if __name__ == "__main__":
-    print("EXPECTED = {")
-    for case in CASES:
-        print(f"    {case!r}:\n        {case_digest(*case)!r},")
-    print("}")
-    print(f"\nEXPECTED_MARKET = {market_digest()!r}")
+    compensated = "--compensated" in sys.argv[1:]
+    suffix = "_COMPENSATED" if compensated else ""
+    with builtin_sum(compensated):
+        print(f"EXPECTED{suffix} = {{")
+        for case in CASES:
+            print(f"    {case!r}:\n        {case_digest(*case)!r},")
+        print("}")
+        print(f"\nEXPECTED_MARKET{suffix} = {market_digest()!r}")
+        print(f"\nEXPECTED_BURST{suffix} = {{")
+        for case in BURST_CASES:
+            print(f"    {case!r}:\n        {burst_digest(*case)!r},")
+        print("}")
