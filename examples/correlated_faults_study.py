@@ -11,21 +11,22 @@ what correlation alone does to each policy's integrated risk.
 Run:  python examples/correlated_faults_study.py
 """
 
-from repro.experiments.faultsweep import run_correlated_sweep
+from repro.experiments.faultsweep import cascade_scenario, run_fault_sweep
 from repro.experiments.scenarios import ExperimentConfig
 
 
 def main() -> None:
-    base = ExperimentConfig(n_jobs=300, total_procs=64)
-    result = run_correlated_sweep(
+    fault_base = ExperimentConfig(n_jobs=300, total_procs=64).with_values(
+        fault_mtbf=8 * 86_400.0,
+        fault_domain_size=8,
+        fault_domain_mtbf=2 * 86_400.0,
+        fault_domain_mttr=3_600.0,
+    )
+    result = run_fault_sweep(
         ["FCFS-BF", "EDF-BF", "Libra"],
         "bid",
-        base,
-        cascade_probs=(0.0, 0.25, 0.5, 1.0),
-        domain_size=8,
-        domain_mtbf=2 * 86_400.0,
-        domain_mttr=3_600.0,
-        mtbf=8 * 86_400.0,
+        fault_base,
+        cascade_scenario((0.0, 0.25, 0.5, 1.0)),
     )
     print("64 procs in racks of 8; rack outages every ~2 days, node MTBF 8 days")
     print("marginal failure laws held fixed — only the correlation is swept\n")

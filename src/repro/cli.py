@@ -40,6 +40,7 @@ from repro.core.objectives import OBJECTIVES
 from repro.economy.models import make_model
 from repro.experiments import figures as figures_mod
 from repro.experiments import tables as tables_mod
+from repro.experiments.faultsweep import CORRELATED_FAULTS
 from repro.experiments.report import format_table, summarize_figure, summarize_plot
 from repro.experiments.runner import build_workload, run_grid
 from repro.experiments.runstore import RunStore
@@ -270,6 +271,19 @@ def _parse_shard(text: Optional[str]) -> Optional[tuple]:
     return index - 1, count
 
 
+def _print_failures(store: RunStore, failed: Sequence[str]) -> None:
+    """Name every run that exhausted its retries, with its journaled cause."""
+    failures = store.failures()
+    print(
+        f"error: {len(failed)} runs failed after retries were exhausted:",
+        file=sys.stderr,
+    )
+    for digest in failed:
+        record = failures.get(digest)
+        detail = f" [{record.kind}] {record.message}" if record else ""
+        print(f"  {digest[:12]} ({digest}){detail}", file=sys.stderr)
+
+
 def cmd_grid(args) -> int:
     from repro.core.ranking import rank_policies
     from repro.experiments.pipeline import (
@@ -360,15 +374,7 @@ def cmd_grid(args) -> int:
             f"{store.stats()['disk_runs']} runs on disk"
         )
     if execution.failed:
-        failures = store.failures()
-        print(
-            f"error: {len(execution.failed)} runs failed after retries "
-            "were exhausted:", file=sys.stderr,
-        )
-        for digest in execution.failed:
-            record = failures.get(digest)
-            detail = f" [{record.kind}] {record.message}" if record else ""
-            print(f"  {digest[:12]} ({digest}){detail}", file=sys.stderr)
+        _print_failures(store, execution.failed)
         if args.on_error == "abort":
             print(
                 "rerun with --on-error degrade to assemble around the gaps "
@@ -405,11 +411,11 @@ def cmd_grid(args) -> int:
 
 def cmd_faults(args) -> int:
     from repro.experiments.faultsweep import (
-        CASCADE_PROB_LEVELS,
-        FAULT_MTBF_LEVELS,
-        run_correlated_sweep,
-        run_fault_sweep,
+        assemble_fault_sweep,
+        cascade_scenario,
+        mtbf_scenario,
     )
+    from repro.experiments.pipeline import execute_plan, grid_plan
 
     policies = args.policies or (
         COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
@@ -418,37 +424,36 @@ def cmd_faults(args) -> int:
     if unknown:
         print(f"error: unknown policies {unknown} (see `list`)", file=sys.stderr)
         return 2
-    base = ExperimentConfig(
-        n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
-    ).for_set(args.set)
-    store = RunStore(args.cache_dir)
+    faults = {
+        "fault_model": args.fault_model,
+        "fault_mttr": args.mttr,
+        "fault_recovery": args.recovery,
+    }
     if args.sweep == "correlated":
-        result = run_correlated_sweep(
-            policies,
-            args.model,
-            base,
-            cascade_probs=(
-                tuple(args.levels) if args.levels else CASCADE_PROB_LEVELS
-            ),
-            domain_size=args.domain_size,
-            domain_mtbf=args.domain_mtbf,
-            domain_mttr=args.domain_mttr,
-            cascade_delay=args.cascade_delay,
-            mttr=args.mttr,
-            recovery=args.recovery,
-            cache=store,
+        make_scenario = cascade_scenario
+        faults.update(
+            fault_mtbf=CORRELATED_FAULTS.mtbf,
+            fault_domain_size=args.domain_size,
+            fault_domain_mtbf=args.domain_mtbf,
+            fault_domain_mttr=args.domain_mttr,
+            fault_cascade_delay=args.cascade_delay,
         )
     else:
-        result = run_fault_sweep(
-            policies,
-            args.model,
-            base,
-            mtbfs=args.levels or FAULT_MTBF_LEVELS,
-            mttr=args.mttr,
-            recovery=args.recovery,
-            fault_model=args.fault_model,
-            cache=store,
-        )
+        make_scenario = mtbf_scenario
+    scenario = make_scenario(args.levels) if args.levels else make_scenario()
+    fault_base = ExperimentConfig(
+        n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
+    ).with_values(fault_enabled=True, **faults)
+    store = RunStore(args.cache_dir)
+    execution = execute_plan(
+        grid_plan(policies, args.model, fault_base, args.set, [scenario]), store
+    )
+    if execution.failed:
+        _print_failures(store, execution.failed)
+        return 1
+    result = assemble_fault_sweep(
+        store, policies, args.model, fault_base, scenario, args.set
+    )
     print(result.table())
     if args.cache_dir:
         print(f"\nrun store: {store.cache_dir} "
@@ -506,7 +511,6 @@ def cmd_market(args) -> int:
                 n_jobs=args.jobs,
                 seed=args.seed,
                 share_window=args.share_window,
-                backend=args.backend,
             )
             scenario = correlated_market_scenario()
         else:
@@ -516,7 +520,6 @@ def cmd_market(args) -> int:
                 n_jobs=args.jobs,
                 seed=args.seed,
                 share_window=args.share_window,
-                backend=args.backend,
             )
             if args.sweep == "mtbf":
                 scenario = (
@@ -553,11 +556,9 @@ def cmd_market(args) -> int:
         n_users=args.users,
         seed=args.seed,
         share_window=args.share_window,
-        backend=args.backend,
     )
     market.run(market_job_stream(args.jobs, seed=args.seed))
-    print(f"market — users={args.users} jobs={args.jobs} seed={args.seed} "
-          f"backend={market.backend}")
+    print(f"market — users={args.users} jobs={args.jobs} seed={args.seed}")
     print()
     print(f"{'provider':<10} {'policy':<20} {'subm':>6} {'ful':>6} "
           f"{'viol':>6} {'rej':>6} {'final':>7} {'revenue':>12} {'loyal':>7}")
@@ -921,16 +922,17 @@ def build_parser() -> argparse.ArgumentParser:
                    "for --sweep correlated (default 0, .1, .25, .5, 1)")
     p.add_argument("--mttr", type=float, default=3600.0, metavar="SECONDS",
                    help="mean time to repair a failed node")
-    p.add_argument("--domain-size", type=int, default=8, metavar="NODES",
+    p.add_argument("--domain-size", type=int,
+                   default=CORRELATED_FAULTS.domain_size, metavar="NODES",
                    help="[--sweep correlated] nodes per rack")
-    p.add_argument("--domain-mtbf", type=float, default=86_400.0,
-                   metavar="SECONDS",
+    p.add_argument("--domain-mtbf", type=float,
+                   default=CORRELATED_FAULTS.domain_mtbf, metavar="SECONDS",
                    help="[--sweep correlated] mean time between rack outages")
-    p.add_argument("--domain-mttr", type=float, default=3600.0,
-                   metavar="SECONDS",
+    p.add_argument("--domain-mttr", type=float,
+                   default=CORRELATED_FAULTS.domain_mttr, metavar="SECONDS",
                    help="[--sweep correlated] mean rack outage length")
-    p.add_argument("--cascade-delay", type=float, default=30.0,
-                   metavar="SECONDS",
+    p.add_argument("--cascade-delay", type=float,
+                   default=CORRELATED_FAULTS.cascade_delay, metavar="SECONDS",
                    help="[--sweep correlated] delay before a cascade hop")
     p.add_argument("--recovery", choices=("resubmit", "checkpoint"),
                    default="resubmit", help="recovery of failure-killed jobs")
@@ -948,9 +950,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--users", type=int, default=1000, help="market population")
     p.add_argument("--jobs", type=int, default=2000, help="jobs in the stream")
     p.add_argument("--seed", type=int, default=0, help="market seed")
-    p.add_argument("--backend", choices=("cohort", "agents"), default="cohort",
-                   help="population backend (bit-identical; cohort is the "
-                        "vectorized fast path)")
     p.add_argument("--providers", type=int, default=2,
                    help="number of synthetic providers (first one is risky)")
     p.add_argument("--capacity", type=float, default=96.0,

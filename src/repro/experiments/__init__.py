@@ -11,6 +11,8 @@
 - :mod:`repro.experiments.figures` — one generator per paper figure (1–8).
 - :mod:`repro.experiments.tables` — one generator per paper table (I–VI).
 - :mod:`repro.experiments.report` — plain-text rendering helpers.
+- :mod:`repro.experiments.faultsweep` — availability-vs-risk sweeps: one
+  fault knob swept as a one-scenario grid through the same pipeline.
 - :mod:`repro.experiments.marketsweep` — population-scale market sweeps:
   provider risk knobs vs final market share/revenue, content-addressed
   through the same :class:`~repro.experiments.runstore.RunStore`.
@@ -27,7 +29,6 @@ from repro.experiments.runner import (
     GridAnalysis,
     build_workload,
     run_grid,
-    run_scenario,
     run_single,
 )
 from repro.experiments.scenarios import (
@@ -44,7 +45,6 @@ __all__ = [
     "scenario_by_name",
     "build_workload",
     "run_single",
-    "run_scenario",
     "run_grid",
     "GridAnalysis",
     "MarketConfig",

@@ -1,19 +1,27 @@
-"""MTBF sweep: dependability as a risk factor (availability vs risk).
+"""Fault sweeps: dependability as a risk factor (availability vs risk).
 
-The paper evaluates its policies on a failure-free SDSC SP2; this
-experiment asks how each policy's risk profile degrades when nodes fail.
-One knob — the per-node MTBF — is swept over six levels exactly like a
-Table VI scenario (the virtual ``fault_mtbf`` field of
-:meth:`~repro.experiments.scenarios.ExperimentConfig.with_values` makes
-fault knobs first-class scenario knobs), every other fault parameter held
-fixed.  Each level's steady-state availability ``MTBF / (MTBF + MTTR)``
-labels the row, so the output reads as an availability-vs-risk table: raw
-objectives per level plus the separate and integrated risk reduction
-(Eqs. 5–6) over the sweep.
+The paper evaluates its policies on a failure-free SDSC SP2; these
+experiments ask how each policy's risk profile degrades when nodes fail.
+A fault sweep is a one-scenario grid: one fault knob is swept over a few
+levels exactly like a Table VI scenario (the virtual ``fault_*`` fields of
+:meth:`~repro.experiments.scenarios.ExperimentConfig.with_values` make
+fault knobs first-class scenario knobs) around a *fault base* whose other
+fault parameters stay fixed.  Two knobs ship ready-made:
 
-Runs flow through :func:`repro.experiments.runner.run_single`, so they are
-content-addressed in the run store like any other run — a faulty run's
-identity includes the full ``FaultConfig``.
+- :func:`mtbf_scenario` sweeps the per-node MTBF; each level's
+  steady-state availability ``MTBF / (MTBF + MTTR)`` labels the row.
+- :func:`cascade_scenario` sweeps the cascade probability over a
+  rack-structured machine (:data:`CORRELATED_FAULTS`): level 0 is the
+  independent baseline, rising levels correlate the same failure mass
+  into whole-neighbourhood events.
+
+Planning, execution and reduction are the grid pipeline's own:
+:func:`~repro.experiments.pipeline.grid_plan` over ``[scenario]``,
+:func:`~repro.experiments.pipeline.execute_plan` (supervision, pool,
+shards, resume against the run store), and
+:func:`~repro.experiments.pipeline.assemble_grid` for the separate risk
+(§4.1 normalisation, Eqs. 5–6).  :func:`assemble_fault_sweep` adds the
+raw objectives per level and the equal-weight integrated risk.
 """
 
 from __future__ import annotations
@@ -24,9 +32,10 @@ from typing import Optional, Sequence
 from repro.core.integrated import IntegratedRisk, integrated_risk
 from repro.core.objectives import OBJECTIVES, Objective, ObjectiveSet
 from repro.core.separate import SeparateRisk
-from repro.experiments.runner import run_scenario, run_single
+from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
+from repro.faults.config import FaultConfig
 
 #: default per-node MTBF levels (seconds): 6 h … 8 days.  The span brackets
 #: the regimes reported for commodity clusters (Schroeder & Gibson, DSN'06):
@@ -58,11 +67,26 @@ def cascade_scenario(values: Sequence[float] = CASCADE_PROB_LEVELS) -> Scenario:
     return Scenario("cascade", "fault_cascade_prob", tuple(float(v) for v in values))
 
 
+#: The rack-structured machine the cascade sweep runs on: racks of 8
+#: nodes, one outage per rack-day lasting an hour, a cascade hop 30 s
+#: after its trigger, and a per-node MTBF of 4 days.  ``repro faults
+#: --sweep correlated`` takes its option defaults from these fields.
+CORRELATED_FAULTS = FaultConfig(
+    enabled=True,
+    mtbf=345_600.0,
+    domain_size=8,
+    domain_mtbf=86_400.0,
+    domain_mttr=3_600.0,
+    cascade_delay=30.0,
+)
+
+
 @dataclass(frozen=True)
 class FaultSweepRow:
-    """Raw objectives of one policy at one MTBF level."""
+    """Raw objectives of one policy at one level of the swept knob."""
 
-    mtbf: float
+    level: float
+    #: configured per-node availability, MTBF / (MTBF + MTTR).
     availability: float
     policy: str
     objectives: ObjectiveSet
@@ -70,34 +94,44 @@ class FaultSweepRow:
 
 @dataclass
 class FaultSweepResult:
-    """Everything one MTBF sweep produces."""
+    """Everything one fault sweep produces."""
 
     model: str
-    recovery: str
-    mttr: float
+    scenario: Scenario
+    #: the fault parameters held fixed around the swept knob.
+    faults: FaultConfig
     policies: tuple[str, ...]
-    mtbfs: tuple[float, ...]
     rows: list[FaultSweepRow]
-    #: separate risk per objective per policy, reduced over the MTBF axis.
+    #: separate risk per objective per policy, reduced over the sweep axis.
     separate: dict[Objective, dict[str, SeparateRisk]]
     #: equal-weight integration of all four objectives per policy.
     integrated: dict[str, IntegratedRisk]
 
     def table(self) -> str:
         """The availability-vs-risk table, ready to print."""
+        faults = self.faults
+        header = (
+            f"{self.scenario.name} sweep — model={self.model} "
+            f"recovery={faults.recovery} MTTR={faults.mttr / 3600:g}h"
+        )
+        if faults.domain_size:
+            header += (
+                f" racks of {faults.domain_size} "
+                f"rack-MTBF={faults.domain_mtbf / 3600:g}h "
+                f"rack-MTTR={faults.domain_mttr / 3600:g}h"
+            )
         lines = [
-            f"MTBF sweep — model={self.model} recovery={self.recovery} "
-            f"MTTR={self.mttr / 3600:g}h",
+            header,
             "",
-            f"{'MTBF':>8} {'avail':>7} {'policy':<14} "
+            f"{self.scenario.name:>8} {'avail':>7} {'policy':<14} "
             f"{'wait':>8} {'sla':>8} {'reliab':>8} {'profit':>10}",
         ]
         for row in self.rows:
             o = row.objectives
             lines.append(
-                f"{row.mtbf / 3600:>7.4g}h {row.availability:>7.4f} "
-                f"{row.policy:<14} {o.wait:>8.3f} {o.sla:>8.3f} "
-                f"{o.reliability:>8.3f} {o.profitability:>10.1f}"
+                f"{_fmt_level(self.scenario.field_name, row.level):>8} "
+                f"{row.availability:>7.4f} {row.policy:<14} {o.wait:>8.3f} "
+                f"{o.sla:>8.3f} {o.reliability:>8.3f} {o.profitability:>10.1f}"
             )
         lines.append("")
         lines.append(
@@ -110,189 +144,89 @@ class FaultSweepResult:
                 f"{policy:<14} {risk.performance:>12.4f} {risk.volatility:>11.4f}"
             )
         return "\n".join(lines)
+
+
+def _fmt_level(knob: str, level: float) -> str:
+    """Durations print in hours, everything else as a 2-decimal value."""
+    if knob.endswith(("mtbf", "mttr")):
+        return f"{level / 3600:.4g}h"
+    return f"{level:.2f}"
+
+
+def assemble_fault_sweep(
+    store: RunStore,
+    policies: Sequence[str],
+    model_name: str,
+    fault_base: ExperimentConfig,
+    scenario: Scenario,
+    set_name: str = "A",
+    wait_method: str = "grid-max",
+) -> FaultSweepResult:
+    """Reduce a populated store to a :class:`FaultSweepResult`.
+
+    Purely a read, like :func:`~repro.experiments.pipeline.assemble_grid`
+    (which supplies the separate risk and raises
+    :class:`~repro.experiments.runstore.StoreError` when runs are absent).
+    Rows run policy by policy, each over the sweep's levels.
+    """
+    grid = assemble_grid(
+        store, policies, model_name, fault_base, set_name, [scenario], wait_method
+    )
+    separate = {
+        objective: {
+            policy: grid.separate[objective][policy][scenario.name]
+            for policy in policies
+        }
+        for objective in Objective
+    }
+    configs = scenario.configs(fault_base.for_set(set_name))
+    rows = [
+        FaultSweepRow(
+            level=level,
+            availability=config.faults.availability,
+            policy=policy,
+            objectives=store.get(config, policy, model_name),
+        )
+        for policy in policies
+        for level, config in zip(scenario.values, configs)
+    ]
+    integrated = {
+        policy: integrated_risk({o: separate[o][policy] for o in OBJECTIVES})
+        for policy in policies
+    }
+    return FaultSweepResult(
+        model=model_name,
+        scenario=scenario,
+        faults=fault_base.faults,
+        policies=tuple(policies),
+        rows=rows,
+        separate=separate,
+        integrated=integrated,
+    )
 
 
 def run_fault_sweep(
     policies: Sequence[str],
     model_name: str,
-    base: ExperimentConfig,
-    mtbfs: Sequence[float] = FAULT_MTBF_LEVELS,
-    mttr: float = 3_600.0,
-    recovery: str = "resubmit",
-    fault_model: str = "exponential",
-    cache: Optional[RunStore] = None,
-    wait_method: str = "grid-max",
+    fault_base: ExperimentConfig,
+    scenario: Scenario,
+    store: Optional[RunStore] = None,
+    set_name: str = "A",
 ) -> FaultSweepResult:
-    """Sweep per-node MTBF and reduce the results to risk metrics.
+    """Sweep one fault knob and reduce the results to risk metrics.
 
-    Every policy sees the identical workload *and* identical failure
-    history at each level (both derive from ``base.seed``), preserving the
-    paper's controlled-comparison discipline under faults.
+    ``fault_base`` carries the fixed fault parameters, e.g.
+    ``base.with_values(fault_mttr=3600.0, fault_recovery="checkpoint")``;
+    ``scenario`` varies one of them (:func:`mtbf_scenario`,
+    :func:`cascade_scenario`, or any ``fault_*`` :class:`Scenario`).
+    ``set_name`` selects the estimate set as for
+    :func:`~repro.experiments.runner.run_grid`.  Every policy sees the
+    identical workload *and* identical failure history at each level
+    (both derive from ``fault_base.seed``), preserving the paper's
+    controlled-comparison discipline under faults.
     """
-    cache = cache if cache is not None else RunStore()
-    fault_base = base.with_values(
-        fault_enabled=True,
-        fault_model=fault_model,
-        fault_mttr=float(mttr),
-        fault_recovery=recovery,
-    )
-    scenario = mtbf_scenario(mtbfs)
-    rows: list[FaultSweepRow] = []
-    for policy in policies:
-        for config in scenario.configs(fault_base):
-            objectives = run_single(config, policy, model_name, cache)
-            rows.append(
-                FaultSweepRow(
-                    mtbf=config.faults.mtbf,
-                    availability=config.faults.availability,
-                    policy=policy,
-                    objectives=objectives,
-                )
-            )
-    separate = run_scenario(
-        scenario, policies, model_name, fault_base, cache, wait_method
-    )
-    integrated = {
-        policy: integrated_risk(
-            {o: separate[o][policy] for o in OBJECTIVES}
-        )
-        for policy in policies
-    }
-    return FaultSweepResult(
-        model=model_name,
-        recovery=recovery,
-        mttr=float(mttr),
-        policies=tuple(policies),
-        mtbfs=tuple(float(v) for v in mtbfs),
-        rows=rows,
-        separate=separate,
-        integrated=integrated,
-    )
-
-
-# -- correlated availability vs risk ------------------------------------------
-
-
-@dataclass(frozen=True)
-class CorrelatedSweepRow:
-    """Raw objectives of one policy at one cascade-probability level."""
-
-    cascade_prob: float
-    policy: str
-    objectives: ObjectiveSet
-
-
-@dataclass
-class CorrelatedSweepResult:
-    """Everything one correlated-availability-vs-risk sweep produces."""
-
-    model: str
-    recovery: str
-    domain_size: int
-    domain_mtbf: float
-    domain_mttr: float
-    policies: tuple[str, ...]
-    cascade_probs: tuple[float, ...]
-    rows: list[CorrelatedSweepRow]
-    separate: dict[Objective, dict[str, SeparateRisk]]
-    integrated: dict[str, IntegratedRisk]
-
-    def table(self) -> str:
-        """The correlation-vs-risk table, ready to print."""
-        lines = [
-            f"Correlated-fault sweep — model={self.model} "
-            f"recovery={self.recovery} racks of {self.domain_size} "
-            f"rack-MTBF={self.domain_mtbf / 3600:g}h "
-            f"rack-MTTR={self.domain_mttr / 3600:g}h",
-            "",
-            f"{'cascade':>8} {'policy':<14} "
-            f"{'wait':>8} {'sla':>8} {'reliab':>8} {'profit':>10}",
-        ]
-        for row in self.rows:
-            o = row.objectives
-            lines.append(
-                f"{row.cascade_prob:>8.2f} {row.policy:<14} "
-                f"{o.wait:>8.3f} {o.sla:>8.3f} "
-                f"{o.reliability:>8.3f} {o.profitability:>10.1f}"
-            )
-        lines.append("")
-        lines.append(
-            f"{'policy':<14} {'performance':>12} {'volatility':>11}   "
-            "(integrated risk over the sweep, equal weights)"
-        )
-        for policy in self.policies:
-            risk = self.integrated[policy]
-            lines.append(
-                f"{policy:<14} {risk.performance:>12.4f} {risk.volatility:>11.4f}"
-            )
-        return "\n".join(lines)
-
-
-def run_correlated_sweep(
-    policies: Sequence[str],
-    model_name: str,
-    base: ExperimentConfig,
-    cascade_probs: Sequence[float] = CASCADE_PROB_LEVELS,
-    domain_size: int = 8,
-    domain_mtbf: float = 86_400.0,
-    domain_mttr: float = 3_600.0,
-    cascade_delay: float = 30.0,
-    mtbf: float = 345_600.0,
-    mttr: float = 3_600.0,
-    recovery: str = "resubmit",
-    cache: Optional[RunStore] = None,
-    wait_method: str = "grid-max",
-) -> CorrelatedSweepResult:
-    """Sweep the cascade probability over a rack-structured machine.
-
-    Level 0 is the independent baseline (per-node failures plus
-    uncorrelated rack outages); rising levels correlate the failure mass
-    into whole-neighbourhood events at the *same* long-run downtime per
-    source, so the table isolates what correlation alone does to each
-    policy's risk profile.  Every policy sees the identical workload and
-    failure history at each level (both derive from ``base.seed``).
-    """
-    cache = cache if cache is not None else RunStore()
-    fault_base = base.with_values(
-        fault_enabled=True,
-        fault_mtbf=float(mtbf),
-        fault_mttr=float(mttr),
-        fault_recovery=recovery,
-        fault_domain_size=int(domain_size),
-        fault_domain_mtbf=float(domain_mtbf),
-        fault_domain_mttr=float(domain_mttr),
-        fault_cascade_delay=float(cascade_delay),
-    )
-    scenario = cascade_scenario(cascade_probs)
-    rows: list[CorrelatedSweepRow] = []
-    for policy in policies:
-        for config in scenario.configs(fault_base):
-            objectives = run_single(config, policy, model_name, cache)
-            rows.append(
-                CorrelatedSweepRow(
-                    cascade_prob=config.faults.cascade_prob,
-                    policy=policy,
-                    objectives=objectives,
-                )
-            )
-    separate = run_scenario(
-        scenario, policies, model_name, fault_base, cache, wait_method
-    )
-    integrated = {
-        policy: integrated_risk(
-            {o: separate[o][policy] for o in OBJECTIVES}
-        )
-        for policy in policies
-    }
-    return CorrelatedSweepResult(
-        model=model_name,
-        recovery=recovery,
-        domain_size=int(domain_size),
-        domain_mtbf=float(domain_mtbf),
-        domain_mttr=float(domain_mttr),
-        policies=tuple(policies),
-        cascade_probs=tuple(float(v) for v in cascade_probs),
-        rows=rows,
-        separate=separate,
-        integrated=integrated,
+    store = store if store is not None else RunStore()
+    execute_plan(grid_plan(policies, model_name, fault_base, set_name, [scenario]), store)
+    return assemble_fault_sweep(
+        store, policies, model_name, fault_base, scenario, set_name
     )

@@ -19,10 +19,6 @@ supervises (timeouts, retries, failure journal, process pool),
 checkpoints and resumes sweeps exactly as it does grids.  Market documents
 live in the store's one ``runs/`` tree next to grid documents, under the
 ``repro-market-run`` format marker.
-
-Notably the digest *excludes* the population backend: the cohort and
-agent backends are bit-identical by contract (``tests/test_market_cohort``
-enforces it), so a document computed by either serves both.
 """
 
 from __future__ import annotations
@@ -74,7 +70,6 @@ class MarketConfig:
     seed: int = 0
     share_window: float = 50_000.0
     arrival_factor: float = DEFAULT_ARRIVAL_FACTOR
-    backend: str = "cohort"
 
     def __post_init__(self) -> None:
         if not self.providers:
@@ -119,16 +114,11 @@ class MarketConfig:
     # -- the unit contract (see repro.experiments.runstore.Unit) -------------
     @property
     def digest(self) -> str:
-        """Stable content digest of this run.
-
-        Covers everything the result depends on — and deliberately *not*
-        the ``backend`` field, because the cohort/agent backends are
-        bit-identical by the parity contract.
-        """
-        payload = self.to_dict()
-        payload.pop("backend")
+        """Stable content digest of this run: covers everything the
+        result depends on."""
         text = json.dumps(
-            {"schema": SCHEMA_VERSION, "format": MARKET_RUN_FORMAT, "config": payload},
+            {"schema": SCHEMA_VERSION, "format": MARKET_RUN_FORMAT,
+             "config": self.to_dict()},
             sort_keys=True,
             separators=(",", ":"),
         )
@@ -156,7 +146,6 @@ class MarketConfig:
             n_users=self.n_users,
             seed=self.seed,
             share_window=self.share_window,
-            backend=self.backend,
         )
         if max_sim_events is not None or max_sim_time is not None:
             market.sim.set_budget(max_events=max_sim_events, max_sim_time=max_sim_time)

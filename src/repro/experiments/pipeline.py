@@ -3,8 +3,9 @@
 Every study drives the same three stages over
 :class:`~repro.experiments.runstore.Unit` s — grid cells
 (:class:`~repro.experiments.runstore.RunKey`, from ``run_grid``,
-``run_replicated``, ``tornado_analysis``, ``generate_report``) and market
-runs (:class:`~repro.experiments.marketsweep.MarketConfig`, from
+``run_fault_sweep``, ``run_replicated``, ``tornado_analysis``,
+``generate_report``) and market runs
+(:class:`~repro.experiments.marketsweep.MarketConfig`, from
 ``run_market_sweep``) alike:
 
 1. :func:`grid_plan` (or any list of units) enumerates the *logical
@@ -18,8 +19,9 @@ runs (:class:`~repro.experiments.marketsweep.MarketConfig`, from
    trace memo — so dispatch overhead is amortised), and checkpoints
    completed units to the store as each unit (serial) or batch (pool)
    finishes — an interrupted study therefore resumes by construction.
-3. :func:`assemble_grid` (or a study's own assembler) re-reads the store;
-   for a grid it reduces to a
+3. :func:`assemble_grid` (or a study's own assembler, such as
+   ``assemble_fault_sweep`` on top of it) re-reads the store; for a grid
+   it reduces to a
    :class:`~repro.experiments.runner.GridAnalysis` exactly as the serial
    runner always has (per-scenario normalisation, Eqs. 5–6), so serial,
    parallel, sharded, and resumed executions of the same plan are

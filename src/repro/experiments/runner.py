@@ -19,10 +19,9 @@ from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 from repro.core.integrated import IntegratedRisk, integrated_risk
-from repro.core.normalize import normalize_runs
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.riskplot import RiskPlot
-from repro.core.separate import SeparateRisk, separate_risk
+from repro.core.separate import SeparateRisk
 from repro.economy.models import make_model
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
@@ -164,35 +163,6 @@ def run_single(
     if cache is not None:
         cache.put(config, policy_name, model_name, objectives)
     return objectives
-
-
-def run_scenario(
-    scenario: Scenario,
-    policies: Sequence[str],
-    model_name: str,
-    base: ExperimentConfig,
-    cache: Optional[RunStore] = None,
-    wait_method: str = "grid-max",
-) -> dict[Objective, dict[str, SeparateRisk]]:
-    """Separate risk analysis of every objective for one scenario.
-
-    Runs each policy over the scenario's six values, normalises the raw
-    objective grids (§4.1), and reduces each policy's six normalised results
-    to (performance, volatility) via Eqs. 5–6.
-    """
-    configs = scenario.configs(base)
-    runs = [
-        [run_single(cfg, policy, model_name, cache) for cfg in configs]
-        for policy in policies
-    ]
-    normalized = normalize_runs(runs, wait_method=wait_method)
-    out: dict[Objective, dict[str, SeparateRisk]] = {}
-    for objective in Objective:
-        grid = normalized[objective]
-        out[objective] = {
-            policy: separate_risk(grid[p]) for p, policy in enumerate(policies)
-        }
-    return out
 
 
 @dataclass

@@ -6,11 +6,10 @@ user-centric objectives is likely to result in dwindling number of users,
 loss of reputation and revenue, and finally out-of-business".  This package
 simulates that dynamic directly, at population scale:
 
-- :mod:`repro.market.user` — the scalar satisfaction/choice primitives and
-  the per-object :class:`UserAgent` parity reference;
+- :mod:`repro.market.user` — the scalar satisfaction/choice primitives;
 - :mod:`repro.market.cohort` — :class:`UserCohort`, the whole population's
   satisfaction state as one ``(n_users × n_providers)`` array with
-  vectorized EWMA updates (bit-identical to the agents — see
+  vectorized EWMA updates (bit-identical to per-object agents — see
   ``docs/market.md`` for the parity contract);
 - :mod:`repro.market.provider` — O(1) fluid-queue
   :class:`SyntheticProvider` competitors with sweepable risk knobs
@@ -28,21 +27,18 @@ claim quantitatively and :mod:`repro.experiments.marketsweep` quantifies
 risk-vs-survival at population scale.
 """
 
-from repro.market.cohort import AgentPopulation, UserCohort, make_population
+from repro.market.cohort import UserCohort
 from repro.market.marketplace import Marketplace, MarketShareSample, ProviderSpec
 from repro.market.provider import OutageTimeline, SyntheticProvider, SyntheticSpec
 from repro.market.stream import market_job_stream
-from repro.market.user import SatisfactionParams, UserAgent, score_outcome, softmax_pick
+from repro.market.user import SatisfactionParams, score_outcome, softmax_pick
 
 __all__ = [
-    "UserAgent",
     "SatisfactionParams",
     "Marketplace",
     "ProviderSpec",
     "MarketShareSample",
     "UserCohort",
-    "AgentPopulation",
-    "make_population",
     "OutageTimeline",
     "SyntheticProvider",
     "SyntheticSpec",

@@ -1,18 +1,19 @@
 """Population-level user cohorts: millions of users as one array.
 
-The per-object :class:`~repro.market.user.UserAgent` tops out at toy
-populations — a dict of scores and a Python object per user is hopeless at
-the ROADMAP's "millions of users" scale.  A :class:`UserCohort` stores the
-whole population's satisfaction state as a single ``(n_users × n_providers)``
-float64 array and applies outcome feedback in vectorized batches, so memory
-is 8 bytes per (user, provider) pair and the EWMA work per sampling window
-is a handful of numpy gathers/scatters.
+A per-object user agent tops out at toy populations — a dict of scores
+and a Python object per user is hopeless at "millions of users" scale.
+A :class:`UserCohort` stores the whole population's satisfaction state as
+a single ``(n_users × n_providers)`` float64 array and applies outcome
+feedback in vectorized batches, so memory is 8 bytes per (user, provider)
+pair and the EWMA work per sampling window is a handful of numpy
+gathers/scatters.
 
-**Parity contract.**  The cohort is not an approximation of the agents — it
-is bit-identical to them, the way ``CalendarFEL`` is to ``HeapFEL``:
+**Parity contract.**  The cohort is not an approximation of per-object
+agents — it is bit-identical to them, the way ``CalendarFEL`` is to
+``HeapFEL``:
 
-- both backends draw nothing themselves; the marketplace owns every random
-  number and hands each backend the same ``(user, u)`` pair per choice;
+- neither population draws anything itself; the marketplace owns every
+  random number and hands the population one ``(user, u)`` pair per choice;
 - choices route through the shared scalar
   :func:`repro.market.user.softmax_pick` on plain Python floats;
 - the EWMA fold is ``(1-lr)·old + lr·score`` in IEEE double either way:
@@ -20,9 +21,10 @@ is bit-identical to them, the way ``CalendarFEL`` is to ``HeapFEL``:
   a batch — elementwise identical to the scalar op — and replays the rare
   repeated pairs scalar-and-in-order.
 
-``tests/test_market_cohort.py`` holds both backends to this contract
-(exact for one user as the issue requires, and in fact exact for any
-population) plus a statistical share tolerance at n=10³.
+``tests/test_market_cohort.py`` holds the cohort to this contract against
+the per-agent reference population kept in ``tests/market_reference.py``
+(exact for any population size, plus a statistical share tolerance at
+n=10³).
 
 Cohorts keep no per-user histories — only the per-provider aggregate
 outcome counts (:attr:`UserCohort.outcome_counts`), which is all the
@@ -31,17 +33,11 @@ market-level queries need.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.market.user import (
-    DEFAULT_HISTORY_LIMIT,
-    OUTCOME_KINDS,
-    SatisfactionParams,
-    UserAgent,
-    softmax_pick,
-)
+from repro.market.user import OUTCOME_KINDS, SatisfactionParams, softmax_pick
 
 #: Batches smaller than this are applied scalar: the numpy array set-up
 #: costs more than a short Python loop.
@@ -51,7 +47,7 @@ _VECTORIZE_THRESHOLD = 32
 class UserCohort:
     """All users of a market as one satisfaction matrix.
 
-    The backend protocol (shared with :class:`AgentPopulation`):
+    The population protocol the marketplace drives:
 
     ``choose(user, u)``
         provider index selected by uniform draw ``u`` for ``user``.
@@ -63,8 +59,6 @@ class UserCohort:
     ``preferred_counts()``
         loyal users per provider, agent tie-break rule included.
     """
-
-    kind = "cohort"
 
     def __init__(
         self,
@@ -183,88 +177,3 @@ class UserCohort:
     def scores_row(self, user: int) -> list[float]:
         """One user's satisfaction scores (plain floats, provider order)."""
         return self.scores[user].tolist()
-
-
-class AgentPopulation:
-    """The per-object reference backend: a list of :class:`UserAgent`.
-
-    Implements the same protocol as :class:`UserCohort` so the marketplace
-    can drive either; every operation delegates to the shared scalar
-    primitives, which is what the parity suite leans on.
-    """
-
-    kind = "agents"
-
-    def __init__(
-        self,
-        n_users: int,
-        providers: Sequence[str],
-        params: Optional[SatisfactionParams] = None,
-        history_limit: int = DEFAULT_HISTORY_LIMIT,
-    ) -> None:
-        if n_users < 1:
-            raise ValueError("a population needs at least one user")
-        if not providers:
-            raise ValueError("a population needs at least one provider")
-        self.providers = tuple(providers)
-        self.params = params if params is not None else SatisfactionParams()
-        self.n_users = int(n_users)
-        self.agents = [
-            UserAgent(user_id=i, providers=self.providers, params=self.params,
-                      history_limit=history_limit)
-            for i in range(self.n_users)
-        ]
-        self._counts = [[0, 0, 0] for _ in self.providers]
-        self._temp = self.params.temperature
-
-    def choose(self, user: int, u: float) -> int:
-        agent = self.agents[user]
-        row = [agent.scores[p] for p in self.providers]
-        return softmax_pick(row, self._temp, u)
-
-    def apply(self, user: int, provider: int, score: float, kind: int) -> None:
-        self.agents[user].observe_outcome(
-            self.providers[provider], score, OUTCOME_KINDS[kind]
-        )
-        self._counts[provider][kind] += 1
-
-    def apply_batch(
-        self, entries: Iterable[tuple[int, int, float, int]]
-    ) -> None:
-        apply = self.apply
-        for user, provider, score, kind in entries:
-            apply(user, provider, score, kind)
-
-    @property
-    def outcome_counts(self) -> dict[str, dict[str, int]]:
-        return {
-            name: dict(zip(OUTCOME_KINDS, self._counts[i]))
-            for i, name in enumerate(self.providers)
-        }
-
-    def preferred_counts(self) -> dict[str, int]:
-        counts = {name: 0 for name in self.providers}
-        for agent in self.agents:
-            counts[agent.preferred_provider()] += 1
-        return counts
-
-    def scores_row(self, user: int) -> list[float]:
-        agent = self.agents[user]
-        return [agent.scores[p] for p in self.providers]
-
-
-BACKENDS = ("cohort", "agents")
-
-
-def make_population(
-    backend: str,
-    n_users: int,
-    providers: Sequence[str],
-    params: Optional[SatisfactionParams] = None,
-):
-    """Build the requested user backend (``"cohort"`` or ``"agents"``)."""
-    if backend == "cohort":
-        return UserCohort(n_users, providers, params)
-    if backend == "agents":
-        return AgentPopulation(n_users, providers, params)
-    raise ValueError(f"unknown user backend {backend!r} (expected one of {BACKENDS})")

@@ -12,13 +12,11 @@ Population-scale design (see ``docs/market.md``):
   by submit time and feeds them through one self-rescheduling pump event,
   so a 10⁶-job generator stream needs O(1) scheduling memory instead of a
   pre-scheduled FEL event per job.
-- **User backends.**  Satisfaction state lives in a pluggable population
-  backend — the vectorized :class:`~repro.market.cohort.UserCohort`
-  (default) or the per-object
-  :class:`~repro.market.cohort.AgentPopulation` parity reference.  The
-  marketplace owns every random draw (user assignment and the choice
-  uniform come from dedicated, buffered substreams), so both backends
-  replay identical trajectories.
+- **One user cohort.**  Satisfaction state lives in the vectorized
+  :class:`~repro.market.cohort.UserCohort`.  The marketplace owns every
+  random draw (user assignment and the choice uniform come from
+  dedicated, buffered substreams), so the per-agent reference population
+  the tests substitute for it replays identical trajectories.
 - **Window-batched feedback.**  Outcomes are buffered per user and folded
   in bulk when a sampling window closes; a user with buffered feedback who
   arrives *before* the flush has it applied (in order) right before their
@@ -44,7 +42,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from repro.economy.models import make_model
-from repro.market.cohort import make_population
+from repro.market.cohort import UserCohort
 from repro.market.provider import OutageTimeline, SyntheticProvider, SyntheticSpec
 from repro.market.user import (
     KIND_FULFILLED,
@@ -233,7 +231,6 @@ class Marketplace:
         params: Optional[SatisfactionParams] = None,
         seed: int = 0,
         share_window: float = 50_000.0,
-        backend: str = "cohort",
     ) -> None:
         if not specs:
             raise ValueError("a market needs at least one provider")
@@ -270,9 +267,7 @@ class Marketplace:
             name: adapter.provider
             for name, adapter in zip(self.names, self._adapters)
         }
-        self.population = make_population(backend, self.n_users, self.names,
-                                          self.params)
-        self.backend = self.population.kind
+        self.population = UserCohort(self.n_users, self.names, self.params)
         # Buffered feedback: user -> [(provider, score, kind), ...] in
         # resolution order; folded lazily before that user's next choice and
         # in bulk at window close.

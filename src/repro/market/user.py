@@ -16,35 +16,25 @@ Provider choice is a softmax over scores, so a consistently disappointing
 provider loses traffic gradually rather than instantaneously — users still
 probe it occasionally (imperfect information, as in real markets).
 
-The scalar scoring and choice primitives live at module level
-(:func:`score_outcome`, :func:`softmax_pick`) because they are the *parity
-contract* between this per-object agent and the vectorized
-:class:`repro.market.cohort.UserCohort`: both backends route every choice
-and every EWMA fold through the same floating-point operations, which is
-what makes cohort-vs-agent runs bit-identical (see ``docs/market.md``).
+The population itself is :class:`repro.market.cohort.UserCohort`; this
+module holds the scalar scoring and choice primitives
+(:func:`score_outcome`, :func:`softmax_pick`) it routes every outcome and
+choice through.  They are also the *parity contract* with the per-object
+reference population the tests keep (``tests/market_reference.py``): both
+perform the same floating-point operations, which is what makes
+cohort-vs-agent runs bit-identical (see ``docs/market.md``).
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
-import numpy as np
-
-from repro.service.sla import SLARecord
-
-#: Outcome kinds in severity order; cohort aggregates and agent histories
-#: index into this tuple (``KIND_*`` below are the integer codes).
+#: Outcome kinds in severity order; cohort aggregates index into this
+#: tuple (``KIND_*`` below are the integer codes).
 OUTCOME_KINDS: tuple[str, ...] = ("fulfilled", "violated", "rejected")
 KIND_FULFILLED, KIND_VIOLATED, KIND_REJECTED = 0, 1, 2
-
-#: Default bound on a user's outcome history.  Histories exist for tests
-#: and small diagnostic runs; long simulations must not leak memory, so
-#: only the most recent outcomes are retained (pass ``history_limit=0`` to
-#: disable recording entirely — what cohorts effectively do).
-DEFAULT_HISTORY_LIMIT = 256
 
 
 @dataclass(frozen=True)
@@ -96,20 +86,14 @@ def score_outcome(
     return reward
 
 
-def outcome_kind(accepted: bool, deadline_met: bool) -> int:
-    """The ``KIND_*`` code of one resolved outcome."""
-    if not accepted:
-        return KIND_REJECTED
-    return KIND_FULFILLED if deadline_met else KIND_VIOLATED
-
-
 def softmax_pick(scores: Sequence[float], temperature: float, u: float) -> int:
     """Inverse-CDF softmax draw: the index selected by uniform ``u``.
 
-    This is *the* choice primitive of the market.  Both user backends call
-    it with plain Python floats and an externally drawn ``u`` in [0, 1), so
-    a cohort run and an agent run consume identical randomness and perform
-    identical arithmetic — the bitwise parity contract.
+    This is *the* choice primitive of the market.  The cohort and the
+    tests' per-agent reference both call it with plain Python floats and
+    an externally drawn ``u`` in [0, 1), so a cohort run and an agent run
+    consume identical randomness and perform identical arithmetic — the
+    bitwise parity contract.
     """
     m = scores[0]
     for s in scores:
@@ -130,84 +114,3 @@ def softmax_pick(scores: Sequence[float], temperature: float, u: float) -> int:
         if target < acc:
             return i
     return last  # u == 1.0 - eps rounding: clamp to the final index
-
-
-@dataclass
-class UserAgent:
-    """One service user in the market (the cohort's parity reference)."""
-
-    user_id: int
-    providers: tuple[str, ...]
-    params: SatisfactionParams = field(default_factory=SatisfactionParams)
-    scores: dict[str, float] = field(default_factory=dict)
-    #: bounded recent-outcome trail, newest last; ``history_limit=0``
-    #: disables recording (long runs keep no per-user history at all).
-    history: deque = field(default_factory=deque)
-    history_limit: int = DEFAULT_HISTORY_LIMIT
-
-    def __post_init__(self) -> None:
-        if not self.providers:
-            raise ValueError(f"user {self.user_id} needs at least one provider")
-        if self.history_limit < 0:
-            raise ValueError("history_limit cannot be negative")
-        for name in self.providers:
-            self.scores.setdefault(name, self.params.initial_score)
-        self.history = deque(self.history, maxlen=self.history_limit)
-
-    # -- choice ---------------------------------------------------------------
-    def choose_provider(self, rng: np.random.Generator) -> str:
-        """Softmax draw over current satisfaction scores.
-
-        Index-based: one uniform draw feeds :func:`softmax_pick`; no
-        per-call list-of-names construction or ``rng.choice`` machinery.
-        """
-        row = [self.scores[p] for p in self.providers]
-        idx = softmax_pick(row, self.params.temperature, float(rng.random()))
-        return self.providers[idx]
-
-    # -- learning -------------------------------------------------------------
-    def outcome_score(self, record: SLARecord) -> float:
-        """Score one resolved SLA record (see :func:`score_outcome`)."""
-        wait = (record.start_time or record.job.submit_time) - record.job.submit_time
-        return score_outcome(
-            self.params, record.accepted, record.deadline_met, wait,
-            record.job.deadline,
-        )
-
-    def observe_outcome(self, provider: str, score: float, kind: str) -> None:
-        """Fold one pre-scored outcome into the provider's satisfaction.
-
-        The primitive shared with :class:`~repro.market.cohort.AgentPopulation`:
-        one EWMA fold ``(1-lr)·old + lr·score`` — the exact scalar operation
-        the cohort vectorizes.
-        """
-        if provider not in self.scores:
-            raise KeyError(f"user {self.user_id} does not know provider {provider!r}")
-        lr = self.params.learning_rate
-        self.scores[provider] = (1.0 - lr) * self.scores[provider] + lr * score
-        if self.history_limit:
-            self.history.append((provider, kind))
-
-    def observe(self, provider: str, record: SLARecord) -> None:
-        """Fold one outcome into the provider's satisfaction score."""
-        kind = OUTCOME_KINDS[outcome_kind(record.accepted, record.deadline_met)]
-        self.observe_outcome(provider, self.outcome_score(record), kind)
-
-    def preferred_provider(self) -> str:
-        """The provider this user currently trusts most."""
-        return max(self.providers, key=lambda p: (self.scores[p], p))
-
-
-def make_users(
-    n_users: int,
-    providers: tuple[str, ...],
-    params: Optional[SatisfactionParams] = None,
-    history_limit: int = DEFAULT_HISTORY_LIMIT,
-) -> list[UserAgent]:
-    """A population of fresh agents (helper for tests and small markets)."""
-    params = params if params is not None else SatisfactionParams()
-    return [
-        UserAgent(user_id=i, providers=providers, params=params,
-                  history_limit=history_limit)
-        for i in range(n_users)
-    ]

@@ -1,10 +1,21 @@
 """Unit tests for the command-line interface."""
 
+import argparse
+import shlex
+from pathlib import Path
+
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
+from repro.experiments import runner
+from repro.experiments.faultsweep import CORRELATED_FAULTS, cascade_scenario, run_fault_sweep
+from repro.experiments.runstore import RunKey
+from repro.experiments.scenarios import ExperimentConfig
+from repro.policies import POLICIES
 from repro.workload.swf import write_swf
 from repro.workload.synthetic import SDSC_SP2, generate_trace
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_cli(capsys, *argv):
@@ -284,19 +295,8 @@ def test_market_single_run(capsys):
     )
     assert code == 0
     assert "risky" in out and "steady" in out
-    assert "backend=cohort" in out
+    assert "market — users=80 jobs=120 seed=0" in out
     assert "revenue" in out
-
-
-def test_market_backends_print_identical_tables(capsys):
-    args = ("market", "--users", "40", "--jobs", "60")
-    code_a, out_a, _ = run_cli(capsys, *args, "--backend", "cohort")
-    code_b, out_b, _ = run_cli(capsys, *args, "--backend", "agents")
-    assert code_a == code_b == 0
-    # Everything but the backend label is bit-identical (parity contract).
-    assert out_a.replace("backend=cohort", "") == out_b.replace(
-        "backend=agents", ""
-    )
 
 
 def test_market_with_service_provider(capsys):
@@ -452,3 +452,187 @@ def test_store_stats_compact_and_merge(tmp_path, capsys):
     assert code == 0
     assert out.count("merged /") == 2 and "total:" in out
     assert len(RunStore(tmp_path / "dest").disk_digests()) == 2
+
+
+# -- repro faults ----------------------------------------------------------------
+
+FAULTS = ("faults", "--policies", "FCFS-BF", "EDF-BF", "--jobs", "20", "--procs", "16")
+
+
+def test_faults_mtbf_sweep(capsys):
+    code, out, _ = run_cli(capsys, *FAULTS, "--levels", "21600", "86400")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[0] == "MTBF sweep — model=bid recovery=resubmit MTTR=1h"
+    assert lines[2].split()[:3] == ["MTBF", "avail", "policy"]
+    assert [line.split()[:3] for line in lines[3:7]] == [
+        ["6h", "0.8571", "FCFS-BF"],
+        ["24h", "0.9600", "FCFS-BF"],
+        ["6h", "0.8571", "EDF-BF"],
+        ["24h", "0.9600", "EDF-BF"],
+    ]
+    assert "volatility" in out
+
+
+def test_faults_correlated_sweep_reruns_identically_from_the_store(tmp_path, capsys):
+    args = (*FAULTS, "--sweep", "correlated", "--set", "B", "--levels", "0", "1",
+            "--cache-dir", str(tmp_path))
+    code, cold, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert cold.splitlines()[0] == (
+        "cascade sweep — model=bid recovery=resubmit MTTR=1h "
+        "racks of 8 rack-MTBF=24h rack-MTTR=1h"
+    )
+    assert "(4 runs on disk)" in cold
+    code, warm, _ = run_cli(capsys, *args)
+    assert code == 0
+    assert warm == cold
+
+
+def test_faults_matches_the_python_sweep(capsys):
+    code, out, _ = run_cli(capsys, *FAULTS, "--sweep", "correlated", "--set", "B",
+                           "--levels", "0", "1")
+    assert code == 0
+    fault_base = ExperimentConfig(n_jobs=20, total_procs=16).with_values(
+        fault_mtbf=CORRELATED_FAULTS.mtbf,
+        fault_domain_size=CORRELATED_FAULTS.domain_size,
+        fault_domain_mtbf=CORRELATED_FAULTS.domain_mtbf,
+        fault_domain_mttr=CORRELATED_FAULTS.domain_mttr,
+        fault_cascade_delay=CORRELATED_FAULTS.cascade_delay,
+    )
+    result = run_fault_sweep(["FCFS-BF", "EDF-BF"], "bid", fault_base,
+                             cascade_scenario((0.0, 1.0)), set_name="B")
+    assert out == result.table() + "\n"
+
+
+def test_faults_exit_1_naming_failed_digests(monkeypatch, tmp_path, capsys):
+    real_run_single = runner.run_single
+
+    def failing(config, policy, model, *args, **kwargs):
+        if policy == "EDF-BF" and config.faults.mtbf == 21_600.0:
+            raise RuntimeError("injected failure")
+        return real_run_single(config, policy, model, *args, **kwargs)
+
+    monkeypatch.setattr(runner, "run_single", failing)
+    code, out, err = run_cli(capsys, *FAULTS, "--levels", "21600", "86400",
+                             "--cache-dir", str(tmp_path))
+    assert code == 1
+    assert "1 runs failed after retries" in err
+    assert "[failure] RuntimeError: injected failure" in err
+    config = ExperimentConfig(n_jobs=20, total_procs=16).with_values(
+        fault_mtbf=21_600.0, fault_mttr=3_600.0
+    )
+    assert RunKey(config, "EDF-BF", "bid").digest in err
+    assert "MTBF sweep" not in out
+
+
+def test_faults_rejects_unknown_policies(capsys):
+    code, _, err = run_cli(capsys, "faults", "--policies", "FCFS-BF,EDF-BF")
+    assert code == 2
+    assert "unknown policies ['FCFS-BF,EDF-BF']" in err
+
+
+# -- option inventory --------------------------------------------------------------
+
+#: every subcommand's option strings, as ``build_parser()`` declares them.
+OPTION_INVENTORY = {
+    "": ["--help", "-h"],
+    "farm": ["--help", "-h"],
+    "farm serve": ["--exit-when-idle", "--farm", "--help", "--max-jobs", "--poll",
+                   "--self-execute", "--timeout", "--workers", "-h"],
+    "farm status": ["--farm", "--help", "-h"],
+    "farm sync": ["--farm", "--help", "-h"],
+    "farm worker": ["--exit-when-done", "--farm", "--help", "--lease", "--max-idle",
+                    "--max-units", "--poll", "--worker-id", "-h"],
+    "faults": ["--cache-dir", "--cascade-delay", "--domain-mtbf", "--domain-mttr",
+               "--domain-size", "--fault-model", "--help", "--jobs", "--levels",
+               "--model", "--mttr", "--policies", "--procs", "--recovery", "--seed",
+               "--set", "--sweep", "-h"],
+    "figure": ["--ascii", "--help", "--jobs", "--procs", "--seed", "--set", "-h"],
+    "frontier": ["--help", "--jobs", "--model", "--procs", "--seed", "--set", "-h"],
+    "grid": ["--cache-dir", "--cascade-delay", "--cascade-prob", "--domain-mtbf",
+             "--domain-mttr", "--domain-size", "--elastic-interval",
+             "--elastic-max-extra", "--farm", "--fault-model", "--help", "--jobs",
+             "--max-retries", "--max-sim-events", "--max-sim-time", "--model",
+             "--mtbf", "--mttr", "--on-error", "--output", "--policies", "--procs",
+             "--recovery", "--resume", "--retry-backoff", "--run-timeout",
+             "--scenario", "--seed", "--set", "--shard", "--workers", "-h"],
+    "list": ["--help", "-h"],
+    "market": ["--cache-dir", "--capacity", "--help", "--jobs", "--levels", "--mtbf",
+               "--mttr", "--policy", "--procs", "--providers", "--seed", "--shard",
+               "--share-window", "--sweep", "--users", "-h"],
+    "recommend": ["--help", "--jobs", "--model", "--procs", "--register", "--seed",
+                  "--set", "--tolerance", "-h"],
+    "report": ["--cache-dir", "--help", "--jobs", "--procs", "--seed", "--workers",
+               "-h"],
+    "run": ["--cache-dir", "--cascade-delay", "--cascade-prob", "--domain-mtbf",
+            "--domain-mttr", "--domain-size", "--elastic-interval",
+            "--elastic-max-extra", "--fault-model", "--help", "--jobs", "--model",
+            "--mtbf", "--mttr", "--procs", "--recovery", "--seed", "--set", "-h"],
+    "store": ["--help", "-h"],
+    "store compact": ["--help", "-h"],
+    "store merge": ["--help", "-h"],
+    "store stats": ["--help", "-h"],
+    "table": ["--help", "-h"],
+    "tornado": ["--help", "--jobs", "--model", "--procs", "--seed", "--set", "-h"],
+    "trace": ["--file", "--fit", "--help", "--jobs", "--last", "--lenient", "--seed",
+              "-h"],
+}
+
+
+def option_inventory(parser, prefix=""):
+    """``{"sub command": sorted option strings}`` over every subparser."""
+    inventory = {
+        prefix: sorted(s for action in parser._actions for s in action.option_strings)
+    }
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                inventory.update(option_inventory(sub, f"{prefix} {name}".strip()))
+    return inventory
+
+
+def test_option_inventory_is_pinned():
+    assert option_inventory(build_parser()) == OPTION_INVENTORY
+
+
+# -- documented commands ------------------------------------------------------------
+
+DOCS = [ROOT / "README.md", ROOT / "EXPERIMENTS.md", *sorted((ROOT / "docs").glob("*.md"))]
+
+
+def documented_commands():
+    """``(file, argv)`` of every ``python -m repro …`` line in a fenced block."""
+    commands = []
+    for path in DOCS:
+        in_fence = False
+        lines = iter(path.read_text().splitlines())
+        for line in lines:
+            if line.lstrip().startswith("```"):
+                in_fence = not in_fence
+                continue
+            if not in_fence or "python -m repro " not in line:
+                continue
+            while line.rstrip().endswith("\\"):
+                line = line.rstrip()[:-1] + " " + next(lines)
+            argv = shlex.split(line.split("python -m repro ", 1)[1], comments=True)
+            if argv and argv[-1] == "&":
+                argv.pop()
+            commands.append((path.name, argv))
+    return commands
+
+
+def test_documented_commands_parse():
+    commands = documented_commands()
+    assert len(commands) >= 20
+    parser = build_parser()
+    for name, argv in commands:
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"{name}: `repro {shlex.join(argv)}` does not parse")
+        named = list(getattr(args, "policies", None) or [])
+        if getattr(args, "policy", None):
+            named.append(args.policy)
+        unknown = [policy for policy in named if policy not in POLICIES]
+        assert not unknown, f"{name}: `repro {shlex.join(argv)}` names {unknown}"

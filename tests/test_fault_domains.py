@@ -299,16 +299,15 @@ def test_every_domain_knob_is_a_virtual_sweep_field_and_moves_the_digest():
 
 
 def test_correlated_sweep_produces_risk_table():
-    from repro.experiments.faultsweep import run_correlated_sweep
+    from repro.experiments.faultsweep import cascade_scenario, run_fault_sweep
 
-    base = ExperimentConfig(n_jobs=20, total_procs=16)
-    result = run_correlated_sweep(
-        ["FCFS-BF"], "bid", base,
-        cascade_probs=(0.0, 1.0), domain_size=4,
-        domain_mtbf=20_000.0, domain_mttr=600.0, mtbf=100_000.0,
+    base = ExperimentConfig(n_jobs=20, total_procs=16).with_values(
+        fault_domain_size=4, fault_domain_mtbf=20_000.0,
+        fault_domain_mttr=600.0, fault_mtbf=100_000.0,
     )
+    result = run_fault_sweep(["FCFS-BF"], "bid", base, cascade_scenario((0.0, 1.0)))
     assert len(result.rows) == 2
-    assert {row.cascade_prob for row in result.rows} == {0.0, 1.0}
+    assert {row.level for row in result.rows} == {0.0, 1.0}
     text = result.table()
     assert "cascade" in text and "volatility" in text
 

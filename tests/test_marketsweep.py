@@ -11,6 +11,7 @@ from repro.experiments.marketsweep import (
     MarketScenario,
     admission_market_scenario,
     assemble_market_sweep,
+    correlated_market_config,
     default_market_config,
     market_plan,
     mtbf_market_scenario,
@@ -62,13 +63,15 @@ def test_market_run_key_is_content_addressed():
     assert a.digest != a.with_risky(mtbf=3600.0).digest
 
 
-def test_market_run_key_ignores_backend():
-    # The parity contract makes the result backend-invariant, so both
-    # backends must address the same document.
-    from dataclasses import replace
-
-    a = small_config()
-    assert a.digest == replace(a, backend="agents").digest
+def test_market_config_digests_are_pinned():
+    # Cache directories written while MarketConfig still carried a
+    # population-backend field must still be served as hits.
+    assert default_market_config().digest == (
+        "421289208d39a6dd888bb5e21405ab4528b0c102c8ace0cf2799c1723a13c0be"
+    )
+    assert correlated_market_config().digest == (
+        "aacb9e9322e1ffe5b98fa444d92cb37ff468b08d7bd430082f01dfb3b61eeb69"
+    )
 
 
 def test_unit_digests_are_pinned():

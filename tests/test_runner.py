@@ -3,12 +3,12 @@ scenario reduction)."""
 
 import pytest
 
+from faultsweep_reference import run_scenario
 from repro.core.objectives import Objective
 from repro.experiments.runner import (
     GridAnalysis,
     build_workload,
     run_grid,
-    run_scenario,
     run_single,
 )
 from repro.experiments.runstore import RunStore
