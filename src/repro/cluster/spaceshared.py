@@ -11,10 +11,18 @@ jobs are gang-scheduled on the fastest free nodes and progress at the pace
 of the *slowest* node in the allocation, so a parallel job's wall time is
 ``runtime / min(speed factors)`` with runtimes expressed on the reference
 (rating-168) node.
+
+Per-node bookkeeping (heterogeneous machines, and any machine the fault
+injector switches it on for) is an indexed pool: every node's sort key
+``(-speed_factor, node_id)`` is computed once, the free list is kept in
+key order by insertion rather than re-sorted (in plain node-id order while
+every node has the reference rating), and a node-to-job map finds the job
+holding a failed node without scanning the running jobs.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -34,7 +42,7 @@ class RunningJob:
     start_time: float
     #: execution speed relative to the reference node (min over allocation).
     speed: float = 1.0
-    #: node ids held by the job (heterogeneous clusters only).
+    #: node ids held by the job (clusters that track nodes only).
     nodes: tuple[int, ...] = ()
     completion: Optional[EventHandle] = field(repr=False, default=None)
 
@@ -78,21 +86,26 @@ class SpaceSharedCluster:
             self.nodes = [Node(i, float(r)) for i, r in enumerate(node_ratings)]
             self.total_procs = len(self.nodes)
             self.heterogeneous = True
-            # Fastest-first free list: allocations prefer fast nodes so the
-            # gang speed (min over allocation) stays as high as possible.
-            self._free_nodes: list[int] = sorted(
-                range(self.total_procs),
-                key=lambda i: (-self.nodes[i].speed_factor, i),
-            )
         else:
             if total_procs < 1:
                 raise ValueError("cluster needs at least one processor")
             self.nodes = [Node(i) for i in range(int(total_procs))]
             self.total_procs = int(total_procs)
             self.heterogeneous = False
-            self._free_nodes = []
         self.free_procs = self.total_procs
         self._running: dict[int, RunningJob] = {}
+        # The indexed pool (see _index_nodes); empty until tracking is on.
+        #: free node ids, fastest first (ties by id): in ``_key`` order.
+        self._free_nodes: list[int] = []
+        #: per node id: its sort key, ``(-speed_factor, node_id)``.
+        self._key: list[tuple[float, int]] = []
+        #: how the free list is sorted: ``None`` (by node id) while every
+        #: node ever created has the reference rating — the keys then tie
+        #: on speed, so id order is key order, and every allocation runs at
+        #: exactly 1.0 — else ``_key.__getitem__``.
+        self._sort_key: Optional[Callable[[int], tuple[float, int]]] = None
+        #: node id -> the running job holding it.
+        self._node_job: dict[int, RunningJob] = {}
         #: nodes currently failed (fault injection); never free nor running.
         self._down: set[int] = set()
         #: nodes decommissioned for good (elastic capacity); ids are never
@@ -102,17 +115,47 @@ class SpaceSharedCluster:
         # path the paper's SDSC SP2 uses); fault injection needs to know
         # which job holds which node, so the injector switches tracking on.
         self._track_nodes = self.heterogeneous
+        if self._track_nodes:
+            self._index_nodes()
 
     # ------------------------------------------------------------------
     def can_fit(self, procs: int) -> bool:
         return procs <= self.free_procs
 
-    def _allocate_nodes(self, procs: int) -> tuple[tuple[int, ...], float]:
-        """Heterogeneous path: take the fastest free nodes."""
+    def _index_nodes(self) -> None:
+        """Build the indexed pool over the current nodes, all free."""
+        self._key = [(-node.speed_factor, node.node_id) for node in self.nodes]
+        if any(node.speed_factor != 1.0 for node in self.nodes):
+            self._sort_key = self._key.__getitem__
+        # Fastest-first free list: allocations prefer fast nodes so the
+        # gang speed (min over allocation) stays as high as possible.
+        self._free_nodes = sorted(range(len(self.nodes)), key=self._sort_key)
+
+    def _allocate_nodes(self, record: RunningJob) -> None:
+        """Tracked path: give ``record`` the fastest free nodes."""
+        procs = record.job.procs
         chosen = self._free_nodes[:procs]
         del self._free_nodes[:procs]
-        speed = min(self.nodes[i].speed_factor for i in chosen)
-        return tuple(chosen), speed
+        record.nodes = tuple(chosen)
+        if self._sort_key is not None:
+            # The free list is fastest first, so the slowest node chosen —
+            # the allocation's speed — is the last one.
+            record.speed = -self._key[chosen[-1]][0]
+        self._node_job.update(dict.fromkeys(chosen, record))
+
+    def _release_nodes(self, record: RunningJob, failed: Optional[int] = None) -> None:
+        """Tracked path: ``record``'s nodes leave the node-to-job map and
+        all but ``failed`` return to the free list.  They are in key order,
+        so the sort merges two sorted runs."""
+        node_job = self._node_job
+        for node_id in record.nodes:
+            del node_job[node_id]
+        nodes = record.nodes
+        if failed is not None:
+            nodes = [i for i in nodes if i != failed]
+        free = self._free_nodes
+        free.extend(nodes)
+        free.sort(key=self._sort_key)
 
     def start(
         self,
@@ -138,14 +181,12 @@ class SpaceSharedCluster:
         if max_runtime is not None and max_runtime <= 0:
             raise ValueError("max_runtime must be positive")
         self.free_procs -= job.procs
+        record = RunningJob(job=job, start_time=self.sim.now)
         if self._track_nodes:
-            nodes, speed = self._allocate_nodes(job.procs)
-        else:
-            nodes, speed = (), 1.0
+            self._allocate_nodes(record)
         duration = job.runtime if max_runtime is None else min(job.runtime, max_runtime)
-        record = RunningJob(job=job, start_time=self.sim.now, speed=speed, nodes=nodes)
         record.completion = self.sim.schedule(
-            duration / speed,
+            duration / record.speed,
             self._complete,
             record,
             on_finish,
@@ -161,8 +202,7 @@ class SpaceSharedCluster:
         del self._running[record.job.job_id]
         self.free_procs += record.job.procs
         if self._track_nodes:
-            self._free_nodes.extend(record.nodes)
-            self._free_nodes.sort(key=lambda i: (-self.nodes[i].speed_factor, i))
+            self._release_nodes(record)
         assert self.free_procs <= self.total_procs
         if PERF.enabled:
             PERF.incr("cluster.space.jobs_completed")
@@ -182,7 +222,7 @@ class SpaceSharedCluster:
         if self._running:
             raise RuntimeError("cannot enable node tracking with jobs running")
         self._track_nodes = True
-        self._free_nodes = list(range(self.total_procs))
+        self._index_nodes()
 
     def fail_node(self, node_id: int) -> list[tuple[Job, float]]:
         """Take ``node_id`` down; return ``(job, progress)`` for jobs killed.
@@ -197,26 +237,22 @@ class SpaceSharedCluster:
         self._check_node_id(node_id)
         if node_id in self._down:
             raise ValueError(f"node {node_id} is already down")
-        self._down.add(node_id)
-        if node_id in self._free_nodes:
-            self._free_nodes.remove(node_id)
+        victim = self._node_job.get(node_id)
+        if victim is None:
+            try:
+                self._free_nodes.remove(node_id)
+            except ValueError:  # pragma: no cover - defensive
+                raise RuntimeError(
+                    f"node {node_id} is neither free nor held by a running job"
+                ) from None
+            self._down.add(node_id)
             self.free_procs -= 1
             return []
-        victim = None
-        for record in self._running.values():
-            if node_id in record.nodes:
-                victim = record
-                break
-        if victim is None:  # pragma: no cover - defensive
-            raise RuntimeError(
-                f"node {node_id} is neither free nor held by a running job"
-            )
+        self._down.add(node_id)
         if victim.completion is not None:
             victim.completion.cancel()
         del self._running[victim.job.job_id]
-        survivors = [i for i in victim.nodes if i != node_id]
-        self._free_nodes.extend(survivors)
-        self._free_nodes.sort(key=lambda i: (-self.nodes[i].speed_factor, i))
+        self._release_nodes(victim, failed=node_id)
         # The failed node stays out of the pool; its procs slot is down too.
         self.free_procs += victim.job.procs - 1
         progress = (self.sim.now - victim.start_time) * victim.speed
@@ -232,8 +268,7 @@ class SpaceSharedCluster:
         if node_id not in self._down:
             raise ValueError(f"node {node_id} is not down")
         self._down.discard(node_id)
-        self._free_nodes.append(node_id)
-        self._free_nodes.sort(key=lambda i: (-self.nodes[i].speed_factor, i))
+        bisect.insort(self._free_nodes, node_id, key=self._sort_key)
         self.free_procs += 1
 
     def down_nodes(self) -> frozenset[int]:
@@ -260,13 +295,14 @@ class SpaceSharedCluster:
                 "commission_node requires node tracking (enable_node_tracking)"
             )
         node_id = len(self.nodes)
-        self.nodes.append(
-            Node(node_id, float(rating) if rating is not None else REFERENCE_RATING)
-        )
+        node = Node(node_id, float(rating) if rating is not None else REFERENCE_RATING)
+        self.nodes.append(node)
+        self._key.append((-node.speed_factor, node_id))
+        if node.speed_factor != 1.0:
+            self._sort_key = self._key.__getitem__
         self.total_procs += 1
         self.free_procs += 1
-        self._free_nodes.append(node_id)
-        self._free_nodes.sort(key=lambda i: (-self.nodes[i].speed_factor, i))
+        bisect.insort(self._free_nodes, node_id, key=self._sort_key)
         if PERF.enabled:
             PERF.incr("cluster.space.nodes_commissioned")
         return node_id

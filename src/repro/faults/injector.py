@@ -12,9 +12,11 @@ Lifecycle per node under a stochastic model::
 
     healthy ──(time_to_failure)──► down ──(time_to_repair)──► healthy …
 
-The chain re-arms itself only while the workload has unresolved jobs, so a
-finished simulation drains instead of failing forever; a scripted model
-replays its explicit schedule verbatim.
+A scripted model replays its explicit schedule verbatim.  A fault run ends
+with its workload: once the last SLA resolves, the injector cancels every
+event it still has pending (failures, repairs, outages, cascades, capacity
+changes) and schedules no more, so the clock stops at the last resolution
+and downtime is measured over ``[0, last resolution]``.
 
 On top of the independent per-node chains, the injector drives the
 *correlated* failure structure a config can describe (see
@@ -77,8 +79,11 @@ class FaultStats:
     failures: int = 0
     repairs: int = 0
     jobs_killed: int = 0
+    #: node-seconds spent down, up to the end of the run (see
+    #: :meth:`FaultInjector.close`).
     downtime_s: float = 0.0
     per_node_failures: dict[int, int] = field(default_factory=dict)
+    per_node_downtime: dict[int, float] = field(default_factory=dict)
     #: whole-group (rack/site) outages executed.
     domain_outages: int = 0
     #: peer failures actually triggered by cascade edges.
@@ -126,7 +131,8 @@ class FaultInjector:
             if config.site_mtbf > 0
             else None
         )
-        self._down: set[int] = set()
+        #: down node id -> instant it went down.
+        self._down: dict[int, float] = {}
         #: nodes decommissioned for good (elastic capacity).
         self._gone: set[int] = set()
         #: nodes with a pending *individual* failure event — a repair must
@@ -136,6 +142,10 @@ class FaultInjector:
         #: commissioned node ids still in service (LIFO decommission order).
         self._extra_nodes: list[int] = []
         self._stopped = False
+        #: handles of the events this injector scheduled, some already run;
+        #: fired and cancelled ones are dropped once the list doubles.
+        self._events: list = []
+        self._compact_at = 64
 
     # -- wiring ----------------------------------------------------------------
     def start(self) -> None:
@@ -144,13 +154,11 @@ class FaultInjector:
         if enable is not None:
             enable()
         self.policy.fault_config = self.config
+        self.service.observers.append(self._on_sla_transition)
         if isinstance(self._process, ScriptedFailures):
             for fail_time, node_id, downtime in self._process.schedule:
                 self._check_node(node_id)
-                self.sim.schedule_at(
-                    fail_time, self._scripted_fail, node_id, downtime,
-                    priority=Priority.INTERNAL,
-                )
+                self._at(fail_time, self._scripted_fail, node_id, downtime)
         else:
             for node_id in range(self.cluster.total_procs):
                 self._arm(node_id)
@@ -161,10 +169,7 @@ class FaultInjector:
         config = self.config
         for fail_time, name, downtime in config.domain_schedule:
             self.topology.domain_nodes(name)  # validate against this machine
-            self.sim.schedule_at(
-                fail_time, self._scripted_domain_fail, name, downtime,
-                priority=Priority.INTERNAL,
-            )
+            self._at(fail_time, self._scripted_domain_fail, name, downtime)
         if self._domain_process is not None:
             for rack in range(self.topology.n_racks):
                 self._arm_domain(f"rack{rack}")
@@ -176,10 +181,7 @@ class FaultInjector:
         config = self.config
         if config.elastic_model == "scripted":
             for event_time, delta in config.elastic_schedule:
-                self.sim.schedule_at(
-                    event_time, self._scripted_elastic, delta,
-                    priority=Priority.INTERNAL,
-                )
+                self._at(event_time, self._scripted_elastic, delta)
         elif config.elastic_model == "stochastic":
             self._arm_elastic()
 
@@ -196,11 +198,27 @@ class FaultInjector:
     def _domain_rng(self, name: str):
         return self._streams.get(f"faults.domain.{name}")
 
+    def _track(self, handle) -> None:
+        events = self._events
+        events.append(handle)
+        if len(events) > self._compact_at:
+            events[:] = [h for h in events if not (h.fired or h.cancelled)]
+            self._compact_at = 2 * len(events) + 64
+
+    def _after(self, delay: float, fn, *args) -> None:
+        """Schedule ``fn(*args)`` ``delay`` seconds from now, unless closed."""
+        if not self._stopped:
+            self._track(self.sim.schedule(delay, fn, *args, priority=Priority.INTERNAL))
+
+    def _at(self, time: float, fn, *args) -> None:
+        """Schedule ``fn(*args)`` at ``time`` (the scripted events)."""
+        self._track(self.sim.schedule_at(time, fn, *args, priority=Priority.INTERNAL))
+
     def _arm(self, node_id: int) -> None:
         """Schedule the next stochastic failure of a healthy node."""
         self._armed.add(node_id)
         delay = self._process.time_to_failure(self._rng(node_id))
-        self.sim.schedule(delay, self._fail, node_id, priority=Priority.INTERNAL)
+        self._after(delay, self._fail, node_id)
 
     def _domain_process_for(self, name: str) -> ExponentialFailures:
         return self._site_process if name.startswith("site") else self._domain_process
@@ -209,12 +227,41 @@ class FaultInjector:
         """Schedule the next stochastic outage of a whole domain."""
         process = self._domain_process_for(name)
         delay = process.time_to_failure(self._domain_rng(name))
-        self.sim.schedule(delay, self._domain_fail, name, priority=Priority.INTERNAL)
+        self._after(delay, self._domain_fail, name)
 
     def _arm_elastic(self) -> None:
         rng = self._streams.get("faults.elastic")
         delay = float(rng.exponential(self.config.elastic_interval))
-        self.sim.schedule(delay, self._elastic_event, priority=Priority.INTERNAL)
+        self._after(delay, self._elastic_event)
+
+    # -- end of the run --------------------------------------------------------
+    def _on_sla_transition(self, _event: str, _record) -> None:
+        if self._workload_done():
+            self.close()
+
+    def close(self) -> None:
+        """End the fault run now: cancel every pending injector event and
+        schedule no more.
+
+        Called when the last SLA resolves.  Nodes still down stay down;
+        their downtime is counted up to this instant, so
+        :attr:`FaultStats.downtime_s` covers exactly ``[0, now]``.
+        """
+        self._stopped = True
+        for handle in self._events:
+            handle.cancel()
+        self._events = []
+        now = self.sim.now
+        for node_id, since in self._down.items():
+            self._add_downtime(node_id, now - since)
+            self._down[node_id] = now
+
+    def _add_downtime(self, node_id: int, seconds: float) -> None:
+        stats = self.stats
+        stats.downtime_s += seconds
+        stats.per_node_downtime[node_id] = (
+            stats.per_node_downtime.get(node_id, 0.0) + seconds
+        )
 
     # -- event handlers --------------------------------------------------------
     def _workload_done(self) -> bool:
@@ -252,7 +299,7 @@ class FaultInjector:
         process = self._domain_process_for(name)
         downtime = process.time_to_repair(self._domain_rng(name))
         self._execute_domain_failure(name, downtime)
-        self.sim.schedule(downtime, self._domain_up, name, priority=Priority.INTERNAL)
+        self._after(downtime, self._domain_up, name)
 
     def _domain_up(self, name: str) -> None:
         """The domain's outage ended (members repaired themselves): re-arm."""
@@ -353,7 +400,7 @@ class FaultInjector:
     def _execute_failure(
         self, node_id: int, downtime: float, hops: int = 0, cascade: bool = True
     ) -> None:
-        self._down.add(node_id)
+        self._down[node_id] = self.sim.now
         killed = self.cluster.fail_node(node_id)
         kills = [
             FaultKill(job=job, progress=progress, node_id=node_id)
@@ -361,7 +408,6 @@ class FaultInjector:
         ]
         self.stats.failures += 1
         self.stats.jobs_killed += len(kills)
-        self.stats.downtime_s += downtime
         self.stats.per_node_failures[node_id] = (
             self.stats.per_node_failures.get(node_id, 0) + 1
         )
@@ -370,7 +416,7 @@ class FaultInjector:
             PERF.incr("faults.jobs_killed", len(kills))
             PERF.observe("faults.downtime_s", downtime)
         self.policy.on_node_failure(node_id, kills)
-        self.sim.schedule(downtime, self._repair, node_id, priority=Priority.INTERNAL)
+        self._after(downtime, self._repair, node_id)
         if cascade:
             self._cascade_from_node(node_id, downtime, hops)
 
@@ -383,11 +429,8 @@ class FaultInjector:
         rng = self._streams.get("faults.cascade")
         for peer in self.topology.node_peers(node_id):
             if float(rng.random()) < config.cascade_prob:
-                self.sim.schedule(
-                    config.cascade_delay, self._cascade_fail,
-                    peer, downtime, hops + 1,
-                    priority=Priority.INTERNAL,
-                )
+                self._after(config.cascade_delay, self._cascade_fail,
+                            peer, downtime, hops + 1)
 
     def _cascade_from_rack(self, rack: int, downtime: float, hops: int) -> None:
         """Draw each sibling-rack edge; hits go down whole after the delay."""
@@ -397,11 +440,8 @@ class FaultInjector:
         rng = self._streams.get("faults.cascade")
         for peer_name in self.topology.rack_peers(rack):
             if float(rng.random()) < config.cascade_prob:
-                self.sim.schedule(
-                    config.cascade_delay, self._cascade_domain_fail,
-                    peer_name, downtime, hops + 1,
-                    priority=Priority.INTERNAL,
-                )
+                self._after(config.cascade_delay, self._cascade_domain_fail,
+                            peer_name, downtime, hops + 1)
 
     def _cascade_fail(self, node_id: int, downtime: float, hops: int) -> None:
         if self._stopped or self._workload_done():
@@ -424,7 +464,7 @@ class FaultInjector:
         self._execute_domain_failure(name, downtime, hops=hops)
 
     def _repair(self, node_id: int) -> None:
-        self._down.discard(node_id)
+        self._add_downtime(node_id, self.sim.now - self._down.pop(node_id))
         self.cluster.repair_node(node_id)
         self.stats.repairs += 1
         if PERF.enabled:
@@ -450,7 +490,10 @@ class FaultInjector:
         return tuple(self._extra_nodes)
 
     def observed_availability(self, horizon: float) -> float:
-        """Fraction of node-time the cluster was up over ``horizon`` seconds.
+        """Fraction of node-time the cluster was up over ``[0, horizon]``,
+        where ``horizon`` is the end of the run (the service passes the
+        instant of the last SLA resolution, at which :meth:`close` stopped
+        the downtime clock).
 
         Uses the cluster's *current* size as the capacity baseline, so the
         figure is approximate under elastic capacity changes.

@@ -35,6 +35,8 @@ class ServiceResult:
     outcomes: list[JobOutcome]
     records: list[SLARecord] = field(repr=False, default_factory=list)
     ledger: AccountingLedger = field(repr=False, default_factory=AccountingLedger)
+    #: simulated time at the end of the run; a fault run ends at its last
+    #: SLA resolution (the injector cancels its later events).
     sim_time: float = 0.0
     #: fault-injection summary, or ``None`` when the run had no faults.
     fault_stats: Optional[dict] = None
@@ -81,7 +83,9 @@ class CommercialComputingService:
         self._unresolved = 0
         #: callbacks invoked as ``observer(event, record)`` on every SLA
         #: transition (event ∈ {"rejected", "accepted", "started",
-        #: "finished"}); used by the multi-provider market simulation.
+        #: "finished", "interrupted"}); used by the multi-provider market
+        #: simulation, and by the fault injector to end a fault run when
+        #: the last SLA resolves.
         self.observers: list = []
         self.cluster = policy.make_cluster(self.sim, total_procs)
         policy.bind(service=self, sim=self.sim, cluster=self.cluster)
@@ -127,8 +131,8 @@ class CommercialComputingService:
     def unresolved_count(self) -> int:
         """Registered SLAs not yet in a terminal state (REJECTED/FINISHED).
 
-        The fault injector stops re-arming failure chains once this hits
-        zero, so the event list drains when the workload is resolved.
+        The fault injector closes once this hits zero: it cancels its
+        pending events, so the event list drains at the last resolution.
         """
         return self._unresolved
 

@@ -168,13 +168,17 @@ def test_rates_and_timer_match_reference(mode, data):
             # Policy-style admissions at one instant: every query after the
             # first reuses what the cluster derived for the instant.
             exclude_risky = data.draw(st.booleans(), label="risky")
+            admitted = False
             for _ in range(data.draw(st.integers(2, 4), label="burst")):
                 share = data.draw(st.floats(0.01, 0.6), label="share")
                 fits = check_feasible(cluster, share, exclude_risky)
                 procs = data.draw(st.integers(1, 3), label="procs")
                 if len(fits) >= procs:
                     cluster.admit(draw_job(procs), share, fits[:procs], on_finish)
+                    admitted = True
                 check_instant_caches(cluster)
+            # A burst in which nothing fitted made queries only.
+            rerated = admitted or mode is ShareMode.STATIC
         elif op == "complete":
             running = cluster.active_jobs()
             if not running:

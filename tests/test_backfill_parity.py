@@ -3,11 +3,14 @@
 Each case reduces a seeded run to one SHA-256 digest over its objectives
 and every SLA's status, start, finish and utility, written as exact
 ``float.hex`` strings, plus the reason of each rejection.  FCFS-BF, SJF-BF,
-EDF-BF, plain FCFS and Cons-BF are pinned under both economic models,
-failure-free and with correlated faults (node failures with rack outages,
-cascades and checkpoint recovery), on trace runtime estimates, so jobs
-under- and over-run their requests.  Three variants add a time-of-day
-tariff, kill-at-estimate and the admission-control ablation.
+EDF-BF, plain FCFS, Cons-BF and FirstReward are pinned under both economic
+models, failure-free and with correlated faults (node failures with rack
+outages, cascades and checkpoint recovery), on trace runtime estimates, so
+jobs under- and over-run their requests.  Three variants add a time-of-day
+tariff, kill-at-estimate and the admission-control ablation.  The
+heterogeneous cases run on a machine of four SPEC ratings under scripted
+node failures and scripted elastic commissions and decommissions, the only
+setting in which the order of the cluster's free-node pool shows in results.
 
 A change to the dispatcher that starts, rejects or fails a different job,
 or any job at a different instant, changes a digest.  Each table has a
@@ -26,6 +29,8 @@ import sys
 
 import pytest
 
+from repro.cluster.node import REFERENCE_RATING
+from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.economy.models import make_model
 from repro.economy.pricing import TimeOfDayPricing
 from repro.experiments.runner import build_workload
@@ -34,7 +39,7 @@ from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
 from sum_emulation import EMULATED_COMPENSATED, NATIVE_COMPENSATED, builtin_sum
 
-POLICIES = ("FCFS-BF", "SJF-BF", "EDF-BF", "FCFS", "Cons-BF")
+POLICIES = ("FCFS-BF", "SJF-BF", "EDF-BF", "FCFS", "Cons-BF", "FirstReward")
 MODELS = ("bid", "commodity")
 
 #: fault regimes, as virtual ``fault_*`` config fields.
@@ -48,7 +53,26 @@ REGIMES = {
         ("fault_domain_mtbf", 864_000.0),
         ("fault_cascade_prob", 0.25),
     ),
+    # Scripted node failures over the first two days (a failure that finds
+    # its node already down is skipped) plus scripted capacity changes.
+    "scripted-elastic": (
+        ("fault_model", "scripted"),
+        ("fault_recovery", "checkpoint"),
+        ("fault_schedule", tuple(
+            (3_000.0 + 6_000.0 * i, (37 * i) % 64, 1_800.0 + 900.0 * (i % 5))
+            for i in range(24)
+        )),
+        ("fault_elastic_model", "scripted"),
+        ("fault_elastic_schedule", (
+            (20_000.0, 3), (50_000.0, -2), (80_000.0, 2), (110_000.0, -3),
+        )),
+    ),
 }
+
+#: SPEC ratings of the heterogeneous machine: 64 nodes, four speeds.
+HETERO_RATINGS = tuple(
+    REFERENCE_RATING * (0.5, 1.0, 1.5, 2.0)[i % 4] for i in range(64)
+)
 
 #: policy options of the variant cases, by name.
 VARIANTS = {
@@ -98,6 +122,14 @@ EXPECTED = {
         '59d84bea4fed8004405030883585915d48b911fe3a0af4ed85260eda3dd8bbcc',
     ('Cons-BF', 'commodity', 'correlated'):
         'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
+    ('FirstReward', 'bid', 'none'):
+        '39a9c309982faa822ca6ed377fbbb0bdabe93d2711ccfc4e4baeacfa82a3340c',
+    ('FirstReward', 'bid', 'correlated'):
+        'b57ba7b7ad169ec337840a29b10df3ff579aca1371e3b32d60ec4df71209b218',
+    ('FirstReward', 'commodity', 'none'):
+        '47ed91419280359d32c65f4306ed703ed4f15e850796a6588c2955301bee3a64',
+    ('FirstReward', 'commodity', 'correlated'):
+        'a4e90291edac9cf1c4833f49309bcb52105f7ed8284fb47a78effd6d989355a8',
 }
 
 EXPECTED_VARIANTS = {
@@ -150,6 +182,14 @@ EXPECTED_COMPENSATED = {
         '9f28d165825783784ba0e129b842f0dc49ded1f78152e77aae2ddb659353dcb8',
     ('Cons-BF', 'commodity', 'correlated'):
         'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
+    ('FirstReward', 'bid', 'none'):
+        '8c9dcac8671eec2dd73cd4806d3dee60dea12ba370dcee6fecf1ca819e186a2c',
+    ('FirstReward', 'bid', 'correlated'):
+        'b5d533c32da9a37a0af37232795a6ea7d4c86c73ecce537261f9b7acd34057aa',
+    ('FirstReward', 'commodity', 'none'):
+        '9170f29314015d8909a66edfd6c7cd151ccd0c262002f6b7efd2c6c5ed3d3217',
+    ('FirstReward', 'commodity', 'correlated'):
+        'fb02f9ffef8b2c62401404d01322d7a9226dca79b1c2f67dbad67bba2cd11f65',
 }
 
 EXPECTED_VARIANTS_COMPENSATED = {
@@ -161,18 +201,42 @@ EXPECTED_VARIANTS_COMPENSATED = {
         '871e4628c0a4cce52927d4d68f91f52fd9157e812a2f7fa5a8e94403c7e1932a',
 }
 
+EXPECTED_HETERO = {
+    ('FCFS-BF', 'bid'):
+        'd4cd297364abbe6f1b58b06f10ff200947bbca96a9a9ab52223e4e7422dbdccd',
+    ('EDF-BF', 'commodity'):
+        '6c32e469583b5636c4d0c3bda031c743465a41fcf94b1887164995b951ffec09',
+    ('FirstReward', 'bid'):
+        '1ab96418c7f664b3617bc7ef10ce4fe0aa199d130f1ad2b79799afb2dc852b00',
+}
+
+EXPECTED_HETERO_COMPENSATED = {
+    ('FCFS-BF', 'bid'):
+        'd49fc91424d6e98f95d54dbf1554776e197c6895edb409d917f1bcf2250ac343',
+    ('EDF-BF', 'commodity'):
+        '8b3bdf44def9c7644eec6ed99d406ce55f7ac8cb46be54c5c310acf0c0870e02',
+    ('FirstReward', 'bid'):
+        '137dbb4e8aeb0c51127ae18488277ed065e8f073a7afdbd7ce439d8e7ec36481',
+}
+
 
 def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
 
 
-def run_digest(policy: str, model: str, regime: str = "none", **options) -> str:
+def run_digest(policy: str, model: str, regime: str = "none",
+               ratings=None, **options) -> str:
     config = ExperimentConfig(n_jobs=200, total_procs=64, seed=11,
                               inaccuracy_pct=100.0)
     if REGIMES[regime]:
         config = config.with_values(**dict(REGIMES[regime]))
+    scheduler = make_policy(policy, **options)
+    if ratings is not None:
+        scheduler.make_cluster = (
+            lambda sim, total_procs: SpaceSharedCluster(sim, node_ratings=ratings)
+        )
     service = CommercialComputingService(
-        make_policy(policy, **options), make_model(model),
+        scheduler, make_model(model),
         total_procs=config.total_procs,
         fault_config=config.faults if config.faults.enabled else None,
         fault_seed=config.seed,
@@ -197,22 +261,31 @@ VARIANT_CASES = [
     ("FCFS-BF", "commodity", "no-admission-control"),
 ]
 
-CASES = [(p, m, r) for p in POLICIES for m in MODELS for r in REGIMES]
+CASES = [(p, m, r) for p in POLICIES for m in MODELS
+         for r in ("none", "correlated")]
+
+#: (policy, model) of the heterogeneous cases.
+HETERO_CASES = [("FCFS-BF", "bid"), ("EDF-BF", "commodity"), ("FirstReward", "bid")]
 
 
-def tables(compensated: bool) -> tuple[dict, dict]:
-    """The case and variant pins of one ``sum()`` semantics."""
+def tables(compensated: bool) -> tuple[dict, dict, dict]:
+    """The case, variant and heterogeneous pins of one ``sum()`` semantics."""
     if compensated:
-        return EXPECTED_COMPENSATED, EXPECTED_VARIANTS_COMPENSATED
-    return EXPECTED, EXPECTED_VARIANTS
+        return (EXPECTED_COMPENSATED, EXPECTED_VARIANTS_COMPENSATED,
+                EXPECTED_HETERO_COMPENSATED)
+    return EXPECTED, EXPECTED_VARIANTS, EXPECTED_HETERO
 
 
-NATIVE_CASES, NATIVE_VARIANTS = tables(NATIVE_COMPENSATED)
-EMULATED_CASES, EMULATED_VARIANTS = tables(EMULATED_COMPENSATED)
+NATIVE_CASES, NATIVE_VARIANTS, NATIVE_HETERO = tables(NATIVE_COMPENSATED)
+EMULATED_CASES, EMULATED_VARIANTS, EMULATED_HETERO = tables(EMULATED_COMPENSATED)
 
 
 def variant_digest(policy: str, model: str, variant: str) -> str:
     return run_digest(policy, model, **VARIANTS[variant]())
+
+
+def hetero_digest(policy: str, model: str) -> str:
+    return run_digest(policy, model, "scripted-elastic", ratings=HETERO_RATINGS)
 
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
@@ -239,6 +312,18 @@ def test_backfill_variants_are_pinned_under_emulated_sum(policy, model, variant)
     assert digest == EMULATED_VARIANTS[(policy, model, variant)]
 
 
+@pytest.mark.parametrize("policy,model", HETERO_CASES)
+def test_heterogeneous_results_are_pinned(policy, model):
+    assert hetero_digest(policy, model) == NATIVE_HETERO[(policy, model)]
+
+
+@pytest.mark.parametrize("policy,model", HETERO_CASES)
+def test_heterogeneous_results_are_pinned_under_emulated_sum(policy, model):
+    with builtin_sum(EMULATED_COMPENSATED):
+        digest = hetero_digest(policy, model)
+    assert digest == EMULATED_HETERO[(policy, model)]
+
+
 if __name__ == "__main__":
     compensated = "--compensated" in sys.argv[1:]
     suffix = "_COMPENSATED" if compensated else ""
@@ -250,4 +335,8 @@ if __name__ == "__main__":
         print(f"\nEXPECTED_VARIANTS{suffix} = {{")
         for case in VARIANT_CASES:
             print(f"    {case!r}:\n        {variant_digest(*case)!r},")
+        print("}")
+        print(f"\nEXPECTED_HETERO{suffix} = {{")
+        for case in HETERO_CASES:
+            print(f"    {case!r}:\n        {hetero_digest(*case)!r},")
         print("}")

@@ -149,12 +149,50 @@ def test_injector_requires_enabled_config():
 
 def test_failure_of_free_node_shrinks_capacity_until_repair():
     service = _service(procs=4, faults=scripted([(50.0, 3, 100.0)]))
-    job = _job(runtime=10.0)  # finishes long before the failure
+    job = _job(runtime=1000.0)  # holds node 0 across the failure of node 3
+    capacity = []
+    service.sim.schedule(100.0, lambda: capacity.append(service.cluster.free_procs))
     service.run([job])
     assert service.record_of(job).deadline_met
+    assert capacity == [2]
     assert service.injector.stats.failures == 1
     assert service.injector.stats.jobs_killed == 0
-    assert service.cluster.free_procs == 4  # repaired by drain time
+    assert service.injector.stats.downtime_s == 100.0
+    assert service.cluster.free_procs == 4  # repaired before the job ends
+
+
+def test_fault_run_ends_with_its_workload():
+    """Fault events pending at the last SLA resolution never run: the clock
+    stops there and a node still down counts downtime only up to it."""
+    service = _service(procs=4, faults=scripted([(5.0, 3, 100.0), (50.0, 2, 10.0)]))
+    result = service.run([_job(runtime=10.0)])
+    assert result.sim_time == 10.0
+    assert service.sim.pending() == 0
+    stats = service.injector.stats
+    assert (stats.failures, stats.repairs) == (1, 0)
+    assert stats.downtime_s == 5.0 and stats.per_node_downtime == {3: 5.0}
+    assert result.fault_stats["observed_availability"] == 1.0 - 5.0 / 40.0
+
+
+def test_finished_fault_run_stays_inside_the_watchdog():
+    """300 jobs on 64 nodes, MTBF 4 d, MTTR 1 h: the last SLA resolves at
+    about 10 simulated days.  Before fault runs ended with their workload,
+    pending node failures ran the clock to 49 days, so a 20-day watchdog
+    journaled this finished run as a failure."""
+    from repro.experiments.runner import build_workload, run_single
+    from repro.experiments.scenarios import ExperimentConfig
+
+    day = 86_400.0
+    config = ExperimentConfig(n_jobs=300, total_procs=64, seed=1).with_values(
+        fault_mtbf=4 * day, fault_mttr=3_600.0)
+    run_single(config, "FCFS-BF", "bid", max_sim_time=20 * day)
+    service = _service(procs=64, faults=config.faults, seed=1)
+    result = service.run(build_workload(config))
+    last = max(r.finish_time for r in result.records if r.finish_time is not None)
+    assert result.sim_time == last < 11 * day
+    stats = result.fault_stats
+    assert stats["observed_availability"] == 1.0 - stats["downtime_s"] / (64 * last)
+    assert abs(stats["observed_availability"] - config.faults.availability) < 0.005
 
 
 def test_failure_kills_running_job_and_frees_survivor_nodes():
