@@ -19,25 +19,6 @@ from typing import Sequence, Tuple
 Release = Tuple[float, int]
 
 
-def _first_fit(
-    now: float, free_procs: int, clamped: list[Release], procs: int, total_procs: int
-) -> float:
-    """:func:`earliest_start_time` over releases already clamped and sorted."""
-    if procs > total_procs:
-        raise ValueError(f"job needs {procs} processors but machine has {total_procs}")
-    if procs <= free_procs:
-        return now
-    available = free_procs
-    for finish, n in clamped:
-        available += n
-        if available >= procs:
-            return finish
-    raise ValueError(
-        "releases do not add up to the machine size: "
-        f"free={free_procs} + releases={sum(n for _, n in clamped)} < procs={procs}"
-    )
-
-
 def earliest_start_time(
     now: float,
     free_procs: int,
@@ -47,12 +28,12 @@ def earliest_start_time(
 ) -> float:
     """Earliest time ≥ now when ``procs`` processors are free together.
 
-    ``releases`` lists running jobs as (estimated finish, processors); a
-    finish estimate in the past (an under-estimated job still running) is
-    treated as "any moment now", i.e. clamped to ``now``.
+    ``releases`` lists running jobs as (estimated finish, processors), in
+    any order; a finish estimate in the past (an under-estimated job still
+    running) is treated as "any moment now", i.e. clamped to ``now``.  This
+    is the shadow time of :func:`easy_backfill_window`.
     """
-    clamped = sorted((max(f, now), n) for f, n in releases)
-    return _first_fit(now, free_procs, clamped, procs, total_procs)
+    return easy_backfill_window(now, free_procs, sorted(releases), procs, total_procs)[0]
 
 
 def easy_backfill_window(
@@ -72,11 +53,35 @@ def easy_backfill_window(
         p <= free_procs  and  (now + r <= shadow_time  or  p <= spare)
 
     (Mu'alem & Feitelson, IEEE TPDS 12(6), §2.2.)
+
+    ``releases`` must be in nondecreasing finish order, as
+    :meth:`SpaceSharedCluster.releases` keeps them.  One pass walks only
+    the prefix that matters: releases accumulate until the anchor fits,
+    the shadow is that release's finish (a past finish counts as ``now``),
+    and the releases due by the shadow join the spare.  The result depends
+    only on the running totals at distinct finish times, so the order of
+    tied releases, and clamping past finishes to ``now``, cannot change it.
     """
-    clamped = sorted((max(f, now), n) for f, n in releases)
-    shadow = _first_fit(now, free_procs, clamped, anchor_procs, total_procs)
+    if anchor_procs > total_procs:
+        raise ValueError(
+            f"job needs {anchor_procs} processors but machine has {total_procs}"
+        )
     available = free_procs
-    for finish, n in clamped:
+    shadow = now
+    pending = iter(releases)
+    if available < anchor_procs:
+        for finish, n in pending:
+            available += n
+            if available >= anchor_procs:
+                shadow = max(finish, now)
+                break
+        else:
+            raise ValueError(
+                "releases do not add up to the machine size: "
+                f"free={free_procs} + releases={sum(n for _, n in releases)} "
+                f"< procs={anchor_procs}"
+            )
+    for finish, n in pending:
         if finish > shadow:
             break
         available += n
@@ -93,6 +98,9 @@ class Timeline:
 
     The profile is a sorted list of ``(time, free)`` breakpoints; ``free``
     holds from that breakpoint until the next one (the last lasts forever).
+    ``releases`` must be in nondecreasing finish order, as for
+    :func:`easy_backfill_window`; past finishes clamp to ``start``, and
+    releases at one time merge into one breakpoint.
     """
 
     def __init__(self, start: float, free_procs: int, releases: Sequence[Release] = ()):
@@ -100,7 +108,8 @@ class Timeline:
         self._times: list[float] = [self.start]
         self._free: list[int] = [int(free_procs)]
         free = int(free_procs)
-        for finish, procs in sorted((max(f, self.start), n) for f, n in releases):
+        for finish, procs in releases:
+            finish = max(finish, self.start)
             free += procs
             if finish == self._times[-1]:
                 self._free[-1] = free

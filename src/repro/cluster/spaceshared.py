@@ -18,6 +18,12 @@ injector switches it on for) is an indexed pool: every node's sort key
 key order by insertion rather than re-sorted (in plain node-id order while
 every node has the reference rating), and a node-to-job map finds the job
 holding a failed node without scanning the running jobs.
+
+Every machine, tracked or not, keeps the ``(estimated finish, procs)``
+release of each running job in one sorted list: the finish is struck once,
+when the job starts, and the pair leaves the list when the job completes
+or is killed, so EASY backfilling reads its profile without rebuilding or
+sorting it.
 """
 
 from __future__ import annotations
@@ -44,13 +50,10 @@ class RunningJob:
     speed: float = 1.0
     #: node ids held by the job (clusters that track nodes only).
     nodes: tuple[int, ...] = ()
+    #: finish time the scheduler believes in (start + estimate at the
+    #: allocation's speed); set by :meth:`SpaceSharedCluster.start`.
+    estimated_finish: float = 0.0
     completion: Optional[EventHandle] = field(repr=False, default=None)
-
-    @property
-    def estimated_finish(self) -> float:
-        """Finish time the scheduler believes in (start + estimate at the
-        allocation's speed)."""
-        return self.start_time + self.job.estimate / self.speed
 
     @property
     def actual_finish(self) -> float:
@@ -94,6 +97,8 @@ class SpaceSharedCluster:
             self.heterogeneous = False
         self.free_procs = self.total_procs
         self._running: dict[int, RunningJob] = {}
+        #: ``(estimated_finish, procs)`` of every running job, sorted.
+        self._releases: list[Release] = []
         # The indexed pool (see _index_nodes); empty until tracking is on.
         #: free node ids, fastest first (ties by id): in ``_key`` order.
         self._free_nodes: list[int] = []
@@ -181,9 +186,12 @@ class SpaceSharedCluster:
         if max_runtime is not None and max_runtime <= 0:
             raise ValueError("max_runtime must be positive")
         self.free_procs -= job.procs
-        record = RunningJob(job=job, start_time=self.sim.now)
+        now = self.sim.now
+        record = RunningJob(job=job, start_time=now)
         if self._track_nodes:
             self._allocate_nodes(record)
+        record.estimated_finish = finish = now + job.estimate / record.speed
+        bisect.insort(self._releases, (finish, job.procs))
         duration = job.runtime if max_runtime is None else min(job.runtime, max_runtime)
         record.completion = self.sim.schedule(
             duration / record.speed,
@@ -198,8 +206,15 @@ class SpaceSharedCluster:
             PERF.observe("cluster.space.utilization_at_start", self.utilization())
         return record
 
+    def _strike_release(self, record: RunningJob) -> None:
+        """Remove ``record``'s release; equal pairs are interchangeable,
+        so deleting the first of them is as good as deleting its own."""
+        releases = self._releases
+        del releases[bisect.bisect_left(releases, (record.estimated_finish, record.job.procs))]
+
     def _complete(self, record: RunningJob, on_finish) -> None:
         del self._running[record.job.job_id]
+        self._strike_release(record)
         self.free_procs += record.job.procs
         if self._track_nodes:
             self._release_nodes(record)
@@ -252,6 +267,7 @@ class SpaceSharedCluster:
         if victim.completion is not None:
             victim.completion.cancel()
         del self._running[victim.job.job_id]
+        self._strike_release(victim)
         self._release_nodes(victim, failed=node_id)
         # The failed node stays out of the pool; its procs slot is down too.
         self.free_procs += victim.job.procs - 1
@@ -333,8 +349,13 @@ class SpaceSharedCluster:
         return sorted(self._running.values(), key=lambda r: r.estimated_finish)
 
     def releases(self) -> list[Release]:
-        """(estimated finish, procs) pairs for the backfilling profile."""
-        return [(r.estimated_finish, r.job.procs) for r in self._running.values()]
+        """(estimated finish, procs) of every running job, in nondecreasing
+        finish order, for the backfilling profile.
+
+        This is the cluster's own list, kept up to date by every start,
+        completion and kill: read it, do not modify or keep it.
+        """
+        return self._releases
 
     def is_running(self, job_id: int) -> bool:
         return job_id in self._running

@@ -269,7 +269,12 @@ class BackfillPolicy(Policy, abc.ABC):
             self._drop(job, reason)
 
     def _window(self, head: Job) -> tuple[float, int]:
-        """EASY shadow time and spare processors for the blocked head."""
+        """EASY shadow time and spare processors for the blocked head.
+
+        The cluster keeps its releases in finish order, which is what
+        :func:`easy_backfill_window` requires, so the window walks only
+        the prefix up to the shadow.
+        """
         if head.procs > self._up_capacity():
             # Failed nodes leave too little machine for the head until a
             # repair; EASY's reservation is undefined, so let anything that

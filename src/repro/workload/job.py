@@ -12,7 +12,7 @@ every backfilling study) models inaccurate user estimates.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 
@@ -92,10 +92,25 @@ class Job:
 
     def clone(self) -> "Job":
         """An independent copy (policies mutate nothing, but the service
-        layer annotates jobs; each policy run gets its own copies)."""
-        c = replace(self)
-        c.extra = dict(self.extra)
-        return c
+        layer annotates jobs; each policy run gets its own copies).
+
+        Every field is passed to the constructor by name: cheaper than
+        ``dataclasses.replace``, which looks the fields up on every call.
+        ``tests/test_workload_job.py`` fails if a new field is left out.
+        """
+        return Job(
+            job_id=self.job_id,
+            submit_time=self.submit_time,
+            runtime=self.runtime,
+            estimate=self.estimate,
+            procs=self.procs,
+            deadline=self.deadline,
+            budget=self.budget,
+            penalty_rate=self.penalty_rate,
+            urgency=self.urgency,
+            trace_estimate=self.trace_estimate,
+            extra=dict(self.extra),
+        )
 
     def __repr__(self) -> str:
         return (

@@ -7,7 +7,10 @@ control (with a fresh budget quote) to each job it examines, and starts
 over after every start or rejection.  :class:`ReferenceConservative` is the
 matching conservative-backfilling loop.  Both keep their queue as a plain
 list of jobs and share nothing with the fast path but the policy's
-``priority_key``, ``_drop`` and the cluster.
+``priority_key``, ``_drop`` and the cluster.  They rebuild the running
+jobs' releases from the cluster's records at every dispatch, as the
+cluster once did, and EASY's window comes from the sort-based reference in
+:mod:`profile_reference`, not from the cluster's sorted release list.
 
 :func:`reference_policy` mixes either into a registered policy class, so
 the two implementations run the same priority order, prices and options.
@@ -18,11 +21,22 @@ from __future__ import annotations
 import math
 from typing import Optional
 
-from repro.cluster.profile import Timeline, can_backfill, easy_backfill_window
+from profile_reference import reference_easy_backfill_window
+
+from repro.cluster.profile import Timeline, can_backfill
 from repro.policies import POLICIES
 from repro.policies.backfill import TIME_EPS
 from repro.policies.conservative_bf import ConservativeBackfill
 from repro.workload.job import Job
+
+
+def rebuilt_releases(cluster) -> list[tuple[float, int]]:
+    """``(start + estimate / speed, procs)`` of every running job, in
+    start order."""
+    return [
+        (r.start_time + r.job.estimate / r.speed, r.job.procs)
+        for r in sorted(cluster.running(), key=lambda r: r.start_time)
+    ]
 
 
 class ReferenceDispatch:
@@ -92,10 +106,10 @@ class ReferenceDispatch:
             if head.procs > up_capacity:
                 shadow, spare = math.inf, self.cluster.free_procs
             else:
-                shadow, spare = easy_backfill_window(
+                shadow, spare = reference_easy_backfill_window(
                     self.sim.now,
                     self.cluster.free_procs,
-                    self.cluster.releases(),
+                    rebuilt_releases(self.cluster),
                     head.procs,
                     self.cluster.total_procs,
                 )
@@ -130,7 +144,7 @@ class ReferenceConservative(ReferenceDispatch):
             self._queue.sort(key=self.priority_key)
             advanced = False
             timeline = Timeline(
-                self.sim.now, self.cluster.free_procs, self.cluster.releases()
+                self.sim.now, self.cluster.free_procs, sorted(rebuilt_releases(self.cluster))
             )
             up_capacity = self.cluster.total_procs
             if self.fault_config is not None:

@@ -13,6 +13,13 @@ map must name, for every held node, the job the reference's allocations
 give it.  Every allocation's node tuple and speed must equal the
 reference's bit for bit, and every failure or decommission must kill the
 same job.
+
+The cluster's sorted release list is checked on the same sequences, and
+on an untracked homogeneous machine driven by starts and completions:
+after every operation :meth:`SpaceSharedCluster.releases` must equal the
+``(start + estimate / speed, procs)`` pairs of the running jobs, sorted.
+Most estimates differ from runtimes, and half the starts are killed at their
+estimate, so finishes fall before and after the actual completions.
 """
 
 from __future__ import annotations
@@ -43,6 +50,24 @@ def check_pool(cluster: SpaceSharedCluster, ref: ReferencePool) -> None:
     assert cluster._down == ref.down and cluster._retired == ref.retired
 
 
+def check_releases(cluster: SpaceSharedCluster) -> None:
+    assert cluster.releases() == sorted(
+        (r.start_time + r.job.estimate / r.speed, r.job.procs)
+        for r in cluster._running.values()
+    )
+
+
+def start_job(cluster, sim, job_id, data, finished):
+    """Start a random job on ``cluster`` (which must have a free processor)."""
+    procs = data.draw(st.integers(1, cluster.free_procs), label="procs")
+    runtime = data.draw(st.floats(1.0, 1_000.0), label="runtime")
+    estimate = data.draw(st.sampled_from([runtime, 100.0, 500.0]), label="estimate")
+    job = Job(job_id=job_id, submit_time=sim.now, runtime=runtime,
+              estimate=estimate, procs=procs, deadline=1e9)
+    max_runtime = data.draw(st.sampled_from([None, estimate]), label="max_runtime")
+    return cluster.start(job, lambda j, t: finished.append(j.job_id), max_runtime)
+
+
 def up_nodes(ref: ReferencePool) -> list[int]:
     gone = ref.down | ref.retired
     return [n for n in range(len(ref.nodes)) if n not in gone]
@@ -66,19 +91,16 @@ def test_pool_matches_reference(homogeneous, n_nodes, data):
     finished: list[int] = []
     next_id = 1
     check_pool(cluster, ref)
+    check_releases(cluster)
 
     for _ in range(data.draw(st.integers(1, 50), label="n_ops")):
         op = data.draw(st.sampled_from(OPS), label="op")
         if op == "start":
             if cluster.free_procs == 0:
                 continue
-            procs = data.draw(st.integers(1, cluster.free_procs), label="procs")
-            runtime = data.draw(st.floats(1.0, 1_000.0), label="runtime")
-            job = Job(job_id=next_id, submit_time=sim.now, runtime=runtime,
-                      estimate=runtime, procs=procs, deadline=1e9)
+            record = start_job(cluster, sim, next_id, data, finished)
             next_id += 1
-            record = cluster.start(job, lambda j, t: finished.append(j.job_id))
-            nodes, speed = ref.allocate(job.job_id, procs)
+            nodes, speed = ref.allocate(record.job.job_id, record.job.procs)
             assert record.nodes == nodes
             assert record.speed.hex() == speed.hex()
         elif op == "step":
@@ -113,9 +135,27 @@ def test_pool_matches_reference(homogeneous, n_nodes, data):
             victim = ref.decommission(node_id)
             assert [job.job_id for job, _ in killed] == ([] if victim is None else [victim])
         check_pool(cluster, ref)
+        check_releases(cluster)
 
     sim.run()
     for job_id in sorted(set(ref.allocations) - set(cluster._running)):
         ref.release(job_id)
     check_pool(cluster, ref)
     assert not cluster._node_job
+    assert cluster.releases() == []
+
+
+@given(st.integers(1, 10), st.data())
+@settings(max_examples=100, deadline=None)
+def test_untracked_releases_stay_sorted(n_nodes, data):
+    sim = Simulator()
+    cluster = SpaceSharedCluster(sim, total_procs=n_nodes)
+    finished: list[int] = []
+    for job_id in range(1, data.draw(st.integers(1, 40), label="n_ops") + 1):
+        if cluster.free_procs and data.draw(st.booleans(), label="start"):
+            start_job(cluster, sim, job_id, data, finished)
+        elif not sim.step():
+            continue
+        check_releases(cluster)
+    sim.run()
+    assert cluster.releases() == []

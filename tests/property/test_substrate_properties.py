@@ -46,7 +46,7 @@ def test_earliest_start_monotone_in_procs(releases, procs):
 def test_backfill_window_shadow_not_before_now(releases, anchor):
     total = sum(n for _, n in releases) + 16
     now = 50.0
-    shadow, spare = easy_backfill_window(now, 16, releases, anchor, total)
+    shadow, spare = easy_backfill_window(now, 16, sorted(releases), anchor, total)
     assert shadow >= now
     assert 0 <= spare <= total
 

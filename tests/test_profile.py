@@ -57,6 +57,14 @@ def test_window_spare_counts_extra_at_shadow():
     assert spare == 4  # 8 free at shadow minus 4 anchor
 
 
+def test_window_spare_counts_every_tie_at_shadow():
+    # Three releases at the shadow: all of them join the spare.
+    releases = [(100.0, 2), (100.0, 2), (100.0, 2), (200.0, 8)]
+    shadow, spare = easy_backfill_window(0.0, 0, releases, anchor_procs=2, total_procs=16)
+    assert shadow == 100.0
+    assert spare == 4
+
+
 def test_backfill_rule_short_job_before_shadow():
     # Candidate finishing before the shadow can use any free processor.
     assert can_backfill(0.0, free_procs=2, procs=2, est_runtime=50.0, shadow_time=100.0, spare=0)

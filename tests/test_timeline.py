@@ -13,7 +13,8 @@ def test_empty_profile_is_flat():
 
 
 def test_releases_build_staircase():
-    t = Timeline(0.0, 2, [(100.0, 4), (50.0, 2)])
+    # Releases come in finish order, as SpaceSharedCluster.releases() keeps them.
+    t = Timeline(0.0, 2, [(50.0, 2), (100.0, 4)])
     assert t.free_at(0.0) == 2
     assert t.free_at(50.0) == 4
     assert t.free_at(99.0) == 4

@@ -1,5 +1,7 @@
 """Unit tests for the Job record."""
 
+import dataclasses
+
 import pytest
 
 from repro.workload.job import Job, Urgency
@@ -53,6 +55,34 @@ def test_clone_is_independent():
     assert job.extra["note"] == "original"
     assert job.deadline == float("inf")
     assert copy.deadline == 42.0
+
+
+def test_clone_copies_every_field():
+    # One non-default value per field: a field added to Job but not to
+    # Job.clone fails the equality below (or the name check first).
+    values = {
+        "job_id": 7,
+        "submit_time": 12.5,
+        "runtime": 300.0,
+        "estimate": 450.0,
+        "procs": 3,
+        "deadline": 900.0,
+        "budget": 55.0,
+        "penalty_rate": 0.25,
+        "urgency": Urgency.HIGH,
+        "trace_estimate": 600.0,
+        "extra": {"note": "original"},
+    }
+    assert set(values) == {f.name for f in dataclasses.fields(Job)}
+    job = Job(**values)
+    for f in dataclasses.fields(Job):
+        if f.default_factory is not dataclasses.MISSING:
+            assert getattr(job, f.name) != f.default_factory(), f.name
+        else:
+            assert getattr(job, f.name) != f.default, f.name
+    copy = job.clone()
+    assert copy == job
+    assert copy.extra is not job.extra
 
 
 def test_repr_mentions_id():
