@@ -27,32 +27,29 @@ outages, cascades, and elastic capacity.
 
 Everything prints plain text (the same renderings the benchmark exhibits
 use) and exits non-zero on bad arguments, so the CLI is scriptable.
+
+Each handler imports what its command uses; the module itself imports
+only what building the parser needs, so ``--help`` and a single ``run``
+never load the risk analysis, the run store or the farm (see
+``docs/architecture.md``, "Import layering").
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.apriori import recommend_policy, risk_register
-from repro.core.objectives import OBJECTIVES
-from repro.economy.models import make_model
-from repro.experiments import figures as figures_mod
-from repro.experiments import tables as tables_mod
-from repro.experiments.faultsweep import CORRELATED_FAULTS
-from repro.experiments.report import format_table, summarize_figure, summarize_plot
-from repro.experiments.runner import build_workload, run_grid
-from repro.experiments.runstore import RunStore
-from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by_name
-from repro.perf import capture as perf_capture
-from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES, make_policy
-from repro.service.provider import CommercialComputingService
-from repro.workload.swf import parse_swf
-from repro.workload.synthetic import SDSC_SP2, generate_trace, trace_statistics
+from repro.faults.config import CORRELATED_FAULTS
+
+if TYPE_CHECKING:
+    from repro.experiments.runstore import RunStore
+    from repro.experiments.scenarios import ExperimentConfig
 
 
 def _config_from_args(args) -> ExperimentConfig:
+    from repro.experiments.scenarios import ExperimentConfig
+
     config = ExperimentConfig(
         n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
     ).for_set(args.set)
@@ -142,6 +139,9 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
 
 
 def cmd_figure(args) -> int:
+    from repro.experiments import figures as figures_mod
+    from repro.experiments.report import format_table, summarize_figure, summarize_plot
+
     base = _config_from_args(args)
     number = args.number
     if number == 1:
@@ -167,6 +167,9 @@ def cmd_figure(args) -> int:
 
 
 def cmd_table(args) -> int:
+    from repro.experiments import tables as tables_mod
+    from repro.experiments.report import format_table
+
     builders = {
         1: (tables_mod.table_i, "Table I — objectives"),
         2: (tables_mod.table_ii, "Table II — sample statistics"),
@@ -184,12 +187,22 @@ def cmd_table(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from repro.economy.models import make_model
+    from repro.experiments.report import format_table
+    from repro.experiments.runner import build_workload
+    from repro.perf import capture as perf_capture
+    from repro.policies import POLICIES, make_policy
+    from repro.service.provider import CommercialComputingService
+
     if args.policy not in POLICIES:
         print(f"error: unknown policy {args.policy!r} (see `list`)", file=sys.stderr)
         return 2
     config = _config_from_args(args)
-    store = RunStore(args.cache_dir) if args.cache_dir else None
-    if store is not None:
+    store = None
+    if args.cache_dir:
+        from repro.experiments.runstore import RunStore
+
+        store = RunStore(args.cache_dir)
         cached = store.get(config, args.policy, args.model)
         if cached is not None:
             store.hits += 1
@@ -285,6 +298,7 @@ def _print_failures(store: RunStore, failed: Sequence[str]) -> None:
 
 
 def cmd_grid(args) -> int:
+    from repro.core.objectives import OBJECTIVES
     from repro.core.ranking import rank_policies
     from repro.experiments.pipeline import (
         ExecutionPolicy,
@@ -292,7 +306,12 @@ def cmd_grid(args) -> int:
         execute_plan,
         grid_plan,
     )
+    from repro.experiments.report import format_table
+    from repro.experiments.runstore import RunStore
+    from repro.experiments.scenarios import SCENARIOS, scenario_by_name
     from repro.experiments.store import save_grid
+    from repro.perf import capture as perf_capture
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
 
     policies = args.policies or (
         COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
@@ -416,6 +435,9 @@ def cmd_faults(args) -> int:
         mtbf_scenario,
     )
     from repro.experiments.pipeline import execute_plan, grid_plan
+    from repro.experiments.runstore import RunStore
+    from repro.experiments.scenarios import ExperimentConfig
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
 
     policies = args.policies or (
         COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
@@ -477,7 +499,9 @@ def cmd_market(args) -> int:
         mtbf_market_scenario,
         run_market_sweep,
     )
+    from repro.experiments.runstore import RunStore
     from repro.market import Marketplace, ProviderSpec, SyntheticSpec, market_job_stream
+    from repro.policies import POLICIES
 
     if args.providers < 2:
         print("error: a market needs at least 2 providers", file=sys.stderr)
@@ -652,6 +676,7 @@ def cmd_farm_serve(args) -> int:
 
 
 def cmd_farm_status(args) -> int:
+    from repro.experiments.report import format_table
     from repro.farm import Farm
 
     farm = Farm(args.farm)
@@ -678,6 +703,9 @@ def cmd_farm_status(args) -> int:
 
 
 def cmd_store(args) -> int:
+    from repro.experiments.report import format_table
+    from repro.experiments.runstore import RunStore
+
     store = RunStore(args.cache_dir)
     if args.store_command == "stats":
         stats = store.stats()
@@ -703,6 +731,10 @@ def cmd_store(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    from repro.experiments.report import format_table
+    from repro.workload.swf import parse_swf
+    from repro.workload.synthetic import SDSC_SP2, generate_trace, trace_statistics
+
     if args.file:
         on_error = "skip" if args.lenient else "raise"
         jobs = parse_swf(args.file, last_n=args.last, on_error=on_error)
@@ -734,6 +766,10 @@ def cmd_trace(args) -> int:
 def cmd_frontier(args) -> int:
     from repro.core.frontier import frontier_report, plot_points
     from repro.core.objectives import OBJECTIVES
+    from repro.experiments.report import format_table
+    from repro.experiments.runner import run_grid
+    from repro.experiments.scenarios import SCENARIOS
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES
 
     base = _config_from_args(args)
     policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
@@ -757,7 +793,9 @@ def cmd_frontier(args) -> int:
 
 def cmd_tornado(args) -> int:
     from repro.core.objectives import OBJECTIVES
+    from repro.experiments.scenarios import SCENARIOS
     from repro.experiments.sensitivity import format_tornado, tornado_analysis
+    from repro.policies import POLICIES
 
     if args.policy not in POLICIES:
         print(f"error: unknown policy {args.policy!r} (see `list`)", file=sys.stderr)
@@ -774,6 +812,12 @@ def cmd_tornado(args) -> int:
 
 
 def cmd_recommend(args) -> int:
+    from repro.core.apriori import recommend_policy, risk_register
+    from repro.experiments.report import format_table
+    from repro.experiments.runner import run_grid
+    from repro.experiments.scenarios import SCENARIOS
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES
+
     base = _config_from_args(args)
     policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
     grid = run_grid(policies, args.model, base, args.set, SCENARIOS)
@@ -791,6 +835,7 @@ def cmd_recommend(args) -> int:
 
 def cmd_report(args) -> int:
     from repro.experiments.full_report import generate_report
+    from repro.experiments.scenarios import ExperimentConfig
 
     base = ExperimentConfig(n_jobs=args.jobs, total_procs=args.procs, seed=args.seed)
     index = generate_report(
@@ -804,6 +849,10 @@ def cmd_report(args) -> int:
 
 
 def cmd_list(args) -> int:
+    from repro.core.objectives import OBJECTIVES
+    from repro.experiments.scenarios import SCENARIOS
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
+
     print("policies:")
     for name in POLICIES:
         markets = []

@@ -35,6 +35,8 @@ from repro.core.separate import SeparateRisk
 from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
+# CORRELATED_FAULTS lives with FaultConfig; this module re-exports it.
+from repro.faults.config import CORRELATED_FAULTS as CORRELATED_FAULTS
 from repro.faults.config import FaultConfig
 
 #: default per-node MTBF levels (seconds): 6 h … 8 days.  The span brackets
@@ -65,20 +67,6 @@ CASCADE_PROB_LEVELS: tuple[float, ...] = (0.0, 0.1, 0.25, 0.5, 1.0)
 def cascade_scenario(values: Sequence[float] = CASCADE_PROB_LEVELS) -> Scenario:
     """The cascade-probability sweep as a :class:`Scenario`."""
     return Scenario("cascade", "fault_cascade_prob", tuple(float(v) for v in values))
-
-
-#: The rack-structured machine the cascade sweep runs on: racks of 8
-#: nodes, one outage per rack-day lasting an hour, a cascade hop 30 s
-#: after its trigger, and a per-node MTBF of 4 days.  ``repro faults
-#: --sweep correlated`` takes its option defaults from these fields.
-CORRELATED_FAULTS = FaultConfig(
-    enabled=True,
-    mtbf=345_600.0,
-    domain_size=8,
-    domain_mtbf=86_400.0,
-    domain_mttr=3_600.0,
-    cascade_delay=30.0,
-)
 
 
 @dataclass(frozen=True)

@@ -45,18 +45,15 @@ from __future__ import annotations
 
 import heapq
 import math
-import multiprocessing
 import os
 import random
 import signal
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from repro.core.normalize import normalize_runs
 from repro.core.objectives import Objective, ObjectiveSet
@@ -73,6 +70,9 @@ from repro.experiments.errors import (
 from repro.experiments.runstore import RunKey, RunStore, StoreError, Unit
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 from repro.perf.registry import PERF
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: perf counter per failure kind.
 _KIND_COUNTERS = {
@@ -335,6 +335,9 @@ def _new_pool(n_workers: int) -> ProcessPoolExecutor:
     so no worker re-synthesises the base trace; spawn platforms fall back
     to the default start method and pay one synthesis per worker.
     """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     if "fork" in multiprocessing.get_all_start_methods():
         return ProcessPoolExecutor(
             max_workers=n_workers, mp_context=multiprocessing.get_context("fork")
@@ -394,6 +397,17 @@ def _execute_serial(
     return supervisor
 
 
+def wait(fs, timeout=None, return_when="ALL_COMPLETED"):
+    """:func:`concurrent.futures.wait`, imported on the pool path only.
+
+    The supervisor's one blocking point; a module-level name, so a test
+    can interrupt a running grid through it.
+    """
+    from concurrent.futures import wait as futures_wait
+
+    return futures_wait(fs, timeout, return_when)
+
+
 def _kill_pool(pool: ProcessPoolExecutor) -> None:
     """Forcefully stop a pool: SIGKILL its workers, then shut it down.
 
@@ -429,6 +443,9 @@ def _execute_pool(
     its own rerun — batchmates are innocent); retries re-enter as
     singletons after waiting out their backoff in a delay queue.
     """
+    from concurrent.futures import FIRST_COMPLETED
+    from concurrent.futures.process import BrokenProcessPool
+
     from repro.experiments.runner import warm_trace_memo
 
     supervisor = _Supervisor(store, policy)

@@ -7,10 +7,10 @@ risk plot with its policy legend.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Mapping, Optional, Sequence
 
-from repro.core.ranking import rank_policies
-from repro.core.riskplot import RiskPlot
+if TYPE_CHECKING:
+    from repro.core.riskplot import RiskPlot
 
 
 def format_table(rows: Sequence[Mapping], title: str = "") -> str:
@@ -48,6 +48,8 @@ def _fmt(value) -> str:
 def summarize_plot(plot: RiskPlot, include_ascii: bool = True) -> str:
     """The full exhibit for one risk plot: summary statistics, both
     rankings, and the scatter."""
+    from repro.core.ranking import rank_policies
+
     parts = [format_table(plot.summary_rows(), title=plot.title or "risk plot")]
     perf = rank_policies(plot, by="performance")
     parts.append(

@@ -16,14 +16,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.core.integrated import IntegratedRisk, integrated_risk
 from repro.core.objectives import Objective, ObjectiveSet
-from repro.core.riskplot import RiskPlot
-from repro.core.separate import SeparateRisk
 from repro.economy.models import make_model
-from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario
 from repro.perf.registry import PERF
 from repro.policies import make_policy
@@ -33,6 +29,11 @@ from repro.workload.estimates import apply_inaccuracy
 from repro.workload.job import Job
 from repro.workload.qos import assign_qos
 from repro.workload.synthetic import SDSC_SP2, generate_trace
+
+if TYPE_CHECKING:
+    from repro.core.riskplot import RiskPlot
+    from repro.core.separate import SeparateRisk
+    from repro.experiments.runstore import RunStore
 
 
 #: Memoised base traces keyed by ``(seed, n_jobs, max_procs)``.  The base
@@ -212,6 +213,8 @@ class GridAnalysis:
         Gap cells of a degraded grid are omitted from the plot (they have
         no coordinates); see :meth:`gaps_report` for what is missing.
         """
+        from repro.core.riskplot import RiskPlot
+
         plot = RiskPlot(title=title or f"{self.model} Set {self.set_name}: {objective.value}")
         for policy in self.policies:
             for scenario in self.scenarios:
@@ -235,6 +238,9 @@ class GridAnalysis:
         title: str = "",
     ) -> RiskPlot:
         """Fig. 4/5/7/8-style plot: a weighted combination of objectives."""
+        from repro.core.integrated import integrated_risk
+        from repro.core.riskplot import RiskPlot
+
         names = ", ".join(o.value for o in objectives)
         plot = RiskPlot(title=title or f"{self.model} Set {self.set_name}: {names}")
         for policy in self.policies:
@@ -242,7 +248,7 @@ class GridAnalysis:
                 separate = {o: self.separate[o][policy][scenario] for o in objectives}
                 if any(risk.is_gap for risk in separate.values()):
                     continue  # degraded cell: no point to plot
-                combined: IntegratedRisk = integrated_risk(separate, weights)
+                combined = integrated_risk(separate, weights)
                 plot.add_point(policy, scenario, combined.volatility, combined.performance)
         return plot
 
@@ -267,6 +273,7 @@ def run_grid(
     interrupted grid resumes from where it stopped.
     """
     from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
+    from repro.experiments.runstore import RunStore
 
     cache = cache if cache is not None else RunStore()
     t0 = time.perf_counter()

@@ -20,11 +20,16 @@ Entry points:
 See ``docs/farm.md`` for the protocol and its failure semantics.
 """
 
-from repro.farm.coordinator import Coordinator, Farm, FarmError, JobProgress
-from repro.farm.leases import DEFAULT_LEASE_S, Lease
-from repro.farm.plan import FarmPlan, plan_from_args
-from repro.farm.service import FarmService
-from repro.farm.worker import WorkerAgent, default_worker_id
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.farm.coordinator import Coordinator, Farm, FarmError, JobProgress
+    from repro.farm.leases import DEFAULT_LEASE_S, Lease
+    from repro.farm.plan import FarmPlan, plan_from_args
+    from repro.farm.service import FarmService
+    from repro.farm.worker import WorkerAgent, default_worker_id
 
 __all__ = [
     "Coordinator",
@@ -39,3 +44,11 @@ __all__ = [
     "default_worker_id",
     "plan_from_args",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.farm.coordinator": ("Coordinator", "Farm", "FarmError", "JobProgress"),
+    "repro.farm.leases": ("DEFAULT_LEASE_S", "Lease"),
+    "repro.farm.plan": ("FarmPlan", "plan_from_args"),
+    "repro.farm.service": ("FarmService",),
+    "repro.farm.worker": ("WorkerAgent", "default_worker_id"),
+})

@@ -330,3 +330,17 @@ class FaultConfig:
 
 #: the shared fault-free default embedded in every ExperimentConfig.
 NO_FAULTS = FaultConfig()
+
+#: The rack-structured machine the correlated fault sweep runs on: racks of
+#: 8 nodes, one outage per rack-day lasting an hour, a cascade hop 30 s
+#: after its trigger, and a per-node MTBF of 4 days.  ``repro faults
+#: --sweep correlated`` takes its option defaults from these fields
+#: (:mod:`repro.experiments.faultsweep` re-exports it).
+CORRELATED_FAULTS = FaultConfig(
+    enabled=True,
+    mtbf=345_600.0,
+    domain_size=8,
+    domain_mtbf=86_400.0,
+    domain_mttr=3_600.0,
+    cascade_delay=30.0,
+)

@@ -13,8 +13,13 @@ the corresponding substrate as an optional extension:
   eats into the deadline window and into the wait objective.
 """
 
-from repro.network.link import SharedLink, Transfer
-from repro.network.staging import DataStagingFrontEnd, assign_input_sizes
+from typing import TYPE_CHECKING
+
+from repro import _lazy_exports
+
+if TYPE_CHECKING:
+    from repro.network.link import SharedLink, Transfer
+    from repro.network.staging import DataStagingFrontEnd, assign_input_sizes
 
 __all__ = [
     "SharedLink",
@@ -22,3 +27,8 @@ __all__ = [
     "DataStagingFrontEnd",
     "assign_input_sizes",
 ]
+
+__getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.network.link": ("SharedLink", "Transfer"),
+    "repro.network.staging": ("DataStagingFrontEnd", "assign_input_sizes"),
+})
