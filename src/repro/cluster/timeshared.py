@@ -22,9 +22,16 @@ integrated between events.  In static mode rates only change at admissions
 and completions, so the piecewise integration is exact; in dynamic mode the
 required rates drift between events and the integration is a
 piecewise-constant approximation refreshed at every event.  Progress is
-only integrated when the clock has moved, so the required rates and node
-loads an arrival's admission query derives are kept for the instant and
-reused by the admission that follows.
+only integrated when the clock has moved, so the node loads an arrival's
+admission query sums are kept for the instant and reused by the admission
+that follows.
+
+Per-job run state lives in arrays, one row per running job in admission
+order, and each job's nodes in one flat incidence array grouped by row, so
+progress, required rates, gang minima and ETAs are a few array operations
+per event.  Each applies the same IEEE operations in the same order as a
+loop over the jobs would.  Per-node float totals are the exception: they
+are builtin ``sum()`` calls over each node's members in ``node_jobs`` order.
 
 Only the earliest completion sits in the event list: one
 ``Priority.COMPLETION`` timer per cluster, at the smallest ``(eta, tick)``
@@ -38,9 +45,9 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
+
+import numpy as np
 
 from repro.perf.registry import PERF
 from repro.sim.engine import Simulator
@@ -54,33 +61,71 @@ SHARE_EPS = 1e-9
 #: remaining work below this counts as finished.
 WORK_EPS = 1e-6
 
+#: rows of the per-job block; a tick is an integer held exactly as a float.
+_CONSUMED, _REMAINING, _RATE, _ETA, _TICK, _SHARE, _ESTIMATE, _DEADLINE = range(8)
+
 
 class ShareMode(enum.Enum):
     STATIC = "static"
     DYNAMIC = "dynamic"
 
 
-@dataclass
 class TSJobState:
-    """Run state of one admitted job."""
+    """Run state of one admitted job.
 
-    job: Job
-    nodes: tuple[int, ...]
-    share: float  # committed (static) share per node
-    start_time: float
-    remaining_work: float  # seconds of dedicated-CPU work left (actual)
-    consumed: float = 0.0  # seconds of work done so far
-    rate: float = 0.0
-    #: projected finish time at the current rate.
-    eta: float = math.inf
-    #: simulator sequence number drawn when ``eta`` was set; orders
-    #: same-instant completions.
-    tick: int = -1
-    #: the job's absolute deadline, read once at admission.
-    absolute_deadline: float = field(init=False)
+    While the job runs, its progress, rate, ETA and tick read through to
+    the cluster's arrays; when it is released they freeze at their final
+    values.
+    """
 
-    def __post_init__(self) -> None:
-        self.absolute_deadline = self.job.absolute_deadline
+    __slots__ = ("job", "nodes", "share", "start_time", "absolute_deadline",
+                 "_cluster", "_row", "_final", "_on_finish")
+
+    def __init__(self, job: Job, nodes: tuple[int, ...], share: float,
+                 start_time: float, cluster: "TimeSharedCluster", row: int,
+                 on_finish: Callable[[Job, float], None]) -> None:
+        self.job = job
+        self.nodes = nodes
+        #: committed (static) share per node.
+        self.share = share
+        self.start_time = start_time
+        #: the job's absolute deadline, read once at admission.
+        self.absolute_deadline = job.absolute_deadline
+        self._cluster: Optional[TimeSharedCluster] = cluster
+        self._row = row
+        self._final: list = []
+        self._on_finish = on_finish
+
+    def _value(self, field: int) -> float:
+        cluster = self._cluster
+        if cluster is None:
+            return self._final[field]
+        return cluster._f[field, self._row].item()
+
+    @property
+    def consumed(self) -> float:
+        """Seconds of work done so far."""
+        return self._value(_CONSUMED)
+
+    @property
+    def remaining_work(self) -> float:
+        """Seconds of dedicated-CPU work left (actual)."""
+        return self._value(_REMAINING)
+
+    @property
+    def rate(self) -> float:
+        return self._value(_RATE)
+
+    @property
+    def eta(self) -> float:
+        """Projected finish time at the current rate."""
+        return self._value(_ETA)
+
+    @property
+    def tick(self) -> int:
+        """Simulator sequence number drawn when ``eta`` was set; orders
+        same-instant completions."""
+        return int(self._value(_TICK))
 
     @property
     def past_estimate(self) -> bool:
@@ -88,17 +133,15 @@ class TSJobState:
         — the under-estimation signal LibraRiskD keys on."""
         return self.consumed >= self.job.estimate - WORK_EPS and self.remaining_work > WORK_EPS
 
-    def required_rate(self, now: float) -> float:
-        """Average rate needed from ``now`` to still meet the deadline,
-        based on the *estimated* remaining work."""
-        est_remaining = max(self.job.estimate - self.consumed, 0.0)
-        window = self.absolute_deadline - now
-        if window <= 0.0:
-            return 1.0
-        return min(est_remaining / window, 1.0)
-
-
-_COMPLETION_ORDER = attrgetter("eta", "tick")
+    def _freeze(self, finished: bool) -> None:
+        """Keep the final numbers, as the column is about to be reused.  A
+        finished job's float residual of work is snapped into ``consumed``."""
+        final = self._cluster._f[:_SHARE, self._row].tolist()
+        if finished:
+            final[_CONSUMED] += final[_REMAINING]
+            final[_REMAINING] = 0.0
+        self._final = final
+        self._cluster = None
 
 
 class TimeSharedCluster:
@@ -115,30 +158,39 @@ class TimeSharedCluster:
         self.sim = sim
         self.total_procs = int(total_procs)
         self.mode = mode
-        self.committed: list[float] = [0.0] * self.total_procs
-        self.node_jobs: list[set[int]] = [set() for _ in range(self.total_procs)]
+        n_nodes = self.total_procs
+        self.committed: list[float] = [0.0] * n_nodes
+        self.node_jobs: list[set[int]] = [set() for _ in range(n_nodes)]
         self._states: dict[int, TSJobState] = {}
         #: current share per job: the committed share (static) or the
         #: floored required rate, refreshed at every reschedule (dynamic).
         self._share: dict[int, float] = {}
-        #: per node: share total summed in ``node_jobs`` order, and the
-        #: residual bonus each member gets (``inf`` on an empty or an
-        #: overcommitted node).  Static mode refreshes only nodes whose
-        #: membership changed.
-        self._total: list[float] = [0.0] * self.total_procs
-        self._bonus: list[float] = [math.inf] * self.total_procs
-        #: nodes whose share total exceeds 1.
-        self._over: set[int] = set()
-        #: what one instant's admissions share, derived on first use and
-        #: dropped when progress is next integrated.  Dynamic mode: every
-        #: job's required rate (``None`` until derived), and per node the
-        #: plain sum of its jobs' required rates in ``node_jobs`` order
-        #: (0.0 on an empty node, ``None`` until derived again after a
-        #: membership change).  Both modes: the jobs past their estimate,
-        #: for the risk filter.
-        self._rates: Optional[dict[int, float]] = None
-        self._raw: list[Optional[float]] = [0.0] * self.total_procs
-        self._risky: Optional[set[int]] = None
+        # Per job, one column per running job, in admission order, of the
+        # block ``_f`` (rows ``_CONSUMED`` … ``_DEADLINE``), each row also
+        # bound to its own name by :meth:`_bind_rows`.  ``_jobs`` and
+        # ``_jids`` name each column's job.  ``_nodes`` holds every job's
+        # nodes back to back in column order, ``_n_inc`` of them in use,
+        # and ``_start`` the first of each job's.
+        self._n = 0
+        self._bind_rows(np.zeros((8, 64)), np.zeros(64, dtype=np.int64))
+        self._jobs: list[TSJobState] = []
+        self._jids: list[int] = []
+        self._nodes = np.zeros(4 * n_nodes, dtype=np.int64)
+        self._n_inc = 0
+        #: per node: share total summed in ``node_jobs`` order, the residual
+        #: bonus each member gets (``inf`` on an empty or an overcommitted
+        #: node), and whether the total exceeds ``1 + SHARE_EPS``.
+        self._total = np.zeros(n_nodes)
+        self._bonus = np.full(n_nodes, math.inf)
+        self._over = np.zeros(n_nodes, dtype=bool)
+        #: dynamic mode, per node: the plain sum of its jobs' required rates
+        #: in ``node_jobs`` order, kept for the instant it was summed at and
+        #: valid where ``_raw_ok`` (always on an empty node, whose load is
+        #: 0; never in static mode, which keeps no such sums).
+        self._raw = np.zeros(n_nodes)
+        self._raw_ok = np.full(n_nodes, mode is ShareMode.DYNAMIC)
+        #: nodes failed or retired; excluded from admission.
+        self._unavail = np.zeros(n_nodes, dtype=bool)
         #: the completion timer, armed at the smallest (eta, tick).
         self._timer: Optional[EventHandle] = None
         self._last_update = sim.now
@@ -147,6 +199,13 @@ class TimeSharedCluster:
         #: nodes decommissioned for good (elastic capacity); ids stay stable.
         self._retired: set[int] = set()
 
+    def _bind_rows(self, f: np.ndarray, start: np.ndarray) -> None:
+        """Adopt the per-job arrays and name the block's rows."""
+        self._f = f
+        self._start = start
+        (self._consumed, self._remaining, self._rate, self._eta, self._tick,
+         self._committed_share, self._estimate, self._deadline) = f
+
     # -- admission helpers -------------------------------------------------
     def node_share_load(self, node: int) -> float:
         """Current admission load of a node: committed static shares, or the
@@ -154,12 +213,12 @@ class TimeSharedCluster:
         if self.mode is ShareMode.STATIC:
             return self.committed[node]
         self._sync_progress()
-        return self._raw_loads()[node]
+        return float(self._raw_loads()[node])
 
     def node_has_risk(self, node: int) -> bool:
         """Any job on the node already past its estimate (LibraRiskD's risk)."""
         self._sync_progress()
-        return not self._risky_jobs().isdisjoint(self.node_jobs[node])
+        return bool(self._risky_nodes()[node])
 
     def feasible_nodes(
         self, share: float, exclude_risky: bool = False
@@ -169,23 +228,18 @@ class TimeSharedCluster:
         Best fit (paper §5.2): nodes with the least processor time left
         after placing the job are preferred, saturating each node.  A
         node's load is its committed share total (static) or the sum of
-        its jobs' required rates (dynamic).
+        its jobs' required rates (dynamic).  Ties go to the lower node id.
         """
         self._sync_progress()
         loads = self._total if self.mode is ShareMode.STATIC else self._raw_loads()
-        excluded = self._down | self._retired
+        fits = loads + share <= 1.0 + SHARE_EPS
+        if self._down or self._retired:
+            fits &= ~self._unavail
         if exclude_risky:
-            states = self._states
-            for jid in self._risky_jobs():
-                excluded.update(states[jid].nodes)
-        limit = 1.0 + SHARE_EPS
-        candidates = [
-            (1.0 - load - share, node)
-            for node, load in enumerate(loads)
-            if load + share <= limit and node not in excluded
-        ]
-        candidates.sort()
-        return [node for _, node in candidates]
+            fits &= ~self._risky_nodes()
+        nodes = fits.nonzero()[0]
+        left = (1.0 - loads[nodes]) - share
+        return nodes[left.argsort(kind="stable")].tolist()
 
     def committed_seconds(self, nodes: Sequence[int], window: float) -> list[float]:
         """Processor-seconds of each of ``nodes`` committed to current jobs
@@ -193,48 +247,65 @@ class TimeSharedCluster:
 
         Each job's share occupies a node only until its own deadline — a
         reservation expiring early in the window leaves the remainder
-        free for the job being priced.  A job holding several of the
-        nodes is counted once and its seconds reused on each.
+        free for the job being priced.  Each job's seconds are derived
+        once and summed on each of its nodes in ``node_jobs`` order.
         """
         self._sync_progress()
-        now = self.sim.now
-        states = self._states
+        n = self._n
+        until = self._deadline[:n] - self.sim.now
+        np.copyto(until, window, where=window < until)  # min(until, window)
+        np.copyto(until, 0.0, where=~(until > 0.0))  # max(0.0, until)
+        held = dict(zip(self._jids, (self._committed_share[:n] * until).tolist())).__getitem__
         node_jobs = self.node_jobs
-        held = {}
-        for jid in set().union(*(node_jobs[node] for node in nodes)):
-            state = states[jid]
-            held[jid] = state.share * max(0.0, min(state.absolute_deadline - now, window))
-        return [sum(map(held.__getitem__, node_jobs[node])) for node in nodes]
+        return [sum(map(held, node_jobs[node])) for node in nodes]
 
-    def _required_rates(self) -> dict[int, float]:
-        """Every job's required rate at the current instant, derived once
-        per instant and kept up to date by admissions and releases."""
-        rates = self._rates
-        if rates is None:
-            now = self.sim.now
-            rates = self._rates = {
-                jid: s.required_rate(now) for jid, s in self._states.items()
-            }
-        return rates
+    def _required_rates(self) -> np.ndarray:
+        """Every job's required rate now: estimated remaining work over the
+        time left to its deadline, capped at 1 (1 once the deadline has
+        passed)."""
+        n = self._n
+        est = self._estimate[:n] - self._consumed[:n]
+        # max(est, 0.0) and min(rate, 1.0): neither operand can be -0.0,
+        # so no signed zero can tell them from np.maximum/np.minimum.
+        np.maximum(est, 0.0, out=est)
+        window = self._deadline[:n] - self.sim.now
+        if n and window[window.argmin()] > 0.0:
+            rates = np.divide(est, window, out=est)
+        else:
+            rates = np.ones(n)
+            np.divide(est, window, out=rates, where=window > 0.0)
+        return np.minimum(rates, 1.0, out=rates)
 
-    def _raw_loads(self) -> list[float]:
+    def _raw_loads(self) -> np.ndarray:
         """Per node, the sum of its jobs' required rates now."""
         raw = self._raw
-        rates = self._required_rates().__getitem__
-        node_jobs = self.node_jobs
-        for node, load in enumerate(raw):
-            if load is None:
-                raw[node] = sum(map(rates, node_jobs[node]))
-        return raw  # type: ignore[return-value]
+        stale = (~self._raw_ok).nonzero()[0]
+        if stale.size:
+            rates = dict(zip(self._jids, self._required_rates().tolist())).__getitem__
+            node_jobs = self.node_jobs
+            raw[stale] = [sum(map(rates, node_jobs[node])) for node in stale.tolist()]
+            self._raw_ok.fill(True)
+        return raw
 
-    def _risky_jobs(self) -> set[int]:
-        """Jobs past their estimate at the current instant."""
-        risky = self._risky
-        if risky is None:
-            risky = self._risky = {
-                jid for jid, s in self._states.items() if s.past_estimate
-            }
-        return risky
+    def _nodes_of(self, jobs: np.ndarray) -> np.ndarray:
+        """Mask of the nodes held by the jobs selected in ``jobs`` (few)."""
+        mask = np.zeros(len(self.node_jobs), dtype=bool)
+        rows = jobs.nonzero()[0].tolist()
+        if rows:
+            held = self._jobs
+            mask[list(set().union(*[held[row].nodes for row in rows]))] = True
+        return mask
+
+    def _members(self) -> np.ndarray:
+        """Per node, how many jobs hold a share slot on it."""
+        return np.bincount(self._nodes[:self._n_inc], minlength=len(self.node_jobs))
+
+    def _risky_nodes(self) -> np.ndarray:
+        """Mask of the nodes holding a job past its estimate."""
+        n = self._n
+        past = self._consumed[:n] >= self._estimate[:n] - WORK_EPS
+        past &= self._remaining[:n] > WORK_EPS
+        return self._nodes_of(past)
 
     def admit(
         self,
@@ -261,28 +332,32 @@ class TimeSharedCluster:
                 f"{sorted(set(nodes) & set(unavailable))}"
             )
         self._sync_progress()
-        state = TSJobState(
-            job=job,
-            nodes=tuple(nodes),
-            share=float(share),
-            start_time=self.sim.now,
-            remaining_work=job.runtime,
-        )
+        row = self._n
+        k = len(nodes)
+        if row == self._f.shape[1]:
+            self._bind_rows(np.concatenate((self._f, np.zeros_like(self._f)), axis=1),
+                            np.concatenate((self._start, np.zeros_like(self._start))))
+        first = self._n_inc
+        if first + k > len(self._nodes):
+            self._nodes = np.concatenate((self._nodes[:first],
+                                          np.zeros(first + 2 * k, dtype=np.int64)))
+        state = TSJobState(job, tuple(nodes), float(share), self.sim.now, self, row, on_finish)
+        self._f[:, row] = (0.0, job.runtime, 0.0, math.inf, -1.0, state.share,
+                           job.estimate, state.absolute_deadline)
+        self._start[row] = first
+        self._nodes[first:first + k] = state.nodes
+        self._n_inc = first + k
+        self._n = row + 1
+        self._jobs.append(state)
         jid = job.job_id
+        self._jids.append(jid)
         self._states[jid] = state
         self._share[jid] = state.share
-        state._on_finish = on_finish  # type: ignore[attr-defined]
         committed = self.committed
         node_jobs = self.node_jobs
-        raw = self._raw
         for node in nodes:
             committed[node] += share
             node_jobs[node].add(jid)
-            raw[node] = None
-        if self._rates is not None:
-            self._rates[jid] = state.required_rate(self.sim.now)
-        if self._risky is not None and state.past_estimate:
-            self._risky.add(jid)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_admitted")
             PERF.observe("cluster.time.committed_share", share)
@@ -292,204 +367,210 @@ class TimeSharedCluster:
     # -- execution ---------------------------------------------------------
     def _sync_progress(self) -> None:
         """Integrate work done since the last rate change.  Once the clock
-        has moved, what was kept for the previous instant is dropped."""
+        has moved, the node loads kept for the previous instant are stale."""
         now = self.sim.now
         dt = now - self._last_update
         if dt <= 0.0:
             return
-        for state in self._states.values():
-            done = state.rate * dt
-            state.consumed += done
-            left = state.remaining_work - done
-            state.remaining_work = 0.0 if left < 0.0 else left  # = max(left, 0.0)
+        n = self._n
+        done = self._rate[:n] * dt
+        self._consumed[:n] += done
+        left = self._remaining[:n]
+        left -= done
+        # max(left, 0.0): remaining work is never -0.0, so no signed zero
+        # can tell the two apart.
+        np.maximum(left, 0.0, out=left)
         self._last_update = now
-        self._risky = None
-        if self._rates is not None:
-            self._rates = None
-            self._raw = [None if members else 0.0 for members in self.node_jobs]
+        if self.mode is ShareMode.DYNAMIC:
+            np.equal(self._members(), 0, out=self._raw_ok)
 
-    def _reschedule(self, touched_nodes: Iterable[int]) -> None:
+    def _reschedule(self, touched_nodes: Collection[int]) -> None:
         """Re-rate jobs after the membership of ``touched_nodes`` changed,
         then re-arm the completion timer.
 
         Static mode re-rates only the jobs on touched nodes: a static
         job's rate depends only on the share totals of its own nodes.
         Dynamic mode re-rates every job, since required rates drift with
-        the clock, and so finds the timer's new head on the way.  Re-rated
-        jobs draw fresh ticks in admission order, as the per-job completion
-        events they stand for would have.
+        the clock.  Re-rated jobs draw fresh ticks in admission order, as
+        the per-job completion events they stand for would have.
 
         A job's rate is ``min(1, share + min bonus over its nodes)``, and
         no more than ``share / total`` on an overcommitted node.
         ``fl(share + b)`` is monotone in ``b``, so adding the smallest
         bonus gives the same float as the minimum of the per-node sums.
+        Each minimum is one segment of a ``reduceat`` over the flat
+        incidence array.
         """
         if PERF.enabled:
             PERF.incr("cluster.time.reschedules")
             PERF.observe("cluster.time.active_jobs", len(self._states))
-        states = self._states
-        now = self.sim.now
-        static = self.mode is ShareMode.STATIC
-        if static:
+        n = self._n
+        if self.mode is ShareMode.STATIC:
             self._refresh_nodes(touched_nodes)
-            affected: set[int] = set()
-            for node in touched_nodes:
-                affected |= self.node_jobs[node]
-            rerate = [s for jid, s in states.items() if jid in affected] if affected else []
+            share = self._committed_share[:n]
+            affected = set().union(*map(self.node_jobs.__getitem__, touched_nodes))
+            states = self._states
+            rerate = np.array(sorted([states[jid]._row for jid in affected]), dtype=np.intp)
+            ordered = False
         else:
-            self._refresh_dynamic(touched_nodes)
-            rerate = list(states.values())
-        head = None
-        if rerate:
-            share = self._share
-            bonus = self._bonus.__getitem__
-            over = self._over
-            totals = self._total
-            tick = self.sim.reserve_seqs(len(rerate))
-            first = math.inf
-            for state in rerate:
-                nodes = state.nodes
-                own = share[state.job.job_id]
-                rate = own + min(map(bonus, nodes))
-                if rate > 1.0:
-                    rate = 1.0
-                if over and not over.isdisjoint(nodes):
-                    for node in nodes:
-                        if node in over:
-                            r = own / totals[node]
-                            if r < rate:
-                                rate = r
-                if rate <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
-                    raise RuntimeError(f"job {state.job.job_id} starved (rate 0)")
-                state.rate = rate
-                state.eta = eta = now + state.remaining_work / rate
-                state.tick = tick
-                tick += 1
-                # Ticks rise through the loop, so the first smallest ETA
-                # is the smallest (eta, tick).
-                if eta < first:
-                    first = eta
-                    head = state
-        self._arm_timer(None if static else head)
+            share = self._refresh_dynamic(touched_nodes)
+            rerate = slice(0, n)
+            # Every job is re-rated in admission order, so ticks rise with
+            # the column and the first smallest ETA is the head.
+            ordered = True
+        if n:
+            nodes = self._nodes[:self._n_inc]
+            starts = self._start[:n]
+            rate = share + np.minimum.reduceat(self._bonus[nodes], starts)
+            np.minimum(rate, 1.0, out=rate)  # rate >= share > 0: no signed zeros
+            if np.count_nonzero(self._over):
+                procs = np.diff(starts, append=self._n_inc)
+                caps = np.repeat(share, procs) / self._total[nodes]
+                np.copyto(caps, math.inf, where=~self._over[nodes])
+                caps = np.minimum.reduceat(caps, starts)
+                np.copyto(rate, caps, where=caps < rate)
+            rate = rate[rerate]
+            if rate.size:
+                if rate[rate.argmin()] <= 0.0:  # pragma: no cover - MIN_DYNAMIC_SHARE forbids
+                    raise RuntimeError("a time-shared job starved (rate 0)")
+                self._rate[rerate] = rate
+                self._eta[rerate] = self.sim.now + self._remaining[rerate] / rate
+                first = self.sim.reserve_seqs(rate.size)
+                self._tick[rerate] = np.arange(first, first + rate.size)
+        self._arm_timer(ordered)
 
     def _refresh_nodes(self, nodes: Iterable[int]) -> None:
-        """Recompute the share total and residual bonus of ``nodes``."""
-        share = self._share
+        """Static mode: recompute the share total, bonus and overcommit
+        flag of ``nodes``, by the rule :meth:`_refresh_bonus` applies to
+        every node."""
+        share = self._share.__getitem__
         node_jobs = self.node_jobs
         totals = self._total
         bonus = self._bonus
         over = self._over
+        limit = 1.0 + SHARE_EPS
         for node in nodes:
             members = node_jobs[node]
-            total = sum(map(share.__getitem__, members))
-            totals[node] = total
-            if total > 1.0 + SHARE_EPS:
+            totals[node] = total = sum(map(share, members))
+            over[node] = flagged = total > limit
+            if flagged or not members:
                 bonus[node] = math.inf
-                over.add(node)
-            elif members:
+            else:
                 free = 1.0 - total
                 bonus[node] = (0.0 if free < 0.0 else free) / len(members)
-                over.discard(node)
-            else:
-                bonus[node] = math.inf
-                over.discard(node)
 
-    def _refresh_dynamic(self, touched_nodes: Iterable[int]) -> None:
-        """Dynamic mode: floor every required rate into a share and refresh
-        every occupied node, and the touched nodes that became empty.
+    def _refresh_bonus(self) -> None:
+        """Dynamic mode: derive every node's residual bonus and overcommit
+        flag from its share total: ``max(1 - total, 0) / members``, or ``inf`` on an
+        empty node or one whose total exceeds ``1 + SHARE_EPS``."""
+        totals = self._total
+        over = np.greater(totals, 1.0 + SHARE_EPS, out=self._over)
+        free = 1.0 - totals  # never -0.0
+        np.maximum(free, 0.0, out=free)
+        bonus = self._bonus
+        bonus.fill(math.inf)
+        count = self._members()
+        np.divide(free, count, out=bonus, where=count > 0)
+        bonus[over] = math.inf
+
+    def _refresh_dynamic(self, touched_nodes: Collection[int]) -> np.ndarray:
+        """Dynamic mode: floor every required rate into a share, refresh
+        every node's share total and bonus, and return the shares.
 
         A node none of whose jobs is floored has a share total equal to its
         raw required-rate sum — the same floats added in the same order —
         so a raw sum still valid at this instant is reused, and a fresh
         total is kept as the node's raw sum.  A node is summed again only
-        when its raw sum is stale (its membership changed, or the clock
-        moved) or it holds a floored job.
+        when its raw sum is stale (its membership changed — it is one of
+        ``touched_nodes`` — or the clock moved) or it holds a floored job.
         """
+        if touched_nodes:
+            self._raw_ok[list(touched_nodes)] = False
         rates = self._required_rates()
-        share = self._share = {
-            jid: MIN_DYNAMIC_SHARE if r < MIN_DYNAMIC_SHARE else r
-            for jid, r in rates.items()
-        }
-        states = self._states
-        floored = {
-            node
-            for jid, r in rates.items() if r < MIN_DYNAMIC_SHARE
-            for node in states[jid].nodes
-        }
+        floored = rates < MIN_DYNAMIC_SHARE
+        shares = np.maximum(rates, MIN_DYNAMIC_SHARE)  # rates are never -0.0
+        self._share = share = dict(zip(self._jids, shares.tolist()))
         raw = self._raw
         totals = self._total
-        bonus = self._bonus
-        over = self._over
-        over.clear()
-        limit = 1.0 + SHARE_EPS
-        shares = share.__getitem__
-        for node, members in enumerate(self.node_jobs):
-            if not members:
-                continue
-            if node in floored:
-                total = sum(map(shares, members))
-            else:
-                total = raw[node]
-                if total is None:
-                    total = raw[node] = sum(map(shares, members))
-            totals[node] = total
-            if total > limit:
-                bonus[node] = math.inf
-                over.add(node)
-            else:
-                free = 1.0 - total
-                bonus[node] = (0.0 if free < 0.0 else free) / len(members)
-        self._refresh_nodes(n for n in touched_nodes if not self.node_jobs[n])
+        np.copyto(totals, raw)
+        resum = fresh = ~self._raw_ok
+        if np.count_nonzero(floored):
+            floored = self._nodes_of(floored)
+            resum = fresh | floored
+            fresh &= ~floored
+        resum = resum.nonzero()[0]
+        get = share.__getitem__
+        node_jobs = self.node_jobs
+        totals[resum] = [sum(map(get, node_jobs[node])) for node in resum.tolist()]
+        np.copyto(raw, totals, where=fresh)
+        self._raw_ok |= fresh
+        self._refresh_bonus()
+        return shares
 
-    def _arm_timer(self, head: Optional[TSJobState] = None) -> None:
-        """Point the completion timer at the smallest (eta, tick), which is
-        ``head`` when the caller already knows it."""
+    def _arm_timer(self, ordered: bool) -> None:
+        """Point the completion timer at the smallest (eta, tick): the
+        earliest ETA, and of equal ETAs the earliest tick — the first of
+        them when ticks rise with the column (``ordered``)."""
         timer = self._timer
-        if not self._states:
+        n = self._n
+        if not n:
             if timer is not None:
                 timer.cancel()
                 self._timer = None
             return
-        if head is None:
-            head = min(self._states.values(), key=_COMPLETION_ORDER)
+        eta = self._eta[:n]
+        row = eta.argmin()
+        ties = None if ordered else eta == eta[row]
+        if ties is not None and np.count_nonzero(ties) > 1:
+            ties = ties.nonzero()[0]
+            row = ties[self._tick[ties].argmin()]
+        tick = int(self._tick[row])
         if timer is not None:
-            if timer.seq == head.tick:
+            if timer.seq == tick:
                 return
             timer.cancel()
         self._timer = self.sim.schedule_reserved(
-            head.eta, head.tick, self._complete, head, priority=Priority.COMPLETION
+            float(eta[row]), tick, self._complete, self._jobs[row],
+            priority=Priority.COMPLETION,
         )
 
-    def _release(self, state: TSJobState) -> None:
-        """Drop a job from the books and free its share slots."""
+    def _release(self, state: TSJobState, finished: bool = False) -> None:
+        """Drop a job from the books, free its share slots and close the
+        gap its column leaves."""
+        row = state._row
+        state._freeze(finished)
         jid = state.job.job_id
         del self._states[jid]
         del self._share[jid]
-        if self._rates is not None:
-            del self._rates[jid]
-        if self._risky is not None:
-            self._risky.discard(jid)
         committed = self.committed
-        raw = self._raw
+        node_jobs = self.node_jobs
         for node in state.nodes:
             committed[node] -= state.share
             if abs(committed[node]) < SHARE_EPS:
                 committed[node] = 0.0
-            members = self.node_jobs[node]
-            members.discard(jid)
-            raw[node] = None if members else 0.0
+            node_jobs[node].discard(jid)
+        n = self._n - 1
+        k = len(state.nodes)
+        first = self._start[row].item()
+        self._f[:, row:n] = self._f[:, row + 1:n + 1]
+        np.subtract(self._start[row + 1:n + 1], k, out=self._start[row:n])
+        self._nodes[first:self._n_inc - k] = self._nodes[first + k:self._n_inc]
+        self._n_inc -= k
+        self._n = n
+        del self._jids[row]
+        del self._jobs[row]
+        for later in self._jobs[row:]:
+            later._row -= 1
 
     def _complete(self, state: TSJobState) -> None:
         self._sync_progress()
         # Authoritative: every rate change moves the ETA, so snap the float
         # residual rather than rescheduling a sub-resolution eta.
-        state.consumed += state.remaining_work
-        state.remaining_work = 0.0
-        self._release(state)
+        self._release(state, finished=True)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_completed")
         self._reschedule(state.nodes)
-        state._on_finish(state.job, self.sim.now)  # type: ignore[attr-defined]
+        state._on_finish(state.job, self.sim.now)
 
     # -- fault injection -----------------------------------------------------
     def enable_node_tracking(self) -> None:
@@ -512,6 +593,7 @@ class TimeSharedCluster:
             raise ValueError(f"node {node_id} is already down")
         self._sync_progress()
         self._down.add(node_id)
+        self._unavail[node_id] = True
         victims = [self._states[jid] for jid in sorted(self.node_jobs[node_id])]
         killed: list[tuple[Job, float]] = []
         touched: set[int] = set()
@@ -532,6 +614,7 @@ class TimeSharedCluster:
         if node_id not in self._down:
             raise ValueError(f"node {node_id} is not down")
         self._down.discard(node_id)
+        self._unavail[node_id] = False
 
     def down_nodes(self) -> frozenset[int]:
         return frozenset(self._down)
@@ -550,9 +633,12 @@ class TimeSharedCluster:
         node_id = len(self.committed)
         self.committed.append(0.0)
         self.node_jobs.append(set())
-        self._total.append(0.0)
-        self._bonus.append(math.inf)
-        self._raw.append(0.0)
+        self._total = np.append(self._total, 0.0)
+        self._bonus = np.append(self._bonus, math.inf)
+        self._over = np.append(self._over, False)
+        self._raw = np.append(self._raw, 0.0)
+        self._raw_ok = np.append(self._raw_ok, self.mode is ShareMode.DYNAMIC)
+        self._unavail = np.append(self._unavail, False)
         self.total_procs += 1
         if PERF.enabled:
             PERF.incr("cluster.time.nodes_commissioned")

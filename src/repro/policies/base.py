@@ -80,11 +80,20 @@ class Policy(abc.ABC):
         Returns (admissible, quoted_cost); the quote is recorded on
         acceptance so commodity settlement charges exactly what was agreed.
         """
+        cost = self.expected_cost(job)
+        return self._quote_fits(job, cost), cost
+
+    def _quote_fits(self, job: Job, cost: float) -> bool:
+        """Ask the economic model whether ``cost`` fits the job's budget.
+
+        Every policy's budget check goes through here, and each counts one
+        decision and one quote, so ``policy.decisions`` equals
+        ``policy.quotes`` plus ``policy.rejections`` for every policy.
+        """
         if PERF.enabled:
             PERF.incr("policy.decisions")
             PERF.incr("policy.quotes")
-        cost = self.expected_cost(job)
-        return self.service.economically_admissible(job, cost), cost
+        return self.service.economically_admissible(job, cost)
 
     # -- fault recovery ---------------------------------------------------------
     def on_node_failure(self, node_id: int, kills: list["FaultKill"]) -> None:

@@ -59,7 +59,7 @@ class Libra(Policy):
             self._reject(job, "insufficient free processor share for deadline")
             return
         cost = self.quote(job, nodes)
-        if not self.service.economically_admissible(job, cost):
+        if not self._quote_fits(job, cost):
             self._reject(job, "expected cost exceeds budget")
             return
         self.service.notify_accepted(job, quoted_cost=cost)

@@ -183,3 +183,22 @@ def test_timeshared_hooks_record_admissions_and_churn():
     assert reg.counters["cluster.time.reschedules"] > 0
     # Libra's reschedules cancel completions: churn must be visible.
     assert reg.counters.get("sim.events_cancelled", 0) > 0
+
+
+@pytest.mark.parametrize("policy,model", [
+    ("FCFS-BF", "bid"), ("SJF-BF", "commodity"), ("EDF-BF", "bid"),
+    ("Libra", "bid"), ("Libra+$", "commodity"), ("LibraRiskD", "bid"),
+    ("FirstReward", "bid"),
+])
+def test_every_decision_is_a_quote_or_a_rejection(policy, model):
+    """Each Table V policy counts its budget checks as quotes, so decisions
+    split into quotes and rejections; the Libra family once counted none."""
+    from repro.experiments.runner import run_single
+    from repro.experiments.scenarios import ExperimentConfig
+
+    with perf.capture() as reg:
+        run_single(ExperimentConfig(n_jobs=120, seed=5), policy, model)
+    counters = reg.counters
+    assert counters["policy.quotes"] > 0
+    assert counters["policy.decisions"] == (
+        counters["policy.quotes"] + counters.get("policy.rejections", 0))
