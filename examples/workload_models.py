@@ -2,10 +2,9 @@
 """Workload models: how the input model shapes the objectives.
 
 The paper drives everything from one SDSC SP2 subset.  This repository
-ships three workload substrates — the trace-calibrated lognormal generator,
-the Lublin–Feitelson statistical model, and the Tsafrir modal-estimate
-model — and this example runs the same policy across them to show which
-conclusions are workload-robust.
+ships two workload substrates — the trace-calibrated lognormal generator
+and the Lublin–Feitelson statistical model — and this example runs the
+same policy across them to show which conclusions are workload-robust.
 
 Run:  python examples/workload_models.py
 """
@@ -17,7 +16,6 @@ from repro.workload.estimates import apply_inaccuracy, inaccuracy_statistics
 from repro.workload.lublin import LublinModel, generate_lublin_trace
 from repro.workload.qos import QoSSpec, assign_qos
 from repro.workload.synthetic import SDSC_SP2, generate_trace, trace_statistics
-from repro.workload.tsafrir import apply_tsafrir_estimates
 
 
 def workloads(n=300, seed=17):
@@ -25,13 +23,9 @@ def workloads(n=300, seed=17):
 
     lublin = generate_lublin_trace(LublinModel(n_jobs=n, max_procs=128), rng=seed)
 
-    modal = generate_trace(SDSC_SP2.scaled(n), rng=seed)
-    apply_tsafrir_estimates(modal, rng=seed)
-
     return {
         "SDSC-SP2 lognormal": sdsc,
         "Lublin-Feitelson": lublin,
-        "SDSC + Tsafrir estimates": modal,
     }
 
 
@@ -58,7 +52,7 @@ def main() -> None:
               f"profitability={objs.profitability:6.2f}%")
 
     print("\nthe wait objective stays ideal and reliability stays high across "
-          "all three workload models — the paper's LibraRiskD conclusion is "
+          "both workload models — the paper's LibraRiskD conclusion is "
           "not an artefact of one generator.")
 
 

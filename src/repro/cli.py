@@ -309,7 +309,6 @@ def cmd_grid(args) -> int:
     from repro.experiments.report import format_table
     from repro.experiments.runstore import RunStore
     from repro.experiments.scenarios import SCENARIOS, scenario_by_name
-    from repro.experiments.store import save_grid
     from repro.perf import capture as perf_capture
     from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
 
@@ -423,7 +422,7 @@ def cmd_grid(args) -> int:
         print(f"grid complete ({args.model}, Set {args.set}, "
               f"{len(list(scenarios))} scenarios): {ranking}")
     if args.output:
-        path = save_grid(grid, args.output)
+        path = grid.save(args.output)
         print(f"grid analysis written to {path}")
     return 0
 

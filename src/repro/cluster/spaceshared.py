@@ -213,6 +213,7 @@ class SpaceSharedCluster:
         del releases[bisect.bisect_left(releases, (record.estimated_finish, record.job.procs))]
 
     def _complete(self, record: RunningJob, on_finish) -> None:
+        record.completion = None  # the fired handle refers back to the record
         del self._running[record.job.job_id]
         self._strike_release(record)
         self.free_procs += record.job.procs
@@ -266,6 +267,7 @@ class SpaceSharedCluster:
         self._down.add(node_id)
         if victim.completion is not None:
             victim.completion.cancel()
+            victim.completion = None
         del self._running[victim.job.job_id]
         self._strike_release(victim)
         self._release_nodes(victim, failed=node_id)

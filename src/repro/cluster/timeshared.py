@@ -159,7 +159,6 @@ class TimeSharedCluster:
         self.total_procs = int(total_procs)
         self.mode = mode
         n_nodes = self.total_procs
-        self.committed: list[float] = [0.0] * n_nodes
         self.node_jobs: list[set[int]] = [set() for _ in range(n_nodes)]
         self._states: dict[int, TSJobState] = {}
         #: current share per job: the committed share (static) or the
@@ -208,10 +207,10 @@ class TimeSharedCluster:
 
     # -- admission helpers -------------------------------------------------
     def node_share_load(self, node: int) -> float:
-        """Current admission load of a node: committed static shares, or the
-        sum of required rates in dynamic mode."""
+        """Current admission load of a node: its committed share total, or
+        the sum of required rates in dynamic mode."""
         if self.mode is ShareMode.STATIC:
-            return self.committed[node]
+            return float(self._total[node])
         self._sync_progress()
         return float(self._raw_loads()[node])
 
@@ -353,10 +352,8 @@ class TimeSharedCluster:
         self._jids.append(jid)
         self._states[jid] = state
         self._share[jid] = state.share
-        committed = self.committed
         node_jobs = self.node_jobs
         for node in nodes:
-            committed[node] += share
             node_jobs[node].add(jid)
         if PERF.enabled:
             PERF.incr("cluster.time.jobs_admitted")
@@ -542,12 +539,8 @@ class TimeSharedCluster:
         jid = state.job.job_id
         del self._states[jid]
         del self._share[jid]
-        committed = self.committed
         node_jobs = self.node_jobs
         for node in state.nodes:
-            committed[node] -= state.share
-            if abs(committed[node]) < SHARE_EPS:
-                committed[node] = 0.0
             node_jobs[node].discard(jid)
         n = self._n - 1
         k = len(state.nodes)
@@ -622,7 +615,7 @@ class TimeSharedCluster:
     def _check_node_id(self, node_id: int) -> None:
         # Node ids are stable for life: the valid range is everything ever
         # created — retirement shrinks capacity, not the id space.
-        if not 0 <= node_id < len(self.committed):
+        if not 0 <= node_id < len(self.node_jobs):
             raise ValueError(f"no such node: {node_id}")
         if node_id in self._retired:
             raise ValueError(f"node {node_id} is decommissioned")
@@ -630,8 +623,7 @@ class TimeSharedCluster:
     # -- elastic capacity -----------------------------------------------------
     def commission_node(self) -> int:
         """Add a node to the machine; returns its (fresh, stable) id."""
-        node_id = len(self.committed)
-        self.committed.append(0.0)
+        node_id = len(self.node_jobs)
         self.node_jobs.append(set())
         self._total = np.append(self._total, 0.0)
         self._bonus = np.append(self._bonus, math.inf)
@@ -670,7 +662,11 @@ class TimeSharedCluster:
         return self._states[job_id]
 
     def total_committed(self) -> float:
-        return sum(self.committed)
+        """Processor share committed at admission, summed over every
+        running job's nodes."""
+        n = self._n
+        procs = np.diff(self._start[:n], append=self._n_inc)
+        return float(self._committed_share[:n] @ procs)
 
     def utilization(self) -> float:
         """Fraction of total capacity currently committed."""

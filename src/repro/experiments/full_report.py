@@ -37,7 +37,6 @@ from repro.experiments.report import (
 from repro.experiments.runner import GridAnalysis, run_grid
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig
-from repro.experiments.store import save_grid
 from repro.perf import PERF
 from repro.perf import capture as perf_capture
 from repro.policies import BID_POLICIES, COMMODITY_POLICIES
@@ -105,7 +104,7 @@ def generate_report(
                 grids[(model, set_name)] = grid
                 path = out / "grids" / f"grid_{model}_set{set_name}.json"
                 path.parent.mkdir(parents=True, exist_ok=True)
-                save_grid(grid, path)
+                grid.save(path)
                 record(path)
                 rec = recommend_policy(
                     grid.separate, volatility_tolerance=volatility_tolerance

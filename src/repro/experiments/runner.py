@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Optional, Sequence
+from pathlib import Path
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.economy.models import make_model
@@ -206,6 +207,48 @@ class GridAnalysis:
             }
             for gap in self.gaps
         ]
+
+    def to_dict(self) -> dict:
+        """The grid as a versioned JSON document (the comparison form).
+
+        Gap cells of a degraded grid become ``[null, null]`` pairs (strict
+        JSON has no NaN literal), and the gap inventory rides along under
+        ``"gaps"`` (omitted when complete), so a degraded grid's document
+        is self-describing.
+        """
+        separate = {
+            objective.value: {
+                policy: {
+                    scenario: [None, None] if risk.is_gap
+                    else [risk.performance, risk.volatility]
+                    for scenario, risk in by_scenario.items()
+                }
+                for policy, by_scenario in self.separate[objective].items()
+            }
+            for objective in Objective
+        }
+        doc = {
+            "format": "repro-grid",
+            "version": 1,
+            "model": self.model,
+            "set_name": self.set_name,
+            "policies": list(self.policies),
+            "scenarios": list(self.scenarios),
+            "separate": separate,
+        }
+        if self.gaps:
+            doc["gaps"] = [dict(gap) for gap in self.gaps]
+        return doc
+
+    def save(self, path: Union[str, Path]) -> Path:
+        """Write :meth:`to_dict` as JSON, atomically; returns the path."""
+        import json
+
+        from repro.experiments.runstore import atomic_write_text
+
+        path = Path(path)
+        atomic_write_text(path, json.dumps(self.to_dict(), indent=1, sort_keys=True) + "\n")
+        return path
 
     def separate_plot(self, objective: Objective, title: str = "") -> RiskPlot:
         """Fig. 3/6-style plot: one objective, one point per scenario.

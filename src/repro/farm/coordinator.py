@@ -314,12 +314,7 @@ class Coordinator:
             plan.scenario_objects(),
             on_missing="degrade" if plan.on_error == "degrade" else "raise",
         )
-        from repro.experiments.store import grid_to_dict
-
-        result_path = self.farm.result_path(job_id)
-        tmp = result_path.with_name(f".result.json.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(grid_to_dict(grid), indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, result_path)
+        grid.save(self.farm.result_path(job_id))
         if PERF.enabled:
             PERF.incr("farm.jobs_completed")
         return grid

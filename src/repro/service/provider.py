@@ -112,7 +112,13 @@ class CommercialComputingService:
             )
         self.sim.run()
         self._check_drained()
-        return self.collect()
+        result = self.collect()
+        # The run is over: drop the back-references into the service so
+        # the run is freed at once, not at the next cyclic collection.
+        self.policy.service = None
+        if self.injector is not None:
+            self.injector.service = None
+        return result
 
     def register(self, job: Job) -> SLARecord:
         """Open an SLA record for a job about to be submitted.

@@ -261,6 +261,8 @@ class CalendarFEL:
             if extra:
                 return heappop(extra)
             if not self._keys:
+                self._cur = []  # release the consumed bucket's events
+                self._idx = 0
                 return None
             k = heappop(self._keys)
             lst = self._buckets.pop(k)
@@ -358,6 +360,9 @@ class CalendarFEL:
                         self._cur_key = k
                         continue
                     else:
+                        # Dry: release the consumed bucket's events.
+                        self._cur = cur = []
+                        idx = 0
                         break
                     consumed += 1
                     h = e[3]
@@ -399,6 +404,9 @@ class CalendarFEL:
                         self._cur_key = k
                         continue
                     else:
+                        # Dry: release the consumed bucket's events.
+                        self._cur = cur = []
+                        idx = 0
                         break
                     consumed += 1
                     h = e[3]

@@ -33,7 +33,6 @@ if TYPE_CHECKING:
     from repro.workload.qos import QoSParameter, QoSSpec, assign_qos
     from repro.workload.swf import SWFField, parse_swf, parse_swf_text, write_swf
     from repro.workload.synthetic import SDSC_SP2, TraceModel, generate_trace
-    from repro.workload.tsafrir import TsafrirModel, apply_tsafrir_estimates
 
 __all__ = [
     "Job",
@@ -46,8 +45,6 @@ __all__ = [
     "generate_trace",
     "LublinModel",
     "generate_lublin_trace",
-    "TsafrirModel",
-    "apply_tsafrir_estimates",
     "QoSSpec",
     "QoSParameter",
     "assign_qos",
@@ -78,5 +75,4 @@ __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.workload.qos": ("QoSParameter", "QoSSpec", "assign_qos"),
     "repro.workload.swf": ("SWFField", "parse_swf", "parse_swf_text", "write_swf"),
     "repro.workload.synthetic": ("SDSC_SP2", "TraceModel", "generate_trace"),
-    "repro.workload.tsafrir": ("TsafrirModel", "apply_tsafrir_estimates"),
 })

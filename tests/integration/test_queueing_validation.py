@@ -15,12 +15,17 @@ mean sojourn time is E[S]/(1−ρ) whatever the service distribution.
 import numpy as np
 import pytest
 
-from repro.core.car import response_times
 from repro.economy.models import make_model
 from repro.policies import make_policy
 from repro.policies.fcfs import FCFSPlain
 from repro.service.provider import CommercialComputingService
 from repro.workload.job import Job
+
+
+def response_times(outcomes):
+    """Finish − submit of every job that ran to completion."""
+    return np.array([o.finish_time - o.submit_time for o in outcomes
+                     if o.accepted and o.start_time is not None and o.finish_time is not None])
 
 
 def mm1_workload(n, lam, mu, seed):

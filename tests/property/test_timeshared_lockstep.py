@@ -14,8 +14,9 @@ nodes exactly; a share may exceed 1 by the admission slack
 
 After every operation both must run the same jobs in the same order, and
 each job's rate, ETA, tick, consumed work and remaining work, the
-completion timer's ``(time, seq)`` and the jobs finished or killed so far
-must agree bit for bit (floats compared by ``float.hex``).  Every query and
+completion timer's ``(time, seq)``, every node's share total and the jobs
+finished or killed so far must agree bit for bit (floats compared by
+``float.hex``).  Every query and
 quote must return the same floats.
 """
 
@@ -52,7 +53,7 @@ def snapshot(cluster, sim: Simulator) -> tuple:
     armed = None if timer is None else (float(timer.time).hex(), timer.seq,
                                         timer.args[0].job.job_id)
     return (float(sim.now).hex(), sim.pending(), jobs, armed,
-            [float(c).hex() for c in cluster.committed],
+            [float(t).hex() for t in cluster._total],
             sorted(cluster._down), sorted(cluster._retired))
 
 
@@ -97,7 +98,7 @@ def test_array_cluster_runs_in_lockstep_with_reference(mode, data):
 
     def up_nodes() -> list[int]:
         gone = fast._down | fast._retired
-        return [n for n in range(len(fast.committed)) if n not in gone]
+        return [n for n in range(len(fast.node_jobs)) if n not in gone]
 
     for _ in range(data.draw(st.integers(1, 40), label="n_ops")):
         op = data.draw(st.sampled_from(OPS), label="op")

@@ -102,7 +102,7 @@ def check_feasible(cluster: TimeSharedCluster, share: float,
 
 def up_nodes(cluster: TimeSharedCluster) -> list[int]:
     gone = cluster._down | cluster._retired
-    return [n for n in range(len(cluster.committed)) if n not in gone]
+    return [n for n in range(len(cluster.node_jobs)) if n not in gone]
 
 
 @given(st.sampled_from(list(ShareMode)), st.data())

@@ -11,6 +11,7 @@ from repro.experiments import runner
 from repro.experiments.faultsweep import CORRELATED_FAULTS, cascade_scenario, run_fault_sweep
 from repro.experiments.runstore import RunKey
 from repro.experiments.scenarios import ExperimentConfig
+from repro.faults.config import FaultConfig
 from repro.policies import POLICIES
 from repro.workload.swf import write_swf
 from repro.workload.synthetic import SDSC_SP2, generate_trace
@@ -636,3 +637,50 @@ def test_documented_commands_parse():
             named.append(args.policy)
         unknown = [policy for policy in named if policy not in POLICIES]
         assert not unknown, f"{name}: `repro {shlex.join(argv)}` names {unknown}"
+
+
+# -- run/grid arguments → configuration ---------------------------------------------
+
+#: ``repro run``/``repro grid`` command lines and the exact configuration
+#: ``_config_from_args`` builds from each.
+CONFIG_CASES = [
+    ("run FCFS-BF", ExperimentConfig(n_jobs=200, total_procs=128, seed=0)),
+    ("run Libra --jobs 50 --procs 64 --seed 7 --set B",
+     ExperimentConfig(n_jobs=50, total_procs=64, seed=7, inaccuracy_pct=100.0)),
+    ("run EDF-BF --jobs 120 --mtbf 43200 --recovery checkpoint",
+     ExperimentConfig(n_jobs=120, faults=FaultConfig(
+         enabled=True, mtbf=43_200.0, recovery="checkpoint"))),
+    # --domain-mtbf alone enables faults, with 8-node racks by default.
+    ("run FCFS-BF --jobs 120 --domain-mtbf 21600 --cascade-prob 0.5",
+     ExperimentConfig(n_jobs=120, faults=FaultConfig(
+         enabled=True, domain_size=8, domain_mtbf=21_600.0, cascade_prob=0.5))),
+    # Correlated knobs without a failure process enable nothing.
+    ("run FCFS-BF --domain-size 4 --cascade-prob 0.5 --elastic-interval 900",
+     ExperimentConfig(n_jobs=200)),
+    ("grid --policies FCFS-BF Libra --jobs 20 --procs 16 --set B --mtbf 60000 "
+     "--mttr 600 --fault-model weibull --domain-size 4 --domain-mtbf 25000 "
+     "--domain-mttr 900 --cascade-prob 0.25 --cascade-delay 12 "
+     "--elastic-interval 5000",
+     ExperimentConfig(n_jobs=20, total_procs=16, inaccuracy_pct=100.0,
+                      faults=FaultConfig(
+                          enabled=True, model="weibull", mtbf=60_000.0,
+                          mttr=600.0, domain_size=4, domain_mtbf=25_000.0,
+                          domain_mttr=900.0, cascade_prob=0.25,
+                          cascade_delay=12.0, elastic_model="stochastic",
+                          elastic_interval=5_000.0, elastic_max_extra=4))),
+    ("grid --jobs 20 --seed 3 --mtbf 50000 --recovery checkpoint "
+     "--elastic-interval 5000 --elastic-max-extra 2",
+     ExperimentConfig(n_jobs=20, seed=3, faults=FaultConfig(
+         enabled=True, mtbf=50_000.0, recovery="checkpoint",
+         elastic_model="stochastic", elastic_interval=5_000.0,
+         elastic_max_extra=2))),
+]
+
+
+@pytest.mark.parametrize("command,expected", CONFIG_CASES,
+                         ids=[command for command, _ in CONFIG_CASES])
+def test_run_and_grid_arguments_map_to_config(command, expected):
+    from repro.cli import _config_from_args
+
+    args = build_parser().parse_args(shlex.split(command))
+    assert _config_from_args(args) == expected

@@ -14,7 +14,6 @@ from repro.experiments.pipeline import ExecutionPolicy
 from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import grid_to_dict
 from repro.farm import (
     Coordinator,
     Farm,
@@ -38,10 +37,8 @@ def small_plan(**kwargs) -> FarmPlan:
 
 
 def serial_reference() -> dict:
-    return grid_to_dict(
-        run_grid(POLICIES, "bid", SMALL, "A", [scenario_by_name(SCENARIO)],
-                 RunStore())
-    )
+    return run_grid(POLICIES, "bid", SMALL, "A", [scenario_by_name(SCENARIO)],
+                    RunStore()).to_dict()
 
 
 # -- plans ---------------------------------------------------------------------
@@ -198,7 +195,7 @@ def test_single_worker_farm_is_bit_identical_to_serial(tmp_path):
     assert not grid.degraded
     result = json.loads(farm.result_path(job_id).read_text())
     assert result == reference
-    assert grid_to_dict(grid) == reference
+    assert grid.to_dict() == reference
 
 
 def test_two_workers_split_the_job_and_merge(tmp_path):
@@ -244,10 +241,8 @@ def test_dead_worker_on_correlated_fault_grid_is_stolen_bit_identically(tmp_path
         fault_domain_size=4, fault_domain_mtbf=25_000.0,
         fault_cascade_prob=0.5,
     )
-    reference = grid_to_dict(
-        run_grid(POLICIES, "bid", correlated, "A",
-                 [scenario_by_name(SCENARIO)], RunStore())
-    )
+    reference = run_grid(POLICIES, "bid", correlated, "A",
+                         [scenario_by_name(SCENARIO)], RunStore()).to_dict()
     farm = Farm(tmp_path)
     job_id = farm.create_job(
         plan_from_args(POLICIES, "bid", correlated, "A", scenarios=(SCENARIO,))

@@ -22,7 +22,6 @@ from repro.experiments.pipeline import (
 from repro.experiments.runner import run_grid, run_single
 from repro.experiments.runstore import SCHEMA_VERSION, RunKey, RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import grid_to_dict
 from repro.faults.config import FaultConfig
 from repro.faults.topology import FaultTopology
 from repro.policies import make_policy
@@ -324,10 +323,8 @@ CORRELATED = ExperimentConfig(n_jobs=20, total_procs=16).with_values(
 
 
 def _correlated_reference() -> dict:
-    return grid_to_dict(
-        run_grid(POLICIES, "bid", CORRELATED, "A",
-                 [scenario_by_name(SCENARIO)], RunStore())
-    )
+    return run_grid(POLICIES, "bid", CORRELATED, "A",
+                    [scenario_by_name(SCENARIO)], RunStore()).to_dict()
 
 
 @pytest.mark.slow
@@ -346,9 +343,9 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
         plan, pool_store, n_workers=2, execution=ExecutionPolicy(**FAST)
     )
     assert execution.complete
-    assert grid_to_dict(
-        assemble_grid(pool_store, POLICIES, "bid", CORRELATED, "A", scenarios)
-    ) == reference
+    assert assemble_grid(
+        pool_store, POLICIES, "bid", CORRELATED, "A", scenarios
+    ).to_dict() == reference
 
     # Interrupted + resumed against a disk store.
     disk = RunStore(tmp_path / "store")
@@ -363,7 +360,7 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
     resumed = RunStore(tmp_path / "store")
     grid = run_grid(POLICIES, "bid", CORRELATED, "A", scenarios, resumed)
     assert resumed.misses == len(unique) - len(unique) // 2
-    assert grid_to_dict(grid) == reference
+    assert grid.to_dict() == reference
 
     # Two farm workers splitting the same job.
     farm = Farm(tmp_path / "farm")
@@ -406,7 +403,7 @@ def test_batch_chaos_kills_whole_batch_and_grid_recovers(tmp_path, monkeypatch):
     grid = assemble_grid(
         RunStore(tmp_path / "store"), POLICIES, "bid", CORRELATED, "A", scenarios
     )
-    assert grid_to_dict(grid) == reference
+    assert grid.to_dict() == reference
 
 
 @pytest.mark.slow
@@ -444,7 +441,7 @@ def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path, monkeypat
     # Clean rerun on the same store fills the gap bit-identically.
     grid = run_grid(POLICIES, "bid", CORRELATED, "A", scenarios,
                     RunStore(tmp_path / "store"))
-    assert grid_to_dict(grid) == reference
+    assert grid.to_dict() == reference
 
 
 # -- market: correlated provider outages ---------------------------------------

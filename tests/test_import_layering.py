@@ -29,7 +29,6 @@ SRC = Path(repro.__file__).resolve().parents[1]
 OUTSIDE_SIM_STACK = (
     "repro.market",
     "repro.farm",
-    "repro.network",
     "repro.bench",
     "repro.core.apriori",
     "repro.core.frontier",
@@ -53,7 +52,6 @@ LAZY_PACKAGES = (
     "repro.faults",
     "repro.farm",
     "repro.market",
-    "repro.network",
     "repro.workload",
 )
 

@@ -26,7 +26,6 @@ from repro.experiments.pipeline import (
 from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import grid_to_dict
 from repro.sim import SimBudgetExceeded
 
 
@@ -224,7 +223,7 @@ def test_mixed_store_assembles_the_same_grid(tmp_path):
     mixed_store(tmp_path / "mixed")
     mixed = assemble_grid(RunStore(tmp_path / "mixed"), GRID_POLICIES, "bid",
                           GRID_BASE, "A", GRID_SCENARIOS)
-    assert grid_to_dict(mixed) == grid_to_dict(grid_only)
+    assert mixed.to_dict() == grid_only.to_dict()
 
 
 # -- plan → execute → assemble -------------------------------------------------

@@ -12,7 +12,6 @@ from repro.experiments.pipeline import (
 from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import grid_to_dict
 
 SMALL = ExperimentConfig(n_jobs=20, total_procs=16)
 SCENARIOS = [scenario_by_name("job mix"), scenario_by_name("workload")]
@@ -83,7 +82,7 @@ def test_sharded_execution_covers_the_grid_exactly_once(tmp_path):
     # Every shard done → assembly from a fresh store matches the reference.
     grid = assemble_grid(RunStore(tmp_path), POLICIES, "bid", SMALL, "A", SCENARIOS)
     reference = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    assert grid_to_dict(grid) == grid_to_dict(reference)
+    assert grid.to_dict() == reference.to_dict()
 
 
 def test_assemble_refuses_incomplete_store():
@@ -107,7 +106,7 @@ def _simulations_during(fn):
 
 def test_interrupted_grid_resumes_only_missing_keys_serial(tmp_path):
     reference = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS)
-    reference_doc = grid_to_dict(reference)
+    reference_doc = reference.to_dict()
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
     unique = unique_items(plan)
 
@@ -124,12 +123,12 @@ def test_interrupted_grid_resumes_only_missing_keys_serial(tmp_path):
         lambda: run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, resumed_store)
     )
     assert simulated == len(unique) - n_done
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 @pytest.mark.slow
 def test_interrupted_grid_resumes_only_missing_keys_parallel(tmp_path):
-    reference_doc = grid_to_dict(run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS))
+    reference_doc = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS).to_dict()
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
     unique = unique_items(plan)
 
@@ -144,15 +143,15 @@ def test_interrupted_grid_resumes_only_missing_keys_parallel(tmp_path):
     # Only the missing keys were dispatched…
     assert resumed_store.misses == len(unique) - n_done
     # …and the reassembled analysis is identical to the cold serial run.
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 def test_resume_tolerates_a_corrupted_checkpoint(tmp_path):
     store = RunStore(tmp_path)
     run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, store)
-    reference_doc = grid_to_dict(
-        assemble_grid(store, POLICIES, "bid", SMALL, "A", SCENARIOS)
-    )
+    reference_doc = assemble_grid(
+        store, POLICIES, "bid", SMALL, "A", SCENARIOS
+    ).to_dict()
     # Truncate one checkpoint file (as a crash mid-write never would, but a
     # full disk or manual edit could).
     victim = sorted((tmp_path / "runs").glob("??/*.json"))[0]
@@ -162,7 +161,7 @@ def test_resume_tolerates_a_corrupted_checkpoint(tmp_path):
         lambda: run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, resumed)
     )
     assert simulated == 1  # exactly the corrupted key re-simulated
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 # -- entry points share the pipeline ------------------------------------------
@@ -183,7 +182,7 @@ def test_replication_uses_shared_store(tmp_path):
     )
     assert simulated == 0
     for a, b in zip(first.grids, second.grids):
-        assert grid_to_dict(a) == grid_to_dict(b)
+        assert a.to_dict() == b.to_dict()
 
 
 def test_tornado_uses_shared_store(tmp_path):

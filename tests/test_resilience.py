@@ -29,7 +29,6 @@ from repro.experiments.pipeline import (
 from repro.experiments.runner import run_grid, run_single
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import grid_to_dict
 from repro.sim import SimBudgetExceeded
 
 SMALL = ExperimentConfig(n_jobs=20, total_procs=16)
@@ -231,7 +230,7 @@ def test_wall_clock_timeout_serial():
 
 
 def test_pool_path_matches_serial_reference():
-    reference_doc = grid_to_dict(run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS))
+    reference_doc = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS).to_dict()
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
     store = RunStore()
     execution = execute_plan(
@@ -239,14 +238,14 @@ def test_pool_path_matches_serial_reference():
     )
     assert execution.complete
     grid = assemble_grid(store, POLICIES, "bid", SMALL, "A", SCENARIOS)
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 @pytest.mark.slow
 def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
     """Chaos: two workers SIGKILL themselves mid-grid; the supervisor
     rebuilds the pool, resubmits, and the result is bit-identical."""
-    reference_doc = grid_to_dict(run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS))
+    reference_doc = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS).to_dict()
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
     monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
@@ -269,7 +268,7 @@ def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
     monkeypatch.delenv("REPRO_CHAOS_KILL")
     grid = assemble_grid(RunStore(tmp_path / "store"), POLICIES, "bid", SMALL,
                          "A", SCENARIOS)
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 @pytest.mark.parametrize("env,crash", [
@@ -298,7 +297,7 @@ def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):
     rerun against the same cache dir reproduces the reference exactly."""
     import repro.experiments.pipeline as pipeline_mod
 
-    reference_doc = grid_to_dict(run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS))
+    reference_doc = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS).to_dict()
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
 
     real_wait = pipeline_mod.wait
@@ -327,7 +326,7 @@ def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):
     resumed = RunStore(tmp_path)
     grid = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, resumed)
     assert resumed.misses == len(unique) - done
-    assert grid_to_dict(grid) == reference_doc
+    assert grid.to_dict() == reference_doc
 
 
 # -- graceful degradation ------------------------------------------------------
@@ -369,11 +368,9 @@ def test_degrade_assembly_marks_gaps_and_keeps_survivors():
         for by_scenario in by_policy.values():
             for risk in by_scenario.values():
                 assert not risk.is_gap
-    # Round-trips through the JSON grid document, gaps included.
-    from repro.experiments.store import grid_from_dict
-
-    back = grid_from_dict(json.loads(json.dumps(grid_to_dict(grid))))
-    assert back.gaps == grid.gaps
+    # The JSON grid document carries the gaps through a strict round trip.
+    doc = json.loads(json.dumps(grid.to_dict(), allow_nan=False))
+    assert doc["gaps"] == [dict(gap) for gap in grid.gaps]
 
 
 def test_degrade_assembly_with_whole_policy_missing_yields_gap_markers():

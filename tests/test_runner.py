@@ -1,9 +1,13 @@
 """Unit tests for the experiment runner (workload building, caching,
 scenario reduction)."""
 
+import gc
+
 import pytest
 
 from faultsweep_reference import run_scenario
+from repro.cluster.spaceshared import SpaceSharedCluster
+from repro.cluster.timeshared import TimeSharedCluster
 from repro.core.objectives import Objective
 from repro.experiments.runner import (
     GridAnalysis,
@@ -74,6 +78,30 @@ def test_run_single_returns_objectives():
     assert 0.0 <= objs.sla <= 100.0
     assert 0.0 <= objs.reliability <= 100.0
     assert objs.wait >= 0.0
+
+
+def live_clusters() -> int:
+    return sum(isinstance(o, (TimeSharedCluster, SpaceSharedCluster))
+               for o in gc.get_objects())
+
+
+@pytest.mark.parametrize("config", [
+    SMALL,
+    SMALL.with_values(fault_mtbf=20_000.0, fault_mttr=600.0,
+                      fault_domain_size=4, fault_domain_mtbf=25_000.0),
+], ids=["fault-free", "faults"])
+def test_finished_run_is_freed_without_a_cyclic_collection(config):
+    # No reference cycle may outlive a run: with the cyclic collector off,
+    # reference counting alone must free every cluster run_single built.
+    gc.collect()
+    before = live_clusters()
+    gc.disable()
+    try:
+        for policy in ("Libra", "LibraRiskD", "Libra+$", "FCFS-BF", "EDF-BF", "FirstReward"):
+            run_single(config, policy, "bid")
+            assert live_clusters() == before, policy
+    finally:
+        gc.enable()
 
 
 def test_run_single_cache_hits():

@@ -1,25 +1,11 @@
-"""Unit tests for result persistence."""
+"""Unit tests for the grid document: ``GridAnalysis.to_dict`` and ``save``."""
 
 import json
 
-import pytest
-
 from repro.core.objectives import Objective
-from repro.economy.models import make_model
-from repro.experiments.runner import run_grid
+from repro.core.separate import SeparateRisk
+from repro.experiments.runner import GridAnalysis, run_grid
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.experiments.store import (
-    StoreError,
-    grid_from_dict,
-    grid_to_dict,
-    load_grid,
-    outcomes_to_csv,
-    save_grid,
-    save_outcomes,
-)
-from repro.policies import make_policy
-from repro.service.provider import CommercialComputingService
-from repro.workload.job import Job
 
 
 def small_grid():
@@ -30,100 +16,74 @@ def small_grid():
     )
 
 
+def degraded_grid() -> GridAnalysis:
+    """Two policies, one scenario; Libra's cells are all gaps."""
+    cell = {"FCFS-BF": {"job mix": SeparateRisk(0.75, 0.125)},
+            "Libra": {"job mix": SeparateRisk.gap()}}
+    gap = {"digest": "ab" * 32, "policy": "Libra", "scenario": "job mix",
+           "knob": "pct_high_urgency", "value": 20.0, "kind": "timeout",
+           "reason": "event budget exhausted"}
+    return GridAnalysis(
+        model="bid", set_name="A", policies=("FCFS-BF", "Libra"),
+        scenarios=("job mix",),
+        separate={o: {p: dict(s) for p, s in cell.items()} for o in Objective},
+        gaps=(gap,),
+    )
+
+
 def test_grid_roundtrip_exact():
+    # Every cell's floats survive the document, and a strict-JSON
+    # round trip of it, exactly.
     grid = small_grid()
-    back = grid_from_dict(grid_to_dict(grid))
-    assert back.model == grid.model
-    assert back.set_name == grid.set_name
-    assert back.policies == grid.policies
-    assert back.scenarios == grid.scenarios
+    doc = json.loads(json.dumps(grid.to_dict(), allow_nan=False))
+    assert doc["model"] == grid.model
+    assert doc["set_name"] == grid.set_name
+    assert doc["policies"] == list(grid.policies)
+    assert doc["scenarios"] == list(grid.scenarios)
+    assert set(doc["separate"]) == {o.value for o in Objective}
     for objective in Objective:
         for policy in grid.policies:
             for scenario in grid.scenarios:
-                a = grid.separate[objective][policy][scenario]
-                b = back.separate[objective][policy][scenario]
-                assert a.performance == b.performance
-                assert a.volatility == b.volatility
+                risk = grid.separate[objective][policy][scenario]
+                pair = doc["separate"][objective.value][policy][scenario]
+                assert pair == [risk.performance, risk.volatility]
+    assert "gaps" not in doc  # omitted for a complete grid
 
 
 def test_grid_file_roundtrip(tmp_path):
     grid = small_grid()
-    path = save_grid(grid, tmp_path / "grid.json")
-    back = load_grid(path)
-    assert back.policies == grid.policies
-    # Plots still derive from the loaded grid.
-    plot = back.separate_plot(Objective.SLA)
-    assert set(plot.policies()) == set(grid.policies)
+    path = grid.save(tmp_path / "grid.json")
+    assert path == tmp_path / "grid.json"
+    text = path.read_text()
+    assert text == json.dumps(grid.to_dict(), indent=1, sort_keys=True) + "\n"
+    assert json.loads(text) == grid.to_dict()
+    assert [p.name for p in tmp_path.iterdir()] == ["grid.json"]  # no temp file left
 
 
 def test_loaded_document_is_valid_json(tmp_path):
-    path = save_grid(small_grid(), tmp_path / "grid.json")
+    path = small_grid().save(tmp_path / "grid.json")
     doc = json.loads(path.read_text())
     assert doc["format"] == "repro-grid"
     assert doc["version"] == 1
 
 
-def test_wrong_format_rejected():
-    with pytest.raises(StoreError):
-        grid_from_dict({"format": "something-else", "version": 1})
-    with pytest.raises(StoreError):
-        grid_from_dict({"format": "repro-grid", "version": 99})
-    with pytest.raises(StoreError):
-        grid_from_dict({"format": "repro-grid", "version": 1, "separate": {"SLA": {"p": {"s": [0.5]}}}})
+def test_gap_cells_are_strict_json_null_pairs(tmp_path):
+    grid = degraded_grid()
+    doc = grid.to_dict()
+    json.dumps(doc, allow_nan=False)  # strict JSON: no NaN literal
+    for objective in Objective:
+        by_policy = doc["separate"][objective.value]
+        assert by_policy["Libra"]["job mix"] == [None, None]
+        assert by_policy["FCFS-BF"]["job mix"] == [0.75, 0.125]
+    assert doc["gaps"] == [dict(gap) for gap in grid.gaps]
+    saved = json.loads(grid.save(tmp_path / "grid.json").read_text())
+    assert saved == doc
 
 
-def test_newer_version_names_the_remedy(tmp_path):
-    # A document written by a future repro must fail with a message that
-    # says *why* (newer version) and *what to do* (upgrade) — not a
-    # generic "unsupported" that reads like corruption.
+def test_save_overwrites_a_truncated_document(tmp_path):
     grid = small_grid()
-    path = save_grid(grid, tmp_path / "grid.json")
-    doc = json.loads(path.read_text())
-    doc["version"] = doc["version"] + 1
-    path.write_text(json.dumps(doc))
-    with pytest.raises(StoreError, match="newer.*upgrade"):
-        load_grid(path)
-    # Non-integer junk versions still get the generic rejection.
-    with pytest.raises(StoreError, match="unsupported"):
-        grid_from_dict({"format": "repro-grid", "version": "2.0"})
-
-
-def test_truncated_grid_document_is_a_store_error(tmp_path):
-    grid = small_grid()
-    path = save_grid(grid, tmp_path / "grid.json")
+    path = grid.save(tmp_path / "grid.json")
     text = path.read_text()
     path.write_text(text[: len(text) // 2])
-    with pytest.raises(StoreError, match="unreadable"):
-        load_grid(path)
-    # Re-saving over the truncated file recovers it completely.
-    save_grid(grid, path)
-    assert grid_to_dict(load_grid(path)) == grid_to_dict(grid)
-
-
-def run_small_service():
-    jobs = [
-        Job(job_id=1, submit_time=0.0, runtime=50.0, estimate=50.0, procs=1,
-            deadline=1e6, budget=100.0),
-        Job(job_id=2, submit_time=5.0, runtime=50.0, estimate=50.0, procs=1,
-            deadline=10.0, budget=100.0),  # rejected: deadline < estimate
-    ]
-    service = CommercialComputingService(
-        make_policy("FCFS-BF"), make_model("bid"), total_procs=4
-    )
-    return service.run(jobs)
-
-
-def test_outcomes_csv_content():
-    csv = outcomes_to_csv(run_small_service())
-    lines = csv.strip().splitlines()
-    assert lines[0].startswith("job_id,submit_time")
-    assert len(lines) == 3
-    accepted_row = next(l for l in lines[1:] if l.startswith("1,"))
-    assert ",1," in accepted_row  # accepted flag
-    rejected_row = next(l for l in lines[1:] if l.startswith("2,"))
-    assert ",0,,," in rejected_row  # not accepted, empty start/finish
-
-
-def test_save_outcomes_file(tmp_path):
-    path = save_outcomes(run_small_service(), tmp_path / "out.csv")
-    assert path.read_text().count("\n") == 3
+    grid.save(path)
+    assert path.read_text() == text
