@@ -39,8 +39,11 @@ from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle, Priority
 from repro.workload.job import Job
 
+#: read once per started job (a module global is cheaper than an enum member).
+_COMPLETION = Priority.COMPLETION
 
-@dataclass
+
+@dataclass(slots=True)
 class RunningJob:
     """Book-keeping for one executing job."""
 
@@ -198,7 +201,7 @@ class SpaceSharedCluster:
             self._complete,
             record,
             on_finish,
-            priority=Priority.COMPLETION,
+            priority=_COMPLETION,
         )
         self._running[job.job_id] = record
         if PERF.enabled:

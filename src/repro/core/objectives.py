@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 
 class Objective(enum.Enum):
@@ -51,13 +51,15 @@ OBJECTIVES: tuple[Objective, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class JobOutcome:
+class JobOutcome(NamedTuple):
     """Final per-job record of one simulation run.
 
     ``utility`` is the amount the provider actually earned for the job under
     the active economic model (0 for rejected jobs; may be negative in the
     bid-based model once penalties exceed the budget).
+
+    An immutable named tuple rather than a frozen dataclass: every run
+    builds one per job, and a tuple builds several times faster.
     """
 
     job_id: int

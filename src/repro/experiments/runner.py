@@ -26,10 +26,10 @@ from repro.perf.registry import PERF
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
 from repro.sim.rng import RngStreams
-from repro.workload.estimates import apply_inaccuracy
-from repro.workload.job import Job
-from repro.workload.qos import assign_qos
-from repro.workload.synthetic import SDSC_SP2, generate_trace
+from repro.workload.estimates import inaccurate_estimates
+from repro.workload.job import Job, Urgency
+from repro.workload.qos import draw_qos
+from repro.workload.synthetic import SDSC_SP2, TraceColumns, trace_columns
 
 if TYPE_CHECKING:
     from repro.core.riskplot import RiskPlot
@@ -39,13 +39,13 @@ if TYPE_CHECKING:
 
 #: Memoised base traces keyed by ``(seed, n_jobs, max_procs)``.  The base
 #: trace is shared by every value of every scenario at a given scale, so a
-#: grid synthesises it once instead of 72+ times.  Entries are immutable
-#: tuples: :func:`build_workload` clones before layering anything on.
-_TRACE_MEMO: dict[tuple[int, int, int], tuple[Job, ...]] = {}
+#: grid synthesises it once instead of 72+ times.  Entries are columns of
+#: builtin values that :func:`build_workload` only reads.
+_TRACE_MEMO: dict[tuple[int, int, int], TraceColumns] = {}
 _TRACE_MEMO_MAX = 8
 
 
-def _base_trace(seed: int, n_jobs: int, max_procs: int) -> tuple[Job, ...]:
+def _base_trace(seed: int, n_jobs: int, max_procs: int) -> TraceColumns:
     key = (seed, n_jobs, max_procs)
     cached = _TRACE_MEMO.get(key)
     if cached is not None:
@@ -54,11 +54,11 @@ def _base_trace(seed: int, n_jobs: int, max_procs: int) -> tuple[Job, ...]:
         return cached
     streams = RngStreams(seed=seed)
     model = replace(SDSC_SP2, n_jobs=n_jobs, max_procs=max_procs)
-    jobs = tuple(generate_trace(model, rng=streams.get("trace")))
+    columns = trace_columns(model, rng=streams.get("trace"))
     if len(_TRACE_MEMO) >= _TRACE_MEMO_MAX:
         _TRACE_MEMO.pop(next(iter(_TRACE_MEMO)))
-    _TRACE_MEMO[key] = jobs
-    return jobs
+    _TRACE_MEMO[key] = columns
+    return columns
 
 
 def warm_trace_memo(items) -> int:
@@ -93,25 +93,51 @@ def build_workload(config: ExperimentConfig) -> list[Job]:
     The base trace depends only on ``(seed, n_jobs)``; the arrival-delay
     factor rescales inter-arrival gaps (paper §5.3: a factor of 0.1 turns a
     600 s gap into 60 s, i.e. lower factor = heavier load); QoS parameters
-    and estimate inaccuracy are then layered on deterministically.
+    (:func:`~repro.workload.qos.draw_qos`) and estimate inaccuracy
+    (:func:`~repro.workload.estimates.inaccurate_estimates`) are then
+    layered on deterministically.
 
-    The returned jobs are freshly owned: the shared base trace is cloned
-    before submit times are scaled or :func:`apply_inaccuracy` mutates
-    estimates, so job lists can never be corrupted across runs through the
-    memo (or any future sharing via the run store).
+    The list is built column by column from the memoised base trace, and
+    each job is constructed once, with every field final: the same jobs as
+    cloning a base trace and applying
+    :func:`~repro.workload.qos.assign_qos` and
+    :func:`~repro.workload.estimates.apply_inaccuracy` to it.  The returned
+    jobs are freshly owned, so job lists can never be corrupted across runs
+    through the memo (or any future sharing via the run store).
     """
     if config.arrival_delay_factor <= 0:
         raise ValueError("arrival delay factor must be positive")
     base = _base_trace(
         config.seed, config.n_jobs, min(SDSC_SP2.max_procs, config.total_procs)
     )
-    jobs = [job.clone() for job in base]
+    submit_times = base.submit_times
     if config.arrival_delay_factor != 1.0:
-        for job in jobs:
-            job.submit_time *= config.arrival_delay_factor
-    assign_qos(jobs, config.qos_spec(), rng=RngStreams(seed=config.seed).get("qos"))
-    apply_inaccuracy(jobs, config.inaccuracy_pct)
-    return jobs
+        factor = config.arrival_delay_factor
+        submit_times = [t * factor for t in submit_times]
+    qos = draw_qos(
+        base.runtimes, config.qos_spec(), rng=RngStreams(seed=config.seed).get("qos")
+    )
+    estimates = inaccurate_estimates(
+        base.runtimes, base.trace_estimates, config.inaccuracy_pct
+    )
+    n = len(base.runtimes)
+    users = base.user_ids if base.user_ids is not None else [None] * n
+    high_urgency, low_urgency = Urgency.HIGH, Urgency.LOW
+    return [
+        Job(
+            job_id, submit_time, runtime, estimate, procs, deadline, budget,
+            penalty_rate, high_urgency if is_high else low_urgency, trace_estimate,
+            {} if user is None else {"user_id": user},
+        )
+        for (
+            job_id, submit_time, runtime, estimate, procs, deadline, budget,
+            penalty_rate, is_high, trace_estimate, user,
+        ) in zip(
+            range(1, n + 1), submit_times, base.runtimes, estimates, base.procs,
+            qos.deadlines, qos.budgets, qos.penalty_rates, qos.high_urgency,
+            base.trace_estimates, users,
+        )
+    ]
 
 
 def run_single(

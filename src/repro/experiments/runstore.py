@@ -60,6 +60,7 @@ counters (``runstore.hits``, ``runstore.misses``, ``runstore.disk_hits``,
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -183,17 +184,16 @@ class RunKey(NamedTuple):
 
     @property
     def digest(self) -> str:
-        payload = json.dumps(
-            {
-                "schema": SCHEMA_VERSION,
-                "config": config_to_dict(self.config),
-                "policy": self.policy,
-                "model": self.model,
-            },
-            sort_keys=True,
-            separators=(",", ":"),
+        config = self.config
+        # Equal configurations can serialise differently (``20 == 20.0``,
+        # but JSON tells them apart), so the memo key carries every
+        # field's type next to the key itself.
+        return _run_digest(
+            SCHEMA_VERSION,
+            self,
+            tuple(map(type, vars(config).values())),
+            tuple(map(type, vars(config.faults).values())),
         )
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
     def execute(
         self, max_sim_events: Optional[int] = None, max_sim_time: Optional[float] = None
@@ -223,6 +223,28 @@ class RunKey(NamedTuple):
 
     def load(self, doc: dict) -> ObjectiveSet:
         return load_run_document(doc)
+
+
+@functools.lru_cache(maxsize=4096)
+def _run_digest(schema: int, key: RunKey, *field_types: tuple) -> str:
+    """sha256 of ``key``'s canonical JSON under run-content ``schema``.
+
+    Memoised: a grid reads each cell's digest several times (plan dedupe,
+    store reads and writes, assembly) and the default configuration recurs
+    in every scenario, while one derivation serialises and hashes the whole
+    configuration.  ``field_types`` only widen the memo key.
+    """
+    payload = json.dumps(
+        {
+            "schema": schema,
+            "config": config_to_dict(key.config),
+            "policy": key.policy,
+            "model": key.model,
+        },
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 def load_run_document(doc: dict) -> ObjectiveSet:

@@ -29,13 +29,12 @@ exactly the journaled gap that ``--on-error degrade`` accounts for.
 from __future__ import annotations
 
 import json
-import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Union
 
-from repro.experiments.runstore import MergeReport, RunStore, StoreError
+from repro.experiments.runstore import MergeReport, RunStore, StoreError, atomic_write_text
 from repro.farm import leases as leases_mod
 from repro.farm.plan import FarmPlan, load_plan_text, unit_document
 from repro.perf.registry import PERF
@@ -43,6 +42,11 @@ from repro.perf.registry import PERF
 
 class FarmError(RuntimeError):
     """Farm-level failures (bad layout, timeouts, undriveable jobs)."""
+
+
+def _document_text(doc: dict) -> str:
+    """A plan or unit file's text: indented JSON with sorted keys."""
+    return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
 @dataclass(frozen=True)
@@ -111,9 +115,7 @@ class Farm:
         picked up, on the same (resumable) job directory.
         """
         path = self.spool_dir / f"{plan.job_id}.json"
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(plan.to_dict(), indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, path)
+        atomic_write_text(path, _document_text(plan.to_dict()))
         if PERF.enabled:
             PERF.incr("farm.plans_submitted")
         return path
@@ -132,22 +134,13 @@ class Farm:
             (job / sub).mkdir(parents=True, exist_ok=True)
         plan_path = job / "job.json"
         if not plan_path.exists():
-            tmp = plan_path.with_name(f".job.json.tmp{os.getpid()}")
-            tmp.write_text(
-                json.dumps(plan.to_dict(), indent=1, sort_keys=True) + "\n"
-            )
-            os.replace(tmp, plan_path)
+            atomic_write_text(plan_path, _document_text(plan.to_dict()))
         created = 0
         for unit, digest in plan.unique_units():
             unit_path = self.units_dir(job_id) / f"{digest}.json"
             if unit_path.exists():
                 continue
-            tmp = unit_path.with_name(f".{unit_path.name}.tmp{os.getpid()}")
-            tmp.write_text(
-                json.dumps(unit_document(unit, digest), indent=1, sort_keys=True)
-                + "\n"
-            )
-            os.replace(tmp, unit_path)
+            atomic_write_text(unit_path, _document_text(unit_document(unit, digest)))
             created += 1
         if PERF.enabled:
             PERF.incr("farm.units_created", created)

@@ -37,7 +37,7 @@ from typing import Optional
 from repro.cluster.profile import can_backfill, easy_backfill_window
 from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.policies.base import Policy
-from repro.service.sla import SLAStatus
+from repro.service.sla import ACCEPTED
 from repro.sim.engine import Simulator
 from repro.workload.job import Job
 
@@ -170,7 +170,7 @@ class BackfillPolicy(Policy, abc.ABC):
 
     # -- fault recovery -------------------------------------------------------
     def _is_interrupted(self, job: Job) -> bool:
-        return self.service.record_of(job).status is SLAStatus.ACCEPTED
+        return self.service.record_of(job).status is ACCEPTED
 
     def _drop(self, job: Job, reason: str) -> None:
         """Remove an infeasible queued job.

@@ -20,10 +20,13 @@ from repro.core.objectives import JobOutcome, ObjectiveSet, compute_objectives
 from repro.economy.models import EconomicModel
 from repro.faults.config import FaultConfig
 from repro.service.accounting import AccountingLedger
-from repro.service.sla import SLARecord, SLAStatus
+from repro.service.sla import UNRESOLVED, SLARecord
 from repro.sim.engine import Simulator
 from repro.sim.events import Priority
 from repro.workload.job import Job
+
+#: arrival priority, read once per job by :meth:`CommercialComputingService.run`.
+_ARRIVAL = Priority.ARRIVAL
 
 
 @dataclass
@@ -99,17 +102,20 @@ class CommercialComputingService:
             self.injector.start()
 
     def _notify_observers(self, event: str, record: SLARecord) -> None:
+        # Callers test ``self.observers`` first: most runs have none, and
+        # the test is cheaper than the call.
         for observer in self.observers:
             observer(event, record)
 
     # -- workload driving ----------------------------------------------------
     def run(self, jobs: Sequence[Job]) -> ServiceResult:
         """Simulate the full workload and return the outcomes."""
+        register = self.register
+        schedule_at = self.sim.schedule_at
+        submit = self.policy.submit
         for job in jobs:
-            self.register(job)
-            self.sim.schedule_at(
-                job.submit_time, self.policy.submit, job, priority=Priority.ARRIVAL
-            )
+            register(job)
+            schedule_at(job.submit_time, submit, job, priority=_ARRIVAL)
         self.sim.run()
         self._check_drained()
         result = self.collect()
@@ -129,7 +135,7 @@ class CommercialComputingService:
         """
         if job.job_id in self._records:
             raise ValueError(f"duplicate job id {job.job_id}")
-        record = SLARecord(job=job)
+        record = SLARecord(job)
         self._records[job.job_id] = record
         self._unresolved += 1
         return record
@@ -184,7 +190,7 @@ class CommercialComputingService:
         stuck = [
             r.job.job_id
             for r in self._records.values()
-            if r.status in (SLAStatus.SUBMITTED, SLAStatus.ACCEPTED, SLAStatus.RUNNING)
+            if r.status in UNRESOLVED
         ]
         if stuck:  # pragma: no cover - indicates a policy bug
             raise RuntimeError(
@@ -194,42 +200,48 @@ class CommercialComputingService:
 
     # -- policy callbacks ------------------------------------------------------
     def record_of(self, job: Job) -> SLARecord:
+        # The notify_* callbacks below index ``_records`` directly: they run
+        # once per job per transition.
         return self._records[job.job_id]
 
     def notify_rejected(self, job: Job, reason: str) -> None:
         """The policy declined the SLA (admission control or budget)."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         record.reject(reason)
         self._unresolved -= 1
-        self._notify_observers("rejected", record)
+        if self.observers:
+            self._notify_observers("rejected", record)
 
     def notify_accepted(self, job: Job, quoted_cost: float = 0.0) -> None:
         """The SLA is committed; ``quoted_cost`` is the commodity-market
         charge fixed at acceptance (ignored in the bid-based model)."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         record.accept(self.sim.now, quoted_cost)
-        self._notify_observers("accepted", record)
+        if self.observers:
+            self._notify_observers("accepted", record)
 
     def notify_started(self, job: Job) -> None:
         """Execution begins — the end of the paper's *wait* interval."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         record.start(self.sim.now)
-        self._notify_observers("started", record)
+        if self.observers:
+            self._notify_observers("started", record)
 
     def notify_killed(self, job: Job, finish_time: float) -> None:
         """The system terminated the job at its estimate limit; the SLA is
         broken and nothing is charged."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         record.kill(finish_time)
         self._unresolved -= 1
         self.ledger.record(
             job.job_id, finish_time, 0.0, description="killed at estimate limit"
         )
-        self._notify_observers("finished", record)
+        if self.observers:
+            self._notify_observers("finished", record)
 
     def notify_finished(self, job: Job, finish_time: float) -> None:
         """Execution completed; utility is settled with the economic model."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         utility = self.model.utility(job, finish_time, record.quoted_cost)
         record.finish(finish_time, utility)
         self._unresolved -= 1
@@ -237,14 +249,16 @@ class CommercialComputingService:
             job.job_id, finish_time, utility,
             description=f"{self.model.name} settlement",
         )
-        self._notify_observers("finished", record)
+        if self.observers:
+            self._notify_observers("finished", record)
 
     def notify_interrupted(self, job: Job) -> None:
         """A node failure killed the execution; the policy will re-run the
         job, so the SLA returns to ACCEPTED (still unresolved)."""
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         record.interrupt()
-        self._notify_observers("interrupted", record)
+        if self.observers:
+            self._notify_observers("interrupted", record)
 
     def notify_failed(self, job: Job, finish_time: float) -> None:
         """A node failure killed the execution and the job cannot be
@@ -256,7 +270,7 @@ class CommercialComputingService:
         the channel through which failures raise the provider's risk
         metrics.
         """
-        record = self.record_of(job)
+        record = self._records[job.job_id]
         utility = min(0.0, self.model.utility(job, finish_time, record.quoted_cost))
         record.fail(finish_time, utility)
         self._unresolved -= 1
@@ -264,7 +278,8 @@ class CommercialComputingService:
             job.job_id, finish_time, utility,
             description="SLA failed after node failure",
         )
-        self._notify_observers("finished", record)
+        if self.observers:
+            self._notify_observers("finished", record)
 
     # -- economics the policy consults -----------------------------------------
     def economically_admissible(self, job: Job, expected_cost: float) -> bool:

@@ -38,12 +38,26 @@ class SLAStatus(enum.Enum):
     FINISHED = "finished"
 
 
-@dataclass
+# The members as module globals: on CPython 3.11 reading ``SLAStatus.X``
+# goes through the enum metaclass and costs several times a global read,
+# and every SLA transition makes such a test.
+SUBMITTED = SLAStatus.SUBMITTED
+REJECTED = SLAStatus.REJECTED
+ACCEPTED = SLAStatus.ACCEPTED
+RUNNING = SLAStatus.RUNNING
+FINISHED = SLAStatus.FINISHED
+#: statuses of an SLA the provider committed to.
+COMMITTED = (ACCEPTED, RUNNING, FINISHED)
+#: statuses of an SLA not yet resolved (neither rejected nor finished).
+UNRESOLVED = (SUBMITTED, ACCEPTED, RUNNING)
+
+
+@dataclass(slots=True)
 class SLARecord:
-    """Lifecycle of one service request."""
+    """Lifecycle of one service request (slotted: one per job per run)."""
 
     job: Job
-    status: SLAStatus = SLAStatus.SUBMITTED
+    status: SLAStatus = SUBMITTED
     accept_time: Optional[float] = None
     start_time: Optional[float] = None
     finish_time: Optional[float] = None
@@ -60,35 +74,35 @@ class SLARecord:
 
     # -- transitions ---------------------------------------------------------
     def reject(self, reason: str) -> None:
-        self._require(SLAStatus.SUBMITTED, "reject")
-        self.status = SLAStatus.REJECTED
+        self._require(SUBMITTED, "reject")
+        self.status = REJECTED
         self.reject_reason = reason
 
     def accept(self, time: float, quoted_cost: float = 0.0) -> None:
-        self._require(SLAStatus.SUBMITTED, "accept")
-        self.status = SLAStatus.ACCEPTED
+        self._require(SUBMITTED, "accept")
+        self.status = ACCEPTED
         self.accept_time = time
         self.quoted_cost = quoted_cost
 
     def start(self, time: float) -> None:
-        self._require(SLAStatus.ACCEPTED, "start")
-        self.status = SLAStatus.RUNNING
+        self._require(ACCEPTED, "start")
+        self.status = RUNNING
         # A restart after an interruption keeps the original start time:
         # the wait objective measures submission → *first* execution start.
         if self.start_time is None:
             self.start_time = time
 
     def finish(self, time: float, utility: float) -> None:
-        self._require(SLAStatus.RUNNING, "finish")
-        self.status = SLAStatus.FINISHED
+        self._require(RUNNING, "finish")
+        self.status = FINISHED
         self.finish_time = time
         self.utility = utility
 
     def kill(self, time: float) -> None:
         """The system terminated the job at its estimate limit: the SLA is
         unfulfilled and the user owes nothing for the incomplete work."""
-        self._require(SLAStatus.RUNNING, "kill")
-        self.status = SLAStatus.FINISHED
+        self._require(RUNNING, "kill")
+        self.status = FINISHED
         self.finish_time = time
         self.utility = 0.0
         self.killed = True
@@ -96,8 +110,8 @@ class SLARecord:
     def interrupt(self) -> None:
         """A node failure killed the execution but the job will be re-run:
         the SLA commitment stands, so the record returns to ACCEPTED."""
-        self._require(SLAStatus.RUNNING, "interrupt")
-        self.status = SLAStatus.ACCEPTED
+        self._require(RUNNING, "interrupt")
+        self.status = ACCEPTED
         self.interruptions += 1
 
     def fail(self, time: float, utility: float) -> None:
@@ -110,11 +124,11 @@ class SLARecord:
         re-queued job became infeasible before it could restart).
         """
         if not (
-            self.status is SLAStatus.RUNNING
-            or (self.status is SLAStatus.ACCEPTED and self.interruptions > 0)
+            self.status is RUNNING
+            or (self.status is ACCEPTED and self.interruptions > 0)
         ):
-            self._require(SLAStatus.RUNNING, "fail")
-        self.status = SLAStatus.FINISHED
+            self._require(RUNNING, "fail")
+        self.status = FINISHED
         self.finish_time = time
         self.utility = utility
         self.failed = True
@@ -128,12 +142,12 @@ class SLARecord:
     # -- derived -------------------------------------------------------------
     @property
     def accepted(self) -> bool:
-        return self.status in (SLAStatus.ACCEPTED, SLAStatus.RUNNING, SLAStatus.FINISHED)
+        return self.status in COMMITTED
 
     @property
     def deadline_met(self) -> bool:
         return (
-            self.status is SLAStatus.FINISHED
+            self.status is FINISHED
             and not self.killed
             and not self.failed
             and self.finish_time is not None
@@ -142,13 +156,14 @@ class SLARecord:
 
     def outcome(self) -> JobOutcome:
         """The immutable record the risk analysis consumes."""
+        job = self.job
         return JobOutcome(
-            job_id=self.job.job_id,
-            submit_time=self.job.submit_time,
-            budget=self.job.budget,
-            accepted=self.accepted,
-            start_time=self.start_time,
-            finish_time=self.finish_time,
-            deadline_met=self.deadline_met,
-            utility=self.utility,
+            job.job_id,
+            job.submit_time,
+            job.budget,
+            self.accepted,
+            self.start_time,
+            self.finish_time,
+            self.deadline_met,
+            self.utility,
         )

@@ -46,22 +46,43 @@ def synthesize_trace_estimates(
     return np.maximum(runtimes * factors, MIN_ESTIMATE)
 
 
-def apply_inaccuracy(jobs: Iterable[Job], inaccuracy_pct: float) -> list[Job]:
-    """Set each job's working estimate for a given inaccuracy percentage.
+def inaccurate_estimates(
+    runtimes: Sequence[float],
+    trace_estimates: Sequence[float],
+    inaccuracy_pct: float,
+) -> list[float]:
+    """Working estimates for a given inaccuracy percentage, per job:
 
-    ``estimate = runtime + (pct/100) × (trace_estimate − runtime)``
-
-    Returns the same job objects (mutated) as a list, for chaining.
+    ``estimate = runtime + (pct/100) × (trace_estimate − runtime)``,
+    floored at :data:`MIN_ESTIMATE`.
     """
     if not 0.0 <= inaccuracy_pct <= 100.0:
         raise ValueError("inaccuracy percentage must be within [0, 100]")
     frac = inaccuracy_pct / 100.0
-    out = []
-    for job in jobs:
-        trace_est = job.trace_estimate if job.trace_estimate is not None else job.estimate
-        job.estimate = max(MIN_ESTIMATE, job.runtime + frac * (trace_est - job.runtime))
-        out.append(job)
-    return out
+    return [
+        max(MIN_ESTIMATE, runtime + frac * (trace_est - runtime))
+        for runtime, trace_est in zip(runtimes, trace_estimates)
+    ]
+
+
+def apply_inaccuracy(jobs: Iterable[Job], inaccuracy_pct: float) -> list[Job]:
+    """Set each job's working estimate for a given inaccuracy percentage
+    (see :func:`inaccurate_estimates`).
+
+    Returns the same job objects (mutated) as a list, for chaining.
+    """
+    jobs = list(jobs)
+    estimates = inaccurate_estimates(
+        [job.runtime for job in jobs],
+        [
+            job.trace_estimate if job.trace_estimate is not None else job.estimate
+            for job in jobs
+        ],
+        inaccuracy_pct,
+    )
+    for job, estimate in zip(jobs, estimates):
+        job.estimate = estimate
+    return jobs
 
 
 def inaccuracy_statistics(jobs: Sequence[Job]) -> dict:

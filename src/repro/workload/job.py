@@ -24,9 +24,12 @@ class Urgency(enum.Enum):
     LOW = "low"
 
 
-@dataclass
+@dataclass(slots=True)
 class Job:
     """One service request submitted to the commercial computing service.
+
+    A slotted dataclass: every run builds thousands of jobs, and slots
+    make each one smaller and quicker to build and read.
 
     Attributes
     ----------
@@ -94,22 +97,24 @@ class Job:
         """An independent copy (policies mutate nothing, but the service
         layer annotates jobs; each policy run gets its own copies).
 
-        Every field is passed to the constructor by name: cheaper than
+        Every field is passed to the constructor in declaration order:
+        about half the cost of passing them by name, and far cheaper than
         ``dataclasses.replace``, which looks the fields up on every call.
-        ``tests/test_workload_job.py`` fails if a new field is left out.
+        ``tests/test_workload_job.py`` fails if a new field is left out
+        or two are swapped.
         """
         return Job(
-            job_id=self.job_id,
-            submit_time=self.submit_time,
-            runtime=self.runtime,
-            estimate=self.estimate,
-            procs=self.procs,
-            deadline=self.deadline,
-            budget=self.budget,
-            penalty_rate=self.penalty_rate,
-            urgency=self.urgency,
-            trace_estimate=self.trace_estimate,
-            extra=dict(self.extra),
+            self.job_id,
+            self.submit_time,
+            self.runtime,
+            self.estimate,
+            self.procs,
+            self.deadline,
+            self.budget,
+            self.penalty_rate,
+            self.urgency,
+            self.trace_estimate,
+            dict(self.extra),
         )
 
     def __repr__(self) -> str:

@@ -25,7 +25,7 @@ coefficient of variation of 0.2, truncated at small positive floors.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -75,27 +75,35 @@ def _truncated_normal(
     return np.maximum(draws, floor)
 
 
-def assign_qos(
-    jobs: Sequence[Job],
+class QoSColumns(NamedTuple):
+    """Drawn SLA parameters, one builtin entry per job (see :func:`draw_qos`)."""
+
+    high_urgency: list[bool]
+    deadlines: list[float]
+    budgets: list[float]
+    penalty_rates: list[float]
+
+
+def draw_qos(
+    runtimes: Sequence[float],
     spec: QoSSpec,
     rng: np.random.Generator | int | None = None,
-) -> list[Job]:
-    """Annotate ``jobs`` in place with urgency, deadline, budget and penalty.
+) -> QoSColumns:
+    """Draw urgency, deadline, budget and penalty rate for jobs with the
+    given runtimes, as columns; :func:`assign_qos` sets them on jobs.
 
-    Returns the job list for chaining.  Deterministic for a given ``rng``
-    seed; the urgency assignment and all three parameter draws come from the
-    supplied generator, so two policies evaluated on the same seed see the
-    *identical* SLA workload (the paper's controlled-comparison requirement).
+    Each numpy column is converted once with ``tolist``, which yields the
+    same builtin values as converting it element by element.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
     if not 0.0 <= spec.pct_high_urgency <= 100.0:
         raise ValueError("pct_high_urgency must be within [0, 100]")
 
-    n = len(jobs)
+    n = len(runtimes)
     if n == 0:
-        return []
-    runtimes = np.array([j.runtime for j in jobs])
+        return QoSColumns([], [], [], [])
+    runtimes = np.array(runtimes)
     mean_runtime = float(runtimes.mean())
     high = rng.random(n) < spec.pct_high_urgency / 100.0
 
@@ -122,12 +130,30 @@ def assign_qos(
     ) * runtimes
     budgets = b_factors * b_bias * runtimes * spec.pbase
     penalty_rates = p_factors * p_bias * budgets / deadlines
+    return QoSColumns(
+        high.tolist(), deadlines.tolist(), budgets.tolist(), penalty_rates.tolist()
+    )
 
-    for i, job in enumerate(jobs):
-        job.urgency = Urgency.HIGH if high[i] else Urgency.LOW
-        job.deadline = float(deadlines[i])
-        job.budget = float(budgets[i])
-        job.penalty_rate = float(penalty_rates[i])
+
+def assign_qos(
+    jobs: Sequence[Job],
+    spec: QoSSpec,
+    rng: np.random.Generator | int | None = None,
+) -> list[Job]:
+    """Annotate ``jobs`` in place with urgency, deadline, budget and penalty.
+
+    Returns the job list for chaining.  Deterministic for a given ``rng``
+    seed; the urgency assignment and all three parameter draws come from the
+    supplied generator, so two policies evaluated on the same seed see the
+    *identical* SLA workload (the paper's controlled-comparison requirement).
+    """
+    qos = draw_qos([j.runtime for j in jobs], spec, rng)
+    high_urgency, low_urgency = Urgency.HIGH, Urgency.LOW
+    for job, is_high, deadline, budget, penalty_rate in zip(jobs, *qos):
+        job.urgency = high_urgency if is_high else low_urgency
+        job.deadline = deadline
+        job.budget = budget
+        job.penalty_rate = penalty_rate
     return list(jobs)
 
 

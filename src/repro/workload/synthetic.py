@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,6 +82,60 @@ def _processor_counts(rng: np.random.Generator, model: TraceModel, size: int) ->
     return procs.astype(np.int64)
 
 
+class TraceColumns(NamedTuple):
+    """A synthetic trace as columns of builtin values, one entry per job
+    in submit order (job ``i + 1`` is entry ``i``).
+
+    What :func:`generate_trace` turns into :class:`Job` records, and what
+    :func:`repro.experiments.runner.build_workload` memoises and builds
+    its job lists from without first building and cloning a base trace.
+    """
+
+    submit_times: list[float]
+    runtimes: list[float]
+    trace_estimates: list[float]
+    procs: list[int]
+    #: per-job user ids, or ``None`` when the model has no user population.
+    user_ids: Optional[list[int]]
+
+
+def trace_columns(
+    model: TraceModel = SDSC_SP2,
+    rng: np.random.Generator | int | None = None,
+) -> TraceColumns:
+    """Draw a synthetic trace as columns (see :func:`generate_trace`).
+
+    Each numpy column is converted once with ``tolist``, which yields the
+    same builtin floats and ints as ``float(a[i])`` / ``int(a[i])``.
+    """
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(0 if rng is None else rng)
+    n = model.n_jobs
+    if n <= 0:
+        raise ValueError("n_jobs must be positive")
+
+    interarrivals = _lognormal_with_mean(
+        rng, model.mean_interarrival, model.interarrival_sigma_log, n
+    )
+    submits = np.concatenate(([0.0], np.cumsum(interarrivals[:-1])))
+    runtimes = np.maximum(
+        _lognormal_with_mean(rng, model.mean_runtime, model.runtime_sigma_log, n),
+        model.min_runtime,
+    )
+    procs = _processor_counts(rng, model, n)
+    trace_estimates = synthesize_trace_estimates(
+        runtimes, rng, overestimate_fraction=model.overestimate_fraction
+    )
+    if model.n_users > 0:
+        users = ((rng.zipf(model.user_zipf_a, size=n) - 1) % model.n_users).tolist()
+    else:
+        users = None
+    return TraceColumns(
+        submits.tolist(), runtimes.tolist(), trace_estimates.tolist(),
+        procs.tolist(), users,
+    )
+
+
 def generate_trace(
     model: TraceModel = SDSC_SP2,
     rng: np.random.Generator | int | None = None,
@@ -102,42 +157,17 @@ def generate_trace(
         starts equal to ``trace_estimate`` (i.e. 100 % trace inaccuracy);
         apply :func:`repro.workload.estimates.apply_inaccuracy` to sweep it.
     """
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(0 if rng is None else rng)
-    n = model.n_jobs
-    if n <= 0:
-        raise ValueError("n_jobs must be positive")
-
-    interarrivals = _lognormal_with_mean(
-        rng, model.mean_interarrival, model.interarrival_sigma_log, n
-    )
-    submits = np.concatenate(([0.0], np.cumsum(interarrivals[:-1])))
-    runtimes = np.maximum(
-        _lognormal_with_mean(rng, model.mean_runtime, model.runtime_sigma_log, n),
-        model.min_runtime,
-    )
-    procs = _processor_counts(rng, model, n)
-    trace_estimates = synthesize_trace_estimates(
-        runtimes, rng, overestimate_fraction=model.overestimate_fraction
-    )
-    if model.n_users > 0:
-        users = (rng.zipf(model.user_zipf_a, size=n) - 1) % model.n_users
-    else:
-        users = None
-
-    jobs = []
-    for i in range(n):
-        job = Job(
-            job_id=i + 1,
-            submit_time=float(submits[i]),
-            runtime=float(runtimes[i]),
-            estimate=float(trace_estimates[i]),
-            procs=int(procs[i]),
-            trace_estimate=float(trace_estimates[i]),
+    columns = trace_columns(model, rng)
+    jobs = [
+        Job(i, submit, runtime, estimate, procs, trace_estimate=estimate)
+        for i, submit, runtime, estimate, procs in zip(
+            range(1, len(columns.runtimes) + 1), columns.submit_times,
+            columns.runtimes, columns.trace_estimates, columns.procs,
         )
-        if users is not None:
-            job.extra["user_id"] = int(users[i])
-        jobs.append(job)
+    ]
+    if columns.user_ids is not None:
+        for job, user in zip(jobs, columns.user_ids):
+            job.extra["user_id"] = user
     return jobs
 
 

@@ -174,6 +174,22 @@ def test_submission_spool_roundtrip_and_rejection(tmp_path):
     assert farm.job_ids() == [plan.job_id]
 
 
+def test_plan_and_unit_files_have_fixed_bytes_and_leave_no_temp_files(tmp_path):
+    farm = Farm(tmp_path)
+    plan = small_plan()
+    plan_text = json.dumps(plan.to_dict(), indent=1, sort_keys=True) + "\n"
+    assert farm.submit(plan).read_bytes() == plan_text.encode()
+    job_id = farm.create_job(plan)
+    assert (farm.job_dir(job_id) / "job.json").read_bytes() == plan_text.encode()
+    units = plan.unique_units()
+    assert len(units) == 12
+    for unit, digest in units:
+        unit_text = json.dumps(unit_document(unit, digest), indent=1, sort_keys=True) + "\n"
+        unit_path = farm.units_dir(job_id) / f"{digest}.json"
+        assert unit_path.read_bytes() == unit_text.encode()
+    assert [p for p in tmp_path.rglob("*") if ".tmp" in p.name] == []
+
+
 def test_progress_counts_markers(tmp_path):
     farm = Farm(tmp_path)
     job_id = farm.create_job(small_plan())

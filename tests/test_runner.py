@@ -66,6 +66,24 @@ def test_build_workload_variants_do_not_cross_contaminate():
     assert [j.estimate for j in again] == [j.estimate for j in exact]
 
 
+@pytest.mark.parametrize("config", [
+    SMALL,
+    SMALL.with_values(arrival_delay_factor=1.0, inaccuracy_pct=40.0),
+])
+def test_build_workload_fields_are_builtin_types(config):
+    # The job list is built from numpy columns; every value must still be
+    # the builtin a per-element float() / int() conversion gives.
+    floats = ("submit_time", "runtime", "estimate", "trace_estimate",
+              "deadline", "budget", "penalty_rate")
+    jobs = build_workload(config)
+    assert len(jobs) == config.n_jobs
+    for job in jobs:
+        for name in floats:
+            assert type(getattr(job, name)) is float, name
+        for value in (job.job_id, job.procs, job.extra["user_id"]):
+            assert type(value) is int
+
+
 def test_inaccuracy_config_controls_estimates():
     exact = build_workload(SMALL.with_values(inaccuracy_pct=0.0))
     trace = build_workload(SMALL.with_values(inaccuracy_pct=100.0))

@@ -34,6 +34,39 @@ def test_run_key_is_stable_across_processes():
     assert len(a.digest) == 64  # sha256 hex
 
 
+def test_run_key_digest_is_pinned():
+    # Memoising the digest must not move a single stored document: these
+    # are the digests every earlier store was written under.
+    assert RunKey(CONFIG, "FCFS-BF", "bid").digest == (
+        "6c19c036e6946baf98a48896f868795158b821ac3be9bb3ff7f55641366c3bc9"
+    )
+    # ``20 == 20.0`` but serialises differently: the memo must not merge them.
+    assert RunKey(CONFIG.with_values(pct_high_urgency=20), "FCFS-BF", "bid").digest == (
+        "c741ebd3a49224b946460e2827a757e9a8a45118f2869863ccf54ae70bb6d608"
+    )
+    faulty = CONFIG.with_values(fault_mtbf=7200.0, fault_domain_size=4)
+    assert RunKey(faulty, "Libra", "commodity").digest == (
+        "3b8694f039434801ed8a39590c173e8173aeb25a99ea8361686186d45d43b1c4"
+    )
+
+
+def test_grid_execution_and_assembly_derive_each_digest_once(tmp_path):
+    from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
+    from repro.experiments.runstore import _run_digest
+    from repro.experiments.scenarios import scenario_by_name
+
+    base = ExperimentConfig(n_jobs=12, total_procs=16, seed=424242)
+    args = (["FCFS-BF", "Libra"], "bid", base, "A", [scenario_by_name("job mix")])
+    _run_digest.cache_clear()
+    plan = grid_plan(*args)
+    store = RunStore(tmp_path)
+    execution = execute_plan(plan, store)
+    assert execution.executed > 0
+    assemble_grid(store, *args)
+    distinct = {unit.digest for unit in plan}
+    assert _run_digest.cache_info().misses == len(distinct)
+
+
 def test_run_key_distinguishes_every_input():
     base = RunKey(CONFIG, "FCFS-BF", "bid").digest
     assert RunKey(CONFIG.with_values(seed=1), "FCFS-BF", "bid").digest != base

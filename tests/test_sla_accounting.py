@@ -13,6 +13,14 @@ def make_record(deadline=100.0):
     return SLARecord(job=job)
 
 
+def test_record_rejects_unknown_attributes():
+    # SLARecord is slotted: a misspelt field name raises instead of
+    # quietly adding an attribute nothing reads.
+    rec = make_record()
+    with pytest.raises(AttributeError):
+        rec.finsh_time = 1.0
+
+
 def test_lifecycle_happy_path():
     rec = make_record()
     assert rec.status is SLAStatus.SUBMITTED

@@ -87,3 +87,11 @@ def test_clone_copies_every_field():
 
 def test_repr_mentions_id():
     assert "#1" in repr(make_job())
+
+
+def test_job_rejects_unknown_attributes():
+    # Job is slotted: a misspelt field name raises instead of quietly
+    # adding an attribute nothing reads.
+    job = make_job()
+    with pytest.raises(AttributeError):
+        job.deadlien = 5.0
