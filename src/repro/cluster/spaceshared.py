@@ -295,6 +295,10 @@ class SpaceSharedCluster:
     def down_nodes(self) -> frozenset[int]:
         return frozenset(self._down)
 
+    def down_count(self) -> int:
+        """How many nodes are down now, without copying the set."""
+        return len(self._down)
+
     def _check_node_id(self, node_id: int) -> None:
         # Node ids are stable for life, so the valid range is everything
         # ever created — retirement shrinks capacity, not the id space.

@@ -21,17 +21,17 @@ progresses gang-style at the minimum of its per-node rates.  Progress is
 integrated between events.  In static mode rates only change at admissions
 and completions, so the piecewise integration is exact; in dynamic mode the
 required rates drift between events and the integration is a
-piecewise-constant approximation refreshed at every event.  Progress is
-only integrated when the clock has moved, so the node loads an arrival's
-admission query sums are kept for the instant and reused by the admission
-that follows.
+piecewise-constant approximation refreshed at every event.
 
 Per-job run state lives in arrays, one row per running job in admission
 order, and each job's nodes in one flat incidence array grouped by row, so
 progress, required rates, gang minima and ETAs are a few array operations
 per event.  Each applies the same IEEE operations in the same order as a
-loop over the jobs would.  Per-node float totals are the exception: they
-are builtin ``sum()`` calls over each node's members in ``node_jobs`` order.
+loop over the jobs would.  Every per-node float total (share totals,
+dynamic loads, Libra+$'s held seconds) is one fold over the incidences:
+each node's values added one at a time from 0.0 in admission order, so a
+total never depends on set iteration order or on the interpreter's
+``sum()``.
 
 Only the earliest completion sits in the event list: one
 ``Priority.COMPLETION`` timer per cluster, at the smallest ``(eta, tick)``
@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Collection, Iterable, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence
 
 import numpy as np
 
@@ -161,33 +161,26 @@ class TimeSharedCluster:
         n_nodes = self.total_procs
         self.node_jobs: list[set[int]] = [set() for _ in range(n_nodes)]
         self._states: dict[int, TSJobState] = {}
-        #: current share per job: the committed share (static) or the
-        #: floored required rate, refreshed at every reschedule (dynamic).
-        self._share: dict[int, float] = {}
         # Per job, one column per running job, in admission order, of the
         # block ``_f`` (rows ``_CONSUMED`` … ``_DEADLINE``), each row also
         # bound to its own name by :meth:`_bind_rows`.  ``_jobs`` and
         # ``_jids`` name each column's job.  ``_nodes`` holds every job's
         # nodes back to back in column order, ``_n_inc`` of them in use,
-        # and ``_start`` the first of each job's.
+        # ``_owner`` the column of each of them, and ``_start`` the first
+        # of each job's.
         self._n = 0
         self._bind_rows(np.zeros((8, 64)), np.zeros(64, dtype=np.int64))
         self._jobs: list[TSJobState] = []
         self._jids: list[int] = []
         self._nodes = np.zeros(4 * n_nodes, dtype=np.int64)
+        self._owner = np.zeros(4 * n_nodes, dtype=np.int64)
         self._n_inc = 0
-        #: per node: share total summed in ``node_jobs`` order, the residual
+        #: per node, as of the last re-rate: share total, the residual
         #: bonus each member gets (``inf`` on an empty or an overcommitted
         #: node), and whether the total exceeds ``1 + SHARE_EPS``.
         self._total = np.zeros(n_nodes)
         self._bonus = np.full(n_nodes, math.inf)
         self._over = np.zeros(n_nodes, dtype=bool)
-        #: dynamic mode, per node: the plain sum of its jobs' required rates
-        #: in ``node_jobs`` order, kept for the instant it was summed at and
-        #: valid where ``_raw_ok`` (always on an empty node, whose load is
-        #: 0; never in static mode, which keeps no such sums).
-        self._raw = np.zeros(n_nodes)
-        self._raw_ok = np.full(n_nodes, mode is ShareMode.DYNAMIC)
         #: nodes failed or retired; excluded from admission.
         self._unavail = np.zeros(n_nodes, dtype=bool)
         #: the completion timer, armed at the smallest (eta, tick).
@@ -205,6 +198,20 @@ class TimeSharedCluster:
         (self._consumed, self._remaining, self._rate, self._eta, self._tick,
          self._committed_share, self._estimate, self._deadline) = f
 
+    def _fold(self, values: np.ndarray) -> np.ndarray:
+        """Per node, the sum of ``values`` (one per job column) over the
+        node's jobs, added one at a time from 0.0 in admission order.
+
+        ``np.bincount`` walks the incidences in order and adds each weight
+        into its node's bin in C, so a total is the same left fold on every
+        interpreter, whatever order ``node_jobs`` iterates in.
+        """
+        inc = self._n_inc
+        if not inc:  # bincount over no weights returns ints
+            return np.zeros(len(self.node_jobs))
+        return np.bincount(self._nodes[:inc], weights=values[self._owner[:inc]],
+                           minlength=len(self.node_jobs))
+
     # -- admission helpers -------------------------------------------------
     def node_share_load(self, node: int) -> float:
         """Current admission load of a node: its committed share total, or
@@ -212,7 +219,7 @@ class TimeSharedCluster:
         if self.mode is ShareMode.STATIC:
             return float(self._total[node])
         self._sync_progress()
-        return float(self._raw_loads()[node])
+        return float(self._fold(self._required_rates())[node])
 
     def node_has_risk(self, node: int) -> bool:
         """Any job on the node already past its estimate (LibraRiskD's risk)."""
@@ -230,7 +237,10 @@ class TimeSharedCluster:
         its jobs' required rates (dynamic).  Ties go to the lower node id.
         """
         self._sync_progress()
-        loads = self._total if self.mode is ShareMode.STATIC else self._raw_loads()
+        if self.mode is ShareMode.STATIC:
+            loads = self._total
+        else:
+            loads = self._fold(self._required_rates())
         fits = loads + share <= 1.0 + SHARE_EPS
         if self._down or self._retired:
             fits &= ~self._unavail
@@ -247,16 +257,15 @@ class TimeSharedCluster:
         Each job's share occupies a node only until its own deadline — a
         reservation expiring early in the window leaves the remainder
         free for the job being priced.  Each job's seconds are derived
-        once and summed on each of its nodes in ``node_jobs`` order.
+        once and folded onto its nodes.
         """
         self._sync_progress()
         n = self._n
         until = self._deadline[:n] - self.sim.now
         np.copyto(until, window, where=window < until)  # min(until, window)
         np.copyto(until, 0.0, where=~(until > 0.0))  # max(0.0, until)
-        held = dict(zip(self._jids, (self._committed_share[:n] * until).tolist())).__getitem__
-        node_jobs = self.node_jobs
-        return [sum(map(held, node_jobs[node])) for node in nodes]
+        held = self._fold(np.multiply(self._committed_share[:n], until, out=until))
+        return held[list(nodes)].tolist()
 
     def _required_rates(self) -> np.ndarray:
         """Every job's required rate now: estimated remaining work over the
@@ -275,36 +284,15 @@ class TimeSharedCluster:
             np.divide(est, window, out=rates, where=window > 0.0)
         return np.minimum(rates, 1.0, out=rates)
 
-    def _raw_loads(self) -> np.ndarray:
-        """Per node, the sum of its jobs' required rates now."""
-        raw = self._raw
-        stale = (~self._raw_ok).nonzero()[0]
-        if stale.size:
-            rates = dict(zip(self._jids, self._required_rates().tolist())).__getitem__
-            node_jobs = self.node_jobs
-            raw[stale] = [sum(map(rates, node_jobs[node])) for node in stale.tolist()]
-            self._raw_ok.fill(True)
-        return raw
-
-    def _nodes_of(self, jobs: np.ndarray) -> np.ndarray:
-        """Mask of the nodes held by the jobs selected in ``jobs`` (few)."""
-        mask = np.zeros(len(self.node_jobs), dtype=bool)
-        rows = jobs.nonzero()[0].tolist()
-        if rows:
-            held = self._jobs
-            mask[list(set().union(*[held[row].nodes for row in rows]))] = True
-        return mask
-
-    def _members(self) -> np.ndarray:
-        """Per node, how many jobs hold a share slot on it."""
-        return np.bincount(self._nodes[:self._n_inc], minlength=len(self.node_jobs))
-
     def _risky_nodes(self) -> np.ndarray:
         """Mask of the nodes holding a job past its estimate."""
         n = self._n
         past = self._consumed[:n] >= self._estimate[:n] - WORK_EPS
         past &= self._remaining[:n] > WORK_EPS
-        return self._nodes_of(past)
+        mask = np.zeros(len(self.node_jobs), dtype=bool)
+        inc = self._n_inc
+        mask[self._nodes[:inc][past[self._owner[:inc]]]] = True
+        return mask
 
     def admit(
         self,
@@ -324,11 +312,10 @@ class TimeSharedCluster:
             raise ValueError(f"share must be in (0, 1], got {share}")
         if job.job_id in self._states:
             raise ValueError(f"job {job.job_id} is already running")
-        unavailable = (self._down | self._retired) if (self._down or self._retired) else ()
-        if unavailable and not set(nodes).isdisjoint(unavailable):
+        if (self._down or self._retired) and self._unavail[list(nodes)].any():
             raise ValueError(
                 f"cannot admit job {job.job_id} on failed/retired node(s) "
-                f"{sorted(set(nodes) & set(unavailable))}"
+                f"{sorted(node for node in nodes if self._unavail[node])}"
             )
         self._sync_progress()
         row = self._n
@@ -338,20 +325,21 @@ class TimeSharedCluster:
                             np.concatenate((self._start, np.zeros_like(self._start))))
         first = self._n_inc
         if first + k > len(self._nodes):
-            self._nodes = np.concatenate((self._nodes[:first],
-                                          np.zeros(first + 2 * k, dtype=np.int64)))
+            spare = np.zeros(first + 2 * k, dtype=np.int64)
+            self._nodes = np.concatenate((self._nodes[:first], spare))
+            self._owner = np.concatenate((self._owner[:first], spare))
         state = TSJobState(job, tuple(nodes), float(share), self.sim.now, self, row, on_finish)
         self._f[:, row] = (0.0, job.runtime, 0.0, math.inf, -1.0, state.share,
                            job.estimate, state.absolute_deadline)
         self._start[row] = first
         self._nodes[first:first + k] = state.nodes
+        self._owner[first:first + k] = row
         self._n_inc = first + k
         self._n = row + 1
         self._jobs.append(state)
         jid = job.job_id
         self._jids.append(jid)
         self._states[jid] = state
-        self._share[jid] = state.share
         node_jobs = self.node_jobs
         for node in nodes:
             node_jobs[node].add(jid)
@@ -363,8 +351,7 @@ class TimeSharedCluster:
 
     # -- execution ---------------------------------------------------------
     def _sync_progress(self) -> None:
-        """Integrate work done since the last rate change.  Once the clock
-        has moved, the node loads kept for the previous instant are stale."""
+        """Integrate work done since the last rate change."""
         now = self.sim.now
         dt = now - self._last_update
         if dt <= 0.0:
@@ -378,17 +365,16 @@ class TimeSharedCluster:
         # can tell the two apart.
         np.maximum(left, 0.0, out=left)
         self._last_update = now
-        if self.mode is ShareMode.DYNAMIC:
-            np.equal(self._members(), 0, out=self._raw_ok)
 
     def _reschedule(self, touched_nodes: Collection[int]) -> None:
         """Re-rate jobs after the membership of ``touched_nodes`` changed,
         then re-arm the completion timer.
 
-        Static mode re-rates only the jobs on touched nodes: a static
-        job's rate depends only on the share totals of its own nodes.
-        Dynamic mode re-rates every job, since required rates drift with
-        the clock.  Re-rated jobs draw fresh ticks in admission order, as
+        Every node's share total is folded afresh first.  Static mode
+        re-rates only the jobs on touched nodes: a static job's rate
+        depends only on the share totals of its own nodes.  Dynamic mode
+        re-rates every job, since required rates drift with the clock.
+        Re-rated jobs draw fresh ticks in admission order, as
         the per-job completion events they stand for would have.
 
         A job's rate is ``min(1, share + min bonus over its nodes)``, and
@@ -402,27 +388,30 @@ class TimeSharedCluster:
             PERF.incr("cluster.time.reschedules")
             PERF.observe("cluster.time.active_jobs", len(self._states))
         n = self._n
+        inc = self._n_inc
+        nodes = self._nodes[:inc]
+        owner = self._owner[:inc]
         if self.mode is ShareMode.STATIC:
-            self._refresh_nodes(touched_nodes)
             share = self._committed_share[:n]
-            affected = set().union(*map(self.node_jobs.__getitem__, touched_nodes))
-            states = self._states
-            rerate = np.array(sorted([states[jid]._row for jid in affected]), dtype=np.intp)
+            hit = np.zeros(len(self.node_jobs), dtype=bool)
+            hit[list(touched_nodes)] = True
+            rerate = np.zeros(n, dtype=bool)
+            rerate[owner[hit[nodes]]] = True
+            rerate = rerate.nonzero()[0]
             ordered = False
         else:
-            share = self._refresh_dynamic(touched_nodes)
+            share = np.maximum(self._required_rates(), MIN_DYNAMIC_SHARE)  # never -0.0
             rerate = slice(0, n)
             # Every job is re-rated in admission order, so ticks rise with
             # the column and the first smallest ETA is the head.
             ordered = True
+        self._refresh_totals(share)
         if n:
-            nodes = self._nodes[:self._n_inc]
             starts = self._start[:n]
             rate = share + np.minimum.reduceat(self._bonus[nodes], starts)
             np.minimum(rate, 1.0, out=rate)  # rate >= share > 0: no signed zeros
             if np.count_nonzero(self._over):
-                procs = np.diff(starts, append=self._n_inc)
-                caps = np.repeat(share, procs) / self._total[nodes]
+                caps = share[owner] / self._total[nodes]
                 np.copyto(caps, math.inf, where=~self._over[nodes])
                 caps = np.minimum.reduceat(caps, starts)
                 np.copyto(rate, caps, where=caps < rate)
@@ -436,73 +425,24 @@ class TimeSharedCluster:
                 self._tick[rerate] = np.arange(first, first + rate.size)
         self._arm_timer(ordered)
 
-    def _refresh_nodes(self, nodes: Iterable[int]) -> None:
-        """Static mode: recompute the share total, bonus and overcommit
-        flag of ``nodes``, by the rule :meth:`_refresh_bonus` applies to
-        every node."""
-        share = self._share.__getitem__
-        node_jobs = self.node_jobs
-        totals = self._total
-        bonus = self._bonus
-        over = self._over
-        limit = 1.0 + SHARE_EPS
-        for node in nodes:
-            members = node_jobs[node]
-            totals[node] = total = sum(map(share, members))
-            over[node] = flagged = total > limit
-            if flagged or not members:
-                bonus[node] = math.inf
-            else:
-                free = 1.0 - total
-                bonus[node] = (0.0 if free < 0.0 else free) / len(members)
+    def _refresh_totals(self, shares: np.ndarray) -> None:
+        """Fold ``shares`` (one per job column) into every node's share
+        total, then derive each node's residual bonus and overcommit flag:
+        ``max(1 - total, 0) / members``, or ``inf`` on an empty node or one
+        whose total exceeds ``1 + SHARE_EPS``.
 
-    def _refresh_bonus(self) -> None:
-        """Dynamic mode: derive every node's residual bonus and overcommit
-        flag from its share total: ``max(1 - total, 0) / members``, or ``inf`` on an
-        empty node or one whose total exceeds ``1 + SHARE_EPS``."""
-        totals = self._total
+        Static shares only change on the touched nodes, whose totals alone
+        move; dynamic shares drift with the clock, so every total does.
+        """
+        self._total = totals = self._fold(shares)
         over = np.greater(totals, 1.0 + SHARE_EPS, out=self._over)
         free = 1.0 - totals  # never -0.0
         np.maximum(free, 0.0, out=free)
         bonus = self._bonus
         bonus.fill(math.inf)
-        count = self._members()
+        count = np.bincount(self._nodes[:self._n_inc], minlength=len(self.node_jobs))
         np.divide(free, count, out=bonus, where=count > 0)
         bonus[over] = math.inf
-
-    def _refresh_dynamic(self, touched_nodes: Collection[int]) -> np.ndarray:
-        """Dynamic mode: floor every required rate into a share, refresh
-        every node's share total and bonus, and return the shares.
-
-        A node none of whose jobs is floored has a share total equal to its
-        raw required-rate sum — the same floats added in the same order —
-        so a raw sum still valid at this instant is reused, and a fresh
-        total is kept as the node's raw sum.  A node is summed again only
-        when its raw sum is stale (its membership changed — it is one of
-        ``touched_nodes`` — or the clock moved) or it holds a floored job.
-        """
-        if touched_nodes:
-            self._raw_ok[list(touched_nodes)] = False
-        rates = self._required_rates()
-        floored = rates < MIN_DYNAMIC_SHARE
-        shares = np.maximum(rates, MIN_DYNAMIC_SHARE)  # rates are never -0.0
-        self._share = share = dict(zip(self._jids, shares.tolist()))
-        raw = self._raw
-        totals = self._total
-        np.copyto(totals, raw)
-        resum = fresh = ~self._raw_ok
-        if np.count_nonzero(floored):
-            floored = self._nodes_of(floored)
-            resum = fresh | floored
-            fresh &= ~floored
-        resum = resum.nonzero()[0]
-        get = share.__getitem__
-        node_jobs = self.node_jobs
-        totals[resum] = [sum(map(get, node_jobs[node])) for node in resum.tolist()]
-        np.copyto(raw, totals, where=fresh)
-        self._raw_ok |= fresh
-        self._refresh_bonus()
-        return shares
 
     def _arm_timer(self, ordered: bool) -> None:
         """Point the completion timer at the smallest (eta, tick): the
@@ -538,7 +478,6 @@ class TimeSharedCluster:
         state._freeze(finished)
         jid = state.job.job_id
         del self._states[jid]
-        del self._share[jid]
         node_jobs = self.node_jobs
         for node in state.nodes:
             node_jobs[node].discard(jid)
@@ -547,8 +486,10 @@ class TimeSharedCluster:
         first = self._start[row].item()
         self._f[:, row:n] = self._f[:, row + 1:n + 1]
         np.subtract(self._start[row + 1:n + 1], k, out=self._start[row:n])
-        self._nodes[first:self._n_inc - k] = self._nodes[first + k:self._n_inc]
-        self._n_inc -= k
+        inc = self._n_inc
+        self._nodes[first:inc - k] = self._nodes[first + k:inc]
+        np.subtract(self._owner[first + k:inc], 1, out=self._owner[first:inc - k])
+        self._n_inc = inc - k
         self._n = n
         del self._jids[row]
         del self._jobs[row]
@@ -628,8 +569,6 @@ class TimeSharedCluster:
         self._total = np.append(self._total, 0.0)
         self._bonus = np.append(self._bonus, math.inf)
         self._over = np.append(self._over, False)
-        self._raw = np.append(self._raw, 0.0)
-        self._raw_ok = np.append(self._raw_ok, self.mode is ShareMode.DYNAMIC)
         self._unavail = np.append(self._unavail, False)
         self.total_procs += 1
         if PERF.enabled:
@@ -664,9 +603,7 @@ class TimeSharedCluster:
     def total_committed(self) -> float:
         """Processor share committed at admission, summed over every
         running job's nodes."""
-        n = self._n
-        procs = np.diff(self._start[:n], append=self._n_inc)
-        return float(self._committed_share[:n] @ procs)
+        return math.fsum(self._committed_share[self._owner[:self._n_inc]].tolist())
 
     def utilization(self) -> float:
         """Fraction of total capacity currently committed."""

@@ -21,6 +21,7 @@ Severity grading follows the plot geometry of §4.3: performance shortfall
 
 from __future__ import annotations
 
+import math
 import enum
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
@@ -119,8 +120,8 @@ def build_profiles(separate: SeparateGrid) -> dict[str, RiskProfile]:
             ]
             n = len(drivers)
             profile.aggregate[objective] = SeparateRisk(
-                performance=sum(d.performance for d in drivers) / n,
-                volatility=sum(d.volatility for d in drivers) / n,
+                performance=math.fsum(d.performance for d in drivers) / n,
+                volatility=math.fsum(d.volatility for d in drivers) / n,
             )
             profile.worst_performance[objective] = min(
                 drivers, key=lambda d: (d.performance, -d.volatility)

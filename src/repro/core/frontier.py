@@ -18,6 +18,7 @@ of a risk plot.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -123,8 +124,8 @@ def plot_points(plot, statistic: str = "max") -> dict[str, tuple[float, float]]:
         elif statistic == "mean":
             n = len(series.points)
             out[name] = (
-                sum(p.performance for p in series.points) / n,
-                sum(p.volatility for p in series.points) / n,
+                math.fsum(p.performance for p in series.points) / n,
+                math.fsum(p.volatility for p in series.points) / n,
             )
         else:
             raise ValueError(f"unknown statistic {statistic!r}")

@@ -82,8 +82,8 @@ def integrated_risk(
     if not math.isclose(total, 1.0, abs_tol=1e-6):
         raise ValueError(f"weights must sum to 1, got {total}")
 
-    mu = sum(weights[obj] * separate[obj].performance for obj in objectives)
-    sigma = sum(weights[obj] * separate[obj].volatility for obj in objectives)
+    mu = math.fsum(weights[obj] * separate[obj].performance for obj in objectives)
+    sigma = math.fsum(weights[obj] * separate[obj].volatility for obj in objectives)
     return IntegratedRisk(
         performance=float(mu), volatility=float(sigma), objectives=objectives
     )

@@ -129,15 +129,15 @@ def compute_objectives(outcomes: Iterable[JobOutcome]) -> ObjectiveSet:
         waits = [o.wait_time for o in fulfilled]
         if any(w is None for w in waits):
             raise ValueError("an SLA-fulfilled outcome is missing its start time")
-        wait = float(sum(waits) / n_sla)  # type: ignore[arg-type]
+        wait = math.fsum(waits) / n_sla  # type: ignore[arg-type]
     else:
         wait = 0.0
 
     sla = 100.0 * n_sla / m if m else 0.0
     reliability = 100.0 * n_sla / n if n else 100.0
 
-    total_budget = sum(o.budget for o in outcomes)
-    total_utility = sum(o.utility for o in accepted)
+    total_budget = math.fsum(o.budget for o in outcomes)
+    total_utility = math.fsum(o.utility for o in accepted)
     profitability = 100.0 * total_utility / total_budget if total_budget > 0 else 0.0
 
     if math.isnan(wait) or math.isnan(profitability):  # pragma: no cover

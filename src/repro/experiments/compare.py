@@ -10,6 +10,7 @@ in prose.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ def _check_compatible(a: GridAnalysis, b: GridAnalysis) -> None:
 
 def _mean_performance(grid: GridAnalysis, objective: Objective, policy: str) -> float:
     cells = grid.separate[objective][policy]
-    return sum(r.performance for r in cells.values()) / len(cells)
+    return math.fsum(r.performance for r in cells.values()) / len(cells)
 
 
 def performance_deltas(a: GridAnalysis, b: GridAnalysis) -> list[Delta]:

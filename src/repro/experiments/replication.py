@@ -48,10 +48,10 @@ def t_interval(values: Sequence[float], confidence: float = 0.95) -> ReplicateSt
     n = len(values)
     if n == 0:
         raise ValueError("no replicates")
-    mean = float(sum(values) / n)
+    mean = math.fsum(values) / n
     if n == 1:
         return ReplicateStats(mean=mean, std=0.0, ci_halfwidth=float("inf"), n=1)
-    var = sum((v - mean) ** 2 for v in values) / (n - 1)
+    var = math.fsum((v - mean) ** 2 for v in values) / (n - 1)
     std = math.sqrt(var)
     t_crit = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
     return ReplicateStats(

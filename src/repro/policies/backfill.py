@@ -194,7 +194,7 @@ class BackfillPolicy(Policy, abc.ABC):
         """Processors on nodes that are not down."""
         if self.fault_config is None:
             return self.cluster.total_procs
-        return self.cluster.total_procs - len(self.cluster.down_nodes())
+        return self.cluster.total_procs - self.cluster.down_count()
 
     def _after_failure(self, node_id: int) -> None:
         # The failure may have freed survivor nodes of a killed parallel

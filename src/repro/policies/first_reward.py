@@ -23,6 +23,7 @@ can idle waiting for enough processors.
 
 from __future__ import annotations
 
+import math
 from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.policies.base import Policy
 from repro.sim.engine import Simulator
@@ -74,7 +75,7 @@ class FirstReward(Policy):
     def opportunity_cost(self, job: Job) -> float:
         """Penalty the other accepted jobs accrue over this job's RPT."""
         rpt = self.remaining_runtime(job)
-        return sum(other.penalty_rate for other in self._outstanding(job)) * rpt
+        return math.fsum(other.penalty_rate for other in self._outstanding(job)) * rpt
 
     def reward(self, job: Job) -> float:
         rpt = self.remaining_runtime(job)

@@ -9,6 +9,7 @@ ledger of per-job earnings, with the aggregates the profitability objective
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -40,12 +41,12 @@ class AccountingLedger:
 
     @property
     def total_utility(self) -> float:
-        return sum(e.utility for e in self.entries)
+        return math.fsum(e.utility for e in self.entries)
 
     @property
     def total_penalties(self) -> float:
         """Sum of negative entries (bid-based model penalties)."""
-        return sum(e.utility for e in self.entries if e.utility < 0)
+        return math.fsum(e.utility for e in self.entries if e.utility < 0)
 
     def by_job(self, job_id: int) -> list[LedgerEntry]:
         return [e for e in self.entries if e.job_id == job_id]

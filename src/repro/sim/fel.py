@@ -182,9 +182,11 @@ class CalendarFEL:
     ``(time, priority, seq)`` tuple order.  The width only shifts work
     between bucket sorting (width too large → one big sort, degrades to
     ``list.sort``) and key-heap traffic (width too small → one bucket per
-    event, degrades to a binary heap of ints).  The default of 1.0 matches
-    the inter-event gaps of the workload generator; both degraded modes are
-    still correct and roughly heap-speed.
+    event, degrades to a binary heap of ints).  The default width is 1 s,
+    far below the arrival gaps of the workload generator: the arrivals of
+    a default-config 500-job workload are a median 245 s apart (seed 7;
+    255 s at seed 0), so each lands in a bucket of its own.  Both degraded
+    modes are still correct and roughly heap-speed.
     """
 
     name = "calendar"

@@ -10,12 +10,15 @@ node loads per instant.  They read the cluster's state but keep none of
 their own, so they can be compared with the cluster after any operation.
 
 :class:`ReferenceTimeSharedCluster` is the cluster as it was before its
-per-job state moved into arrays: the same code, kept verbatim under a new
-name, with a Python loop over the running jobs for progress, required
-rates, the gang minimum and the completion head, and per-instant caches of
-required rates, node loads and jobs past their estimate.  Driven through
-the same operations on its own simulator, it must agree with the cluster
-bit for bit.
+per-job state moved into arrays, with a Python loop over the running jobs
+for progress, required rates, the gang minimum and the completion head,
+and per-instant caches of required rates, node loads and jobs past their
+estimate.  Driven through the same operations on its own simulator, it
+must agree with the cluster bit for bit.
+
+Every per-node float total here is :func:`admission_fold`: the node's
+values added one at a time from 0.0 in admission order, the one summation
+rule of the cluster, written as a loop rather than taken from it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Collection, Iterable, Optional, Sequence
 
 from repro.cluster.timeshared import (
     MIN_DYNAMIC_SHARE,
@@ -37,6 +40,17 @@ from repro.perf.registry import PERF
 from repro.sim.engine import Simulator
 from repro.sim.events import EventHandle, Priority
 from repro.workload.job import Job
+
+
+def admission_fold(order: Iterable[int], members: Collection[int],
+                   value: Callable[[int], float]) -> float:
+    """``value`` of every job in ``members``, added one at a time from 0.0 in
+    the order of ``order``, which lists every running job by admission."""
+    total = 0.0
+    for jid in order:
+        if jid in members:
+            total += value(jid)
+    return total
 
 
 def reference_required_rate(state: TSJobState, now: float) -> float:
@@ -64,7 +78,7 @@ def reference_shares(cluster: TimeSharedCluster, now: float) -> dict[int, float]
 def reference_rates(cluster: TimeSharedCluster) -> dict[int, float]:
     """Rate of every running job at ``cluster.sim.now``.
 
-    On each node the jobs' shares are summed in ``node_jobs`` order.  A
+    On each node the jobs' shares are summed in admission order.  A
     node within capacity gives each job its share plus an equal part of
     the free remainder, capped at 1; an overcommitted node scales each
     share by the node's total.  A gang job runs at the minimum over its
@@ -77,7 +91,7 @@ def reference_rates(cluster: TimeSharedCluster) -> dict[int, float]:
         k = len(node_set)
         if k == 0:
             continue
-        total = sum(shares[j] for j in node_set)
+        total = admission_fold(states, node_set, shares.__getitem__)
         if total <= 1.0 + SHARE_EPS:
             bonus = max(1.0 - total, 0.0) / k
             for j in node_set:
@@ -94,7 +108,7 @@ def reference_feasible_nodes(
     """Up nodes whose load leaves room for ``share``, best fit first.
 
     A node's load is its jobs' committed shares (static) or their required
-    rates (dynamic), summed in ``node_jobs`` order.  With
+    rates (dynamic), summed in admission order.  With
     ``exclude_risky``, nodes holding a job past its estimate are skipped.
     """
     now = cluster.sim.now
@@ -111,9 +125,10 @@ def reference_feasible_nodes(
         if not risky.isdisjoint(members):
             continue
         if cluster.mode is ShareMode.STATIC:
-            load = sum(states[j].share for j in members)
+            load = admission_fold(states, members, lambda j: states[j].share)
         else:
-            load = sum(reference_required_rate(states[j], now) for j in members)
+            load = admission_fold(
+                states, members, lambda j: reference_required_rate(states[j], now))
         if load + share <= 1.0 + SHARE_EPS:
             candidates.append((1.0 - load - share, node))
     candidates.sort()
@@ -127,9 +142,9 @@ def reference_committed_seconds(
     seconds, each job's share counted until its own deadline."""
     now = cluster.sim.now
     states = cluster._states
-    return sum(
-        states[j].share * max(0.0, min(states[j].job.absolute_deadline - now, window))
-        for j in cluster.node_jobs[node]
+    return admission_fold(
+        states, cluster.node_jobs[node],
+        lambda j: states[j].share * max(0.0, min(states[j].job.absolute_deadline - now, window)),
     )
 
 
@@ -194,7 +209,7 @@ class ReferenceTimeSharedCluster:
         #: current share per job: the committed share (static) or the
         #: floored required rate, refreshed at every reschedule (dynamic).
         self._share: dict[int, float] = {}
-        #: per node: share total summed in ``node_jobs`` order, and the
+        #: per node: share total summed in admission order, and the
         #: residual bonus each member gets (``inf`` on an empty or an
         #: overcommitted node).  Static mode refreshes only nodes whose
         #: membership changed.
@@ -205,7 +220,7 @@ class ReferenceTimeSharedCluster:
         #: what one instant's admissions share, derived on first use and
         #: dropped when progress is next integrated.  Dynamic mode: every
         #: job's required rate (``None`` until derived), and per node the
-        #: plain sum of its jobs' required rates in ``node_jobs`` order
+        #: sum of its jobs' required rates in admission order
         #: (0.0 on an empty node, ``None`` until derived again after a
         #: membership change).  Both modes: the jobs past their estimate,
         #: for the risk filter.
@@ -277,7 +292,7 @@ class ReferenceTimeSharedCluster:
         for jid in set().union(*(node_jobs[node] for node in nodes)):
             state = states[jid]
             held[jid] = state.share * max(0.0, min(state.absolute_deadline - now, window))
-        return [sum(map(held.__getitem__, node_jobs[node])) for node in nodes]
+        return [admission_fold(states, node_jobs[node], held.__getitem__) for node in nodes]
 
     def _required_rates(self) -> dict[int, float]:
         """Every job's required rate at the current instant, derived once
@@ -297,7 +312,7 @@ class ReferenceTimeSharedCluster:
         node_jobs = self.node_jobs
         for node, load in enumerate(raw):
             if load is None:
-                raw[node] = sum(map(rates, node_jobs[node]))
+                raw[node] = admission_fold(self._states, node_jobs[node], rates)
         return raw  # type: ignore[return-value]
 
     def _risky_jobs(self) -> set[int]:
@@ -454,7 +469,7 @@ class ReferenceTimeSharedCluster:
         over = self._over
         for node in nodes:
             members = node_jobs[node]
-            total = sum(map(share.__getitem__, members))
+            total = admission_fold(self._states, members, share.__getitem__)
             totals[node] = total
             if total > 1.0 + SHARE_EPS:
                 bonus[node] = math.inf
@@ -500,11 +515,11 @@ class ReferenceTimeSharedCluster:
             if not members:
                 continue
             if node in floored:
-                total = sum(map(shares, members))
+                total = admission_fold(states, members, shares)
             else:
                 total = raw[node]
                 if total is None:
-                    total = raw[node] = sum(map(shares, members))
+                    total = raw[node] = admission_fold(states, members, shares)
             totals[node] = total
             if total > limit:
                 bonus[node] = math.inf
@@ -657,7 +672,7 @@ class ReferenceTimeSharedCluster:
         return self._states[job_id]
 
     def total_committed(self) -> float:
-        return sum(self.committed)
+        return math.fsum(s.share for s in self._states.values() for _ in s.nodes)
 
     def utilization(self) -> float:
         """Fraction of total capacity currently committed."""

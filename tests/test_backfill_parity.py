@@ -13,19 +13,18 @@ node failures and scripted elastic commissions and decommissions, the only
 setting in which the order of the cluster's free-node pool shows in results.
 
 A change to the dispatcher that starts, rejects or fails a different job,
-or any job at a different instant, changes a digest.  Each table has a
-twin for the compensated ``sum()`` of CPython 3.12 and later (see
-:mod:`sum_emulation`); the native semantics are checked against their
-table and the other ones under the emulation.  To re-pin after an
+or any job at a different instant, changes a digest.  The pins hold on
+every supported CPython: no float reduction that reaches a result uses the
+builtin ``sum()``, whose rounding changed in 3.12.  Each case also runs
+with ``sum()`` swapped for one that rounds differently (see
+:mod:`reversed_sum`) and must give the same digest.  To re-pin after an
 intended behaviour change, run ``python tests/test_backfill_parity.py``
-and ``python tests/test_backfill_parity.py --compensated`` and paste
-their output.
+and paste its output.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 
 import pytest
 
@@ -37,7 +36,7 @@ from repro.experiments.runner import build_workload
 from repro.experiments.scenarios import ExperimentConfig
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
-from sum_emulation import EMULATED_COMPENSATED, NATIVE_COMPENSATED, builtin_sum
+from reversed_sum import reversed_builtin_sum
 
 POLICIES = ("FCFS-BF", "SJF-BF", "EDF-BF", "FCFS", "Cons-BF", "FirstReward")
 MODELS = ("bid", "commodity")
@@ -82,66 +81,6 @@ VARIANTS = {
 }
 
 EXPECTED = {
-    ('FCFS-BF', 'bid', 'none'):
-        'd2a200506817a4b652a011c09d2de4122090d4e0c6d1cd82cb89e516c6d38611',
-    ('FCFS-BF', 'bid', 'correlated'):
-        '88bb6d4c48549704a5e90bd6913e3461b0774d8157f88364146aa707fe7d852f',
-    ('FCFS-BF', 'commodity', 'none'):
-        'cbdd34e538c8447aca641ccc501344b6d3d6f3b8a808c65dc461896613f41b91',
-    ('FCFS-BF', 'commodity', 'correlated'):
-        'a4141b8ff074b46a84c193e6db98835c329a69db4df45940d9cbd9bbfa65a19f',
-    ('SJF-BF', 'bid', 'none'):
-        '4a6c152c2d0c299f77cece8cf03366788b5d1ac7fd6f9df255f29ab07b03c097',
-    ('SJF-BF', 'bid', 'correlated'):
-        'd3f9dd0d577e14b4c70dd144c060a5fdeea6e2f28696e5528b182e76ca99f958',
-    ('SJF-BF', 'commodity', 'none'):
-        'b24d6ae150129e608d323f1000e6d51b0980dddf467968d300945e6636cb7e30',
-    ('SJF-BF', 'commodity', 'correlated'):
-        'aa6d1d1828a725b1098d820400f0bbb1050ef33c8de41bd4f88294a995131717',
-    ('EDF-BF', 'bid', 'none'):
-        '0aef7a4115ceb92500e11a330a807a3c76c9edd813a94bf988dd9908ccb97486',
-    ('EDF-BF', 'bid', 'correlated'):
-        '047149f76b87c4d74208883e04fe8f70ec02d6b1c021472be594e5bfde4ffe70',
-    ('EDF-BF', 'commodity', 'none'):
-        '5bf8c69ff651962de079aab560e079f9068443977bc85433bc785ccdcf20b211',
-    ('EDF-BF', 'commodity', 'correlated'):
-        '13f4ebd02d2371204e444a50fe48ab29b692cb51e9a2bc19a3fd56a1943f9e31',
-    ('FCFS', 'bid', 'none'):
-        'a8692ed9f198895a4fdaf59a2006fae6e6279919b8acd34de768d732dab5f37a',
-    ('FCFS', 'bid', 'correlated'):
-        'cb5973d3ff515fbb5123f2248a3bff8cae683da303e89d1855c04fb1b6a4c1d1',
-    ('FCFS', 'commodity', 'none'):
-        '5ed07484d73282fdce9859bc3b569a28e766c10901a5d3bf50859096eca8f945',
-    ('FCFS', 'commodity', 'correlated'):
-        '7a198a3e220b40b55541b119c5cbd9f09486012ed110b4c522748d5011c84cbf',
-    ('Cons-BF', 'bid', 'none'):
-        '7e363031d3e4aaa874c2ede9a356e609dcc773ef360e3abd700c09f5d44387fc',
-    ('Cons-BF', 'bid', 'correlated'):
-        '54fa8395cd9d5442b44925d6c4b35a8ce48b6e3ad54cde1e406ec588eca82bdb',
-    ('Cons-BF', 'commodity', 'none'):
-        '59d84bea4fed8004405030883585915d48b911fe3a0af4ed85260eda3dd8bbcc',
-    ('Cons-BF', 'commodity', 'correlated'):
-        'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
-    ('FirstReward', 'bid', 'none'):
-        '39a9c309982faa822ca6ed377fbbb0bdabe93d2711ccfc4e4baeacfa82a3340c',
-    ('FirstReward', 'bid', 'correlated'):
-        'b57ba7b7ad169ec337840a29b10df3ff579aca1371e3b32d60ec4df71209b218',
-    ('FirstReward', 'commodity', 'none'):
-        '47ed91419280359d32c65f4306ed703ed4f15e850796a6588c2955301bee3a64',
-    ('FirstReward', 'commodity', 'correlated'):
-        'a4e90291edac9cf1c4833f49309bcb52105f7ed8284fb47a78effd6d989355a8',
-}
-
-EXPECTED_VARIANTS = {
-    ('SJF-BF', 'commodity', 'tariff'):
-        'c9d8f3ba64db839cff47198928de5fb447514f0c37e5bf6196341516fd1f9666',
-    ('EDF-BF', 'bid', 'kill-at-estimate'):
-        '65adebbad897e44a5b9db83df4b2f59116e44e622ff03d32c32a740da91f9483',
-    ('FCFS-BF', 'commodity', 'no-admission-control'):
-        'b6b01404f6140e5575cb3dc915866114551a1b937c4b9886f7c531108cc63985',
-}
-
-EXPECTED_COMPENSATED = {
     ('FCFS-BF', 'bid', 'none'):
         '8cb8ce3857656b910729a81879c57e240f6236564b5c23e847d8c181b36d3df1',
     ('FCFS-BF', 'bid', 'correlated'):
@@ -192,7 +131,7 @@ EXPECTED_COMPENSATED = {
         'fb02f9ffef8b2c62401404d01322d7a9226dca79b1c2f67dbad67bba2cd11f65',
 }
 
-EXPECTED_VARIANTS_COMPENSATED = {
+EXPECTED_VARIANTS = {
     ('SJF-BF', 'commodity', 'tariff'):
         'c9d8f3ba64db839cff47198928de5fb447514f0c37e5bf6196341516fd1f9666',
     ('EDF-BF', 'bid', 'kill-at-estimate'):
@@ -203,22 +142,12 @@ EXPECTED_VARIANTS_COMPENSATED = {
 
 EXPECTED_HETERO = {
     ('FCFS-BF', 'bid'):
-        'd4cd297364abbe6f1b58b06f10ff200947bbca96a9a9ab52223e4e7422dbdccd',
-    ('EDF-BF', 'commodity'):
-        '6c32e469583b5636c4d0c3bda031c743465a41fcf94b1887164995b951ffec09',
-    ('FirstReward', 'bid'):
-        '1ab96418c7f664b3617bc7ef10ce4fe0aa199d130f1ad2b79799afb2dc852b00',
-}
-
-EXPECTED_HETERO_COMPENSATED = {
-    ('FCFS-BF', 'bid'):
         'd49fc91424d6e98f95d54dbf1554776e197c6895edb409d917f1bcf2250ac343',
     ('EDF-BF', 'commodity'):
         '8b3bdf44def9c7644eec6ed99d406ce55f7ac8cb46be54c5c310acf0c0870e02',
     ('FirstReward', 'bid'):
         '137dbb4e8aeb0c51127ae18488277ed065e8f073a7afdbd7ce439d8e7ec36481',
 }
-
 
 def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
@@ -268,18 +197,6 @@ CASES = [(p, m, r) for p in POLICIES for m in MODELS
 HETERO_CASES = [("FCFS-BF", "bid"), ("EDF-BF", "commodity"), ("FirstReward", "bid")]
 
 
-def tables(compensated: bool) -> tuple[dict, dict, dict]:
-    """The case, variant and heterogeneous pins of one ``sum()`` semantics."""
-    if compensated:
-        return (EXPECTED_COMPENSATED, EXPECTED_VARIANTS_COMPENSATED,
-                EXPECTED_HETERO_COMPENSATED)
-    return EXPECTED, EXPECTED_VARIANTS, EXPECTED_HETERO
-
-
-NATIVE_CASES, NATIVE_VARIANTS, NATIVE_HETERO = tables(NATIVE_COMPENSATED)
-EMULATED_CASES, EMULATED_VARIANTS, EMULATED_HETERO = tables(EMULATED_COMPENSATED)
-
-
 def variant_digest(policy: str, model: str, variant: str) -> str:
     return run_digest(policy, model, **VARIANTS[variant]())
 
@@ -290,53 +207,50 @@ def hetero_digest(policy: str, model: str) -> str:
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_backfill_results_are_pinned(policy, model, regime):
-    assert run_digest(policy, model, regime) == NATIVE_CASES[(policy, model, regime)]
+    assert run_digest(policy, model, regime) == EXPECTED[(policy, model, regime)]
 
 
 @pytest.mark.parametrize("policy,model,variant", VARIANT_CASES)
 def test_backfill_variants_are_pinned(policy, model, variant):
-    assert variant_digest(policy, model, variant) == NATIVE_VARIANTS[(policy, model, variant)]
+    assert variant_digest(policy, model, variant) == EXPECTED_VARIANTS[(policy, model, variant)]
 
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_backfill_results_are_pinned_under_emulated_sum(policy, model, regime):
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = run_digest(policy, model, regime)
-    assert digest == EMULATED_CASES[(policy, model, regime)]
+    assert digest == EXPECTED[(policy, model, regime)]
 
 
 @pytest.mark.parametrize("policy,model,variant", VARIANT_CASES)
 def test_backfill_variants_are_pinned_under_emulated_sum(policy, model, variant):
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = variant_digest(policy, model, variant)
-    assert digest == EMULATED_VARIANTS[(policy, model, variant)]
+    assert digest == EXPECTED_VARIANTS[(policy, model, variant)]
 
 
 @pytest.mark.parametrize("policy,model", HETERO_CASES)
 def test_heterogeneous_results_are_pinned(policy, model):
-    assert hetero_digest(policy, model) == NATIVE_HETERO[(policy, model)]
+    assert hetero_digest(policy, model) == EXPECTED_HETERO[(policy, model)]
 
 
 @pytest.mark.parametrize("policy,model", HETERO_CASES)
 def test_heterogeneous_results_are_pinned_under_emulated_sum(policy, model):
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = hetero_digest(policy, model)
-    assert digest == EMULATED_HETERO[(policy, model)]
+    assert digest == EXPECTED_HETERO[(policy, model)]
 
 
 if __name__ == "__main__":
-    compensated = "--compensated" in sys.argv[1:]
-    suffix = "_COMPENSATED" if compensated else ""
-    with builtin_sum(compensated):
-        print(f"EXPECTED{suffix} = {{")
-        for case in CASES:
-            print(f"    {case!r}:\n        {run_digest(*case)!r},")
-        print("}")
-        print(f"\nEXPECTED_VARIANTS{suffix} = {{")
-        for case in VARIANT_CASES:
-            print(f"    {case!r}:\n        {variant_digest(*case)!r},")
-        print("}")
-        print(f"\nEXPECTED_HETERO{suffix} = {{")
-        for case in HETERO_CASES:
-            print(f"    {case!r}:\n        {hetero_digest(*case)!r},")
-        print("}")
+    print("EXPECTED = {")
+    for case in CASES:
+        print(f"    {case!r}:\n        {run_digest(*case)!r},")
+    print("}")
+    print("\nEXPECTED_VARIANTS = {")
+    for case in VARIANT_CASES:
+        print(f"    {case!r}:\n        {variant_digest(*case)!r},")
+    print("}")
+    print("\nEXPECTED_HETERO = {")
+    for case in HETERO_CASES:
+        print(f"    {case!r}:\n        {hetero_digest(*case)!r},")
+    print("}")

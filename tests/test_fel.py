@@ -231,6 +231,52 @@ def test_run_until_executes_boundary_events(backend):
     assert fired == [1.0, 2.0, 2.0, 3.0]
 
 
+@pytest.mark.parametrize("width", [1.0, 250.0, 1e6])
+def test_bucket_width_keeps_heap_order_on_workload_arrivals(width):
+    """The bucket width moves work between sorting and the key heap, never
+    the order: on a generated workload's arrival times (a median ~245 s
+    apart), with completions pushed at and after the clock and some pending
+    entries cancelled between pops, widths far below, near and far above
+    the gaps pop exactly what the heap pops."""
+    from repro.experiments.runner import build_workload
+    from repro.experiments.scenarios import ExperimentConfig
+
+    jobs = build_workload(ExperimentConfig(n_jobs=300, seed=7))
+    rng = random.Random(7)
+    heap, cal = HeapFEL(), CalendarFEL(width)
+    pending = {}
+    for seq, job in enumerate(jobs):
+        pending[seq] = entry = _entry(job.submit_time, Priority.ARRIVAL, seq)
+        heap.push(entry)
+        cal.push(entry)
+    seq = len(jobs)
+    popped_h, popped_c = [], []
+    cancelled = 0
+    while True:
+        eh, ec = heap.pop_live(), cal.pop_live()
+        assert (eh is None) == (ec is None)
+        if eh is None:
+            break
+        popped_h.append(eh[:3])
+        popped_c.append(ec[:3])
+        now = eh[0]
+        del pending[eh[2]]
+        if eh[1] is Priority.ARRIVAL:
+            runtime = jobs[eh[2]].runtime
+            pending[seq] = entry = _entry(now + rng.choice([0.0, runtime]),
+                                          Priority.COMPLETION, seq)
+            seq += 1
+            heap.push(entry)
+            cal.push(entry)
+        if pending and rng.random() < 0.2:
+            pending.pop(rng.choice(list(pending)))[3].cancel()
+            cancelled += 1
+    assert popped_h == popped_c
+    assert cancelled > 10
+    assert len(popped_h) == seq - cancelled
+    assert heap.dropped == cal.dropped == cancelled
+
+
 # -- end-to-end golden run -----------------------------------------------------
 
 

@@ -11,20 +11,18 @@ to nine jobs are placed and admitted at one instant.
 
 A change to the cluster's rate or completion arithmetic that moves any
 float by one ulp, or reorders two same-instant completions, changes a
-digest.  Each table has a twin for the compensated ``sum()`` of CPython
-3.12 and later (see :mod:`sum_emulation`); the native semantics are
-checked against their table and the other ones under the emulation.  To
+digest.  The pins hold on every supported CPython: no float reduction that
+reaches a result uses the builtin ``sum()``, whose rounding changed in
+3.12.  Each case also runs with ``sum()`` swapped for one that rounds
+differently (see :mod:`reversed_sum`) and must give the same digest.  To
 re-pin after an intended behaviour change, run
-``python tests/test_timeshared_parity.py`` and
-``python tests/test_timeshared_parity.py --compensated`` and paste their
-output.
+``python tests/test_timeshared_parity.py`` and paste its output.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import sys
 
 import pytest
 
@@ -35,7 +33,7 @@ from repro.market.marketplace import Marketplace, ProviderSpec
 from repro.market.stream import market_job_stream
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
-from sum_emulation import EMULATED_COMPENSATED, NATIVE_COMPENSATED, builtin_sum
+from reversed_sum import reversed_builtin_sum
 
 POLICIES = ("Libra", "Libra+$", "LibraRiskD")
 MODELS = ("bid", "commodity")
@@ -65,114 +63,58 @@ REGIMES = {
 
 EXPECTED = {
     ('Libra', 'bid', 'none'):
-        '59e5ecf0188d001024e00e90b2478ab5e3a3ad130e47a2b897d2012a78cfd1da',
+        '13dd0a04fb04d57e29311c767e66e3be57f12b70b2b3e36a563fb2ab4ef051ec',
     ('Libra', 'bid', 'rack-outages'):
-        '7bffa144a37d92c03f2dcabeacd9b47a44c5a68e29f34849ad917190b99b81c7',
+        '362e1029de3ff2eca00b6a82199cc9f0664dd930767cf124452c2ae99db7339c',
     ('Libra', 'bid', 'mtbf-cascade'):
-        '398254ec091dff41396131e6757765e52f1275711fbf1f0cad2d6ca4bd6e034a',
+        '6e076f0a9129204a36d067237cff8bafa3005c1be3c60fe181bf9da59ce07360',
     ('Libra', 'commodity', 'none'):
-        '3c1797e078cb009216344bdc2e9289e54a79787acec88a227511e50b938c0373',
+        '033749f3d3dda0ff17386a2a333c78867decd92c9ec6f0d56fb0305750b3782a',
     ('Libra', 'commodity', 'rack-outages'):
-        'bd5dcc74e4872f39353853f3156aa4b12f103ae0c9793bedb74ec11f03134cb4',
+        '59797011b7d6d36808b83e3ad07eb0c8d7adf72028a01fbd0e1902302569e7c0',
     ('Libra', 'commodity', 'mtbf-cascade'):
-        '47bc2d4c8b19be23da17e1d0f4b0b2eee933b008f5e6ac3abda0fc5d1bd48fea',
+        '3f7f8910d50bb7b7b7c7652b32c0ce4c1d4ab8d733e281849a93b936b5381eaf',
     ('Libra+$', 'bid', 'none'):
-        '59e5ecf0188d001024e00e90b2478ab5e3a3ad130e47a2b897d2012a78cfd1da',
+        '13dd0a04fb04d57e29311c767e66e3be57f12b70b2b3e36a563fb2ab4ef051ec',
     ('Libra+$', 'bid', 'rack-outages'):
-        '7bffa144a37d92c03f2dcabeacd9b47a44c5a68e29f34849ad917190b99b81c7',
+        '362e1029de3ff2eca00b6a82199cc9f0664dd930767cf124452c2ae99db7339c',
     ('Libra+$', 'bid', 'mtbf-cascade'):
-        '398254ec091dff41396131e6757765e52f1275711fbf1f0cad2d6ca4bd6e034a',
+        '6e076f0a9129204a36d067237cff8bafa3005c1be3c60fe181bf9da59ce07360',
     ('Libra+$', 'commodity', 'none'):
-        '2171b8842d2a92a92b81f7c1b7263ccd666f6af9529ff3ad769d2377e017513e',
+        '7fd4a6526545eb1cd48af1a911cd0e4097d3bd4f41b772d854ef84cbb79b8c7a',
     ('Libra+$', 'commodity', 'rack-outages'):
-        '925fbf90ad181822eb692cf2c147e1720a7c4c005e3533f297290b4cd70d714f',
+        '567e21b9da66104109a372aa36d591823e342cca0c1c36a87a82803aabc01d99',
     ('Libra+$', 'commodity', 'mtbf-cascade'):
-        'fc31a79b09f71c931c1adc42b945f200d6532be5fbf8e717934a2992522fd672',
+        'c55b7f57df0393f0cb747ac3a845a321a842e63f248de8146f8c775f89ae24c3',
     ('LibraRiskD', 'bid', 'none'):
-        'c2ddbcb9e1a82369ff9f0ad606361feea2f204f09675c58023f497fc82555ee9',
+        'afb994012bf23546b515bb46cd36a36159b4b904025d41aebc44baaf10a86be3',
     ('LibraRiskD', 'bid', 'rack-outages'):
-        '6723851c1d8878d209688aa323bbf4b04ba0facddaa3938b9dd03ec55d1205ea',
+        '31e065bb6941b83f756e4cfbc6d7810c7afa2fcb26af107c8d4f99fe4cad3862',
     ('LibraRiskD', 'bid', 'mtbf-cascade'):
-        'e46ee3bcf29acc8fd664b2ec3253cc3f33f0db324731fd39303c5aed268224c0',
+        'd51e319bf24a6294b80b63eaaede6b9d6a1b37f620228bb934be933de58cf187',
     ('LibraRiskD', 'commodity', 'none'):
-        'df50fed44276318758c1b5ff56d092f85d486d1811146f5d1d888d350abb7121',
+        '935dd771cebba53de4b792accc45bb8d330fd158f01892b6ef5cf024ed1111bd',
     ('LibraRiskD', 'commodity', 'rack-outages'):
-        '5d758d6d91274ff74a9de9335758146d3b3bc4effbfeb1df29ade04c3e117864',
+        '02a68f17478aa6d98e8ecddbcbebca53908010eef721c388af49ddb8747f1ae3',
     ('LibraRiskD', 'commodity', 'mtbf-cascade'):
-        '03cb18bb6aa2ed7ec0bb0f07a8a72426bea1d0a6bf8d7f642ae85a602c9b1fb8',
+        '0670cc57d9d57a22d758b932d2b399d81cf06267e9063f87b3f55b966fe55a68',
 }
 
-EXPECTED_MARKET = 'f97b715ea299b34366591c56b8162c5b8fb78ced9ed43cf7a745159dee90c698'
+EXPECTED_MARKET = '540044cc79f4f6f1b31377d0c9e5961a030f9382da653f6294e3caa8f6395de5'
 
 EXPECTED_BURST = {
     ('Libra', 'bid'):
-        'fa6c67a27fa07858b368dd8ff1c1c3b2f24ae412339cb3b685fbca6bf41de203',
+        'bc7a0ad2418ff6eb1af3606fecab79b212de5d62d647d9d4edde5dbf0e7eee83',
     ('Libra', 'commodity'):
-        '8ed03989d03f3b87977fc216b18657330fe865cc4b169a5008d3f14619410337',
+        '6bd48ffc77a860ce107631a22cf5f985249129508c8023f595237b34961af566',
     ('Libra+$', 'bid'):
-        'fa6c67a27fa07858b368dd8ff1c1c3b2f24ae412339cb3b685fbca6bf41de203',
+        'bc7a0ad2418ff6eb1af3606fecab79b212de5d62d647d9d4edde5dbf0e7eee83',
     ('Libra+$', 'commodity'):
-        '5ade9665c72a8fd043bb6f1f04f73abd66cecc3e0b3144e7d0427309d9b05926',
+        'd7ab7da63461ccc3ab20a64a0bbe902cc5785da0025f13f274494390ec3d7dc5',
     ('LibraRiskD', 'bid'):
-        '80d6c33f484b20bea635971160bd4ba8d8d47b2d14d1dac3c58546216dfef00e',
+        '97adaf5578283a958e2025788fc4390622ebe287a56c4cd50c3374e41493d4a6',
     ('LibraRiskD', 'commodity'):
-        '38c75a78b7e4fa6e18b9202969225df183a289d53f959521f595d491517352dd',
-}
-
-EXPECTED_COMPENSATED = {
-    ('Libra', 'bid', 'none'):
-        '2c0976d4e2ce5d8e36a9fab1359f5edca7708aae34a1b32ad379529f049023d4',
-    ('Libra', 'bid', 'rack-outages'):
-        '6c811f9b9e9b33fbe8805385e874f50651ab41851657ae69e65d819019aa7a83',
-    ('Libra', 'bid', 'mtbf-cascade'):
-        '33aecaab69774d44e9e935be8534bdddbb7a589aca2b431284f2e18358b93ee7',
-    ('Libra', 'commodity', 'none'):
-        'fda41a12a79732df3bdb271a48595218a7c96cd0195435d16bd4561a4d5b6aa2',
-    ('Libra', 'commodity', 'rack-outages'):
-        'b1a6eb8d176da481416e9508b2eeb5ba3ab1bf71239fe61e00dc54f95c560df5',
-    ('Libra', 'commodity', 'mtbf-cascade'):
-        '201c1261abd3e3c60ba12d020ee961d906a322b538b41ea1a5a637df8e0e3011',
-    ('Libra+$', 'bid', 'none'):
-        '2c0976d4e2ce5d8e36a9fab1359f5edca7708aae34a1b32ad379529f049023d4',
-    ('Libra+$', 'bid', 'rack-outages'):
-        '6c811f9b9e9b33fbe8805385e874f50651ab41851657ae69e65d819019aa7a83',
-    ('Libra+$', 'bid', 'mtbf-cascade'):
-        '33aecaab69774d44e9e935be8534bdddbb7a589aca2b431284f2e18358b93ee7',
-    ('Libra+$', 'commodity', 'none'):
-        'e117ca30ceb2e509c16dd2b964f745b6984d1ae7dbefd7d342c0dbb0352a38bc',
-    ('Libra+$', 'commodity', 'rack-outages'):
-        '4c52da93224d0ec01adb85e238ccda5328d7f980468d74b3730d9004eac7dd02',
-    ('Libra+$', 'commodity', 'mtbf-cascade'):
-        'a93062f3c2365c2ebf49ef48ac327f5326da5a68e4eb19dfb463ce089f37ee8c',
-    ('LibraRiskD', 'bid', 'none'):
-        'a203e5c19da67651adff87343396cbd9228e79d40d913ad51854725435ceaa29',
-    ('LibraRiskD', 'bid', 'rack-outages'):
-        '4f9b121e43edaaa564f0841ea3b82b0dd0320713e00dec94a066903cda502c9a',
-    ('LibraRiskD', 'bid', 'mtbf-cascade'):
-        '265a8608daead0111411f1a3f4cb16942715e3b5e3992e484720d5e0b78375c3',
-    ('LibraRiskD', 'commodity', 'none'):
-        '06aaf4818b53b5f0e6a83415ea582dbd78994fe5cecb009ab145018cafd0f503',
-    ('LibraRiskD', 'commodity', 'rack-outages'):
-        '01c345a090865ede03f88f5f058c510433822bad0fe1b85e0843d652aad498dd',
-    ('LibraRiskD', 'commodity', 'mtbf-cascade'):
-        '99fb24c5da9dc872fb31f99a169a517cf1d1384484647944cdcbc0ab34fce6fc',
-}
-
-EXPECTED_MARKET_COMPENSATED = '5d5c2e9a06a1b285c2bae418ce282be41acc33758379cf72179367c27d319905'
-
-EXPECTED_BURST_COMPENSATED = {
-    ('Libra', 'bid'):
-        'aa1668e4ccea07757e272ffde5ea1dee2c266756d71cf5ebdd312f6320237b92',
-    ('Libra', 'commodity'):
-        '3f211e33ac4da335f1a9f9cc999de9827399383625d4cef51ab526c950b4f976',
-    ('Libra+$', 'bid'):
-        'aa1668e4ccea07757e272ffde5ea1dee2c266756d71cf5ebdd312f6320237b92',
-    ('Libra+$', 'commodity'):
-        '9baaf4fdfc38fb38ddf2b5a804b9203b342d7de61b531548e43cd2eaeed4c926',
-    ('LibraRiskD', 'bid'):
-        'ae45357e634f567bf0002f1d2f5365d5e9381dccb82f86862084a27193203cbd',
-    ('LibraRiskD', 'commodity'):
-        '82de741774d9bf4a170c2bfd8538ad033a8d859d3c67b934ea15fca489bff069',
+        '40f6534c2a984db203cfe03b735d527dba2737983a927c2f30d20c63801dc2f5',
 }
 
 #: arrivals of the burst workload are snapped down to this grid.
@@ -251,61 +193,47 @@ CASES = [(p, m, r) for p in POLICIES for m in MODELS for r in REGIMES]
 BURST_CASES = [(p, m) for p in POLICIES for m in MODELS]
 
 
-def tables(compensated: bool) -> tuple[dict, str, dict]:
-    """The case, market and burst pins of one ``sum()`` semantics."""
-    if compensated:
-        return EXPECTED_COMPENSATED, EXPECTED_MARKET_COMPENSATED, EXPECTED_BURST_COMPENSATED
-    return EXPECTED, EXPECTED_MARKET, EXPECTED_BURST
-
-
-NATIVE_CASES, NATIVE_MARKET, NATIVE_BURST = tables(NATIVE_COMPENSATED)
-EMULATED_CASES, EMULATED_MARKET, EMULATED_BURST = tables(EMULATED_COMPENSATED)
-
-
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_timeshared_results_are_pinned(policy, model, regime):
-    assert case_digest(policy, model, regime) == NATIVE_CASES[(policy, model, regime)]
+    assert case_digest(policy, model, regime) == EXPECTED[(policy, model, regime)]
 
 
 def test_timeshared_market_results_are_pinned():
-    assert market_digest() == NATIVE_MARKET
+    assert market_digest() == EXPECTED_MARKET
 
 
 @pytest.mark.parametrize("policy,model", BURST_CASES)
 def test_timeshared_burst_results_are_pinned(policy, model):
-    assert burst_digest(policy, model) == NATIVE_BURST[(policy, model)]
+    assert burst_digest(policy, model) == EXPECTED_BURST[(policy, model)]
 
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
 def test_timeshared_results_are_pinned_under_emulated_sum(policy, model, regime):
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = case_digest(policy, model, regime)
-    assert digest == EMULATED_CASES[(policy, model, regime)]
+    assert digest == EXPECTED[(policy, model, regime)]
 
 
 def test_timeshared_market_results_are_pinned_under_emulated_sum():
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = market_digest()
-    assert digest == EMULATED_MARKET
+    assert digest == EXPECTED_MARKET
 
 
 @pytest.mark.parametrize("policy,model", BURST_CASES)
 def test_timeshared_burst_results_are_pinned_under_emulated_sum(policy, model):
-    with builtin_sum(EMULATED_COMPENSATED):
+    with reversed_builtin_sum():
         digest = burst_digest(policy, model)
-    assert digest == EMULATED_BURST[(policy, model)]
+    assert digest == EXPECTED_BURST[(policy, model)]
 
 
 if __name__ == "__main__":
-    compensated = "--compensated" in sys.argv[1:]
-    suffix = "_COMPENSATED" if compensated else ""
-    with builtin_sum(compensated):
-        print(f"EXPECTED{suffix} = {{")
-        for case in CASES:
-            print(f"    {case!r}:\n        {case_digest(*case)!r},")
-        print("}")
-        print(f"\nEXPECTED_MARKET{suffix} = {market_digest()!r}")
-        print(f"\nEXPECTED_BURST{suffix} = {{")
-        for case in BURST_CASES:
-            print(f"    {case!r}:\n        {burst_digest(*case)!r},")
-        print("}")
+    print("EXPECTED = {")
+    for case in CASES:
+        print(f"    {case!r}:\n        {case_digest(*case)!r},")
+    print("}")
+    print(f"\nEXPECTED_MARKET = {market_digest()!r}")
+    print("\nEXPECTED_BURST = {")
+    for case in BURST_CASES:
+        print(f"    {case!r}:\n        {burst_digest(*case)!r},")
+    print("}")
