@@ -12,18 +12,14 @@ Commands
 ``farm``        work-stealing grid farm: worker, serve, sync, status
 ``store``       run-store maintenance: stats, compact, merge
 ``trace``       show statistics of an SWF trace file (or the synthetic one)
+``frontier``    Pareto frontier and risk-adjusted scores of a model's policies
+``tornado``     per-knob sensitivity of one policy
 ``recommend``   a priori policy recommendation for a model/set
+``report``      run the full reproduction into a directory
 ``list``        list policies, scenarios, objectives
 
 ``grid --farm <dir>`` submits the grid to a farm's spool instead of
 executing locally; ``repro farm serve``/``repro farm worker`` drive it.
-
-``run`` and ``grid`` accept ``--mtbf`` (plus ``--mttr``, ``--recovery``,
-``--fault-model``) to inject node failures into any simulation, and the
-fault-domain knobs (``--domain-size``, ``--domain-mtbf``, ``--domain-mttr``,
-``--cascade-prob``, ``--cascade-delay``, ``--elastic-interval``,
-``--elastic-max-extra``) to correlate those failures into rack-level
-outages, cascades, and elastic capacity.
 
 Everything prints plain text (the same renderings the benchmark exhibits
 use) and exits non-zero on bad arguments, so the CLI is scriptable.
@@ -47,44 +43,93 @@ if TYPE_CHECKING:
     from repro.experiments.scenarios import ExperimentConfig
 
 
+class UsageError(Exception):
+    """A refused command line: :func:`main` prints ``error: <message>`` and exits 2."""
+
+
+#: Every fault flag, once: FaultConfig field → (option, type or choices, metavar, help).
+#: A flag's ``dest`` is ``fault_<field>``, the virtual field that
+#: :meth:`~repro.experiments.scenarios.ExperimentConfig.with_values` takes, so both config
+#: builders pass the parsed values on by name.  ``run`` and ``grid`` take every row, unset
+#: by default; ``repro faults`` takes :data:`SWEEP_FIELDS` and :data:`CORRELATED_FIELDS`.
+FAULT_FLAGS = {
+    "mtbf": ("--mtbf", float, "SECONDS",
+             "enable node failures with this per-node mean time between failures"),
+    "mttr": ("--mttr", float, "SECONDS", "mean time to repair a failed node"),
+    "recovery": ("--recovery", ("resubmit", "checkpoint"), None, "recovery of "
+                 "failure-killed jobs: rerun from scratch, or resume from periodic checkpoints"),
+    "model": ("--fault-model", ("exponential", "weibull"), None, "time-to-failure distribution"),
+    "domain_size": ("--domain-size", int, "NODES",
+                    "nodes per rack (fault domain); default 8 when --domain-mtbf is set"),
+    "domain_mtbf": ("--domain-mtbf", float, "SECONDS", "mean time between whole-rack outages"),
+    "domain_mttr": ("--domain-mttr", float, "SECONDS", "mean rack outage length"),
+    "cascade_prob": ("--cascade-prob", float, "P",
+                     "probability a failure propagates to each peer in its fault domain"),
+    "cascade_delay": ("--cascade-delay", float, "SECONDS",
+                      "deterministic delay before a cascade hop lands"),
+    "elastic_interval": ("--elastic-interval", float, "SECONDS", "mean time between "
+                         "stochastic capacity events (node add/decommission)"),
+    "elastic_max_extra": ("--elastic-max-extra", int, "NODES", "ceiling on elastically "
+                          "commissioned extra nodes (default 4 with --elastic-interval)"),
+}
+#: the per-node repair and recovery rows, which shape every fault run.
+SWEEP_FIELDS = ("mttr", "recovery", "model")
+#: the rack machine of ``repro faults --sweep correlated``; its flags
+#: default to :data:`~repro.faults.config.CORRELATED_FAULTS`.
+CORRELATED_FIELDS = ("domain_size", "domain_mtbf", "domain_mttr", "cascade_delay")
+
+
+def _add_fault_flag(group, field: str, default=None, prefix: str = "") -> None:
+    option, kind, metavar, help = FAULT_FLAGS[field]
+    choices = kind if isinstance(kind, tuple) else None
+    group.add_argument(option, dest=f"fault_{field}", default=default,
+                       type=None if choices else kind, choices=choices,
+                       metavar=metavar, help=prefix + help)
+
+
+def _fault_values(args, fields) -> dict:
+    """``{"fault_<field>": value}`` for each of ``fields`` the command sets."""
+    values = {f"fault_{field}": getattr(args, f"fault_{field}", None) for field in fields}
+    return {dest: value for dest, value in values.items() if value is not None}
+
+
 def _config_from_args(args) -> ExperimentConfig:
     from repro.experiments.scenarios import ExperimentConfig
 
     config = ExperimentConfig(
         n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
     ).for_set(args.set)
-    fault_values = {}
-    if getattr(args, "mtbf", None) is not None:
-        fault_values.update(
-            fault_model=args.fault_model,
-            fault_mtbf=args.mtbf,
-            fault_mttr=args.mttr,
-        )
-    if getattr(args, "domain_mtbf", None) is not None:
-        fault_values["fault_domain_mtbf"] = args.domain_mtbf
-        if getattr(args, "domain_size", None) is None:
-            fault_values["fault_domain_size"] = 8
-    if fault_values:
-        # Correlated knobs only make sense once failures exist at all, so
-        # they ride along with whichever process (--mtbf / --domain-mtbf)
-        # enabled fault injection.
-        fault_values["fault_recovery"] = args.recovery
-        for attr, field in (
-            ("domain_size", "fault_domain_size"),
-            ("domain_mttr", "fault_domain_mttr"),
-            ("cascade_prob", "fault_cascade_prob"),
-            ("cascade_delay", "fault_cascade_delay"),
-            ("elastic_interval", "fault_elastic_interval"),
-            ("elastic_max_extra", "fault_elastic_max_extra"),
-        ):
-            value = getattr(args, attr, None)
-            if value is not None:
-                fault_values[field] = value
-        if fault_values.get("fault_elastic_interval"):
-            fault_values["fault_elastic_model"] = "stochastic"
-            fault_values.setdefault("fault_elastic_max_extra", 4)
-        config = config.with_values(fault_enabled=True, **fault_values)
-    return config
+    faults = _fault_values(args, FAULT_FLAGS)
+    # The other fault knobs only shape failures that --mtbf or --domain-mtbf turn on.
+    if "fault_mtbf" not in faults and "fault_domain_mtbf" not in faults:
+        return config
+    if "fault_domain_mtbf" in faults:
+        faults.setdefault("fault_domain_size", 8)
+    if faults.get("fault_elastic_interval"):
+        faults["fault_elastic_model"] = "stochastic"
+        faults.setdefault("fault_elastic_max_extra", 4)
+    return config.with_values(fault_enabled=True, **faults)
+
+
+def _check_policy(name: str) -> str:
+    from repro.policies import POLICIES
+
+    if name not in POLICIES:
+        raise UsageError(f"unknown policy {name!r} (see `list`)")
+    return name
+
+
+def _policies(args) -> Sequence[str]:
+    """``--policies``, checked, or every policy of ``--model``."""
+    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
+
+    policies = getattr(args, "policies", None) or (
+        COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
+    )
+    unknown = [p for p in policies if p not in POLICIES]
+    if unknown:
+        raise UsageError(f"unknown policies {unknown} (see `list`)")
+    return policies
 
 
 def _add_scale_options(parser: argparse.ArgumentParser) -> None:
@@ -96,46 +141,14 @@ def _add_scale_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_fault_options(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("fault injection")
-    group.add_argument("--mtbf", type=float, default=None, metavar="SECONDS",
-                       help="enable node failures with this per-node mean "
-                            "time between failures")
-    group.add_argument("--mttr", type=float, default=3600.0, metavar="SECONDS",
-                       help="mean time to repair a failed node")
-    group.add_argument("--recovery", choices=("resubmit", "checkpoint"),
-                       default="resubmit",
-                       help="recovery of failure-killed jobs: rerun from "
-                            "scratch, or resume from periodic checkpoints")
-    group.add_argument("--fault-model", choices=("exponential", "weibull"),
-                       default="exponential",
-                       help="time-to-failure distribution")
-    group = parser.add_argument_group(
+    node = parser.add_argument_group("fault injection")
+    domains = parser.add_argument_group(
         "fault domains & elasticity",
         "group nodes into racks that fail together; --domain-mtbf enables "
         "fault injection on its own (--mtbf optional)",
     )
-    group.add_argument("--domain-size", type=int, default=None, metavar="NODES",
-                       help="nodes per rack (fault domain); default 8 when "
-                            "--domain-mtbf is set")
-    group.add_argument("--domain-mtbf", type=float, default=None,
-                       metavar="SECONDS",
-                       help="mean time between whole-rack outages")
-    group.add_argument("--domain-mttr", type=float, default=None,
-                       metavar="SECONDS", help="mean rack outage length")
-    group.add_argument("--cascade-prob", type=float, default=None, metavar="P",
-                       help="probability a failure propagates to each peer "
-                            "in its fault domain")
-    group.add_argument("--cascade-delay", type=float, default=None,
-                       metavar="SECONDS",
-                       help="deterministic delay before a cascade hop lands")
-    group.add_argument("--elastic-interval", type=float, default=None,
-                       metavar="SECONDS",
-                       help="mean time between stochastic capacity events "
-                            "(node add/decommission)")
-    group.add_argument("--elastic-max-extra", type=int, default=None,
-                       metavar="NODES",
-                       help="ceiling on elastically commissioned extra nodes "
-                            "(default 4 with --elastic-interval)")
+    for field in FAULT_FLAGS:
+        _add_fault_flag(node if field in ("mtbf", *SWEEP_FIELDS) else domains, field)
 
 
 def cmd_figure(args) -> int:
@@ -156,32 +169,20 @@ def cmd_figure(args) -> int:
         print(format_table(rows, title="Fig. 2 — utility vs completion time"))
         return 0
     if number not in (3, 4, 5, 6, 7, 8):
-        print(f"error: no figure {number} in the paper", file=sys.stderr)
-        return 2
-    model = "commodity" if number <= 5 else "bid"
-    grids = figures_mod.run_model_grids(model, base)
-    builder = getattr(figures_mod, f"figure_{number}")
-    panels = builder(base, grids=grids)
+        raise UsageError(f"no figure {number} in the paper")
+    # Each grid-backed figure runs its own model's grids.
+    panels = getattr(figures_mod, f"figure_{number}")(base)
     print(summarize_figure(panels, include_ascii=args.ascii))
     return 0
 
 
 def cmd_table(args) -> int:
-    from repro.experiments import tables as tables_mod
     from repro.experiments.report import format_table
+    from repro.experiments.tables import TABLES
 
-    builders = {
-        1: (tables_mod.table_i, "Table I — objectives"),
-        2: (tables_mod.table_ii, "Table II — sample statistics"),
-        3: (tables_mod.table_iii, "Table III — ranking by best performance"),
-        4: (tables_mod.table_iv, "Table IV — ranking by best volatility"),
-        5: (tables_mod.table_v, "Table V — policies"),
-        6: (tables_mod.table_vi, "Table VI — scenarios"),
-    }
-    if args.number not in builders:
-        print(f"error: no table {args.number} in the paper", file=sys.stderr)
-        return 2
-    builder, title = builders[args.number]
+    if args.number not in TABLES:
+        raise UsageError(f"no table {args.number} in the paper")
+    builder, title = TABLES[args.number]
     print(format_table(builder(), title=title))
     return 0
 
@@ -191,13 +192,19 @@ def cmd_run(args) -> int:
     from repro.experiments.report import format_table
     from repro.experiments.runner import build_workload
     from repro.perf import capture as perf_capture
-    from repro.policies import POLICIES, make_policy
+    from repro.policies import make_policy
     from repro.service.provider import CommercialComputingService
 
-    if args.policy not in POLICIES:
-        print(f"error: unknown policy {args.policy!r} (see `list`)", file=sys.stderr)
-        return 2
+    _check_policy(args.policy)
     config = _config_from_args(args)
+    title = f"{args.policy} on {args.model} model (Set {args.set}, {config.n_jobs} jobs)"
+
+    def objective_rows(objs) -> list:
+        return [{"metric": "wait (s)", "value": objs.wait},
+                {"metric": "SLA (%)", "value": objs.sla},
+                {"metric": "reliability (%)", "value": objs.reliability},
+                {"metric": "profitability (%)", "value": objs.profitability}]
+
     store = None
     if args.cache_dir:
         from repro.experiments.runstore import RunStore
@@ -205,18 +212,10 @@ def cmd_run(args) -> int:
         store = RunStore(args.cache_dir)
         cached = store.get(config, args.policy, args.model)
         if cached is not None:
-            store.hits += 1
-            print(format_table([
-                {"metric": "wait (s)", "value": cached.wait},
-                {"metric": "SLA (%)", "value": cached.sla},
-                {"metric": "reliability (%)", "value": cached.reliability},
-                {"metric": "profitability (%)", "value": cached.profitability},
-            ], title=f"{args.policy} on {args.model} model (Set {args.set}, "
-                     f"{config.n_jobs} jobs) — from run store"))
+            print(format_table(objective_rows(cached), title=f"{title} — from run store"))
             print(f"run store hit ({store.cache_dir}); rerun without "
                   "--cache-dir to re-simulate per-job outcomes")
             return 0
-        store.misses += 1
     jobs = build_workload(config)
     service = CommercialComputingService(
         make_policy(args.policy),
@@ -234,13 +233,10 @@ def cmd_run(args) -> int:
         {"metric": "jobs submitted", "value": len(result.outcomes)},
         {"metric": "jobs accepted", "value": sum(o.accepted for o in result.outcomes)},
         {"metric": "SLAs fulfilled", "value": sum(o.sla_fulfilled for o in result.outcomes)},
-        {"metric": "wait (s)", "value": objs.wait},
-        {"metric": "SLA (%)", "value": objs.sla},
-        {"metric": "reliability (%)", "value": objs.reliability},
-        {"metric": "profitability (%)", "value": objs.profitability},
+        *objective_rows(objs),
         {"metric": "total utility", "value": result.ledger.total_utility},
         {"metric": "penalties", "value": result.ledger.total_penalties},
-    ], title=f"{args.policy} on {args.model} model (Set {args.set}, {config.n_jobs} jobs)"))
+    ], title=title))
     if result.fault_stats is not None:
         fs = result.fault_stats
         print(
@@ -278,9 +274,9 @@ def _parse_shard(text: Optional[str]) -> Optional[tuple]:
         index_text, count_text = text.split("/", 1)
         index, count = int(index_text), int(count_text)
     except ValueError:
-        raise ValueError(f"shard must look like i/n (e.g. 2/4), got {text!r}")
+        raise UsageError(f"shard must look like i/n (e.g. 2/4), got {text!r}") from None
     if not 1 <= index <= count:
-        raise ValueError(f"shard index must be in 1..{count}, got {index}")
+        raise UsageError(f"shard index must be in 1..{count}, got {index}")
     return index - 1, count
 
 
@@ -310,41 +306,25 @@ def cmd_grid(args) -> int:
     from repro.experiments.runstore import RunStore
     from repro.experiments.scenarios import SCENARIOS, scenario_by_name
     from repro.perf import capture as perf_capture
-    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
 
-    policies = args.policies or (
-        COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    )
-    unknown = [p for p in policies if p not in POLICIES]
-    if unknown:
-        print(f"error: unknown policies {unknown} (see `list`)", file=sys.stderr)
-        return 2
-    try:
-        shard = _parse_shard(args.shard)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    policies = _policies(args)
+    shard = _parse_shard(args.shard)
     if args.resume and not args.cache_dir:
-        print("error: --resume requires --cache-dir", file=sys.stderr)
-        return 2
+        raise UsageError("--resume requires --cache-dir")
+    try:
+        scenarios = [scenario_by_name(name) for name in args.scenario or ()]
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    base = _config_from_args(args)
+    # The supervision knobs, as ExecutionPolicy and plan_from_args name them.
+    supervision = {name: getattr(args, name) for name in (
+        "run_timeout", "max_retries", "backoff_base", "max_sim_events", "max_sim_time",
+        "on_error")}
     if args.farm:
         from repro.farm import Farm, plan_from_args
 
-        # Validate scenario names before shipping them to the service.
-        try:
-            for name in args.scenario or ():
-                scenario_by_name(name)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        plan = plan_from_args(
-            policies, args.model, _config_from_args(args), args.set,
-            scenarios=tuple(args.scenario or ()),
-            run_timeout=args.run_timeout, max_retries=args.max_retries,
-            backoff_base=args.retry_backoff,
-            max_sim_events=args.max_sim_events, max_sim_time=args.max_sim_time,
-            on_error=args.on_error,
-        )
+        plan = plan_from_args(policies, args.model, base, args.set,
+                              scenarios=tuple(args.scenario or ()), **supervision)
         farm = Farm(args.farm)
         path = farm.submit(plan)
         units = len(plan.unique_units())
@@ -353,25 +333,13 @@ def cmd_grid(args) -> int:
               f"drive it with `repro farm serve --farm {args.farm}` and "
               f"`repro farm worker --farm {args.farm}`")
         return 0
-    scenarios = (
-        [scenario_by_name(name) for name in args.scenario]
-        if args.scenario else SCENARIOS
-    )
+    scenarios = scenarios or SCENARIOS
     store = RunStore(args.cache_dir)
-    base = _config_from_args(args)
-    execution_policy = ExecutionPolicy(
-        run_timeout=args.run_timeout,
-        max_retries=args.max_retries,
-        backoff_base=args.retry_backoff,
-        max_sim_events=args.max_sim_events,
-        max_sim_time=args.max_sim_time,
-        on_error=args.on_error,
-    )
     plan = grid_plan(policies, args.model, base, args.set, scenarios)
     with perf_capture() as perf:
         execution = execute_plan(
             plan, store, n_workers=args.workers, shard=shard,
-            execution=execution_policy,
+            execution=ExecutionPolicy(**supervision),
         )
         counters = dict(perf.counters)
     rate = execution.executed / max(execution.wall_s, 1e-12)
@@ -436,29 +404,12 @@ def cmd_faults(args) -> int:
     from repro.experiments.pipeline import execute_plan, grid_plan
     from repro.experiments.runstore import RunStore
     from repro.experiments.scenarios import ExperimentConfig
-    from repro.policies import BID_POLICIES, COMMODITY_POLICIES, POLICIES
 
-    policies = args.policies or (
-        COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    )
-    unknown = [p for p in policies if p not in POLICIES]
-    if unknown:
-        print(f"error: unknown policies {unknown} (see `list`)", file=sys.stderr)
-        return 2
-    faults = {
-        "fault_model": args.fault_model,
-        "fault_mttr": args.mttr,
-        "fault_recovery": args.recovery,
-    }
+    policies = _policies(args)
+    faults = _fault_values(args, SWEEP_FIELDS)
     if args.sweep == "correlated":
         make_scenario = cascade_scenario
-        faults.update(
-            fault_mtbf=CORRELATED_FAULTS.mtbf,
-            fault_domain_size=args.domain_size,
-            fault_domain_mtbf=args.domain_mtbf,
-            fault_domain_mttr=args.domain_mttr,
-            fault_cascade_delay=args.cascade_delay,
-        )
+        faults.update(_fault_values(args, CORRELATED_FIELDS), fault_mtbf=CORRELATED_FAULTS.mtbf)
     else:
         make_scenario = mtbf_scenario
     scenario = make_scenario(args.levels) if args.levels else make_scenario()
@@ -500,11 +451,9 @@ def cmd_market(args) -> int:
     )
     from repro.experiments.runstore import RunStore
     from repro.market import Marketplace, ProviderSpec, SyntheticSpec, market_job_stream
-    from repro.policies import POLICIES
 
     if args.providers < 2:
-        print("error: a market needs at least 2 providers", file=sys.stderr)
-        return 2
+        raise UsageError("a market needs at least 2 providers")
     # Risky-first convention: providers[0] is the greedy (over-admitting,
     # possibly failing) provider the sweeps perturb; the rest admit by
     # deadline feasibility.
@@ -515,35 +464,20 @@ def cmd_market(args) -> int:
     for i in range(1, args.providers):
         name = "steady" if i == 1 else f"steady{i}"
         specs.append(SyntheticSpec(name, capacity=args.capacity, admission="deadline"))
+    population = dict(n_users=args.users, seed=args.seed, share_window=args.share_window)
 
     if args.sweep:
         if args.policy:
-            print("error: --policy applies to single runs only "
-                  "(sweeps are synthetic-provider markets)", file=sys.stderr)
-            return 2
-        try:
-            shard = _parse_shard(args.shard)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            raise UsageError("--policy applies to single runs only "
+                             "(sweeps are synthetic-provider markets)")
+        shard = _parse_shard(args.shard)
         if args.sweep == "correlated":
             # The duel needs its own field (risky + grouped peer + steady);
             # --providers/--capacity shape the other sweeps only.
-            base = correlated_market_config(
-                n_users=args.users,
-                n_jobs=args.jobs,
-                seed=args.seed,
-                share_window=args.share_window,
-            )
+            base = correlated_market_config(n_jobs=args.jobs, **population)
             scenario = correlated_market_scenario()
         else:
-            base = MarketConfig(
-                providers=tuple(specs),
-                n_users=args.users,
-                n_jobs=args.jobs,
-                seed=args.seed,
-                share_window=args.share_window,
-            )
+            base = MarketConfig(providers=tuple(specs), n_jobs=args.jobs, **population)
             if args.sweep == "mtbf":
                 scenario = (
                     mtbf_market_scenario(tuple(args.levels))
@@ -569,17 +503,8 @@ def cmd_market(args) -> int:
         return 0
 
     if args.policy:
-        if args.policy not in POLICIES:
-            print(f"error: unknown policy {args.policy!r} (see `list`)",
-                  file=sys.stderr)
-            return 2
-        specs.append(ProviderSpec("service", args.policy, total_procs=args.procs))
-    market = Marketplace(
-        specs,
-        n_users=args.users,
-        seed=args.seed,
-        share_window=args.share_window,
-    )
+        specs.append(ProviderSpec("service", _check_policy(args.policy), total_procs=args.procs))
+    market = Marketplace(specs, **population)
     market.run(market_job_stream(args.jobs, seed=args.seed))
     print(f"market — users={args.users} jobs={args.jobs} seed={args.seed}")
     print()
@@ -762,18 +687,20 @@ def cmd_trace(args) -> int:
     return 0
 
 
+def _model_grid(args):
+    """The full Table VI grid of every policy of ``--model``."""
+    from repro.experiments.runner import run_grid
+    from repro.experiments.scenarios import SCENARIOS
+
+    return run_grid(_policies(args), args.model, _config_from_args(args), args.set, SCENARIOS)
+
+
 def cmd_frontier(args) -> int:
     from repro.core.frontier import frontier_report, plot_points
     from repro.core.objectives import OBJECTIVES
     from repro.experiments.report import format_table
-    from repro.experiments.runner import run_grid
-    from repro.experiments.scenarios import SCENARIOS
-    from repro.policies import BID_POLICIES, COMMODITY_POLICIES
 
-    base = _config_from_args(args)
-    policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    grid = run_grid(policies, args.model, base, args.set, SCENARIOS)
-    plot = grid.integrated_plot(OBJECTIVES)
+    plot = _model_grid(args).integrated_plot(OBJECTIVES)
     rows = [
         {
             "policy": e.policy,
@@ -794,13 +721,9 @@ def cmd_tornado(args) -> int:
     from repro.core.objectives import OBJECTIVES
     from repro.experiments.scenarios import SCENARIOS
     from repro.experiments.sensitivity import format_tornado, tornado_analysis
-    from repro.policies import POLICIES
 
-    if args.policy not in POLICIES:
-        print(f"error: unknown policy {args.policy!r} (see `list`)", file=sys.stderr)
-        return 2
-    base = _config_from_args(args)
-    tornado = tornado_analysis(args.policy, args.model, base, SCENARIOS)
+    tornado = tornado_analysis(_check_policy(args.policy), args.model,
+                               _config_from_args(args), SCENARIOS)
     for objective in OBJECTIVES:
         print(format_tornado(
             tornado[objective],
@@ -813,13 +736,8 @@ def cmd_tornado(args) -> int:
 def cmd_recommend(args) -> int:
     from repro.core.apriori import recommend_policy, risk_register
     from repro.experiments.report import format_table
-    from repro.experiments.runner import run_grid
-    from repro.experiments.scenarios import SCENARIOS
-    from repro.policies import BID_POLICIES, COMMODITY_POLICIES
 
-    base = _config_from_args(args)
-    policies = COMMODITY_POLICIES if args.model == "commodity" else BID_POLICIES
-    grid = run_grid(policies, args.model, base, args.set, SCENARIOS)
+    grid = _model_grid(args)
     rec = recommend_policy(grid.separate, volatility_tolerance=args.tolerance)
     print(f"recommended policy: {rec.policy}")
     print(f"  {rec.rationale}")
@@ -933,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--max-retries", type=int, default=2,
                        help="retries per run after its first failure "
                             "(exponential backoff with jitter)")
-    group.add_argument("--retry-backoff", type=float, default=0.5,
+    group.add_argument("--retry-backoff", dest="backoff_base", type=float, default=0.5,
                        metavar="SECONDS", help="base delay of the "
                        "exponential retry backoff")
     group.add_argument("--max-sim-events", type=int, default=None,
@@ -968,24 +886,11 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="VALUE", help="sweep levels: MTBF seconds for "
                    "--sweep mtbf (default 6h…8d), cascade probabilities "
                    "for --sweep correlated (default 0, .1, .25, .5, 1)")
-    p.add_argument("--mttr", type=float, default=3600.0, metavar="SECONDS",
-                   help="mean time to repair a failed node")
-    p.add_argument("--domain-size", type=int,
-                   default=CORRELATED_FAULTS.domain_size, metavar="NODES",
-                   help="[--sweep correlated] nodes per rack")
-    p.add_argument("--domain-mtbf", type=float,
-                   default=CORRELATED_FAULTS.domain_mtbf, metavar="SECONDS",
-                   help="[--sweep correlated] mean time between rack outages")
-    p.add_argument("--domain-mttr", type=float,
-                   default=CORRELATED_FAULTS.domain_mttr, metavar="SECONDS",
-                   help="[--sweep correlated] mean rack outage length")
-    p.add_argument("--cascade-delay", type=float,
-                   default=CORRELATED_FAULTS.cascade_delay, metavar="SECONDS",
-                   help="[--sweep correlated] delay before a cascade hop")
-    p.add_argument("--recovery", choices=("resubmit", "checkpoint"),
-                   default="resubmit", help="recovery of failure-killed jobs")
-    p.add_argument("--fault-model", choices=("exponential", "weibull"),
-                   default="exponential", help="time-to-failure distribution")
+    for field in SWEEP_FIELDS:
+        _add_fault_flag(p, field)
+    for field in CORRELATED_FIELDS:
+        _add_fault_flag(p, field, default=getattr(CORRELATED_FAULTS, field),
+                        prefix="[--sweep correlated] ")
     p.add_argument("--cache-dir", default=None,
                    help="content-addressed run store directory")
     _add_scale_options(p)
@@ -1034,10 +939,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     farm_sub = p.add_subparsers(dest="farm_command", required=True)
 
-    fp = farm_sub.add_parser(
-        "worker", help="claim and execute work units from a farm",
-    )
-    fp.add_argument("--farm", required=True, metavar="DIR")
+    def farm_command(name: str, fn, help: str) -> argparse.ArgumentParser:
+        fp = farm_sub.add_parser(name, help=help)
+        fp.add_argument("--farm", required=True, metavar="DIR")
+        fp.set_defaults(fn=fn)
+        return fp
+
+    fp = farm_command("worker", cmd_farm_worker, "claim and execute work units from a farm")
     fp.add_argument("--worker-id", default=None,
                     help="stable worker identity (default: <host>-<pid>)")
     fp.add_argument("--lease", type=float, default=60.0, metavar="SECONDS",
@@ -1052,18 +960,10 @@ def build_parser() -> argparse.ArgumentParser:
                     help="exit after executing this many units")
     fp.add_argument("--max-idle", type=float, default=None, metavar="SECONDS",
                     help="exit after this long with nothing claimable")
-    fp.set_defaults(fn=cmd_farm_worker)
 
-    fp = farm_sub.add_parser(
-        "sync", help="merge every worker store into the farm store",
-    )
-    fp.add_argument("--farm", required=True, metavar="DIR")
-    fp.set_defaults(fn=cmd_farm_sync)
-
-    fp = farm_sub.add_parser(
-        "serve", help="long-running service: watch the spool, drive jobs",
-    )
-    fp.add_argument("--farm", required=True, metavar="DIR")
+    farm_command("sync", cmd_farm_sync, "merge every worker store into the farm store")
+    fp = farm_command("serve", cmd_farm_serve,
+                      "long-running service: watch the spool, drive jobs")
     fp.add_argument("--poll", type=float, default=1.0, metavar="SECONDS")
     fp.add_argument("--max-jobs", type=int, default=None,
                     help="exit after completing this many jobs")
@@ -1078,25 +978,21 @@ def build_parser() -> argparse.ArgumentParser:
     fp.add_argument("--workers", type=int, default=0, metavar="N",
                     help="spawn N local worker subprocesses for the "
                          "service's lifetime")
-    fp.set_defaults(fn=cmd_farm_serve)
 
-    fp = farm_sub.add_parser("status", help="show jobs and their progress")
-    fp.add_argument("--farm", required=True, metavar="DIR")
-    fp.set_defaults(fn=cmd_farm_status)
+    farm_command("status", cmd_farm_status, "show jobs and their progress")
 
     p = sub.add_parser("store", help="run-store maintenance")
+    p.set_defaults(fn=cmd_store)
     store_sub = p.add_subparsers(dest="store_command", required=True)
 
     sp = store_sub.add_parser("stats", help="summarise a run store directory")
     sp.add_argument("cache_dir", metavar="DIR")
-    sp.set_defaults(fn=cmd_store)
 
     sp = store_sub.add_parser(
         "compact",
         help="rewrite index.jsonl to one line per live run (atomic)",
     )
     sp.add_argument("cache_dir", metavar="DIR")
-    sp.set_defaults(fn=cmd_store)
 
     sp = store_sub.add_parser(
         "merge",
@@ -1105,7 +1001,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sp.add_argument("cache_dir", metavar="DEST")
     sp.add_argument("sources", nargs="+", metavar="SRC")
-    sp.set_defaults(fn=cmd_store)
 
     p = sub.add_parser("trace", help="workload statistics (SWF or synthetic)")
     p.add_argument("--file", help="SWF trace file")
@@ -1157,7 +1052,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -163,15 +163,13 @@ class TimeSharedCluster:
         self._states: dict[int, TSJobState] = {}
         # Per job, one column per running job, in admission order, of the
         # block ``_f`` (rows ``_CONSUMED`` … ``_DEADLINE``), each row also
-        # bound to its own name by :meth:`_bind_rows`.  ``_jobs`` and
-        # ``_jids`` name each column's job.  ``_nodes`` holds every job's
-        # nodes back to back in column order, ``_n_inc`` of them in use,
-        # ``_owner`` the column of each of them, and ``_start`` the first
-        # of each job's.
+        # bound to its own name by :meth:`_bind_rows`.  ``_jobs`` names
+        # each column's job.  ``_nodes`` holds every job's nodes back to
+        # back in column order, ``_n_inc`` of them in use, ``_owner`` the
+        # column of each of them, and ``_start`` the first of each job's.
         self._n = 0
         self._bind_rows(np.zeros((8, 64)), np.zeros(64, dtype=np.int64))
         self._jobs: list[TSJobState] = []
-        self._jids: list[int] = []
         self._nodes = np.zeros(4 * n_nodes, dtype=np.int64)
         self._owner = np.zeros(4 * n_nodes, dtype=np.int64)
         self._n_inc = 0
@@ -338,7 +336,6 @@ class TimeSharedCluster:
         self._n = row + 1
         self._jobs.append(state)
         jid = job.job_id
-        self._jids.append(jid)
         self._states[jid] = state
         node_jobs = self.node_jobs
         for node in nodes:
@@ -491,7 +488,6 @@ class TimeSharedCluster:
         np.subtract(self._owner[first + k:inc], 1, out=self._owner[first:inc - k])
         self._n_inc = inc - k
         self._n = n
-        del self._jids[row]
         del self._jobs[row]
         for later in self._jobs[row:]:
             later._row -= 1

@@ -26,7 +26,6 @@ from repro.core.objectives import OBJECTIVES
 from repro.core.ranking import rank_policies
 from repro.core.svgplot import save_svg
 from repro.experiments import figures as figures_mod
-from repro.experiments import tables as tables_mod
 from repro.experiments.gnuplot import export_figure, export_plot
 from repro.experiments.report import (
     format_table,
@@ -37,18 +36,10 @@ from repro.experiments.report import (
 from repro.experiments.runner import GridAnalysis, run_grid
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig
+from repro.experiments.tables import TABLES
 from repro.perf import PERF
 from repro.perf import capture as perf_capture
 from repro.policies import BID_POLICIES, COMMODITY_POLICIES
-
-_TABLES = {
-    "table_i": (tables_mod.table_i, "Table I — objectives"),
-    "table_ii": (tables_mod.table_ii, "Table II — sample statistics"),
-    "table_iii": (tables_mod.table_iii, "Table III — ranking by best performance"),
-    "table_iv": (tables_mod.table_iv, "Table IV — ranking by best volatility"),
-    "table_v": (tables_mod.table_v, "Table V — policies"),
-    "table_vi": (tables_mod.table_vi, "Table VI — scenarios"),
-}
 
 
 def _write(path: Path, text: str) -> None:
@@ -85,8 +76,8 @@ def generate_report(
         index["paths"].append(str(path.relative_to(out)))
 
     # -- tables ----------------------------------------------------------------
-    for name, (builder, title) in _TABLES.items():
-        path = out / "tables" / f"{name}.txt"
+    for builder, title in TABLES.values():
+        path = out / "tables" / f"{builder.__name__}.txt"
         _write(path, format_table(builder(), title=title))
         record(path)
 

@@ -115,3 +115,14 @@ def table_vi(base: ExperimentConfig | None = None) -> list[dict]:
         }
         for s in SCENARIOS
     ]
+
+
+#: every table of the paper by number: (builder, title).
+TABLES = {
+    1: (table_i, "Table I — objectives"),
+    2: (table_ii, "Table II — sample statistics"),
+    3: (table_iii, "Table III — ranking by best performance"),
+    4: (table_iv, "Table IV — ranking by best volatility"),
+    5: (table_v, "Table V — policies"),
+    6: (table_vi, "Table VI — scenarios"),
+}

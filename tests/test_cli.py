@@ -361,6 +361,33 @@ def test_market_argument_validation(capsys):
     assert "single runs only" in err
 
 
+#: every refused command line: each exits 2 with one ``error:`` line.
+USAGE_ERRORS = [
+    "table 9",
+    "figure 42",
+    "run NoSuch",
+    "tornado Nope",
+    "faults --policies Nope",
+    "grid --policies Nope",
+    "grid --scenario 'no such'",
+    "grid --shard 3/2",
+    "grid --shard banana",
+    "grid --resume",
+    "market --providers 1",
+    "market --policy Nope",
+    "market --sweep mtbf --policy FCFS-BF",
+    "market --sweep mtbf --shard 3/2",
+]
+
+
+@pytest.mark.parametrize("command", USAGE_ERRORS)
+def test_usage_errors_exit_2_with_one_error_line(capsys, command):
+    code, out, err = run_cli(capsys, *shlex.split(command))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 # -- farm + store maintenance commands -----------------------------------------
 
 
@@ -654,6 +681,11 @@ CONFIG_CASES = [
     ("run FCFS-BF --jobs 120 --domain-mtbf 21600 --cascade-prob 0.5",
      ExperimentConfig(n_jobs=120, faults=FaultConfig(
          enabled=True, domain_size=8, domain_mtbf=21_600.0, cascade_prob=0.5))),
+    # --mttr and --fault-model shape the node failures --domain-mtbf enables.
+    ("run FCFS-BF --domain-mtbf 21600 --mttr 600 --fault-model weibull",
+     ExperimentConfig(n_jobs=200, faults=FaultConfig(
+         enabled=True, model="weibull", mttr=600.0, domain_size=8,
+         domain_mtbf=21_600.0))),
     # Correlated knobs without a failure process enable nothing.
     ("run FCFS-BF --domain-size 4 --cascade-prob 0.5 --elastic-interval 900",
      ExperimentConfig(n_jobs=200)),
