@@ -3,8 +3,10 @@
 Scale control
 -------------
 The paper's full scale (5000 jobs × 128 nodes × 12 scenarios × 6 values ×
-2 sets × 2 models) takes hours in pure Python; the benchmarks default to a
-reduced job count that preserves every qualitative shape.  Environment
+2 sets × 2 models) takes minutes: on a shared 2-vCPU VM the six figure
+benchmarks ran in about 5.5 min serially, and the four Table-VI grids in
+about 3.6 min on 2 workers.  The benchmarks default to a reduced job count
+that preserves every qualitative shape.  Environment
 variables select the scale:
 
 - ``REPRO_BENCH_JOBS``  — jobs per simulation (default 120).

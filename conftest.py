@@ -9,6 +9,10 @@ Tier-1 (`PYTHONPATH=src python -m pytest -x -q`) collects only ``tests/``
 
 Collected benchmark items are auto-tagged with the ``bench`` marker and
 skipped unless one of the opt-ins is present.  See docs/benchmarking.md.
+
+The CI smokes under ``tests/smoke/`` (``smoke`` marker) fork worker pools
+and SIGKILL them, so they are opt-in too: ``pytest -m smoke`` collects and
+runs them; without it ``tests/smoke/`` is not collected at all.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from pathlib import Path
 import pytest
 
 BENCH_DIR = Path(__file__).resolve().parent / "benchmarks"
+SMOKE_DIR = Path(__file__).resolve().parent / "tests" / "smoke"
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -27,6 +32,12 @@ def pytest_addoption(parser: pytest.Parser) -> None:
         default=False,
         help="run the paper-exhibit benchmarks under benchmarks/",
     )
+
+
+def pytest_ignore_collect(collection_path: Path, config: pytest.Config):
+    if "smoke" in (config.getoption("-m") or ""):
+        return None
+    return collection_path.resolve().is_relative_to(SMOKE_DIR) or None
 
 
 @pytest.hookimpl(tryfirst=True)

@@ -33,6 +33,7 @@ never load the risk analysis, the run store or the farm (see
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -93,6 +94,15 @@ def _fault_values(args, fields) -> dict:
     return {dest: value for dest, value in values.items() if value is not None}
 
 
+def _with_faults(config: ExperimentConfig, faults: dict) -> ExperimentConfig:
+    """``config`` with fault injection on and the ``fault_*`` values applied;
+    values :class:`~repro.faults.config.FaultConfig` refuses are a usage error."""
+    try:
+        return config.with_values(fault_enabled=True, **faults)
+    except ValueError as exc:
+        raise UsageError(f"invalid fault flags: {exc}") from None
+
+
 def _config_from_args(args) -> ExperimentConfig:
     from repro.experiments.scenarios import ExperimentConfig
 
@@ -108,7 +118,7 @@ def _config_from_args(args) -> ExperimentConfig:
     if faults.get("fault_elastic_interval"):
         faults["fault_elastic_model"] = "stochastic"
         faults.setdefault("fault_elastic_max_extra", 4)
-    return config.with_values(fault_enabled=True, **faults)
+    return _with_faults(config, faults)
 
 
 def _check_policy(name: str) -> str:
@@ -413,9 +423,9 @@ def cmd_faults(args) -> int:
     else:
         make_scenario = mtbf_scenario
     scenario = make_scenario(args.levels) if args.levels else make_scenario()
-    fault_base = ExperimentConfig(
+    fault_base = _with_faults(ExperimentConfig(
         n_jobs=args.jobs, total_procs=args.procs, seed=args.seed
-    ).with_values(fault_enabled=True, **faults)
+    ), faults)
     store = RunStore(args.cache_dir)
     execution = execute_plan(
         grid_plan(policies, args.model, fault_base, args.set, [scenario]), store
@@ -630,6 +640,11 @@ def cmd_store(args) -> int:
     from repro.experiments.report import format_table
     from repro.experiments.runstore import RunStore
 
+    # RunStore creates its directory, so a mistyped path would read as an
+    # empty store (or, for merge, quietly start a new one).
+    for directory in (args.cache_dir, *getattr(args, "sources", ())):
+        if not os.path.isdir(directory):
+            raise UsageError(f"no such run store directory: {directory}")
     store = RunStore(args.cache_dir)
     if args.store_command == "stats":
         stats = store.stats()

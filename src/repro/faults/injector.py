@@ -5,8 +5,16 @@ One :class:`FaultInjector` binds to one
 the failure/repair process of every node, schedules the resulting
 node-down and node-up events (at :data:`~repro.sim.events.Priority.INTERNAL`,
 so completions at the same instant still win and arrivals still lose),
-tells the cluster to fail/repair the node, and hands the jobs killed by a
+tells the cluster to fail/repair the nodes, and hands the jobs killed by a
 failure to the policy's recovery path.
+
+Every fault is a *batch*: the nodes that go down at one instant (a lone
+node, a rack or site outage, one cascade wave).  All of them fail in the
+cluster first; then the policy gets the kills of the whole batch in one
+:meth:`~repro.policies.base.Policy.on_node_failure` call and
+dispatches once, so it never starts a job on a node of the batch that is
+about to fail.  The batch shares one repair event, which brings its nodes
+back in member order and makes one ``on_node_repair`` call.
 
 Lifecycle per node under a stochastic model::
 
@@ -23,13 +31,14 @@ On top of the independent per-node chains, the injector drives the
 :mod:`repro.faults.topology` and :class:`~repro.faults.config.FaultConfig`):
 
 - **domain outages** — each rack/site with a stochastic outage process
-  (or a scripted ``domain_schedule`` entry) goes down *atomically*: every
+  (or a scripted ``domain_schedule`` entry) goes down as one batch: every
   healthy member node fails at the same instant and is repaired after the
   outage's downtime;
 - **cascades** — every failure propagates to each topology peer with
   probability ``cascade_prob`` after a deterministic ``cascade_delay``
   (node failures spread to rack-mates, rack outages to sibling racks),
-  bounded by ``cascade_depth`` hops;
+  bounded by ``cascade_depth`` hops; the rack-mates one node failure hits
+  go down together, as one wave;
 - **elastic capacity** — nodes are commissioned/decommissioned mid-run;
   a commission grows the cluster and (under a stochastic node model) arms
   a failure chain for the new node, a decommission kills the node's jobs
@@ -279,7 +288,9 @@ class FaultInjector:
             # A domain outage or cascade beat this chain to the node (or it
             # was decommissioned).  The node's repair re-arms the chain.
             return
-        self._execute_failure(node_id, self._process.time_to_repair(self._rng(node_id)))
+        self._execute_failure(
+            (node_id,), self._process.time_to_repair(self._rng(node_id))
+        )
 
     def _scripted_fail(self, node_id: int, downtime: float) -> None:
         if node_id in self._down or node_id in self._gone:
@@ -290,7 +301,7 @@ class FaultInjector:
             raise ValueError(
                 f"scripted schedule fails node {node_id} while it is already down"
             )
-        self._execute_failure(node_id, downtime)
+        self._execute_failure((node_id,), downtime)
 
     def _domain_fail(self, name: str) -> None:
         if self._stopped or self._workload_done():
@@ -314,18 +325,13 @@ class FaultInjector:
     def _execute_domain_failure(
         self, name: str, downtime: float, hops: int = 0
     ) -> None:
-        """Take every healthy member of ``name`` down atomically."""
-        members = [
-            node_id
-            for node_id in self.topology.domain_nodes(name)
-            if node_id not in self._down and node_id not in self._gone
-        ]
+        """Take every healthy member of ``name`` down as one batch."""
+        members = self._healthy(self.topology.domain_nodes(name))
         self.stats.domain_outages += 1
         if PERF.enabled:
             PERF.incr("faults.domain_outages")
             PERF.incr("faults.domain_nodes_down", len(members))
-        for node_id in members:
-            self._execute_failure(node_id, downtime, cascade=False)
+        self._take_down(members, downtime)
         if name.startswith("rack"):
             self._cascade_from_rack(int(name[len("rack"):]), downtime, hops)
 
@@ -366,7 +372,7 @@ class FaultInjector:
         if PERF.enabled:
             PERF.incr("faults.elastic_commissions")
         # Capacity grew — same dispatch opportunity as a repaired node.
-        self.policy.on_node_repair(node_id)
+        self.policy.on_node_repair((node_id,))
         if not isinstance(self._process, ScriptedFailures):
             self._arm(node_id)
         return node_id
@@ -394,43 +400,66 @@ class FaultInjector:
         if kills:
             # Same recovery path as a failure: SLAs are interrupted and the
             # jobs re-run (or terminally fail) per the recovery discipline.
-            self.policy.on_node_failure(node_id, kills)
+            self.policy.on_node_failure((node_id,), kills)
         return True
 
+    def _healthy(self, node_ids) -> tuple[int, ...]:
+        """The nodes of ``node_ids`` that are up and in service, in order."""
+        down, gone = self._down, self._gone
+        return tuple(n for n in node_ids if n not in down and n not in gone)
+
     def _execute_failure(
-        self, node_id: int, downtime: float, hops: int = 0, cascade: bool = True
+        self, node_ids: tuple[int, ...], downtime: float, hops: int = 0
     ) -> None:
-        self._down[node_id] = self.sim.now
-        killed = self.cluster.fail_node(node_id)
-        kills = [
-            FaultKill(job=job, progress=progress, node_id=node_id)
-            for job, progress in killed
-        ]
-        self.stats.failures += 1
-        self.stats.jobs_killed += len(kills)
-        self.stats.per_node_failures[node_id] = (
-            self.stats.per_node_failures.get(node_id, 0) + 1
-        )
-        if PERF.enabled:
-            PERF.incr("faults.injected")
-            PERF.incr("faults.jobs_killed", len(kills))
-            PERF.observe("faults.downtime_s", downtime)
-        self.policy.on_node_failure(node_id, kills)
-        self._after(downtime, self._repair, node_id)
-        if cascade:
+        """Fail ``node_ids`` as one batch, then draw each member's cascade."""
+        self._take_down(node_ids, downtime)
+        for node_id in node_ids:
             self._cascade_from_node(node_id, downtime, hops)
+
+    def _take_down(self, node_ids: tuple[int, ...], downtime: float) -> None:
+        """Fail every node of ``node_ids`` now; one dispatch, one repair.
+
+        All the nodes go down in the cluster before the policy hears of any
+        kill, so its single dispatch cannot start a job on a node of the
+        batch.  The batch is repaired together ``downtime`` seconds later.
+        """
+        if not node_ids:
+            return
+        now = self.sim.now
+        stats = self.stats
+        per_node = stats.per_node_failures
+        kills: list[FaultKill] = []
+        for node_id in node_ids:
+            self._down[node_id] = now
+            for job, progress in self.cluster.fail_node(node_id):
+                kills.append(FaultKill(job=job, progress=progress, node_id=node_id))
+            per_node[node_id] = per_node.get(node_id, 0) + 1
+        stats.failures += len(node_ids)
+        stats.jobs_killed += len(kills)
+        if PERF.enabled:
+            PERF.incr("faults.injected", len(node_ids))
+            PERF.incr("faults.jobs_killed", len(kills))
+            for _ in node_ids:
+                PERF.observe("faults.downtime_s", downtime)
+        self.policy.on_node_failure(node_ids, kills)
+        self._after(downtime, self._repair, node_ids)
 
     # -- cascades --------------------------------------------------------------
     def _cascade_from_node(self, node_id: int, downtime: float, hops: int) -> None:
-        """Draw each rack-mate edge; hits fail after the cascade delay."""
+        """Draw each rack-mate edge; the hits fail together after the
+        cascade delay, as one wave."""
         config = self.config
         if config.cascade_prob <= 0 or hops >= config.cascade_depth:
             return
         rng = self._streams.get("faults.cascade")
-        for peer in self.topology.node_peers(node_id):
-            if float(rng.random()) < config.cascade_prob:
-                self._after(config.cascade_delay, self._cascade_fail,
-                            peer, downtime, hops + 1)
+        prob = config.cascade_prob
+        hits = tuple(
+            peer for peer in self.topology.node_peers(node_id)
+            if float(rng.random()) < prob
+        )
+        if hits:
+            self._after(config.cascade_delay, self._cascade_fail,
+                        hits, downtime, hops + 1)
 
     def _cascade_from_rack(self, rack: int, downtime: float, hops: int) -> None:
         """Draw each sibling-rack edge; hits go down whole after the delay."""
@@ -443,16 +472,18 @@ class FaultInjector:
                 self._after(config.cascade_delay, self._cascade_domain_fail,
                             peer_name, downtime, hops + 1)
 
-    def _cascade_fail(self, node_id: int, downtime: float, hops: int) -> None:
+    def _cascade_fail(
+        self, peers: tuple[int, ...], downtime: float, hops: int
+    ) -> None:
         if self._stopped or self._workload_done():
             self._stopped = True
             return
-        if node_id in self._down or node_id in self._gone:
-            return  # already down when the propagation arrived
-        self.stats.cascade_propagations += 1
+        # Peers already down when the propagation arrived are spared.
+        wave = self._healthy(peers)
+        self.stats.cascade_propagations += len(wave)
         if PERF.enabled:
-            PERF.incr("faults.cascade_propagations")
-        self._execute_failure(node_id, downtime, hops=hops)
+            PERF.incr("faults.cascade_propagations", len(wave))
+        self._execute_failure(wave, downtime, hops)
 
     def _cascade_domain_fail(self, name: str, downtime: float, hops: int) -> None:
         if self._stopped or self._workload_done():
@@ -463,19 +494,22 @@ class FaultInjector:
             PERF.incr("faults.cascade_propagations")
         self._execute_domain_failure(name, downtime, hops=hops)
 
-    def _repair(self, node_id: int) -> None:
-        self._add_downtime(node_id, self.sim.now - self._down.pop(node_id))
-        self.cluster.repair_node(node_id)
-        self.stats.repairs += 1
+    def _repair(self, node_ids: tuple[int, ...]) -> None:
+        """Bring a batch back in member order, dispatch once, then re-arm
+        each node's failure chain in member order."""
+        now = self.sim.now
+        for node_id in node_ids:
+            self._add_downtime(node_id, now - self._down.pop(node_id))
+            self.cluster.repair_node(node_id)
+        self.stats.repairs += len(node_ids)
         if PERF.enabled:
-            PERF.incr("faults.repaired")
-        self.policy.on_node_repair(node_id)
-        if (
-            not isinstance(self._process, ScriptedFailures)
-            and not self._stopped
-            and node_id not in self._armed
-            and node_id not in self._gone
-        ):
+            PERF.incr("faults.repaired", len(node_ids))
+        self.policy.on_node_repair(node_ids)
+        if isinstance(self._process, ScriptedFailures):
+            return
+        for node_id in node_ids:
+            if self._stopped or node_id in self._armed or node_id in self._gone:
+                continue
             if self._workload_done():
                 self._stopped = True
             else:

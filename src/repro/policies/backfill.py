@@ -196,12 +196,12 @@ class BackfillPolicy(Policy, abc.ABC):
             return self.cluster.total_procs
         return self.cluster.total_procs - self.cluster.down_count()
 
-    def _after_failure(self, node_id: int) -> None:
+    def _after_failure(self) -> None:
         # The failure may have freed survivor nodes of a killed parallel
         # job, and the re-queued work must be (re)examined.
         self._dispatch()
 
-    def on_node_repair(self, node_id: int) -> None:
+    def on_node_repair(self, node_ids: tuple[int, ...]) -> None:
         self._dispatch()
 
     # -- the dispatcher ---------------------------------------------------------

@@ -96,13 +96,17 @@ class Policy(abc.ABC):
         return self.service.economically_admissible(job, cost)
 
     # -- fault recovery ---------------------------------------------------------
-    def on_node_failure(self, node_id: int, kills: list["FaultKill"]) -> None:
-        """A node failed; ``kills`` lists the jobs it terminated.
+    def on_node_failure(
+        self, node_ids: tuple[int, ...], kills: list["FaultKill"]
+    ) -> None:
+        """The nodes ``node_ids`` failed at this instant, as one batch;
+        ``kills`` lists the jobs they terminated (each names its node).
 
-        The default discipline: every killed job's SLA is *interrupted*
-        (the commitment survives), the configured recovery mode is applied
-        to the job's remaining work, and :meth:`_recover_failed_job` re-runs
-        it.  Policies that cannot re-run a job override
+        Every node of the batch is already down, so the one dispatch at the
+        end cannot start a job on any of them.  The default discipline:
+        every killed job's SLA is *interrupted* (the commitment survives),
+        the configured recovery mode is applied to the job's remaining work,
+        and :meth:`_recover_failed_job` re-runs it.  Policies that cannot re-run a job override
         :meth:`_recover_failed_job` (the base version terminally fails the
         SLA, charging the economic model's penalty).
         """
@@ -110,7 +114,7 @@ class Policy(abc.ABC):
             self.service.notify_interrupted(kill.job)
             self._apply_recovery(kill)
             self._recover_failed_job(kill.job)
-        self._after_failure(node_id)
+        self._after_failure()
 
     def _apply_recovery(self, kill: "FaultKill") -> None:
         """Rewrite the job's remaining work per the recovery mode.
@@ -146,9 +150,10 @@ class Policy(abc.ABC):
         terminally failed and the deadline-miss penalty is charged."""
         self.service.notify_failed(job, self.sim.now)
 
-    def _after_failure(self, node_id: int) -> None:
-        """Hook after all kills of one failure are recovered (e.g. repair
-        the backfill plan)."""
+    def _after_failure(self) -> None:
+        """Hook after all kills of one failure batch are recovered (e.g.
+        repair the backfill plan)."""
 
-    def on_node_repair(self, node_id: int) -> None:
-        """A failed node came back; capacity grew, so try to dispatch."""
+    def on_node_repair(self, node_ids: tuple[int, ...]) -> None:
+        """The nodes ``node_ids`` came back (or were commissioned) at this
+        instant, as one batch; capacity grew, so try to dispatch."""

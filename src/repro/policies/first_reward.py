@@ -125,10 +125,10 @@ class FirstReward(Policy):
         channel this policy prices explicitly."""
         self._queue.append(job)
 
-    def _after_failure(self, node_id: int) -> None:
+    def _after_failure(self) -> None:
         self._dispatch()
 
-    def on_node_repair(self, node_id: int) -> None:
+    def on_node_repair(self, node_ids: tuple[int, ...]) -> None:
         self._dispatch()
 
     # -- introspection -------------------------------------------------------------

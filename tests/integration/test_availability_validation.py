@@ -70,10 +70,10 @@ class LoadedService:
             self.cluster.start(job, lambda job, t: None)
 
     # -- the policy's fault hooks --------------------------------------------
-    def on_node_failure(self, node_id: int, kills) -> None:
+    def on_node_failure(self, node_ids, kills) -> None:
         self.fill()
 
-    def on_node_repair(self, node_id: int) -> None:
+    def on_node_repair(self, node_ids) -> None:
         self.fill()
 
 

@@ -1,7 +1,8 @@
 """Property-based tests of the service layer across all policies.
 
 Random workloads through every registered policy, checking invariants that
-must hold regardless of scheduling decisions.
+must hold regardless of scheduling decisions — also under random correlated
+faults (rack outages, cascade waves, both recovery modes).
 """
 
 import math
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.core.objectives import compute_objectives
 from repro.economy.models import make_model
+from repro.faults.config import FaultConfig
 from repro.policies import POLICIES, make_policy
 from repro.service.provider import CommercialComputingService
 from repro.workload.job import Job
@@ -144,3 +146,49 @@ def test_accurate_estimates_imply_no_violations_for_backfillers(raw):
         job.estimate = job.runtime
     result = run_policy("FCFS-BF", jobs)
     assert result.objectives().reliability == 100.0
+
+
+#: correlated fault regimes on the 8-node machine: racks of any size,
+#: outages and node failures frequent enough to hit a 5000 s workload.
+fault_regimes = st.builds(
+    FaultConfig,
+    enabled=st.just(True),
+    mtbf=st.floats(2_000.0, 50_000.0),
+    mttr=st.floats(10.0, 2_000.0),
+    recovery=st.sampled_from(["resubmit", "checkpoint"]),
+    checkpoint_interval=st.sampled_from([100.0, 600.0]),
+    domain_size=st.integers(1, TOTAL_PROCS),
+    domain_mtbf=st.floats(1_000.0, 20_000.0),
+    domain_mttr=st.floats(10.0, 3_000.0),
+    cascade_prob=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    cascade_delay=st.sampled_from([1.0, 30.0]),
+    cascade_depth=st.integers(1, 3),
+)
+
+
+@given(workloads, st.sampled_from(sorted(POLICIES)), fault_regimes,
+       st.integers(0, 2**16))
+@settings(max_examples=60, deadline=None)
+def test_every_sla_resolves_exactly_once_under_correlated_faults(
+        raw, policy_name, faults, seed):
+    jobs = build_jobs(raw)
+    service = CommercialComputingService(
+        make_policy(policy_name), make_model("bid"), total_procs=TOTAL_PROCS,
+        fault_config=faults, fault_seed=seed,
+    )
+    resolutions: dict[int, int] = {}
+
+    def observe(event, record):
+        if event in ("rejected", "finished"):
+            job_id = record.job.job_id
+            resolutions[job_id] = resolutions.get(job_id, 0) + 1
+
+    service.observers.append(observe)
+    result = service.run([j.clone() for j in jobs])
+    assert resolutions == {j.job_id: 1 for j in jobs}
+    assert service.unresolved_count() == 0
+    stats = service.injector.stats
+    assert stats.repairs <= stats.failures
+    for o in result.outcomes:
+        if o.accepted and o.finish_time is not None:
+            assert o.finish_time >= o.start_time >= o.submit_time - 1e-9

@@ -84,31 +84,31 @@ EXPECTED = {
     ('FCFS-BF', 'bid', 'none'):
         '8cb8ce3857656b910729a81879c57e240f6236564b5c23e847d8c181b36d3df1',
     ('FCFS-BF', 'bid', 'correlated'):
-        '323a2d8c94c68bfc0781210ebd7738ce4ae3e40416d5e198fa55f920b70534ac',
+        'f0ac41081ae7d398950de53aaf60bc53ba4b92806887563111b779e5df0ed7c3',
     ('FCFS-BF', 'commodity', 'none'):
         '301dc1aac4123fe8f298276f724fc8a31b536e901d8126c248e014af1248d116',
     ('FCFS-BF', 'commodity', 'correlated'):
-        '50dcba8fe1259932c4c5ce36fe6d96e239f46e85f6b03c598029fcd5b9e592d9',
+        '03f3d2deb7f24673ae2fdf0fe9578f807b27b88e8239233af20121052df76841',
     ('SJF-BF', 'bid', 'none'):
         '4c7ea0753f6332fcc897a1e715b5974541efe1cdadaa106e3d678662546ffddb',
     ('SJF-BF', 'bid', 'correlated'):
-        '406e95f095c82acedf1b6d31ea80b18973989e435f8cc7fc46dd90106537ee0c',
+        '5ef3d7689b3668da691d5c6ef860fa3fe9977284dcf869ce50ba731896519d06',
     ('SJF-BF', 'commodity', 'none'):
         '67a4e33a762b5aab7acdb0e789199fbfcba4418d9d4ea18b07edd22e40cfe556',
     ('SJF-BF', 'commodity', 'correlated'):
-        'e5867fceadc5bd48d1b5b0c41db7ab8090794b9f4bf52e527e8a67abfb62df82',
+        '3e2ffbbd3737b7c557c1b058df6a0fb7fda8a7bc90d759b8e08a8d9c818511f6',
     ('EDF-BF', 'bid', 'none'):
         '2b33af6652200ff35d1d7a20ef6210e0fcfafabbf8d98c7b6072d9ff8d067ded',
     ('EDF-BF', 'bid', 'correlated'):
-        '38c7824308f7f3e3181884b873ed0730b84a96dddf748f3a11f4221de11d32bd',
+        '5f8ed4219fcd84963f8ed2edf7767f6a28ad3d38ed49a2c80e74ac8f091aaacc',
     ('EDF-BF', 'commodity', 'none'):
         '2098636fe94c75c43d3d2d21a9b8cd8663830834f07cf20009c3cf85f4577f90',
     ('EDF-BF', 'commodity', 'correlated'):
-        '91a3ea12c672907ccae702d136815b1c0f8d5966cf9a2a27c9b2cbb0b07f2ae0',
+        '38e14d1338fe008ae7738766fefdb84ff8a8c23cae0e39d06419e9ee46a4321a',
     ('FCFS', 'bid', 'none'):
         '12a9a708c0d39e3d404dc9ead89bdf6d9f545d79e6c81bd06373fa3d5488b9f6',
     ('FCFS', 'bid', 'correlated'):
-        '15283a8cf53f491511514821aa8a792f295ae4bd1a30ee61b52b14fe9b426793',
+        'a35005ae925079f1100844ba92f79e1b1af681fa0fc6e408845724736ff74536',
     ('FCFS', 'commodity', 'none'):
         'f7f108e59d03c51ec3f4085f3e14e7cfac2b25858bb4b10b2643e3deec382957',
     ('FCFS', 'commodity', 'correlated'):
@@ -116,11 +116,11 @@ EXPECTED = {
     ('Cons-BF', 'bid', 'none'):
         '1831cb83f35f6f66ea60a0b31fbc5bc779b54d454516f2b19d9f071e1c8427cb',
     ('Cons-BF', 'bid', 'correlated'):
-        '178dad8ae552cf5473755261023de42887291106703fd9d95560cb0efdab1270',
+        '204b12ae2876d293a928d9458a45ddf9e5f58079ac4007199e8ad4a06302c92c',
     ('Cons-BF', 'commodity', 'none'):
         '9f28d165825783784ba0e129b842f0dc49ded1f78152e77aae2ddb659353dcb8',
     ('Cons-BF', 'commodity', 'correlated'):
-        'ebfe64891113e155b4847d1ef4314dc2582a162270e0017088278b643041c857',
+        '75fe8a12131d935c92efca8ad3fd54d029c8e6aaf012080af980bfb2149a69c6',
     ('FirstReward', 'bid', 'none'):
         '8c9dcac8671eec2dd73cd4806d3dee60dea12ba370dcee6fecf1ca819e186a2c',
     ('FirstReward', 'bid', 'correlated'):

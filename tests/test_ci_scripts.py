@@ -43,7 +43,7 @@ BLOCKS = heredocs()
 
 
 def test_workflow_has_inline_scripts():
-    assert len(BLOCKS) >= 5
+    assert len(BLOCKS) >= 2
     assert all(name for name, _ in BLOCKS)
 
 

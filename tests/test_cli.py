@@ -377,6 +377,10 @@ USAGE_ERRORS = [
     "market --policy Nope",
     "market --sweep mtbf --policy FCFS-BF",
     "market --sweep mtbf --shard 3/2",
+    "run FCFS-BF --jobs 20 --mtbf 3600 --cascade-prob 0.5",
+    "run FCFS-BF --jobs 20 --mtbf 0",
+    "grid --jobs 20 --mtbf 3600 --cascade-prob 0.5",
+    "faults --jobs 20 --sweep correlated --domain-size 0",
 ]
 
 
@@ -473,6 +477,7 @@ def test_store_stats_compact_and_merge(tmp_path, capsys):
     assert code == 0
     assert "index compacted: 2 → 1 line(s)" in out
 
+    (tmp_path / "dest").mkdir()
     code, out, _ = run_cli(
         capsys, "store", "merge", str(tmp_path / "dest"),
         str(tmp_path / "a"), str(tmp_path / "b"),
@@ -480,6 +485,25 @@ def test_store_stats_compact_and_merge(tmp_path, capsys):
     assert code == 0
     assert out.count("merged /") == 2 and "total:" in out
     assert len(RunStore(tmp_path / "dest").disk_digests()) == 2
+
+
+@pytest.mark.parametrize("command", [
+    ("stats", "{missing}"),
+    ("compact", "{missing}"),
+    ("merge", "{missing}", "{store}"),
+    ("merge", "{store}", "{missing}"),
+])
+def test_store_commands_refuse_a_missing_directory(tmp_path, capsys, command):
+    from repro.experiments.runstore import RunStore
+
+    RunStore(tmp_path / "store")
+    missing = tmp_path / "typo_dir"
+    argv = [arg.format(missing=missing, store=tmp_path / "store") for arg in command]
+    code, out, err = run_cli(capsys, "store", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: no such run store directory: {missing}\n"
+    assert not missing.exists()
 
 
 # -- repro faults ----------------------------------------------------------------

@@ -65,39 +65,39 @@ EXPECTED = {
     ('Libra', 'bid', 'none'):
         '13dd0a04fb04d57e29311c767e66e3be57f12b70b2b3e36a563fb2ab4ef051ec',
     ('Libra', 'bid', 'rack-outages'):
-        '362e1029de3ff2eca00b6a82199cc9f0664dd930767cf124452c2ae99db7339c',
+        '9e4afc8c9b5fd975b17d515b8f8aee604d59d5d25b970189155cd5b688e11c55',
     ('Libra', 'bid', 'mtbf-cascade'):
-        '6e076f0a9129204a36d067237cff8bafa3005c1be3c60fe181bf9da59ce07360',
+        'd4549ccb389aabeb88067cf9d69d66322e9f5d1ef655debd25aeabfa2e4038cb',
     ('Libra', 'commodity', 'none'):
         '033749f3d3dda0ff17386a2a333c78867decd92c9ec6f0d56fb0305750b3782a',
     ('Libra', 'commodity', 'rack-outages'):
-        '59797011b7d6d36808b83e3ad07eb0c8d7adf72028a01fbd0e1902302569e7c0',
+        'ad0bbfd2d1121220e8dfd31e99f40972bc871dcbb285400aa244120859409164',
     ('Libra', 'commodity', 'mtbf-cascade'):
-        '3f7f8910d50bb7b7b7c7652b32c0ce4c1d4ab8d733e281849a93b936b5381eaf',
+        '5993dd1ad9ee08099c0abe852f79dd41b530dda4619cefd281bd7f9f96da4e50',
     ('Libra+$', 'bid', 'none'):
         '13dd0a04fb04d57e29311c767e66e3be57f12b70b2b3e36a563fb2ab4ef051ec',
     ('Libra+$', 'bid', 'rack-outages'):
-        '362e1029de3ff2eca00b6a82199cc9f0664dd930767cf124452c2ae99db7339c',
+        '9e4afc8c9b5fd975b17d515b8f8aee604d59d5d25b970189155cd5b688e11c55',
     ('Libra+$', 'bid', 'mtbf-cascade'):
-        '6e076f0a9129204a36d067237cff8bafa3005c1be3c60fe181bf9da59ce07360',
+        'd4549ccb389aabeb88067cf9d69d66322e9f5d1ef655debd25aeabfa2e4038cb',
     ('Libra+$', 'commodity', 'none'):
         '7fd4a6526545eb1cd48af1a911cd0e4097d3bd4f41b772d854ef84cbb79b8c7a',
     ('Libra+$', 'commodity', 'rack-outages'):
-        '567e21b9da66104109a372aa36d591823e342cca0c1c36a87a82803aabc01d99',
+        'ae4489c444ad0e996d1d0164756e8abe9c4eb65a4fdd37406f77b979e655b6dc',
     ('Libra+$', 'commodity', 'mtbf-cascade'):
-        'c55b7f57df0393f0cb747ac3a845a321a842e63f248de8146f8c775f89ae24c3',
+        '34862c3fbb553717a642aafef728e8a5cbc0fbf856e6b5dfe6453d8f265d7f6f',
     ('LibraRiskD', 'bid', 'none'):
         'afb994012bf23546b515bb46cd36a36159b4b904025d41aebc44baaf10a86be3',
     ('LibraRiskD', 'bid', 'rack-outages'):
-        '31e065bb6941b83f756e4cfbc6d7810c7afa2fcb26af107c8d4f99fe4cad3862',
+        '16ce4d2296c81171632a1b533f1d4166b6bed286a9783dbd9b031a6023657925',
     ('LibraRiskD', 'bid', 'mtbf-cascade'):
-        'd51e319bf24a6294b80b63eaaede6b9d6a1b37f620228bb934be933de58cf187',
+        'be2eb29a987664c6864b034fe501d71341681a4727622f9ce11578105f252480',
     ('LibraRiskD', 'commodity', 'none'):
         '935dd771cebba53de4b792accc45bb8d330fd158f01892b6ef5cf024ed1111bd',
     ('LibraRiskD', 'commodity', 'rack-outages'):
-        '02a68f17478aa6d98e8ecddbcbebca53908010eef721c388af49ddb8747f1ae3',
+        'f3b847572bb5347f1c812b8f77d436035aeed53353eaefe09130f40cb42a5db4',
     ('LibraRiskD', 'commodity', 'mtbf-cascade'):
-        '0670cc57d9d57a22d758b932d2b399d81cf06267e9063f87b3f55b966fe55a68',
+        'c6c05ebdf3878b82a6ffa9b4c0c22228ed1373e66869fefbd377bc35b7e7897d',
 }
 
 EXPECTED_MARKET = '540044cc79f4f6f1b31377d0c9e5961a030f9382da653f6294e3caa8f6395de5'
