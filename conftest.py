@@ -10,9 +10,10 @@ Tier-1 (`PYTHONPATH=src python -m pytest -x -q`) collects only ``tests/``
 Collected benchmark items are auto-tagged with the ``bench`` marker and
 skipped unless one of the opt-ins is present.  See docs/benchmarking.md.
 
-The CI smokes under ``tests/smoke/`` (``smoke`` marker) fork worker pools
-and SIGKILL them, so they are opt-in too: ``pytest -m smoke`` collects and
-runs them; without it ``tests/smoke/`` is not collected at all.
+The CI smokes under ``tests/smoke/`` (``smoke`` marker) SIGKILL workers,
+drive farm fleets or time the machine against a perf budget, so they are
+opt-in too: ``pytest -m smoke`` collects and runs every one of them;
+without it ``tests/smoke/`` is not collected at all.
 """
 
 from __future__ import annotations

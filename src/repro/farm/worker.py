@@ -240,7 +240,7 @@ class WorkerAgent:
 
         ``drain``
             Exit as soon as nothing is claimable (in-process callers:
-            the service's self-execute mode, the bench harness).
+            the service's self-execute mode, the farm-overhead smoke).
         ``exit_when_done``
             Exit once at least one job exists and every job is resolved
             — the long-poll mode a fleet worker runs under.  While units

@@ -3,8 +3,8 @@
 The registry is a process-wide singleton (:data:`PERF`) that is **disabled
 by default**.  Every instrumentation site in the hot paths guards itself
 with a single ``if PERF.enabled:`` branch, so the disabled path costs one
-attribute load and a falsy test per event — measured at well under the 5 %
-budget on the raw engine throughput benchmark (``python -m repro.bench``).
+attribute load and a falsy test per event, which stays under the 5 %
+budget on raw engine throughput (``tests/smoke/test_microbench.py``).
 
 Three primitive kinds:
 

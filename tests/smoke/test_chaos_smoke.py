@@ -15,10 +15,15 @@ import pytest
 pytestmark = pytest.mark.smoke
 
 
-def test_grid_survives_a_sigkilled_worker():
+def mkdir(path):
+    """Make ``path`` (under the test's ``tmp_path``) and return it as a str."""
+    path.mkdir()
+    return str(path)
+
+
+def test_grid_survives_a_sigkilled_worker(tmp_path):
     """Grid survives a SIGKILLed worker."""
     import os
-    import tempfile
 
     from repro.experiments.pipeline import (
         ExecutionPolicy, assemble_grid, execute_plan, grid_plan,
@@ -32,11 +37,11 @@ def test_grid_survives_a_sigkilled_worker():
     policies = ["FCFS-BF", "Libra"]
     reference = run_grid(policies, "bid", base, "A", scenarios).to_dict()
 
-    chaos_dir = tempfile.mkdtemp(prefix="chaos-")
+    chaos_dir = mkdir(tmp_path / "chaos")
     os.environ["REPRO_CHAOS_DIR"] = chaos_dir
     os.environ["REPRO_CHAOS_KILL"] = "2"
     plan = grid_plan(policies, "bid", base, "A", scenarios)
-    store = RunStore(tempfile.mkdtemp(prefix="store-"))
+    store = RunStore(mkdir(tmp_path / "store"))
     execution = execute_plan(
         plan, store, n_workers=2,
         execution=ExecutionPolicy(max_retries=3, backoff_base=0.01,
@@ -53,10 +58,9 @@ def test_grid_survives_a_sigkilled_worker():
           f"{execution.retries} resubmissions, grid bit-identical")
 
 
-def test_exhausted_retries_degrade_with_journal_and_gap_markers():
+def test_exhausted_retries_degrade_with_journal_and_gap_markers(tmp_path):
     """Exhausted retries degrade with journal and gap markers."""
     import json
-    import tempfile
 
     from repro.experiments.pipeline import (
         ExecutionPolicy, assemble_grid, execute_plan, grid_plan,
@@ -67,7 +71,7 @@ def test_exhausted_retries_degrade_with_journal_and_gap_markers():
     base = ExperimentConfig(n_jobs=20, total_procs=16)
     scenarios = [scenario_by_name("job mix")]
     policies = ["FCFS-BF", "Libra"]
-    cache_dir = tempfile.mkdtemp(prefix="degrade-")
+    cache_dir = mkdir(tmp_path / "degrade")
     store = RunStore(cache_dir)
     plan = grid_plan(policies, "bid", base, "A", scenarios)
     execution = execute_plan(
@@ -89,10 +93,9 @@ def test_exhausted_retries_degrade_with_journal_and_gap_markers():
           f"{len(journal)} journal entries, report renders")
 
 
-def test_correlated_domain_outage_mid_grid_degrades_and_recovers():
+def test_correlated_domain_outage_mid_grid_degrades_and_recovers(tmp_path):
     """Correlated domain outage mid-grid degrades and recovers."""
     import os
-    import tempfile
 
     from repro.experiments.pipeline import (
         ExecutionPolicy, assemble_grid, execute_plan, grid_plan,
@@ -113,10 +116,10 @@ def test_correlated_domain_outage_mid_grid_degrades_and_recovers():
 
     # Shape 1: a worker dies holding a whole batch of correlated-fault
     # runs.  The supervisor splits it uncharged and the grid recovers.
-    chaos_dir = tempfile.mkdtemp(prefix="chaos-batch-")
+    chaos_dir = mkdir(tmp_path / "chaos-batch")
     os.environ["REPRO_CHAOS_DIR"] = chaos_dir
     os.environ["REPRO_CHAOS_BATCH"] = "1"
-    store = RunStore(tempfile.mkdtemp(prefix="store-batch-"))
+    store = RunStore(mkdir(tmp_path / "store-batch"))
     execution = execute_plan(
         plan, store, n_workers=2,
         execution=ExecutionPolicy(max_retries=0, on_error="degrade",
@@ -133,10 +136,10 @@ def test_correlated_domain_outage_mid_grid_degrades_and_recovers():
     # Shape 2: a charged singleton kill with zero retries is a real
     # gap — journaled, surfaced by degrade-mode assembly, and filled
     # bit-identically by a clean rerun on the same store.
-    chaos_dir = tempfile.mkdtemp(prefix="chaos-gap-")
+    chaos_dir = mkdir(tmp_path / "chaos-gap")
     os.environ["REPRO_CHAOS_DIR"] = chaos_dir
     os.environ["REPRO_CHAOS_KILL"] = "1"
-    cache_dir = tempfile.mkdtemp(prefix="store-gap-")
+    cache_dir = mkdir(tmp_path / "store-gap")
     store = RunStore(cache_dir)
     execution = execute_plan(
         plan, store, n_workers=2,

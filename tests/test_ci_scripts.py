@@ -1,67 +1,39 @@
-"""The inline Python scripts of the CI workflow compile and import only
-names that exist.
+"""The CI workflow runs test modules, not inline scripts, and names only
+tests that exist.
 
-Each ``python - << 'EOF'`` heredoc in ``.github/workflows/ci.yml`` is
-pulled out, compiled, and every ``from repro… import name`` in it is
-resolved, so a renamed or deleted name fails here rather than only in CI.
+Every smoke lives in a module that ruff lints and ``pytest -m smoke`` runs
+locally, so ``.github/workflows/ci.yml`` holds no ``<< 'EOF'`` heredoc.
+Every ``tests/…`` path and ``path::test`` node id it names must resolve,
+so a renamed or deleted smoke fails here rather than only in CI.
 """
 
 import ast
-import importlib
-import textwrap
-from collections import Counter
+import re
 from pathlib import Path
 
 import pytest
 
-WORKFLOW = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "ci.yml"
+ROOT = Path(__file__).resolve().parents[1]
+WORKFLOW = ROOT / ".github" / "workflows" / "ci.yml"
+TEXT = WORKFLOW.read_text()
+#: ``tests/…`` paths, each with an optional ``::node`` id.
+REFERENCES = sorted(set(re.findall(r"\btests/[\w./-]*\w(?:::\w+)?", TEXT)))
 
 
-def heredocs() -> list[tuple[str, str]]:
-    """``(step name, dedented body)`` of every ``python - << 'EOF'`` block.
-
-    A block is named by the ``name:`` of the step that holds it, so an edit
-    elsewhere in the workflow does not rename its test; a second block in
-    one step gets a ``#2`` suffix.
-    """
-    lines = WORKFLOW.read_text().splitlines()
-    blocks = []
-    per_step: Counter[str] = Counter()
-    step = ""
-    for i, line in enumerate(lines):
-        if line.lstrip().startswith("- name:"):
-            step = line.split("name:", 1)[1].strip()
-        elif line.rstrip().endswith("python - << 'EOF'"):
-            end = next(j for j in range(i + 1, len(lines)) if lines[j].strip() == "EOF")
-            per_step[step] += 1
-            name = step if per_step[step] == 1 else f"{step} #{per_step[step]}"
-            blocks.append((name, textwrap.dedent("\n".join(lines[i + 1:end]))))
-    return blocks
+def test_workflow_has_no_heredoc():
+    assert "<<" not in TEXT
 
 
-BLOCKS = heredocs()
+def test_workflow_names_tests():
+    assert any("::" in ref for ref in REFERENCES), REFERENCES
 
 
-def test_workflow_has_inline_scripts():
-    assert len(BLOCKS) >= 2
-    assert all(name for name, _ in BLOCKS)
-
-
-@pytest.mark.parametrize("step,source", BLOCKS, ids=[name for name, _ in BLOCKS])
-def test_inline_script_imports_resolve(step, source):
-    compile(source, f"ci.yml: {step}", "exec")
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.split(".")[0] == "repro":
-                    importlib.import_module(alias.name)
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "repro":
-            module = importlib.import_module(node.module)
-            for alias in node.names:
-                if hasattr(module, alias.name):
-                    continue
-                try:  # a submodule not yet loaded
-                    importlib.import_module(f"{node.module}.{alias.name}")
-                except ImportError:
-                    pytest.fail(f"ci.yml: {step}: from {node.module} import "
-                                f"{alias.name} does not resolve")
+@pytest.mark.parametrize("ref", REFERENCES)
+def test_named_test_exists(ref):
+    path, _, node = ref.partition("::")
+    assert (ROOT / path).exists(), f"ci.yml names missing {path}"
+    if node:
+        tree = ast.parse((ROOT / path).read_text())
+        names = {n.name for n in tree.body
+                 if isinstance(n, (ast.FunctionDef, ast.ClassDef))}
+        assert node in names, f"ci.yml names missing test {ref}"

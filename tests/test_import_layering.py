@@ -29,7 +29,6 @@ SRC = Path(repro.__file__).resolve().parents[1]
 OUTSIDE_SIM_STACK = (
     "repro.market",
     "repro.farm",
-    "repro.bench",
     "repro.core.apriori",
     "repro.core.frontier",
     "repro.core.ranking",
