@@ -9,8 +9,8 @@ pair and the EWMA work per sampling window is a handful of numpy
 gathers/scatters.
 
 **Parity contract.**  The cohort is not an approximation of per-object
-agents — it is bit-identical to them, the way ``CalendarFEL`` is to
-``HeapFEL``:
+agents — it is bit-identical to them at every population size: same
+seeds, same trajectory, bitwise-equal scores.  Three rules make it so:
 
 - neither population draws anything itself; the marketplace owns every
   random number and hands the population one ``(user, u)`` pair per choice;

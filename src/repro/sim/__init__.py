@@ -1,9 +1,9 @@
 """Discrete-event simulation engine.
 
 A minimal, deterministic event-calendar simulator in the style of GridSim /
-SimPy: a monotonic clock, a pluggable future event list (calendar queue by
-default, binary heap as the parity reference), stable FIFO tie-breaking for
-simultaneous events, and cancellable event handles.
+SimPy: a monotonic clock, a future event list that is one binary heap,
+stable FIFO tie-breaking for simultaneous events, and cancellable event
+handles.
 
 The engine is deliberately tiny — policies and resource models drive all the
 behaviour — but it is a real substrate: everything in :mod:`repro.service`
@@ -12,7 +12,6 @@ and :mod:`repro.cluster` runs on it.
 
 from repro.sim.engine import SimBudgetExceeded, SimulationError, Simulator
 from repro.sim.events import EventHandle, Priority
-from repro.sim.fel import FEL_BACKENDS, CalendarFEL, HeapFEL, make_fel
 from repro.sim.rng import RngStreams
 
 __all__ = [
@@ -22,8 +21,4 @@ __all__ = [
     "EventHandle",
     "Priority",
     "RngStreams",
-    "CalendarFEL",
-    "HeapFEL",
-    "FEL_BACKENDS",
-    "make_fel",
 ]

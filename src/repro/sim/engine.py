@@ -1,17 +1,19 @@
 """Event-calendar simulator.
 
-The simulator owns a monotonic clock and a pluggable future event list
-(:mod:`repro.sim.fel`).  Events scheduled for the same timestamp are ordered
-by ``priority`` then by insertion sequence, so runs are bit-for-bit
-reproducible regardless of dict ordering or callback registration order.
+The simulator owns a monotonic clock and its future event list, one binary
+heap.  Events scheduled for the same timestamp are ordered by ``priority``
+then by insertion sequence, so runs are bit-for-bit reproducible regardless
+of dict ordering or callback registration order.
 
 Hot-path design (see ``docs/architecture.md``):
 
-- the FEL stores ``(time, priority, seq, handle)`` tuples — ordering happens
+- the heap holds ``(time, priority, seq, handle)`` tuples — ordering happens
   through C-level tuple comparison, never through Python ``__lt__``;
+- cancellation is lazy: a cancelled entry stays in the heap until it reaches
+  the top, where it is popped and counted as dropped;
 - an unbounded ``run()`` (no ``until``, no ``max_events``, no armed budget)
-  delegates to the FEL's inlined ``drain`` loop; bounded runs use the
-  portable peek/pop path below;
+  takes the inlined :meth:`Simulator._drain` loop; bounded runs go through
+  one scrub-peek-pop step per event;
 - perf instrumentation is *sampled*: with the registry enabled, dispatch
   latency is timed once every ``PERF.sample_interval`` events into a ring
   buffer, and the bulk counters (executed/scheduled/dropped) are flushed as
@@ -22,18 +24,11 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Any, Callable, Optional, Union
+from heapq import heappop, heappush
+from typing import Any, Callable, Optional
 
 from repro.perf.registry import PERF
 from repro.sim.events import EventHandle, Priority
-from repro.sim.fel import CalendarFEL, HeapFEL, make_fel
-
-
-#: FEL backend used when a :class:`Simulator` is built without an explicit
-#: ``fel`` argument.  The parity tests flip this to ``"heap"`` to replay a
-#: whole scenario — including every internally-constructed simulator — on
-#: the reference backend and assert bit-identical results.
-DEFAULT_FEL = "calendar"
 
 
 class SimulationError(RuntimeError):
@@ -59,10 +54,10 @@ class SimBudgetExceeded(SimulationError):
 class Simulator:
     """A deterministic discrete-event simulator.
 
-    ``fel`` selects the future-event-list backend: ``"calendar"`` (the
-    calendar queue) or ``"heap"`` (the binary-heap reference used by the
-    parity tests); ``None`` (the default) picks the module-level
-    :data:`DEFAULT_FEL`.  Both backends produce identical event orderings.
+    The future event list is one binary heap of ``(time, priority, seq,
+    handle)`` tuples.  ``fel`` selects nothing: it accepts only ``"heap"``,
+    so callers that name the heap explicitly keep working, and any other
+    value raises :class:`ValueError`.
 
     Example
     -------
@@ -80,14 +75,19 @@ class Simulator:
     def __init__(
         self,
         start: float = 0.0,
-        fel: Optional[Union[str, HeapFEL, CalendarFEL]] = None,
+        fel: str = "heap",
     ) -> None:
+        if fel != "heap":
+            raise ValueError(
+                f"unknown event list {fel!r}; the simulator has one binary heap"
+            )
         self._now = float(start)
-        self._fel = make_fel(fel if fel is not None else DEFAULT_FEL)
+        self._heap: list = []
         self._seq = 0
         self._running = False
         self.events_executed = 0
         self.events_scheduled = 0
+        self._dropped = 0  # cancelled entries popped unexecuted
         # Watchdog budgets (see set_budget); _budget_active routes budgeted
         # runs through the bounded loop, keeping the drain path check-free.
         self._budget_events: Optional[int] = None
@@ -96,9 +96,6 @@ class Simulator:
         # Single-attribute alias so instrumentation checks are one load +
         # one falsy test (see repro.perf.registry).
         self._perf = PERF
-        # Bound-method alias: schedule() is called once per event, and the
-        # extra attribute hop through self._fel is measurable there.
-        self._push = self._fel.push
         # Sampled-instrumentation state: dispatch latency is timed when the
         # countdown hits zero, then the countdown reloads from
         # PERF.sample_interval.  Starts at 1 so the first dispatch of an
@@ -187,7 +184,7 @@ class Simulator:
         self._seq = seq + 1
         self.events_scheduled += 1
         handle = EventHandle(t, priority, seq, fn, args)
-        self._push((t, priority, seq, handle))
+        heappush(self._heap, (t, priority, seq, handle))
         return handle
 
     def schedule_at(
@@ -205,7 +202,7 @@ class Simulator:
         self._seq = seq + 1
         self.events_scheduled += 1
         handle = EventHandle(t, priority, seq, fn, args)
-        self._push((t, priority, seq, handle))
+        heappush(self._heap, (t, priority, seq, handle))
         return handle
 
     def reserve_seqs(self, n: int) -> int:
@@ -240,7 +237,7 @@ class Simulator:
             raise SimulationError(f"sequence number {seq} was never reserved")
         self.events_scheduled += 1
         handle = EventHandle(t, priority, seq, fn, args)
-        self._push((t, priority, seq, handle))
+        heappush(self._heap, (t, priority, seq, handle))
         return handle
 
     def cancel(self, handle: EventHandle) -> bool:
@@ -254,9 +251,21 @@ class Simulator:
         """
         return handle.cancel()
 
+    def _head(self) -> Optional[tuple]:
+        """The next live entry, left in place; cancelled entries on top of
+        the heap are popped and counted as dropped on the way."""
+        heap = self._heap
+        while heap:
+            entry = heap[0]
+            if not entry[3].cancelled:
+                return entry
+            heappop(heap)
+            self._dropped += 1
+        return None
+
     def peek(self) -> Optional[float]:
         """Time of the next pending event, or ``None`` if the list is empty."""
-        entry = self._fel.peek_live()
+        entry = self._head()
         return entry[0] if entry is not None else None
 
     def _dispatch(self, entry: tuple, registry) -> None:
@@ -290,19 +299,17 @@ class Simulator:
         registry after every step, so single-stepping code observes
         up-to-date metrics.
         """
-        entry = self._fel.peek_live()
-        if entry is None:
-            self._flush_perf()
-            return False
-        if self._budget_active:
-            self._check_budget(entry[0])
-        self._fel.pop_live()
-        registry = self._perf if self._perf.enabled else None
         try:
-            self._dispatch(entry, registry)
+            entry = self._head()
+            if entry is None:
+                return False
+            if self._budget_active:
+                self._check_budget(entry[0])
+            heappop(self._heap)
+            self._dispatch(entry, self._perf if self._perf.enabled else None)
+            return True
         finally:
             self._flush_perf()
-        return True
 
     def run(
         self,
@@ -321,8 +328,7 @@ class Simulator:
         registry = self._perf if self._perf.enabled else None
         try:
             if until is None and max_events is None and not self._budget_active:
-                # Unbounded drain: the FEL's inlined hot loop.
-                self._fel.drain(self, registry)
+                self._drain(registry)
             else:
                 self._run_bounded(until, max_events, registry)
         finally:
@@ -337,28 +343,79 @@ class Simulator:
         max_events: Optional[int],
         registry,
     ) -> None:
-        """Portable run loop honouring ``until``/``max_events``/budgets.
-
-        One FEL probe per iteration: ``peek_live`` caches the next live
-        entry, so the bound checks and the subsequent pop share a single
-        cancelled-scrub instead of paying it twice.
-        """
-        fel = self._fel
+        """Run loop honouring ``until``/``max_events``/budgets: the bound
+        checks read the live head in place, and only then is it popped."""
+        heap = self._heap
         executed = 0
         budgeted = self._budget_active
         while True:
             if max_events is not None and executed >= max_events:
                 break
-            entry = fel.peek_live()
+            entry = self._head()
             if entry is None:
                 break
             if until is not None and entry[0] > until:
                 break
             if budgeted:
                 self._check_budget(entry[0])
-            fel.pop_live()
+            heappop(heap)
             self._dispatch(entry, registry)
             executed += 1
+
+    def _drain(self, registry) -> None:
+        """Dispatch every remaining event in order (the unbounded hot loop).
+
+        Everything lives in locals and is written back in a ``finally``, so
+        an exception from a callback leaves consistent state.  The disabled
+        loop does no per-event instrumentation; the enabled one times one
+        dispatch in every ``registry.sample_interval``.
+        """
+        heap = self._heap
+        pop = heappop
+        executed = self.events_executed
+        dropped = 0
+        if registry is None:
+            try:
+                while heap:
+                    e = pop(heap)
+                    h = e[3]
+                    if h.cancelled:
+                        dropped += 1
+                        continue
+                    h.fired = True
+                    executed += 1
+                    self._now = e[0]
+                    h.fn(*h.args)
+            finally:
+                self._dropped += dropped
+                self.events_executed = executed
+        else:
+            sample = registry.sample_interval
+            countdown = self._sample_countdown
+            ring = registry.ring("sim.dispatch_latency_s")
+            perf_counter = time.perf_counter
+            try:
+                while heap:
+                    e = pop(heap)
+                    h = e[3]
+                    if h.cancelled:
+                        dropped += 1
+                        continue
+                    h.fired = True
+                    executed += 1
+                    self._now = e[0]
+                    countdown -= 1
+                    if countdown:
+                        h.fn(*h.args)
+                    else:
+                        countdown = sample
+                        t0 = perf_counter()
+                        h.fn(*h.args)
+                        ring.record(perf_counter() - t0)
+            finally:
+                self._dropped += dropped
+                self.events_executed = executed
+                self._sample_countdown = countdown
 
     def _flush_perf(self) -> None:
         """Fold counter deltas since the last flush into the registry.
@@ -367,16 +424,15 @@ class Simulator:
         from a disabled period is discarded rather than attributed to the
         next enabled window.
         """
-        fel = self._fel
         d_exec = self.events_executed - self._flushed_executed
         d_sched = self.events_scheduled - self._flushed_scheduled
-        d_drop = fel.dropped - self._flushed_dropped
+        d_drop = self._dropped - self._flushed_dropped
         if d_exec:
             self._flushed_executed = self.events_executed
         if d_sched:
             self._flushed_scheduled = self.events_scheduled
         if d_drop:
-            self._flushed_dropped = fel.dropped
+            self._flushed_dropped = self._dropped
         perf = self._perf
         if perf.enabled:
             if d_exec:
@@ -385,8 +441,8 @@ class Simulator:
                 perf.incr("sim.events_scheduled", d_sched)
             if d_drop:
                 perf.incr("sim.cancelled_dropped", d_drop)
-            perf.observe("sim.fel_depth", len(fel))
+            perf.observe("sim.fel_depth", len(self._heap))
 
     def pending(self) -> int:
         """Number of live (non-cancelled) events in the list."""
-        return self._fel.live_count()
+        return sum(not entry[3].cancelled for entry in self._heap)
