@@ -10,7 +10,11 @@ population standard deviation:
     \\mu_{sep} = \\frac{1}{n}\\sum_i r_i, \\qquad
     \\sigma_{sep} = \\sqrt{\\frac{1}{n}\\sum_i r_i^2 - \\mu_{sep}^2}
 
-with each normalized result :math:`0 \\le r_i \\le 1`.
+with each normalized result :math:`0 \\le r_i \\le 1`.  The volatility is
+the same quantity computed without the cancellation of the difference of
+squares: from the deviations :math:`d_i = r_i - r_1`, as
+:math:`\\sqrt{\\frac{1}{n}\\sum_i (d_i - \\bar d)^2}`, so identical results
+give exactly 0.
 """
 
 from __future__ import annotations
@@ -68,7 +72,10 @@ def separate_risk(normalized_results: Iterable[float]) -> SeparateRisk:
     if arr.min() < -1e-9 or arr.max() > 1.0 + 1e-9:
         raise ValueError(f"normalized results must lie in [0,1], got {arr!r}")
     mu = float(arr.mean())
-    # Population variance via E[x^2] - mu^2 (Eq. 6); guard tiny negatives
-    # from floating-point cancellation.
-    var = max(float(np.mean(arr**2) - mu**2), 0.0)
-    return SeparateRisk(performance=mu, volatility=float(np.sqrt(var)))
+    # Population variance of the deviations from the first result (Eq. 6).
+    # A constant list has all-zero deviations, so its variance is exactly
+    # 0; x - mu would not be, since mu need not round to the common value.
+    dev = arr - arr[0]
+    dev -= math.fsum(dev) / arr.size
+    var = math.fsum(dev * dev) / arr.size
+    return SeparateRisk(performance=mu, volatility=math.sqrt(var))

@@ -1,6 +1,7 @@
 """Property-based tests (hypothesis) for the risk-analysis core."""
 
 import math
+import statistics
 
 import numpy as np
 from hypothesis import given, settings
@@ -34,8 +35,7 @@ def test_separate_volatility_bounded_by_half_range(results):
 def test_separate_volatility_zero_iff_constant(results):
     r = separate_risk(results)
     if max(results) == min(results):
-        # Eq. 6 computes E[x²] − μ²; cancellation leaves ~√ε noise.
-        assert r.volatility <= 1e-7
+        assert r.volatility == 0.0
     elif max(results) - min(results) > 1e-6:
         assert r.volatility > 0.0
 
@@ -44,8 +44,20 @@ def test_separate_volatility_zero_iff_constant(results):
 def test_separate_matches_numpy_population_std(results):
     r = separate_risk(results)
     assert math.isclose(r.performance, float(np.mean(results)), abs_tol=1e-12)
-    # Eq. 6 (E[x²] − μ²) and numpy's two-pass std agree up to √ε cancellation.
-    assert math.isclose(r.volatility, float(np.std(results)), abs_tol=1e-7)
+    assert math.isclose(r.volatility, float(np.std(results)), abs_tol=1e-12)
+
+
+@given(unit, st.integers(min_value=1, max_value=12))
+def test_separate_volatility_of_a_constant_list_is_exactly_zero(value, n):
+    # The mean of n copies need not round back to the value itself, so
+    # deviations from the mean would leave a residue; Eq. 6 must not.
+    assert separate_risk([value] * n).volatility == 0.0
+
+
+@given(unit_lists)
+def test_separate_volatility_matches_statistics_pstdev(results):
+    r = separate_risk(results)
+    assert math.isclose(r.volatility, statistics.pstdev(results), rel_tol=0.0, abs_tol=1e-12)
 
 
 @given(unit_lists)
