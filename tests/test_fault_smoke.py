@@ -1,13 +1,23 @@
 """Fault smoke: a scripted failure schedule replays bit-identically, the two
 recovery disciplines price the same failures differently, and the
 fault-free path is unperturbed — the dependability subsystem's core
-contract, on the space-shared and both time-shared cluster models.
+contract, on the space-shared and both time-shared cluster models.  A
+correlated fault sweep run twice through the CLI on one run store prints
+the same output cold and warm.
 """
+
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.experiments.runner import run_single
 from repro.experiments.scenarios import ExperimentConfig
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
 
 
 @pytest.mark.parametrize("policy", ["EDF-BF", "Libra", "LibraRiskD"])
@@ -42,3 +52,15 @@ def test_fault_free_path_is_unperturbed():
     r2 = run_single(config, "FCFS-BF", "bid")
     assert r1 == r2, "fault-free run is not reproducible"
     print("fault-free smoke:", r1)
+
+
+def test_correlated_fault_sweep_replays_from_the_run_store(tmp_path):
+    """A cold and a warm run of one correlated sweep, each in a fresh
+    process on the same cache directory, print identical output."""
+    sweep = [sys.executable, "-m", "repro", "faults", "--sweep", "correlated",
+             "--jobs", "20", "--procs", "16", "--levels", "0", "1",
+             "--cache-dir", str(tmp_path)]
+    cold, warm = (subprocess.run(sweep, env=ENV, capture_output=True, text=True,
+                                 timeout=120, check=True).stdout for _ in range(2))
+    print(warm)
+    assert cold == warm

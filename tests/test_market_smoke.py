@@ -3,11 +3,28 @@
 A cold sweep into a cache directory executes its runs; a warm sweep from
 a fresh handle on the same directory executes none, reproduces the cold
 rows exactly, and still shows the risky provider losing market share as
-its MTBF falls.
+its MTBF falls.  Through the CLI, a single market prints its header and
+the risky provider, and a sweep run as two shards leaves nothing for the
+unsharded run to execute.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import repro
 from repro.experiments.marketsweep import default_market_config, run_market_sweep
 from repro.experiments.runstore import RunStore
+
+ENV = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]))
+
+
+def repro_cli(*args: str) -> str:
+    """Run ``python -m repro ARGS`` in a fresh process; return its stdout."""
+    return subprocess.run([sys.executable, "-m", "repro", *args], env=ENV,
+                          capture_output=True, text=True, timeout=120,
+                          check=True).stdout
 
 
 def test_market_sweep_resumes_from_the_run_store(tmp_path):
@@ -22,3 +39,20 @@ def test_market_sweep_resumes_from_the_run_store(tmp_path):
     assert risky[-1].final_share < risky[0].final_share, \
         "falling MTBF did not cost market share"
     print(warm.table())
+
+
+def test_market_cli_smoke():
+    out = repro_cli("market", "--users", "5000", "--jobs", "2000", "--mtbf", "14400")
+    print(out)
+    assert "risky" in out
+    assert "market — users=5000 jobs=2000 seed=0" in out
+
+
+def test_market_sweep_shards_through_the_cli(tmp_path):
+    sweep = ("market", "--sweep", "mtbf", "--users", "300", "--jobs", "600",
+             "--cache-dir", str(tmp_path))
+    repro_cli(*sweep, "--shard", "1/2")
+    repro_cli(*sweep, "--shard", "2/2")
+    out = repro_cli(*sweep)
+    print(out)
+    assert " 0 executed" in out
