@@ -2,8 +2,8 @@
 
 The vectorized :class:`~repro.market.cohort.UserCohort` must replay the
 per-object reference population (``market_reference.AgentPopulation``)
-exactly — same seeds, same trajectory, bitwise-equal scores — the way
-``CalendarFEL`` is held to ``HeapFEL``.  Market-level checks run the real
+exactly — same seeds, same trajectory, bitwise-equal scores.
+Market-level checks run the real
 :class:`~repro.market.marketplace.Marketplace` twice, the second time with
 its ``UserCohort`` monkeypatched to the reference.  The shared-scalar-math
 design delivers bitwise equality for every population size, so the
