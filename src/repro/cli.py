@@ -10,7 +10,7 @@ Commands
                 fault domains (``--sweep correlated``)
 ``market``      population-scale provider market (§3): one run or a risk sweep
 ``farm``        work-stealing grid farm: worker, serve, sync, status
-``store``       run-store maintenance: stats, compact, merge
+``store``       run-store maintenance: stats, merge
 ``trace``       show statistics of an SWF trace file (or the synthetic one)
 ``frontier``    Pareto frontier and risk-adjusted scores of a model's policies
 ``tornado``     per-knob sensitivity of one policy
@@ -647,16 +647,10 @@ def cmd_store(args) -> int:
             raise UsageError(f"no such run store directory: {directory}")
     store = RunStore(args.cache_dir)
     if args.store_command == "stats":
-        stats = store.stats()
-        stats["index_lines"] = sum(1 for _ in store.index_entries())
         print(format_table(
-            [{"statistic": k, "value": v} for k, v in stats.items()],
+            [{"statistic": k, "value": v} for k, v in store.stats().items()],
             title=f"run store — {args.cache_dir}",
         ))
-        return 0
-    if args.store_command == "compact":
-        before, after = store.compact()
-        print(f"index compacted: {before} → {after} line(s)")
         return 0
     # merge
     total = None
@@ -1001,12 +995,6 @@ def build_parser() -> argparse.ArgumentParser:
     store_sub = p.add_subparsers(dest="store_command", required=True)
 
     sp = store_sub.add_parser("stats", help="summarise a run store directory")
-    sp.add_argument("cache_dir", metavar="DIR")
-
-    sp = store_sub.add_parser(
-        "compact",
-        help="rewrite index.jsonl to one line per live run (atomic)",
-    )
     sp.add_argument("cache_dir", metavar="DIR")
 
     sp = store_sub.add_parser(

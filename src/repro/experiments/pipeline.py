@@ -632,14 +632,12 @@ def execute_plan(
 ) -> PlanExecution:
     """Dedupe, (optionally) shard, execute under supervision, checkpoint.
 
-    Accounting matches the serial runner's per-access semantics: every
-    plan entry is one logical access; the first access of a digest the
+    Accounting is per access, and this is the one place that keeps it:
+    every plan entry is one logical access; the first access of a digest the
     store cannot serve is a miss, every other access is a hit.  Misses are
     executed in first-access order (serially) or fanned over a process
     pool, and each finished unit is written to the store the moment it
     completes, so an interrupted call loses at most the in-flight units.
-    A plain ``(config, policy, model)`` triple is read as a
-    :class:`RunKey`.
 
     ``shard=(i, n)`` keeps only the misses whose digest falls in the
     ``i``-th of ``n`` buckets, for splitting one plan across machines that
@@ -661,8 +659,6 @@ def execute_plan(
     seen: set[str] = set()
     hits = 0
     for unit in plan:
-        if type(unit) is tuple:
-            unit = RunKey(*unit)
         digest = unit.digest
         if digest in seen or store.lookup(unit) is not None:
             hits += 1

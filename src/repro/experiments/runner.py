@@ -5,11 +5,12 @@ policy evaluated at a given configuration sees the *identical* job list
 (same trace draw, same QoS draw, same estimate interpolation), and the wait
 objective is normalised across exactly the policies being compared.
 
-Runs are cached per ``(config, policy, model)`` in a
-:class:`~repro.experiments.runstore.RunStore`; the default configuration
-appears in all twelve scenarios, so a full grid reuses it eleven times per
-policy.  Grid-shaped work flows through :mod:`repro.experiments.pipeline`,
-which dedupes, shards, checkpoints, and resumes against the store.
+:func:`run_single` only simulates.  Grid-shaped work flows through
+:func:`~repro.experiments.pipeline.execute_plan`, which caches each run
+per ``(config, policy, model)`` in a
+:class:`~repro.experiments.runstore.RunStore` and dedupes, shards,
+checkpoints, and resumes against it; the default configuration appears in
+all twelve scenarios, so a full grid reuses it eleven times per policy.
 """
 
 from __future__ import annotations
@@ -144,7 +145,6 @@ def run_single(
     config: ExperimentConfig,
     policy_name: str,
     model_name: str,
-    cache: Optional[RunStore] = None,
     max_sim_events: Optional[int] = None,
     max_sim_time: Optional[float] = None,
 ) -> ObjectiveSet:
@@ -157,16 +157,6 @@ def run_single(
     timeout.  The budgets are execution knobs, not part of the run's
     content identity — they never change the :class:`RunKey` digest.
     """
-    if cache is not None:
-        cached = cache.get(config, policy_name, model_name)
-        if cached is not None:
-            cache.hits += 1
-            if PERF.enabled:
-                PERF.incr("runner.cache_hits")
-            return cached
-        cache.misses += 1
-        if PERF.enabled:
-            PERF.incr("runner.cache_misses")
     t0 = time.perf_counter()
     jobs = build_workload(config)
     sim = None
@@ -188,8 +178,6 @@ def run_single(
         PERF.add_time("runner.run_single_s", time.perf_counter() - t0)
         PERF.incr("runner.simulations")
         PERF.incr("runner.jobs_simulated", len(jobs))
-    if cache is not None:
-        cache.put(config, policy_name, model_name, objectives)
     return objectives
 
 

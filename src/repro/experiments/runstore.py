@@ -23,7 +23,6 @@ The store is two-layered:
 Layout of a cache directory::
 
     <cache_dir>/
-      index.jsonl                  append-only per-document metadata lines
       runs/<digest[:2]>/<digest>.json   one document per unit, every kind
       failures.jsonl               append-only failure journal (one JSON
                                    line per exhausted-retries failure)
@@ -45,17 +44,16 @@ the union of two stores is well defined *because* keys are content
 hashes — identical digests with identical bytes dedupe, the same digest
 with differing bytes is a contract violation and both sides are
 quarantined as evidence, and failure journals concatenate so the latest
-record per digest wins.  The append-only ``index.jsonl`` is advisory
-metadata; :meth:`RunStore.compact` rewrites it atomically (dedupe by
-digest, drop entries whose document is gone) so it stays bounded
-across resumes and merges.
+record per digest wins.  Each document describes itself (``key``,
+``format``, and the labels and configuration of its unit), so the
+document tree is the whole store.
 
 The perf registry sees every store interaction under the ``runstore.*``
 counters (``runstore.hits``, ``runstore.misses``, ``runstore.disk_hits``,
 ``runstore.bytes_written``, ``runstore.bytes_read``,
 ``runstore.corrupt_skipped``, ``runstore.quarantined``,
-``runstore.failures_recorded``, ``runstore.merge_*``,
-``runstore.index_compactions``).
+``runstore.failures_recorded``, ``runstore.merges`` and
+``runstore.merge_*``).
 """
 
 from __future__ import annotations
@@ -66,7 +64,7 @@ import json
 import os
 from dataclasses import dataclass, fields
 from pathlib import Path
-from typing import Any, Iterator, NamedTuple, Optional, Protocol, Union
+from typing import Any, NamedTuple, Optional, Protocol, Union
 
 from repro.core.objectives import OBJECTIVES, Objective, ObjectiveSet
 from repro.experiments.errors import FailureRecord
@@ -318,9 +316,10 @@ class RunStore:
 
     :meth:`lookup` and :meth:`record` take any :class:`Unit`;
     ``get``/``put`` are their grid spelling over ``(config, policy,
-    model)``.  The ``hits``/``misses`` counters are **caller-managed** (the
-    pipeline and :func:`run_single` own the logical access accounting, so
-    serial and parallel grids report identical statistics).
+    model)``.  The ``hits``/``misses`` counters are **caller-managed**
+    (:func:`~repro.experiments.pipeline.execute_plan` owns the logical
+    access accounting, so serial and parallel grids report identical
+    statistics).
     """
 
     def __init__(self, cache_dir: Optional[Union[str, Path]] = None) -> None:
@@ -393,7 +392,7 @@ class RunStore:
             # resume by re-simulating rather than failing the whole grid.
             # The bad bytes are evidence of a crash — move them aside for
             # diagnosis instead of silently overwriting on the next put.
-            self._quarantine(path)
+            self._quarantine(path.name, path)
             if PERF.enabled:
                 PERF.incr("runstore.corrupt_skipped")
             return None
@@ -401,24 +400,29 @@ class RunStore:
             PERF.incr("runstore.bytes_read", len(text.encode("utf-8")))
         return value
 
-    def _quarantine(self, path: Path) -> None:
-        """Move a corrupt document into ``<cache_dir>/quarantine/``.
+    def _quarantine(self, name: str, evidence: Union[Path, bytes]) -> None:
+        """Keep corrupt or conflicting evidence under ``quarantine/<name>``.
 
-        Collisions (the same digest quarantined twice across crashes) get a
-        numeric suffix so no evidence is ever overwritten.  Failure to move
-        (e.g. the file vanished, permissions) degrades to the historical
-        treat-as-miss behaviour.
+        A path (this store's own document) is moved; bytes (read from
+        another store, which may be a read-only rsync snapshot and is never
+        mutated) are written.  Collisions (the same digest quarantined
+        twice across crashes) get a numeric suffix so no evidence is ever
+        overwritten.  Failure to move or write (e.g. the file vanished,
+        permissions) degrades to the historical treat-as-miss behaviour.
         """
         assert self.cache_dir is not None
         qdir = self.cache_dir / "quarantine"
         try:
             qdir.mkdir(parents=True, exist_ok=True)
-            target = qdir / path.name
+            target = qdir / name
             n = 0
             while target.exists():
                 n += 1
-                target = qdir / f"{path.name}.{n}"
-            os.replace(path, target)
+                target = qdir / f"{name}.{n}"
+            if isinstance(evidence, bytes):
+                target.write_bytes(evidence)
+            else:
+                os.replace(evidence, target)
         except OSError:
             return
         if PERF.enabled:
@@ -437,7 +441,6 @@ class RunStore:
             return
         path.parent.mkdir(parents=True, exist_ok=True)
         n_bytes = atomic_write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        self._append_index(doc)
         if PERF.enabled:
             PERF.incr("runstore.bytes_written", n_bytes)
             PERF.incr("runstore.runs_persisted")
@@ -452,25 +455,6 @@ class RunStore:
         """Record one finished grid cell."""
         self.record(RunKey(config, policy, model), value)
 
-    def _append_index(self, doc: dict) -> None:
-        """Append the ``index.jsonl`` line of one stored document.
-
-        ``key`` and ``format``, plus ``policy``, ``model``, ``seed`` and
-        ``n_jobs`` where the document (or its ``config`` block) has them.
-        """
-        assert self.cache_dir is not None
-        entry = {"key": doc.get("key"), "format": doc.get("format")}
-        for name in ("policy", "model"):
-            if name in doc:
-                entry[name] = doc[name]
-        config = doc.get("config")
-        if isinstance(config, dict):
-            for name in ("seed", "n_jobs"):
-                if name in config:
-                    entry[name] = config[name]
-        with open(self.cache_dir / "index.jsonl", "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
-
     # -- failure journal -----------------------------------------------------
     def record_failure(self, record: FailureRecord) -> None:
         """Journal a unit that exhausted its retries.
@@ -480,8 +464,7 @@ class RunStore:
         unit's digest, so resumes, degrade-mode
         assembly, and humans grepping the journal all name the same
         artefact.  Appends are atomic at the line level (a single
-        ``write`` of one ``\\n``-terminated line), matching the
-        index-file discipline.
+        ``write`` of one ``\\n``-terminated line).
         """
         self._failures[record.digest] = record
         if self.cache_dir is not None:
@@ -519,28 +502,6 @@ class RunStore:
         return self.failures().get(digest)
 
     # -- merge / sync --------------------------------------------------------
-    def _quarantine_bytes(self, name: str, data: bytes) -> None:
-        """Preserve foreign evidence bytes under ``quarantine/<name>``.
-
-        Unlike :meth:`_quarantine` this *copies* (the source file belongs
-        to another store and may be a read-only rsync snapshot).  The same
-        collision numbering guarantees nothing is ever overwritten.
-        """
-        assert self.cache_dir is not None
-        qdir = self.cache_dir / "quarantine"
-        try:
-            qdir.mkdir(parents=True, exist_ok=True)
-            target = qdir / name
-            n = 0
-            while target.exists():
-                n += 1
-                target = qdir / f"{name}.{n}"
-            target.write_bytes(data)
-        except OSError:
-            return
-        if PERF.enabled:
-            PERF.incr("runstore.quarantined")
-
     def _merge_runs(self, other: "RunStore") -> MergeReport:
         """Union ``other``'s document tree into this one."""
         assert self.cache_dir is not None and other.cache_dir is not None
@@ -561,7 +522,7 @@ class RunStore:
             except (StoreError, ValueError, UnicodeDecodeError):
                 # A corrupt source document is evidence of a crash on the
                 # worker side: keep the bytes, skip the digest, carry on.
-                self._quarantine_bytes(src.name, data)
+                self._quarantine(src.name, data)
                 report += MergeReport(corrupt=1)
                 continue
             dst = self._path(digest)
@@ -577,14 +538,13 @@ class RunStore:
                 # broken somewhere.  Trusting either side would silently
                 # poison every later resume, so quarantine both and let
                 # the unit re-run.
-                self._quarantine(dst)
-                self._quarantine_bytes(src.name, data)
+                self._quarantine(dst.name, dst)
+                self._quarantine(src.name, data)
                 self._memory.pop(digest, None)
                 report += MergeReport(conflicts=1)
                 continue
             dst.parent.mkdir(parents=True, exist_ok=True)
             atomic_write_text(dst, data.decode("utf-8"))
-            self._append_index(doc)
             report += MergeReport(runs_copied=1)
         return report
 
@@ -604,9 +564,7 @@ class RunStore:
           source, and a digest whose document arrived in the same merge
           is resolved outright.
 
-        Both stores must be disk-backed.  The index is compacted
-        afterwards so repeated syncs cannot grow it without bound.
-        Merging never mutates ``other``.
+        Both stores must be disk-backed.  Merging never mutates ``other``.
         """
         if self.cache_dir is None or other.cache_dir is None:
             raise StoreError("merge_from requires disk-backed stores on both sides")
@@ -625,7 +583,6 @@ class RunStore:
             self.record_failure(record)
             appended += 1
         report += MergeReport(failure_records=appended)
-        self.compact()
         if PERF.enabled:
             PERF.incr("runstore.merges")
             PERF.incr("runstore.merge_runs_copied", report.runs_copied)
@@ -633,43 +590,6 @@ class RunStore:
             PERF.incr("runstore.merge_conflicts", report.conflicts)
             PERF.incr("runstore.merge_corrupt", report.corrupt)
         return report
-
-    def compact(self) -> tuple[int, int]:
-        """Atomically rewrite ``index.jsonl`` to one line per live document.
-
-        The index is append-only during normal operation, so resumes,
-        retries, and merges grow it without bound.  Compaction dedupes by
-        digest (last record wins, first-seen order preserved), drops
-        malformed lines and entries whose document no longer exists
-        (e.g. quarantined by a merge conflict), and rewrites via the same
-        tmp+rename discipline as every document.  Returns
-        ``(lines_before, lines_after)``; a memory-only store is a no-op.
-        """
-        if self.cache_dir is None:
-            return (0, 0)
-        path = self.cache_dir / "index.jsonl"
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return (0, 0)
-        on_disk = self.disk_digests()
-        latest: dict[str, dict] = {}
-        for line in lines:
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                continue
-            key = entry.get("key") if isinstance(entry, dict) else None
-            if key in on_disk:
-                # dict insertion order keeps first-seen position while the
-                # assignment keeps the latest record's content.
-                latest[key] = entry
-        text = "".join(json.dumps(e, sort_keys=True) + "\n" for e in latest.values())
-        atomic_write_text(path, text)
-        if PERF.enabled:
-            PERF.incr("runstore.index_compactions")
-            PERF.incr("runstore.index_lines_dropped", len(lines) - len(latest))
-        return (len(lines), len(latest))
 
     # -- introspection -------------------------------------------------------
     def __len__(self) -> int:
@@ -681,21 +601,6 @@ class RunStore:
         if self.cache_dir is None:
             return set()
         return {p.stem for p in (self.cache_dir / "runs").glob("??/*.json")}
-
-    def index_entries(self) -> Iterator[dict]:
-        """Metadata lines from ``index.jsonl`` (tolerant of bad lines)."""
-        if self.cache_dir is None:
-            return
-        path = self.cache_dir / "index.jsonl"
-        try:
-            lines = path.read_text().splitlines()
-        except OSError:
-            return
-        for line in lines:
-            try:
-                yield json.loads(line)
-            except ValueError:
-                continue
 
     def stats(self) -> dict:
         """Plain-dict summary for CLI/report output."""

@@ -18,8 +18,8 @@ rsync-synchronised) that carries all coordination state as plain files::
 The coordinator never simulates: it explodes plans into units, watches
 done/failed markers, steals back expired leases each poll, and — once
 every unit is resolved — *syncs* (merges every worker store into
-``<farm>/store``, compacting the index) and *assembles* with the
-standard :func:`~repro.experiments.pipeline.assemble_grid`.  Because
+``<farm>/store``) and *assembles* with the standard
+:func:`~repro.experiments.pipeline.assemble_grid`.  Because
 assembly reads the same content-addressed store a serial grid would
 have filled, a farmed grid is bit-identical to a serial one by
 construction; a unit whose every attempt died permanently shows up as
@@ -216,7 +216,7 @@ class Farm:
 
     # -- store sync ----------------------------------------------------------
     def sync(self) -> MergeReport:
-        """Merge every worker store into the farm store, compacting after.
+        """Merge every worker store into the farm store.
 
         Safe to run at any time (merging is idempotent and never mutates
         the worker stores), so an operator can pull partial results out

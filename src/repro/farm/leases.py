@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
+from repro.experiments.runstore import atomic_write_text
 from repro.perf.registry import PERF
 
 #: default seconds a claim stays exclusive without a heartbeat.
@@ -51,12 +52,6 @@ class Lease:
     def to_dict(self) -> dict:
         return {"digest": self.digest, "worker": self.worker,
                 "deadline": self.deadline}
-
-
-def _write_atomic(path: Path, doc: dict) -> None:
-    tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-    tmp.write_text(json.dumps(doc, sort_keys=True) + "\n", encoding="utf-8")
-    os.replace(tmp, path)
 
 
 def read_lease(path: Path) -> Optional[Lease]:
@@ -126,7 +121,7 @@ def renew(
         digest=lease.digest, worker=lease.worker, deadline=clock() + duration
     )
     try:
-        _write_atomic(path, renewed.to_dict())
+        atomic_write_text(path, json.dumps(renewed.to_dict(), sort_keys=True) + "\n")
     except OSError:
         return None
     if PERF.enabled:

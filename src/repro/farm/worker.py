@@ -35,7 +35,7 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments import chaos
-from repro.experiments.runstore import RunKey, RunStore, StoreError
+from repro.experiments.runstore import RunKey, RunStore, StoreError, atomic_write_text
 from repro.farm import leases as leases_mod
 from repro.farm.coordinator import Farm
 from repro.farm.plan import FarmPlan, unit_from_document
@@ -137,12 +137,6 @@ class WorkerAgent:
         return None
 
     # -- executing -----------------------------------------------------------
-    def _write_marker(self, directory: Path, digest: str, doc: dict) -> None:
-        path = directory / f"{digest}.json"
-        tmp = path.with_name(f".{path.name}.tmp{os.getpid()}")
-        tmp.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
-        os.replace(tmp, path)
-
     def run_unit(self, claimed: ClaimedUnit) -> bool:
         """Execute one claimed unit; True when it completed successfully.
 
@@ -178,29 +172,21 @@ class WorkerAgent:
         finally:
             stop.set()
             beat.join(timeout=1.0)
-        if execution.failed:
+        ok = not execution.failed
+        marker = {"digest": claimed.digest, "worker": self.worker_id}
+        if not ok:
             record = self.store.failure_for(claimed.digest)
-            self._write_marker(
-                self.farm.failed_dir(claimed.job_id), claimed.digest,
-                {
-                    "digest": claimed.digest,
-                    "worker": self.worker_id,
-                    "kind": record.kind if record else "failure",
-                    "message": record.message if record else "retries exhausted",
-                },
-            )
-            if PERF.enabled:
-                PERF.incr("farm.units_failed")
+            marker["kind"] = record.kind if record else "failure"
+            marker["message"] = record.message if record else "retries exhausted"
+        directory = (self.farm.done_dir if ok else self.farm.failed_dir)(claimed.job_id)
+        atomic_write_text(
+            directory / f"{claimed.digest}.json",
+            json.dumps(marker, indent=1, sort_keys=True) + "\n",
+        )
+        if PERF.enabled:
+            PERF.incr("farm.units_completed" if ok else "farm.units_failed")
+        if not ok:
             self.echo(f"unit {claimed.digest[:12]} failed (journaled)")
-            ok = False
-        else:
-            self._write_marker(
-                self.farm.done_dir(claimed.job_id), claimed.digest,
-                {"digest": claimed.digest, "worker": self.worker_id},
-            )
-            if PERF.enabled:
-                PERF.incr("farm.units_completed")
-            ok = True
         leases_mod.release(claimed.lease_path, claimed.lease)
         return ok
 

@@ -18,8 +18,15 @@ from repro.core.normalize import normalize_runs
 from repro.core.objectives import OBJECTIVES, Objective
 from repro.core.separate import SeparateRisk, separate_risk
 from repro.experiments.runner import run_single
-from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
+
+
+def memo_run(memo: dict, config: ExperimentConfig, policy: str, model_name: str):
+    """``run_single``, memoised in ``memo`` per ``(config, policy, model)``."""
+    key = (config, policy, model_name)
+    if key not in memo:
+        memo[key] = run_single(config, policy, model_name)
+    return memo[key]
 
 
 def run_scenario(
@@ -27,14 +34,15 @@ def run_scenario(
     policies: Sequence[str],
     model_name: str,
     base: ExperimentConfig,
-    cache: Optional[RunStore] = None,
+    memo: Optional[dict] = None,
     wait_method: str = "grid-max",
 ) -> dict[Objective, dict[str, SeparateRisk]]:
     """Separate risk of every objective for one scenario: each policy over
     the scenario's values, normalised together, reduced per policy."""
     configs = scenario.configs(base)
+    memo = {} if memo is None else memo
     runs = [
-        [run_single(cfg, policy, model_name, cache) for cfg in configs]
+        [memo_run(memo, cfg, policy, model_name) for cfg in configs]
         for policy in policies
     ]
     normalized = normalize_runs(runs, wait_method=wait_method)
@@ -59,15 +67,15 @@ def reference_fault_sweep(
     ``rows`` are ``(level, availability, policy, objectives)`` tuples,
     policy by policy, each over the sweep's levels.
     """
-    cache = RunStore()
+    memo: dict = {}
     base = fault_base.for_set(set_name)
     rows = [
         (level, config.faults.availability, policy,
-         run_single(config, policy, model_name, cache))
+         memo_run(memo, config, policy, model_name))
         for policy in policies
         for level, config in zip(scenario.values, scenario.configs(base))
     ]
-    separate = run_scenario(scenario, policies, model_name, base, cache)
+    separate = run_scenario(scenario, policies, model_name, base, memo)
     integrated = {
         policy: integrated_risk({o: separate[o][policy] for o in OBJECTIVES})
         for policy in policies

@@ -8,8 +8,9 @@ scales are fixed so the assertions are deterministic.
 import pytest
 
 from repro.core.objectives import Objective
-from repro.experiments.runner import run_grid, run_single
-from repro.experiments.runstore import RunStore
+from repro.experiments.pipeline import execute_plan
+from repro.experiments.runner import run_grid
+from repro.experiments.runstore import RunKey, RunStore
 from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by_name
 
 BASE = ExperimentConfig(n_jobs=250, total_procs=128)
@@ -17,8 +18,9 @@ CACHE = RunStore()
 
 
 def objectives(policy, model, set_name="A", **over):
-    cfg = BASE.for_set(set_name).with_values(**over)
-    return run_single(cfg, policy, model, CACHE)
+    key = RunKey(BASE.for_set(set_name).with_values(**over), policy, model)
+    execute_plan([key], CACHE)
+    return CACHE.lookup(key)
 
 
 # -- §6.1 commodity market ----------------------------------------------------

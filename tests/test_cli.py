@@ -456,7 +456,7 @@ def test_farm_worker_exits_on_max_units(tmp_path, capsys):
     assert "exiting after 0 unit(s)" in out
 
 
-def test_store_stats_compact_and_merge(tmp_path, capsys):
+def test_store_stats_and_merge(tmp_path, capsys):
     from repro.core.objectives import ObjectiveSet
     from repro.experiments.runstore import RunStore
     from repro.experiments.scenarios import ExperimentConfig
@@ -465,17 +465,12 @@ def test_store_stats_compact_and_merge(tmp_path, capsys):
     objs = ObjectiveSet(wait=1.0, sla=2.0, reliability=3.0, profitability=4.0)
     a = RunStore(tmp_path / "a")
     a.put(config, "FCFS-BF", "bid", objs)
-    a.put(config, "FCFS-BF", "bid", objs)  # duplicate index line
     b = RunStore(tmp_path / "b")
     b.put(config, "Libra", "bid", objs)
 
     code, out, _ = run_cli(capsys, "store", "stats", str(tmp_path / "a"))
     assert code == 0
-    assert "disk_runs" in out and "index_lines" in out
-
-    code, out, _ = run_cli(capsys, "store", "compact", str(tmp_path / "a"))
-    assert code == 0
-    assert "index compacted: 2 → 1 line(s)" in out
+    assert "disk_runs" in out and "index_lines" not in out
 
     (tmp_path / "dest").mkdir()
     code, out, _ = run_cli(
@@ -489,7 +484,6 @@ def test_store_stats_compact_and_merge(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [
     ("stats", "{missing}"),
-    ("compact", "{missing}"),
     ("merge", "{missing}", "{store}"),
     ("merge", "{store}", "{missing}"),
 ])
@@ -622,7 +616,6 @@ OPTION_INVENTORY = {
             "--elastic-max-extra", "--fault-model", "--help", "--jobs", "--model",
             "--mtbf", "--mttr", "--procs", "--recovery", "--seed", "--set", "-h"],
     "store": ["--help", "-h"],
-    "store compact": ["--help", "-h"],
     "store merge": ["--help", "-h"],
     "store stats": ["--help", "-h"],
     "table": ["--help", "-h"],

@@ -203,20 +203,6 @@ def test_mixed_merge_conflict_quarantines_both_market_sides(tmp_path):
     assert dest.lookup(config) is None
 
 
-def test_mixed_compact_keeps_one_index_line_per_document(tmp_path):
-    store = mixed_store(tmp_path)
-    config = small_config()
-    store.record(config, store.lookup(config))  # duplicate index line
-    before, after = store.compact()
-    assert (before, after) == (9, 8)
-    entries = list(store.index_entries())
-    assert len({e["key"] for e in entries}) == 8
-    market = [e for e in entries if e["format"] == MARKET_RUN_FORMAT]
-    assert {e["key"] for e in market} == market_digests()
-    assert all(e["seed"] == 0 and e["n_jobs"] == 120 for e in market)
-    assert {e["format"] for e in entries} == {"repro-run", MARKET_RUN_FORMAT}
-
-
 def test_mixed_store_assembles_the_same_grid(tmp_path):
     grid_only = run_grid(GRID_POLICIES, "bid", GRID_BASE, "A", GRID_SCENARIOS,
                          RunStore(tmp_path / "grid"))

@@ -9,7 +9,7 @@ from repro.experiments.pipeline import (
     execute_plan,
     grid_plan,
 )
-from repro.experiments.runner import run_grid
+from repro.experiments.runner import run_grid, run_single
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 
@@ -20,11 +20,10 @@ POLICIES = ["FCFS-BF", "Libra"]
 
 def unique_items(plan):
     seen, out = set(), []
-    for config, policy, model in plan:
-        digest = RunKey(config, policy, model).digest
-        if digest not in seen:
-            seen.add(digest)
-            out.append((config, policy, model))
+    for key in plan:
+        if key.digest not in seen:
+            seen.add(key.digest)
+            out.append(key)
     return out
 
 
@@ -59,6 +58,30 @@ def test_execute_plan_accounting_matches_serial_semantics():
     # Warm rerun: pure hits.
     warm = execute_plan(plan, store)
     assert (warm.hits, warm.misses, warm.executed) == (len(plan), 0, 0)
+
+
+def test_execute_plan_serves_a_repeat_from_the_store():
+    key = RunKey(SMALL, "FCFS-BF", "bid")
+    store = RunStore()
+    cold = execute_plan([key], store)
+    warm = execute_plan([key], store)
+    assert (cold.misses, cold.hits, warm.misses, warm.hits) == (1, 0, 0, 1)
+    assert (store.misses, store.hits) == (1, 1)
+    assert len(store) == 1
+    assert store.lookup(key) == run_single(SMALL, "FCFS-BF", "bid")
+
+
+def test_execute_plan_keys_distinguish_policy_and_model():
+    keys = [
+        RunKey(SMALL, "FCFS-BF", "bid"),
+        RunKey(SMALL, "FCFS-BF", "commodity"),
+        RunKey(SMALL, "EDF-BF", "bid"),
+    ]
+    store = RunStore()
+    execution = execute_plan(keys + keys[:1], store)
+    assert (execution.misses, execution.hits, execution.executed) == (3, 1, 3)
+    assert (store.misses, store.hits) == (3, 1)
+    assert len(store) == 3
 
 
 def test_execute_plan_rejects_bad_shard():

@@ -122,25 +122,6 @@ def test_finished_run_is_freed_without_a_cyclic_collection(config):
         gc.enable()
 
 
-def test_run_single_cache_hits():
-    cache = RunStore()
-    a = run_single(SMALL, "FCFS-BF", "bid", cache)
-    b = run_single(SMALL, "FCFS-BF", "bid", cache)
-    assert a == b
-    assert cache.hits == 1
-    assert cache.misses == 1
-    assert len(cache) == 1
-
-
-def test_cache_distinguishes_policy_and_model():
-    cache = RunStore()
-    run_single(SMALL, "FCFS-BF", "bid", cache)
-    run_single(SMALL, "FCFS-BF", "commodity", cache)
-    run_single(SMALL, "EDF-BF", "bid", cache)
-    assert len(cache) == 3
-    assert cache.hits == 0
-
-
 def test_run_scenario_shape():
     scenario = scenario_by_name("job mix")
     result = run_scenario(scenario, ["FCFS-BF", "EDF-BF"], "bid", SMALL)

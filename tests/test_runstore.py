@@ -109,7 +109,7 @@ def test_disk_store_roundtrip_across_instances(tmp_path):
     assert len(fresh) == 1  # promoted into memory
 
 
-def test_disk_layout_and_index(tmp_path):
+def test_disk_layout_is_one_document_per_run(tmp_path):
     store = RunStore(tmp_path)
     store.put(CONFIG, "FCFS-BF", "bid", OBJS)
     store.put(CONFIG, "EDF-BF", "bid", OBJS)
@@ -123,9 +123,6 @@ def test_disk_layout_and_index(tmp_path):
         assert path.is_file()
         doc = json.loads(path.read_text())
         assert doc["key"] == digest
-    entries = list(store.index_entries())
-    assert {e["policy"] for e in entries} == {"FCFS-BF", "EDF-BF"}
-    assert all(e["key"] in digests for e in entries)
 
 
 def test_corrupt_document_is_a_miss_not_a_crash(tmp_path):
@@ -349,6 +346,8 @@ def test_merge_copies_new_runs_and_dedupes_identical_bytes(tmp_path):
 
 
 def test_merge_conflict_quarantines_both_sides_and_continues(tmp_path):
+    from repro.perf import capture as perf_capture
+
     dest = seeded_store(tmp_path / "dest", policies=("FCFS-BF", "Libra"))
     src = seeded_store(tmp_path / "src", policies=("FCFS-BF", "EDF-BF"))
     digest = RunKey(CONFIG, "FCFS-BF", "bid").digest
@@ -358,7 +357,9 @@ def test_merge_conflict_quarantines_both_sides_and_continues(tmp_path):
     doc["objectives"]["avg_wait_time"] = 999.0
     path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
-    report = dest.merge_from(src)
+    with perf_capture() as perf:
+        report = dest.merge_from(src)
+        assert perf.counters.get("runstore.quarantined") == 2  # one per side
     assert report.conflicts == 1
     assert report.runs_copied == 1  # EDF-BF still merged — one bad cell
     # Both sides of the conflict are preserved as evidence …
@@ -414,27 +415,44 @@ def test_merge_report_sums_and_summarises():
     assert total.to_dict()["failure_records"] == 4
 
 
-# -- index compaction ----------------------------------------------------------
+# -- the document tree is the whole store --------------------------------------
 
 
-def test_compact_dedupes_index_and_drops_dead_entries(tmp_path):
-    store = RunStore(tmp_path)
-    store.put(CONFIG, "FCFS-BF", "bid", OBJS)
-    store.put(CONFIG, "FCFS-BF", "bid", OBJS)  # duplicate append
-    store.put(CONFIG, "Libra", "bid", OBJS)
-    (tmp_path / "index.jsonl").open("a").write("not json\n")
-    # An entry whose run document is gone must be dropped.
-    gone = RunKey(CONFIG, "EDF-BF", "bid")
-    store.put(CONFIG, "EDF-BF", "bid", OBJS)
-    store.run_path(gone).unlink()
-
-    before, after = store.compact()
-    assert before == 5 and after == 2
-    entries = list(store.index_entries())
-    assert [e["policy"] for e in entries] == ["FCFS-BF", "Libra"]
-    # Compaction is idempotent and the index still parses line by line.
-    assert store.compact() == (2, 2)
+def test_record_and_merge_write_no_index(tmp_path):
+    src = seeded_store(tmp_path / "src", policies=("FCFS-BF", "Libra"))
+    dest = RunStore(tmp_path / "dest")
+    dest.merge_from(src)
+    assert sorted(p.name for p in (tmp_path / "src").iterdir()) == ["runs"]
+    assert sorted(p.name for p in (tmp_path / "dest").iterdir()) == ["runs"]
 
 
-def test_compact_is_noop_for_memory_store():
-    assert RunStore().compact() == (0, 0)
+def old_index_line(key: RunKey) -> str:
+    """One ``index.jsonl`` line as stores before the document tree wrote them."""
+    return json.dumps({
+        "format": "repro-run", "key": key.digest, "model": key.model,
+        "n_jobs": key.config.n_jobs, "policy": key.policy, "seed": key.config.seed,
+    }, sort_keys=True) + "\n"
+
+
+def test_a_store_with_an_old_index_still_resumes_and_merges(tmp_path):
+    from repro.experiments.pipeline import execute_plan
+
+    keys = [RunKey(CONFIG, policy, "bid") for policy in ("FCFS-BF", "Libra", "EDF-BF")]
+    src = seeded_store(tmp_path / "src", policies=("FCFS-BF", "Libra", "EDF-BF"))
+    # Stale lines too: a duplicate, a dead digest and a torn append.
+    index = "".join(map(old_index_line, keys + keys[:1]))
+    index += old_index_line(RunKey(CONFIG, "SJF-BF", "bid")) + "not json\n"
+    (tmp_path / "src" / "index.jsonl").write_text(index)
+    (tmp_path / "dest").mkdir()
+    (tmp_path / "dest" / "index.jsonl").write_text(old_index_line(keys[0]))
+
+    resumed = execute_plan(keys, RunStore(tmp_path / "src"))
+    assert (resumed.hits, resumed.misses) == (3, 0)
+    report = RunStore(tmp_path / "dest").merge_from(src)
+    assert (report.runs_copied, report.corrupt) == (3, 0)
+    dest = RunStore(tmp_path / "dest")
+    assert dest.disk_digests() == src.disk_digests() == {k.digest for k in keys}
+    assert all(dest.lookup(key) == OBJS for key in keys)
+    # Neither index is read, rewritten or deleted.
+    assert (tmp_path / "src" / "index.jsonl").read_text() == index
+    assert (tmp_path / "dest" / "index.jsonl").read_text() == old_index_line(keys[0])
