@@ -18,7 +18,9 @@ from repro.experiments.marketsweep import (
     mtbf_market_scenario,
     run_market_sweep,
 )
-from repro.market import Marketplace, SyntheticSpec, market_job_stream
+from repro.market.marketplace import Marketplace
+from repro.market.provider import SyntheticSpec
+from repro.market.stream import market_job_stream
 
 # -- one big market ------------------------------------------------------------
 N_USERS = 1_000_000

@@ -331,7 +331,8 @@ def cmd_grid(args) -> int:
         "run_timeout", "max_retries", "backoff_base", "max_sim_events", "max_sim_time",
         "on_error")}
     if args.farm:
-        from repro.farm import Farm, plan_from_args
+        from repro.farm.coordinator import Farm
+        from repro.farm.plan import plan_from_args
 
         plan = plan_from_args(policies, args.model, base, args.set,
                               scenarios=tuple(args.scenario or ()), **supervision)
@@ -460,7 +461,9 @@ def cmd_market(args) -> int:
         run_market_sweep,
     )
     from repro.experiments.runstore import RunStore
-    from repro.market import Marketplace, ProviderSpec, SyntheticSpec, market_job_stream
+    from repro.market.marketplace import Marketplace, ProviderSpec
+    from repro.market.provider import SyntheticSpec
+    from repro.market.stream import market_job_stream
 
     if args.providers < 2:
         raise UsageError("a market needs at least 2 providers")
@@ -530,7 +533,8 @@ def cmd_market(args) -> int:
 
 
 def cmd_farm_worker(args) -> int:
-    from repro.farm import Farm, WorkerAgent
+    from repro.farm.coordinator import Farm
+    from repro.farm.worker import WorkerAgent
 
     farm = Farm(args.farm)
     agent = WorkerAgent(
@@ -557,7 +561,7 @@ def cmd_farm_worker(args) -> int:
 
 
 def cmd_farm_sync(args) -> int:
-    from repro.farm import Farm
+    from repro.farm.coordinator import Farm
 
     farm = Farm(args.farm)
     report = farm.sync()
@@ -571,7 +575,8 @@ def cmd_farm_sync(args) -> int:
 def cmd_farm_serve(args) -> int:
     import subprocess
 
-    from repro.farm import Farm, FarmError, FarmService
+    from repro.farm.coordinator import Farm, FarmError
+    from repro.farm.service import FarmService
 
     farm = Farm(args.farm)
     service = FarmService(
@@ -611,7 +616,7 @@ def cmd_farm_serve(args) -> int:
 
 def cmd_farm_status(args) -> int:
     from repro.experiments.report import format_table
-    from repro.farm import Farm
+    from repro.farm.coordinator import Farm
 
     farm = Farm(args.farm)
     job_ids = farm.job_ids()

@@ -11,19 +11,3 @@ policy families:
 - :mod:`repro.cluster.timeshared` — deadline-proportional processor sharing;
   used by the Libra family (Libra, Libra+$, LibraRiskD).
 """
-
-from repro.cluster.node import Node
-from repro.cluster.profile import earliest_start_time, easy_backfill_window
-from repro.cluster.spaceshared import RunningJob, SpaceSharedCluster
-from repro.cluster.timeshared import ShareMode, TimeSharedCluster, TSJobState
-
-__all__ = [
-    "Node",
-    "SpaceSharedCluster",
-    "RunningJob",
-    "earliest_start_time",
-    "easy_backfill_window",
-    "TimeSharedCluster",
-    "TSJobState",
-    "ShareMode",
-]

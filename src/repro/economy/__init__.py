@@ -9,33 +9,3 @@
   the price; no penalty; budget caps acceptance) and :class:`BidBasedModel`
   (user bids the price; deadline misses are penalised without bound).
 """
-
-from repro.economy.models import (
-    BidBasedModel,
-    BoundedBidModel,
-    CommodityMarketModel,
-    EconomicModel,
-    make_model,
-)
-from repro.economy.penalty import bounded_utility, delay_of, linear_utility
-from repro.economy.pricing import (
-    PricingParams,
-    flat_cost,
-    libra_cost,
-    libra_dollar_node_price,
-)
-
-__all__ = [
-    "EconomicModel",
-    "CommodityMarketModel",
-    "BidBasedModel",
-    "BoundedBidModel",
-    "make_model",
-    "linear_utility",
-    "bounded_utility",
-    "delay_of",
-    "PricingParams",
-    "flat_cost",
-    "libra_cost",
-    "libra_dollar_node_price",
-]

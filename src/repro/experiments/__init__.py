@@ -17,51 +17,3 @@
   provider risk knobs vs final market share/revenue, content-addressed
   through the same :class:`~repro.experiments.runstore.RunStore`.
 """
-
-from typing import TYPE_CHECKING
-
-from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.experiments.marketsweep import (
-        MarketConfig,
-        MarketScenario,
-        MarketSweepResult,
-        default_market_config,
-        run_market_sweep,
-    )
-    from repro.experiments.runner import GridAnalysis, build_workload, run_grid, run_single
-    from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, Scenario, scenario_by_name
-
-__all__ = [
-    "ExperimentConfig",
-    "Scenario",
-    "SCENARIOS",
-    "scenario_by_name",
-    "build_workload",
-    "run_single",
-    "run_grid",
-    "GridAnalysis",
-    "MarketConfig",
-    "MarketScenario",
-    "MarketSweepResult",
-    "default_market_config",
-    "run_market_sweep",
-]
-
-__getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.experiments.marketsweep": (
-        "MarketConfig",
-        "MarketScenario",
-        "MarketSweepResult",
-        "default_market_config",
-        "run_market_sweep",
-    ),
-    "repro.experiments.runner": ("GridAnalysis", "build_workload", "run_grid", "run_single"),
-    "repro.experiments.scenarios": (
-        "SCENARIOS",
-        "ExperimentConfig",
-        "Scenario",
-        "scenario_by_name",
-    ),
-})

@@ -11,7 +11,8 @@ fault parameters stay fixed.  Two knobs ship ready-made:
 - :func:`mtbf_scenario` sweeps the per-node MTBF; each level's
   steady-state availability ``MTBF / (MTBF + MTTR)`` labels the row.
 - :func:`cascade_scenario` sweeps the cascade probability over a
-  rack-structured machine (:data:`CORRELATED_FAULTS`): level 0 is the
+  rack-structured machine
+  (:data:`~repro.faults.config.CORRELATED_FAULTS`): level 0 is the
   independent baseline, rising levels correlate the same failure mass
   into whole-neighbourhood events.
 
@@ -35,8 +36,6 @@ from repro.core.separate import SeparateRisk
 from repro.experiments.pipeline import assemble_grid, execute_plan, grid_plan
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import ExperimentConfig, Scenario
-# CORRELATED_FAULTS lives with FaultConfig; this module re-exports it.
-from repro.faults.config import CORRELATED_FAULTS as CORRELATED_FAULTS
 from repro.faults.config import FaultConfig
 
 #: default per-node MTBF levels (seconds): 6 h … 8 days.  The span brackets

@@ -603,12 +603,10 @@ class RunStore:
         return {p.stem for p in (self.cache_dir / "runs").glob("??/*.json")}
 
     def stats(self) -> dict:
-        """Plain-dict summary for CLI/report output."""
+        """What the store's directory holds, for CLI/report output (the
+        per-handle ``hits``/``misses`` counters are not part of it)."""
         on_disk = self.disk_digests() if self.cache_dir is not None else set()
         return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "memory_runs": len(self._memory),
             "disk_runs": len(on_disk),
             "failures": len(self.failures()),
             "cache_dir": str(self.cache_dir) if self.cache_dir else None,

@@ -33,44 +33,3 @@ injection (or any single fault feature) never perturbs the workload
 synthesis or the other features' draws, and runs stay bit-for-bit
 reproducible.
 """
-
-from typing import TYPE_CHECKING
-
-from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.faults.config import FaultConfig
-    from repro.faults.injector import FaultInjector, FaultKill
-    from repro.faults.models import (
-        ExponentialFailures,
-        FailureProcess,
-        ScriptedFailures,
-        WeibullFailures,
-        make_failure_process,
-    )
-    from repro.faults.topology import FaultTopology
-
-__all__ = [
-    "FaultConfig",
-    "FaultInjector",
-    "FaultKill",
-    "FaultTopology",
-    "FailureProcess",
-    "ExponentialFailures",
-    "WeibullFailures",
-    "ScriptedFailures",
-    "make_failure_process",
-]
-
-__getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.faults.config": ("FaultConfig",),
-    "repro.faults.injector": ("FaultInjector", "FaultKill"),
-    "repro.faults.models": (
-        "ExponentialFailures",
-        "FailureProcess",
-        "ScriptedFailures",
-        "WeibullFailures",
-        "make_failure_process",
-    ),
-    "repro.faults.topology": ("FaultTopology",),
-})

@@ -334,8 +334,7 @@ NO_FAULTS = FaultConfig()
 #: The rack-structured machine the correlated fault sweep runs on: racks of
 #: 8 nodes, one outage per rack-day lasting an hour, a cascade hop 30 s
 #: after its trigger, and a per-node MTBF of 4 days.  ``repro faults
-#: --sweep correlated`` takes its option defaults from these fields
-#: (:mod:`repro.experiments.faultsweep` re-exports it).
+#: --sweep correlated`` takes its option defaults from these fields.
 CORRELATED_FAULTS = FaultConfig(
     enabled=True,
     mtbf=345_600.0,

@@ -26,36 +26,3 @@ benchmark ``benchmarks/test_market_extension.py`` demonstrates the §3
 claim quantitatively and :mod:`repro.experiments.marketsweep` quantifies
 risk-vs-survival at population scale.
 """
-
-from typing import TYPE_CHECKING
-
-from repro import _lazy_exports
-
-if TYPE_CHECKING:
-    from repro.market.cohort import UserCohort
-    from repro.market.marketplace import Marketplace, MarketShareSample, ProviderSpec
-    from repro.market.provider import OutageTimeline, SyntheticProvider, SyntheticSpec
-    from repro.market.stream import market_job_stream
-    from repro.market.user import SatisfactionParams, score_outcome, softmax_pick
-
-__all__ = [
-    "SatisfactionParams",
-    "Marketplace",
-    "ProviderSpec",
-    "MarketShareSample",
-    "UserCohort",
-    "OutageTimeline",
-    "SyntheticProvider",
-    "SyntheticSpec",
-    "market_job_stream",
-    "score_outcome",
-    "softmax_pick",
-]
-
-__getattr__, __dir__ = _lazy_exports(__name__, {
-    "repro.market.cohort": ("UserCohort",),
-    "repro.market.marketplace": ("Marketplace", "MarketShareSample", "ProviderSpec"),
-    "repro.market.provider": ("OutageTimeline", "SyntheticProvider", "SyntheticSpec"),
-    "repro.market.stream": ("market_job_stream",),
-    "repro.market.user": ("SatisfactionParams", "score_outcome", "softmax_pick"),
-})

@@ -35,21 +35,29 @@ from typing import Iterator, Optional
 
 
 class StreamingStat:
-    """Constant-space summary of a stream of observations."""
+    """Constant-space summary of a stream of observations.
 
-    __slots__ = ("count", "total", "sumsq", "min", "max")
+    The spread is Welford's update (a running mean and ``m2``, the sum of
+    squared deviations from it), so σ does not cancel on a stream of
+    large or equal values; :attr:`mean` stays ``total / count``.
+    """
+
+    __slots__ = ("count", "total", "_mean", "_m2", "min", "max")
 
     def __init__(self) -> None:
         self.count = 0
         self.total = 0.0
-        self.sumsq = 0.0
+        self._mean = 0.0
+        self._m2 = 0.0
         self.min = math.inf
         self.max = -math.inf
 
     def observe(self, value: float) -> None:
         self.count += 1
         self.total += value
-        self.sumsq += value * value
+        delta = value - self._mean
+        self._mean += delta / self.count
+        self._m2 += delta * (value - self._mean)
         if value < self.min:
             self.min = value
         if value > self.max:
@@ -61,10 +69,8 @@ class StreamingStat:
 
     @property
     def std(self) -> float:
-        if self.count < 2:
-            return 0.0
-        var = self.sumsq / self.count - self.mean**2
-        return math.sqrt(var) if var > 0.0 else 0.0
+        """The population standard deviation (0 below two observations)."""
+        return math.sqrt(self._m2 / self.count) if self._m2 > 0.0 else 0.0
 
     def as_dict(self) -> dict:
         return {

@@ -8,16 +8,3 @@
   :class:`repro.core.objectives.JobOutcome` records the risk analysis
   consumes.
 """
-
-from repro.service.accounting import AccountingLedger, LedgerEntry
-from repro.service.provider import CommercialComputingService, ServiceResult
-from repro.service.sla import SLARecord, SLAStatus
-
-__all__ = [
-    "CommercialComputingService",
-    "ServiceResult",
-    "SLARecord",
-    "SLAStatus",
-    "AccountingLedger",
-    "LedgerEntry",
-]

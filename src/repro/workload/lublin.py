@@ -151,40 +151,13 @@ def _advance_arrivals(
     return submits
 
 
-def sample_arrivals(rng: np.random.Generator, model: LublinModel, n: int) -> np.ndarray:
-    """Submit times: gamma gaps stretched by the inverse of the daily cycle
-    (arrivals thin out at night, bunch during working hours)."""
-    submits = _advance_arrivals(rng, model, n, 0.0)
-    return submits - submits[0]
-
-
 def generate_lublin_trace(
     model: LublinModel = LublinModel(),
     rng: np.random.Generator | int | None = None,
 ) -> list[Job]:
-    """Generate a Lublin–Feitelson workload as a list of jobs."""
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(0 if rng is None else rng)
-    n = model.n_jobs
-    if n <= 0:
-        raise ValueError("n_jobs must be positive")
-    sizes = sample_sizes(rng, model, n)
-    runtimes = sample_runtimes(rng, model, sizes)
-    submits = sample_arrivals(rng, model, n)
-    estimates = synthesize_trace_estimates(
-        runtimes, rng, overestimate_fraction=model.overestimate_fraction
-    )
-    return [
-        Job(
-            job_id=i + 1,
-            submit_time=float(submits[i]),
-            runtime=float(runtimes[i]),
-            estimate=float(estimates[i]),
-            procs=int(sizes[i]),
-            trace_estimate=float(estimates[i]),
-        )
-        for i in range(n)
-    ]
+    """Generate a Lublin–Feitelson workload as a list of jobs: the one
+    chunk of :func:`iter_lublin_chunks` that holds every job."""
+    return next(iter_lublin_chunks(model, rng, chunk_size=model.n_jobs))
 
 
 def iter_lublin_chunks(
@@ -196,12 +169,11 @@ def iter_lublin_chunks(
 
     Peak memory is O(``chunk_size``) instead of O(``n_jobs``), which is
     what lets 10⁶-job streams drive the marketplace without materialising
-    a trace.  Each chunk samples sizes → runtimes → arrivals → estimates
-    exactly like :func:`generate_lublin_trace`; the arrival clock and the
-    t=0 normalisation carry across chunks, so the distribution is the
-    model's regardless of chunking.  The concrete sequence matches the
-    batch generator bit-for-bit only when ``chunk_size >= n_jobs`` (one
-    chunk — the RNG then sees the identical draw order).
+    a trace.  Each chunk samples sizes → runtimes → arrivals → estimates;
+    the arrival clock and the t=0 normalisation carry across chunks, so
+    the distribution is the model's regardless of chunking.  The concrete
+    sequence depends on ``chunk_size``: with ``chunk_size >= n_jobs`` the
+    one chunk is :func:`generate_lublin_trace`'s trace.
     """
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(0 if rng is None else rng)
@@ -237,13 +209,3 @@ def iter_lublin_chunks(
         ]
         next_id += n
         remaining -= n
-
-
-def iter_lublin_jobs(
-    model: LublinModel = LublinModel(),
-    rng: np.random.Generator | int | None = None,
-    chunk_size: int = 8192,
-) -> "Iterator[Job]":
-    """Flat job-at-a-time view of :func:`iter_lublin_chunks`."""
-    for chunk in iter_lublin_chunks(model, rng, chunk_size):
-        yield from chunk

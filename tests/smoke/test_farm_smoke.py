@@ -22,7 +22,8 @@ import pytest
 import repro
 from repro.experiments.runner import run_grid
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.farm import Coordinator, Farm, plan_from_args
+from repro.farm.coordinator import Coordinator, Farm
+from repro.farm.plan import plan_from_args
 
 pytestmark = pytest.mark.smoke
 

@@ -192,7 +192,9 @@ def test_grid_serial_vs_pool_and_warm_store(tmp_path):
 def test_farm_overhead_over_a_direct_execute_plan(tmp_path):
     from repro.experiments.pipeline import execute_plan
     from repro.experiments.runstore import RunStore
-    from repro.farm import Coordinator, Farm, WorkerAgent, plan_from_args
+    from repro.farm.coordinator import Coordinator, Farm
+    from repro.farm.plan import plan_from_args
+    from repro.farm.worker import WorkerAgent
 
     policies, model, config, set_name, _ = _tiny_grid()
     plan = plan_from_args(policies, model, config, set_name, scenarios=("job mix",))

@@ -8,10 +8,10 @@ import pytest
 
 from repro.cli import build_parser, main
 from repro.experiments import runner
-from repro.experiments.faultsweep import CORRELATED_FAULTS, cascade_scenario, run_fault_sweep
+from repro.experiments.faultsweep import cascade_scenario, run_fault_sweep
 from repro.experiments.runstore import RunKey
 from repro.experiments.scenarios import ExperimentConfig
-from repro.faults.config import FaultConfig
+from repro.faults.config import CORRELATED_FAULTS, FaultConfig
 from repro.policies import POLICIES
 from repro.workload.swf import write_swf
 from repro.workload.synthetic import SDSC_SP2, generate_trace
@@ -433,7 +433,7 @@ def test_farm_serve_self_execute_end_to_end(tmp_path, capsys):
     )
     assert code == 0
     assert "accepted job" in out and "served 1 job(s)" in out
-    from repro.farm import Farm
+    from repro.farm.coordinator import Farm
 
     farm = Farm(farm_dir)
     [job_id] = farm.job_ids()
@@ -471,6 +471,8 @@ def test_store_stats_and_merge(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "store", "stats", str(tmp_path / "a"))
     assert code == 0
     assert "disk_runs" in out and "index_lines" not in out
+    # hits, misses and memory_runs count a handle, not the directory
+    assert "hits" not in out and "misses" not in out and "memory_runs" not in out
 
     (tmp_path / "dest").mkdir()
     code, out, _ = run_cli(

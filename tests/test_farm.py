@@ -14,17 +14,17 @@ from repro.experiments.pipeline import ExecutionPolicy
 from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.farm import (
-    Coordinator,
-    Farm,
-    FarmError,
+from repro.farm import leases
+from repro.farm.coordinator import Coordinator, Farm, FarmError
+from repro.farm.plan import (
     FarmPlan,
-    FarmService,
-    WorkerAgent,
-    leases,
+    load_plan_text,
     plan_from_args,
+    unit_document,
+    unit_from_document,
 )
-from repro.farm.plan import load_plan_text, unit_document, unit_from_document
+from repro.farm.service import FarmService
+from repro.farm.worker import WorkerAgent
 
 SMALL = ExperimentConfig(n_jobs=20, total_procs=16)
 POLICIES = ["FCFS-BF", "Libra"]

@@ -331,7 +331,9 @@ def _correlated_reference() -> dict:
 def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
     """Serial, 2-worker pool, resumed, and 2-worker farm execution of a
     correlated-fault grid are all bit-identical."""
-    from repro.farm import Coordinator, Farm, WorkerAgent, plan_from_args
+    from repro.farm.coordinator import Coordinator, Farm
+    from repro.farm.plan import plan_from_args
+    from repro.farm.worker import WorkerAgent
 
     reference = _correlated_reference()
     scenarios = [scenario_by_name(SCENARIO)]
@@ -448,7 +450,7 @@ def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path, monkeypat
 
 
 def test_outage_group_requires_an_outage_process():
-    from repro.market import SyntheticSpec
+    from repro.market.provider import SyntheticSpec
 
     with pytest.raises(ValueError, match="mtbf"):
         SyntheticSpec("p", outage_group="grid")
@@ -457,7 +459,9 @@ def test_outage_group_requires_an_outage_process():
 
 
 def test_grouped_providers_share_outage_instants():
-    from repro.market import Marketplace, SyntheticSpec, market_job_stream
+    from repro.market.marketplace import Marketplace
+    from repro.market.provider import SyntheticSpec
+    from repro.market.stream import market_job_stream
 
     def final_failures(specs):
         market = Marketplace(specs, n_users=50, seed=3)
@@ -484,7 +488,8 @@ def test_grouped_providers_share_outage_instants():
 
 
 def test_grouped_provider_mtbf_mismatch_is_rejected():
-    from repro.market import Marketplace, SyntheticSpec
+    from repro.market.marketplace import Marketplace
+    from repro.market.provider import SyntheticSpec
 
     with pytest.raises(ValueError, match="disagrees"):
         Marketplace([

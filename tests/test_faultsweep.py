@@ -13,7 +13,6 @@ import pytest
 
 from faultsweep_reference import reference_fault_sweep
 from repro.experiments.faultsweep import (
-    CORRELATED_FAULTS,
     assemble_fault_sweep,
     cascade_scenario,
     mtbf_scenario,
@@ -22,6 +21,7 @@ from repro.experiments.faultsweep import (
 from repro.experiments.pipeline import execute_plan, grid_plan
 from repro.experiments.runstore import RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig
+from repro.faults.config import CORRELATED_FAULTS
 
 POLICIES = ("FCFS-BF", "EDF-BF", "Libra")
 BASE = ExperimentConfig(n_jobs=40, total_procs=16)

@@ -2,16 +2,15 @@
 
 A fresh process that builds and runs one cell loads only the simulation
 stack; the risk analysis, the run store, the pipeline, the market, the farm
-and the process-pool machinery load only on the paths that use them.  The
-package façades that make this possible resolve their names lazily
-(PEP 562) and must keep behaving exactly like eager packages.
+and the process-pool machinery load only on the paths that use them.  A
+package ``__init__`` holds only its docstring, so importing a package loads
+none of its submodules; every name is imported from its defining module.
 
 The guards assert module names, never timings, so they hold on every
 supported interpreter.
 """
 
 import ast
-import importlib
 import json
 import os
 import subprocess
@@ -42,17 +41,6 @@ OUTSIDE_SIM_STACK = (
     "concurrent.futures",
 )
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
-
-#: every package whose façade resolves its names on first access.
-LAZY_PACKAGES = (
-    "repro",
-    "repro.core",
-    "repro.experiments",
-    "repro.faults",
-    "repro.farm",
-    "repro.market",
-    "repro.workload",
-)
 
 
 def loaded_after(code: str) -> set:
@@ -131,71 +119,28 @@ def test_serial_plan_never_loads_the_process_pool():
     assert offenders(modules, POOL_MODULES) == []
 
 
-# -- façade contract -------------------------------------------------------------
+# -- one home per name ----------------------------------------------------------
+
+#: the packages whose ``__init__`` re-exports names: the policy registry, and
+#: the engine and perf names that tests, benchmarks and perfbench import.
+EXPORTING_PACKAGES = ("policies", "sim", "perf")
 
 
-def lazy_map(package: str) -> dict:
-    """``{name: defining module}`` as the façade's run-time map declares it."""
-    module = importlib.import_module(package)
-    source = Path(module.__file__).read_text()
-    for node in ast.parse(source).body:
-        if (
-            isinstance(node, ast.Assign)
-            and isinstance(node.value, ast.Call)
-            and getattr(node.value.func, "id", None) == "_lazy_exports"
-        ):
-            exports = ast.literal_eval(node.value.args[1])
-            return {name: mod for mod, names in exports.items() for name in names}
-    raise AssertionError(f"{package} declares no lazy exports")
-
-
-def type_checking_imports(package: str) -> dict:
-    """``{name: module}`` of the façade's ``if TYPE_CHECKING:`` block."""
-    module = importlib.import_module(package)
-    found = {}
-    for node in ast.parse(Path(module.__file__).read_text()).body:
-        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
-            for stmt in node.body:
-                assert isinstance(stmt, ast.ImportFrom), ast.dump(stmt)
-                for alias in stmt.names:
-                    found[alias.asname or alias.name] = stmt.module
-    return found
-
-
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
-def test_static_imports_match_the_lazy_map(package):
-    """The names linters see are the names the façade resolves."""
-    declared = lazy_map(package)
-    assert type_checking_imports(package) == declared
-    module = importlib.import_module(package)
-    assert set(module.__all__) - {"__version__"} == set(declared)
-
-
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
-def test_every_name_resolves_to_its_defining_object(package):
-    module = importlib.import_module(package)
-    for name, origin in lazy_map(package).items():
-        assert getattr(module, name) is getattr(importlib.import_module(origin), name)
-        assert name in dir(module)
-
-
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
-def test_star_import_binds_all(package):
-    namespace: dict = {}
-    exec(f"from {package} import *", namespace)
-    module = importlib.import_module(package)
-    for name in module.__all__:
-        assert namespace[name] is getattr(module, name)
-
-
-@pytest.mark.parametrize("package", LAZY_PACKAGES)
-def test_unknown_name_raises_attribute_error(package):
-    module = importlib.import_module(package)
-    assert not hasattr(module, "no_such_name")
-    with pytest.raises(AttributeError, match="no_such_name"):
-        module.no_such_name
-    with pytest.raises(ImportError):
-        exec(f"from {package} import no_such_name", {})
+def test_package_inits_hold_only_their_docstring():
+    """Every other package is its docstring; a name is imported from the
+    module that defines it (``repro`` also holds ``__version__``)."""
+    inits = sorted((SRC / "repro").rglob("__init__.py"))
+    assert len(inits) > len(EXPORTING_PACKAGES) + 1
+    for init in inits:
+        package = init.parent.relative_to(SRC / "repro").parts
+        if package and package[0] in EXPORTING_PACKAGES:
+            continue
+        tree = ast.parse(init.read_text())
+        assert ast.get_docstring(tree), f"{init} has no docstring"
+        rest = [ast.unparse(stmt) for stmt in tree.body[1:]]
+        if not package:
+            rest = [stmt for stmt in rest if not stmt.startswith("__version__ = ")]
+        assert rest == [], f"{init} holds more than its docstring: {rest}"
 
 
 def test_submodules_still_import_through_a_lazy_facade():
@@ -207,8 +152,10 @@ def test_submodules_still_import_through_a_lazy_facade():
 
 
 def test_fault_sweep_reexports_the_correlated_machine():
+    """The correlated machine has one home, ``repro.faults.config``; the
+    fault sweep module does not re-export it."""
     from repro.experiments import faultsweep
     from repro.faults import config
 
-    assert faultsweep.CORRELATED_FAULTS is config.CORRELATED_FAULTS
+    assert not hasattr(faultsweep, "CORRELATED_FAULTS")
     assert config.CORRELATED_FAULTS.enabled and config.CORRELATED_FAULTS.domain_size == 8

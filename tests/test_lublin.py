@@ -7,7 +7,7 @@ from repro.workload.lublin import (
     LublinModel,
     daily_cycle_weight,
     generate_lublin_trace,
-    sample_arrivals,
+    iter_lublin_chunks,
     sample_runtimes,
     sample_sizes,
 )
@@ -53,10 +53,12 @@ def test_runtime_bounds_and_size_coupling():
     assert np.median(small) != pytest.approx(np.median(large), rel=0.01)
 
 
+def submit_times(model, seed):
+    return np.array([j.submit_time for j in generate_lublin_trace(model, rng=seed)])
+
+
 def test_arrivals_start_at_zero_and_increase():
-    model = LublinModel(n_jobs=500)
-    rng = np.random.default_rng(4)
-    submits = sample_arrivals(rng, model, model.n_jobs)
+    submits = submit_times(LublinModel(n_jobs=500), seed=4)
     assert submits[0] == 0.0
     assert np.all(np.diff(submits) > 0)
 
@@ -72,8 +74,7 @@ def test_daily_cycle_peaks_at_peak_hour():
 def test_arrival_rate_follows_cycle():
     # Count arrivals by hour-of-day: the peak hours must out-draw the trough.
     model = LublinModel(n_jobs=8000, arrival_scale=300.0, cycle_amplitude=0.8)
-    rng = np.random.default_rng(6)
-    submits = sample_arrivals(rng, model, model.n_jobs)
+    submits = submit_times(model, seed=6)
     hours = (submits / 3600.0) % 24.0
     peak = np.sum((hours > 11) & (hours < 17))
     trough = np.sum((hours > 23) | (hours < 5))
@@ -87,6 +88,15 @@ def test_trace_is_valid_workload():
     assert all(j.estimate > 0 for j in jobs)
     over = np.mean([j.trace_estimate > j.runtime for j in jobs])
     assert over == pytest.approx(0.92, abs=0.06)
+
+
+@pytest.mark.parametrize("n_jobs, chunk_size", [(1, 1), (100, 100), (100, 8192), (1000, 1000)])
+def test_batch_trace_is_the_concatenated_chunks(n_jobs, chunk_size):
+    model = LublinModel(n_jobs=n_jobs)
+    chunks = list(iter_lublin_chunks(model, rng=11, chunk_size=chunk_size))
+    streamed = [job for chunk in chunks for job in chunk]
+    assert len(chunks) == 1
+    assert streamed == generate_lublin_trace(model, rng=11)
 
 
 def test_invalid_job_count():

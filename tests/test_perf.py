@@ -1,5 +1,7 @@
 """Unit tests for the perf instrumentation layer (repro.perf)."""
 
+import statistics
+
 import pytest
 
 from repro import perf
@@ -32,6 +34,25 @@ def test_streaming_stat_summary():
     assert d["min"] == 1.0
     assert d["max"] == 4.0
     assert d["std"] == pytest.approx(1.118, abs=1e-3)
+
+
+def test_streaming_stat_std_of_a_constant_stream_is_zero():
+    stat = StreamingStat()
+    for _ in range(6):
+        stat.observe(0.9)
+    assert stat.std == 0.0
+    assert stat.mean == pytest.approx(0.9)
+
+
+@pytest.mark.parametrize("values", [
+    [1e6 + 0.1, 1e6 + 0.2, 1e6 + 0.3],
+    [1e6 + k / 7 for k in range(50)],
+])
+def test_streaming_stat_std_does_not_cancel_on_offset_data(values):
+    stat = StreamingStat()
+    for v in values:
+        stat.observe(v)
+    assert stat.std == pytest.approx(statistics.pstdev(values), rel=1e-9)
 
 
 def test_registry_counter_timer_histogram():

@@ -173,9 +173,8 @@ def test_stats_summary(tmp_path):
     store = RunStore(tmp_path)
     store.put(CONFIG, "FCFS-BF", "bid", OBJS)
     stats = store.stats()
-    assert stats["memory_runs"] == 1
-    assert stats["disk_runs"] == 1
-    assert stats["cache_dir"] == str(tmp_path)
+    assert len(store) == 1
+    assert stats == {"disk_runs": 1, "failures": 0, "cache_dir": str(tmp_path)}
     assert RunStore().stats()["cache_dir"] is None
 
 
