@@ -13,12 +13,10 @@ Each ablation isolates one mechanism the paper leans on:
 
 from conftest import one_shot
 
-from repro.cluster.timeshared import ShareMode
 from repro.economy.models import make_model
 from repro.economy.pricing import PricingParams
 from repro.experiments.report import format_table
 from repro.experiments.runner import build_workload
-from repro.experiments.scenarios import ExperimentConfig
 from repro.policies import make_policy
 from repro.policies.libra_dollar import LibraDollar
 from repro.policies.libra_riskd import LibraRiskD

@@ -326,16 +326,18 @@ def cmd_grid(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     base = _config_from_args(args)
-    # The supervision knobs, as ExecutionPolicy and plan_from_args name them.
-    supervision = {name: getattr(args, name) for name in (
-        "run_timeout", "max_retries", "backoff_base", "max_sim_events", "max_sim_time",
-        "on_error")}
+    try:
+        execution = ExecutionPolicy(**{name: getattr(args, name) for name in (
+            "run_timeout", "max_retries", "backoff_base", "max_sim_events", "max_sim_time",
+            "on_error")})
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if args.farm:
         from repro.farm.coordinator import Farm
         from repro.farm.plan import plan_from_args
 
         plan = plan_from_args(policies, args.model, base, args.set,
-                              scenarios=tuple(args.scenario or ()), **supervision)
+                              scenarios=tuple(args.scenario or ()), execution=execution)
         farm = Farm(args.farm)
         path = farm.submit(plan)
         units = len(plan.unique_units())
@@ -349,8 +351,7 @@ def cmd_grid(args) -> int:
     plan = grid_plan(policies, args.model, base, args.set, scenarios)
     with perf_capture() as perf:
         execution = execute_plan(
-            plan, store, n_workers=args.workers, shard=shard,
-            execution=ExecutionPolicy(**supervision),
+            plan, store, n_workers=args.workers, shard=shard, execution=execution,
         )
         counters = dict(perf.counters)
     rate = execution.executed / max(execution.wall_s, 1e-12)
@@ -616,7 +617,7 @@ def cmd_farm_serve(args) -> int:
 
 def cmd_farm_status(args) -> int:
     from repro.experiments.report import format_table
-    from repro.farm.coordinator import Farm
+    from repro.farm.coordinator import Farm, FarmError
 
     farm = Farm(args.farm)
     job_ids = farm.job_ids()
@@ -626,7 +627,12 @@ def cmd_farm_status(args) -> int:
           f"{len(farm.worker_ids())} worker store(s)")
     rows = []
     for job_id in job_ids:
-        progress = farm.progress(job_id)
+        try:
+            progress = farm.progress(job_id)
+        except FarmError:
+            rows.append({"job": job_id, "units": "", "done": "", "failed": "",
+                         "leased": "", "state": "unreadable"})
+            continue
         rows.append({
             "job": job_id,
             "units": progress.units,

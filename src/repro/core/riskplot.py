@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from repro.core.trend import Gradient, TrendLine, fit_trend
+from repro.core.trend import TrendLine, fit_trend
 
 
 @dataclass(frozen=True)

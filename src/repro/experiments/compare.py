@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 from repro.core.objectives import OBJECTIVES, Objective
 from repro.core.ranking import rank_policies

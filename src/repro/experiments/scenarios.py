@@ -26,7 +26,6 @@ load), bias 2, high:low ratio 4, low-value mean 4, and inaccuracy 0 %
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Callable, Sequence
 
 from repro.faults.config import NO_FAULTS, FaultConfig
 from repro.workload.qos import QoSParameter, QoSSpec

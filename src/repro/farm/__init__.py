@@ -9,16 +9,16 @@ grid is bit-identical to a serial ``repro grid`` by construction.
 
 Entry points:
 
-- :mod:`repro.farm.coordinator` — :class:`Farm` / :class:`Coordinator`:
-  layout, submission, lease reaping, sync, assembly (``repro farm sync``,
+- :mod:`repro.farm.coordinator` — :class:`Farm`: layout, submission,
+  the per-job plan cache, progress, sync, assembly (``repro farm sync``,
   ``repro farm status``);
 - :mod:`repro.farm.worker` — :class:`WorkerAgent`, the
   claim→execute→commit loop (``repro farm worker``);
-- :mod:`repro.farm.service` — :class:`FarmService`, the spool-watching
-  long-running mode (``repro farm serve``; submit with
-  ``repro grid --farm <dir>``);
+- :mod:`repro.farm.service` — :class:`FarmService`, the one loop that
+  drives jobs: spool pickup, lease reaping, assembly (``repro farm
+  serve``; submit with ``repro grid --farm <dir>``);
 - :mod:`repro.farm.plan` — :class:`FarmPlan`, the serialisable job
-  description;
+  description and the only file that names a job's units;
 - :mod:`repro.farm.leases` — the lease files behind mutual exclusion.
 
 See ``docs/farm.md`` for the protocol and its failure semantics.

@@ -7,7 +7,6 @@ rsync-synchronised) that carries all coordination state as plain files::
       spool/                     submitted plan files awaiting pickup
       jobs/<job_id>/
         job.json                 the FarmPlan (content-addressed job id)
-        units/<digest>.json      one claimable work unit per unique run
         leases/<digest>.json     live claims (see repro.farm.leases)
         done/<digest>.json       completion markers {digest, worker}
         failed/<digest>.json     exhausted-retries markers
@@ -15,37 +14,44 @@ rsync-synchronised) that carries all coordination state as plain files::
       store/                     the merged, authoritative RunStore
       workers/<worker_id>/store/ each worker's private RunStore
 
-The coordinator never simulates: it explodes plans into units, watches
-done/failed markers, steals back expired leases each poll, and — once
-every unit is resolved — *syncs* (merges every worker store into
-``<farm>/store``) and *assembles* with the standard
+A job is its plan: its units are the unique ``RunKey`` digests of
+``job.json``, which each :class:`Farm` handle explodes once and caches.
+:class:`Farm` never simulates: it turns spool files into jobs, counts
+markers against the plan's units, and — once every unit is resolved —
+*syncs* (merges every worker store into ``<farm>/store``) and
+*assembles* with the standard
 :func:`~repro.experiments.pipeline.assemble_grid`.  Because
 assembly reads the same content-addressed store a serial grid would
 have filled, a farmed grid is bit-identical to a serial one by
 construction; a unit whose every attempt died permanently shows up as
 exactly the journaled gap that ``--on-error degrade`` accounts for.
+:class:`~repro.farm.service.FarmService` drives jobs to completion.
 """
 
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Union
 
-from repro.experiments.runstore import MergeReport, RunStore, StoreError, atomic_write_text
-from repro.farm import leases as leases_mod
-from repro.farm.plan import FarmPlan, load_plan_text, unit_document
+from repro.experiments.runstore import (
+    MergeReport,
+    RunKey,
+    RunStore,
+    StoreError,
+    atomic_write_text,
+)
+from repro.farm.plan import FarmPlan, load_plan_text
 from repro.perf.registry import PERF
 
 
 class FarmError(RuntimeError):
-    """Farm-level failures (bad layout, timeouts, undriveable jobs)."""
+    """Farm-level failures (unreadable jobs, timeouts, undriveable jobs)."""
 
 
 def _document_text(doc: dict) -> str:
-    """A plan or unit file's text: indented JSON with sorted keys."""
+    """A plan file's text: indented JSON with sorted keys."""
     return json.dumps(doc, indent=1, sort_keys=True) + "\n"
 
 
@@ -79,13 +85,13 @@ class Farm:
         self.store_dir = self.root / "store"
         for path in (self.spool_dir, self.jobs_dir, self.workers_dir):
             path.mkdir(parents=True, exist_ok=True)
+        #: job id → (plan, unique units in digest order); ``job.json`` is
+        #: write-once and content addressed, so a read never goes stale.
+        self._jobs: dict[str, tuple[FarmPlan, list[tuple[RunKey, str]]]] = {}
 
     # -- paths ---------------------------------------------------------------
     def job_dir(self, job_id: str) -> Path:
         return self.jobs_dir / job_id
-
-    def units_dir(self, job_id: str) -> Path:
-        return self.job_dir(job_id) / "units"
 
     def leases_dir(self, job_id: str) -> Path:
         return self.job_dir(job_id) / "leases"
@@ -121,29 +127,19 @@ class Farm:
         return path
 
     def create_job(self, plan: FarmPlan) -> str:
-        """Materialise a plan as a job directory full of work units.
+        """Materialise a plan as a job directory; returns the job id.
 
-        Idempotent: the job id is the plan digest, unit files are only
-        written when absent, and units already carrying a done/failed
-        marker are left alone — re-creating a half-finished job resumes
-        it.  Returns the job id.
+        Idempotent: the job id is the plan digest and ``job.json`` is only
+        written when absent, so units already carrying a done/failed
+        marker stay resolved — re-creating a half-finished job resumes it.
         """
         job_id = plan.job_id
         job = self.job_dir(job_id)
-        for sub in ("units", "leases", "done", "failed"):
+        for sub in ("leases", "done", "failed"):
             (job / sub).mkdir(parents=True, exist_ok=True)
         plan_path = job / "job.json"
         if not plan_path.exists():
             atomic_write_text(plan_path, _document_text(plan.to_dict()))
-        created = 0
-        for unit, digest in plan.unique_units():
-            unit_path = self.units_dir(job_id) / f"{digest}.json"
-            if unit_path.exists():
-                continue
-            atomic_write_text(unit_path, _document_text(unit_document(unit, digest)))
-            created += 1
-        if PERF.enabled:
-            PERF.incr("farm.units_created", created)
         return job_id
 
     def accept_submissions(self) -> list[str]:
@@ -177,12 +173,25 @@ class Farm:
         return accepted
 
     # -- introspection -------------------------------------------------------
+    def _job(self, job_id: str) -> tuple[FarmPlan, list[tuple[RunKey, str]]]:
+        job = self._jobs.get(job_id)
+        if job is None:
+            path = self.job_dir(job_id) / "job.json"
+            try:
+                plan = load_plan_text(path.read_text())
+            except (OSError, StoreError) as exc:
+                raise FarmError(f"job {job_id} has no readable job.json: {exc}") from exc
+            job = plan, sorted(plan.unique_units(), key=lambda unit: unit[1])
+            self._jobs[job_id] = job
+        return job
+
     def load_plan(self, job_id: str) -> FarmPlan:
-        path = self.job_dir(job_id) / "job.json"
-        try:
-            return load_plan_text(path.read_text())
-        except OSError as exc:
-            raise FarmError(f"job {job_id} has no readable job.json: {exc}") from exc
+        """The job's plan (raises :class:`FarmError` when unreadable)."""
+        return self._job(job_id)[0]
+
+    def units(self, job_id: str) -> list[tuple[RunKey, str]]:
+        """The job's ``(unit, digest)`` pairs in digest (claim-scan) order."""
+        return self._job(job_id)[1]
 
     def job_ids(self) -> list[str]:
         return sorted(
@@ -190,7 +199,27 @@ class Farm:
             if (p / "job.json").exists()
         )
 
+    def pending_jobs(self) -> list[str]:
+        """Jobs still to drive: no ``result.json`` yet and a readable plan.
+
+        A job whose ``job.json`` cannot be read can never be claimed or
+        assembled, so it is left out rather than allowed to stop a worker
+        or the service.
+        """
+        pending = []
+        for job_id in self.job_ids():
+            if self.result_path(job_id).exists():
+                continue
+            try:
+                self.units(job_id)
+            except FarmError:
+                continue
+            pending.append(job_id)
+        return pending
+
     def progress(self, job_id: str) -> JobProgress:
+        """Marker counts against the plan's units (:class:`FarmError` when
+        the plan is unreadable)."""
         def count(path: Path) -> int:
             try:
                 return sum(1 for p in path.glob("*.json"))
@@ -199,7 +228,7 @@ class Farm:
 
         return JobProgress(
             job_id=job_id,
-            units=count(self.units_dir(job_id)),
+            units=len(self.units(job_id)),
             done=count(self.done_dir(job_id)),
             failed=count(self.failed_dir(job_id)),
             leased=count(self.leases_dir(job_id)),
@@ -231,75 +260,21 @@ class Farm:
             PERF.incr("farm.syncs")
         return report
 
-
-class Coordinator:
-    """Drives submitted jobs to completion over a :class:`Farm`.
-
-    ``clock``/``sleep`` are injectable for the unit tests; real services
-    run wall-clock.
-    """
-
-    def __init__(
-        self,
-        farm: Farm,
-        poll_interval: float = 0.5,
-        clock: Callable[[], float] = time.time,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self.farm = farm
-        self.poll_interval = poll_interval
-        self.clock = clock
-        self.sleep = sleep
-
-    def reap(self, job_id: str) -> int:
-        """Steal back expired leases so stalled units become claimable."""
-        return leases_mod.reap_expired(self.farm.leases_dir(job_id), self.clock)
-
-    def wait(
-        self,
-        job_id: str,
-        timeout: Optional[float] = None,
-        tick: Optional[Callable[[JobProgress], None]] = None,
-    ) -> JobProgress:
-        """Block until every unit of the job carries a done/failed marker.
-
-        Each poll steals back expired leases first — the coordinator's
-        work-stealing half — then re-reads the markers.  ``tick`` (if
-        given) observes each poll's progress; ``timeout`` raises
-        :class:`FarmError` rather than waiting forever on a farm with no
-        live workers.
-        """
-        deadline = None if timeout is None else self.clock() + timeout
-        while True:
-            self.reap(job_id)
-            progress = self.farm.progress(job_id)
-            if tick is not None:
-                tick(progress)
-            if progress.units and progress.outstanding == 0:
-                return progress
-            if deadline is not None and self.clock() > deadline:
-                raise FarmError(
-                    f"job {job_id} still has {progress.outstanding} outstanding "
-                    f"unit(s) after {timeout:g}s — are any workers running?"
-                )
-            self.sleep(self.poll_interval)
-
     def assemble(self, job_id: str):
-        """Sync worker stores and reduce the job to a ``GridAnalysis``.
+        """Sync worker stores and reduce the job to ``result.json``.
 
         The merged farm store is handed to the *standard*
         :func:`~repro.experiments.pipeline.assemble_grid`; with
         ``on_error="degrade"`` in the plan, permanently failed units
         become journaled gap cells, otherwise an incomplete store raises
-        exactly as a local grid would.
+        exactly as a local grid would.  Returns the ``GridAnalysis``.
         """
         from repro.experiments.pipeline import assemble_grid
 
-        plan = self.farm.load_plan(job_id)
-        self.farm.sync()
-        store = self.farm.store()
+        plan = self.load_plan(job_id)
+        self.sync()
         grid = assemble_grid(
-            store,
+            self.store(),
             plan.policies,
             plan.model,
             plan.config,
@@ -307,17 +282,7 @@ class Coordinator:
             plan.scenario_objects(),
             on_missing="degrade" if plan.on_error == "degrade" else "raise",
         )
-        grid.save(self.farm.result_path(job_id))
+        grid.save(self.result_path(job_id))
         if PERF.enabled:
             PERF.incr("farm.jobs_completed")
         return grid
-
-    def drive(
-        self,
-        job_id: str,
-        timeout: Optional[float] = None,
-        tick: Optional[Callable[[JobProgress], None]] = None,
-    ):
-        """``wait`` + ``assemble``: one job, submission to ``result.json``."""
-        self.wait(job_id, timeout=timeout, tick=tick)
-        return self.assemble(job_id)

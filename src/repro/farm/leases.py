@@ -79,7 +79,7 @@ def acquire(
     An *expired* lease found in the way is stolen first (see
     :func:`steal`), so claiming doubles as the work-stealing path: any
     worker that walks the unit list reclaims dead workers' units without
-    a coordinator in the loop.
+    the service in the loop.
     """
     existing = read_lease(path)
     if existing is not None:
@@ -165,9 +165,9 @@ def steal(path: Path) -> bool:
 def reap_expired(
     leases_dir: Path, clock: Callable[[], float] = time.time
 ) -> int:
-    """Coordinator sweep: steal back every expired lease in a directory.
+    """Service sweep: steal back every expired lease in a directory.
 
-    Workers steal lazily (at claim time); the coordinator calls this each
+    Workers steal lazily (at claim time); the farm service calls this each
     poll so a dead worker's units become claimable even when every other
     worker is busy deep in a long run.  Returns the number reaped.
     """

@@ -11,14 +11,16 @@ code revisions never collide on a job id.
 
 Exploding a plan is just :func:`repro.experiments.pipeline.grid_plan`;
 one **work unit** per unique :class:`~repro.experiments.runstore.RunKey`
-digest is what the farm leases out (see :mod:`repro.farm.coordinator`).
+digest is what the farm leases out.  The plan is the only file that
+describes a job's units: workers re-explode ``job.json`` themselves
+(see :mod:`repro.farm.coordinator`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from repro.experiments.pipeline import ExecutionPolicy, grid_plan
@@ -34,9 +36,6 @@ from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by
 #: Format marker / version of one on-disk plan (or spool submission) file.
 PLAN_FORMAT = "repro-farm-plan"
 PLAN_VERSION = 1
-
-#: Format marker of one work-unit file under ``jobs/<id>/units/``.
-UNIT_FORMAT = "repro-farm-unit"
 
 #: :class:`ExecutionPolicy` knobs a plan may carry (everything JSON-able
 #: that changes supervision; ``clock``/``sleep``/``batch_size`` stay local).
@@ -68,6 +67,7 @@ class FarmPlan:
         unknown = set(self.execution) - set(EXECUTION_KNOBS)
         if unknown:
             raise ValueError(f"unknown execution knobs: {sorted(unknown)}")
+        self.execution_policy()  # out-of-range values fail here, not in a worker
 
     @property
     def on_error(self) -> str:
@@ -157,33 +157,6 @@ class FarmPlan:
             raise StoreError(f"malformed farm plan: {exc}") from exc
 
 
-def unit_document(unit: RunKey, digest: str) -> dict:
-    """The on-disk JSON document of one claimable work unit."""
-    return {
-        "format": UNIT_FORMAT,
-        "key": digest,
-        "config": config_to_dict(unit.config),
-        "policy": unit.policy,
-        "model": unit.model,
-    }
-
-
-def unit_from_document(doc: dict) -> tuple[RunKey, str]:
-    """Inverse of :func:`unit_document` (raises ``StoreError`` when foreign)."""
-    if doc.get("format") != UNIT_FORMAT:
-        raise StoreError(f"not a {UNIT_FORMAT} document: format={doc.get('format')!r}")
-    try:
-        unit = RunKey(
-            config_from_dict(doc["config"]),
-            str(doc["policy"]),
-            str(doc["model"]),
-        )
-        digest = str(doc["key"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise StoreError(f"malformed work unit: {exc}") from exc
-    return unit, digest
-
-
 def load_plan_text(text: str) -> FarmPlan:
     """Parse one submission/plan file's text."""
     try:
@@ -201,35 +174,25 @@ def plan_from_args(
     base: ExperimentConfig,
     set_name: str = "A",
     scenarios: Sequence[str] = (),
-    run_timeout: Optional[float] = None,
-    max_retries: int = 2,
-    backoff_base: float = 0.5,
-    max_sim_events: Optional[int] = None,
-    max_sim_time: Optional[float] = None,
-    on_error: str = "abort",
+    execution: Optional[ExecutionPolicy] = None,
 ) -> FarmPlan:
     """Build a plan from ``repro grid``-shaped arguments.
 
-    Only non-default supervision knobs enter the payload, so the plan
-    digest of a plain submission does not churn when defaults evolve.
+    Only the :data:`EXECUTION_KNOBS` of ``execution`` that differ from an
+    ``ExecutionPolicy()``'s enter the payload, so the plan digest of a
+    plain submission does not churn when defaults evolve.
     """
-    execution: dict = {}
-    defaults = {f.name: f.default for f in fields(ExecutionPolicy)}
-    for name, value in (
-        ("run_timeout", run_timeout),
-        ("max_retries", max_retries),
-        ("backoff_base", backoff_base),
-        ("max_sim_events", max_sim_events),
-        ("max_sim_time", max_sim_time),
-        ("on_error", on_error),
-    ):
-        if value != defaults[name]:
-            execution[name] = value
+    defaults = ExecutionPolicy()
+    execution = execution or defaults
+    knobs = {
+        name: getattr(execution, name) for name in EXECUTION_KNOBS
+        if getattr(execution, name) != getattr(defaults, name)
+    }
     return FarmPlan(
         policies=tuple(policies),
         model=model,
         set_name=set_name,
         scenarios=tuple(scenarios),
         config=base,
-        execution=execution,
+        execution=knobs,
     )

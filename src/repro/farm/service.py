@@ -1,20 +1,21 @@
-"""``repro farm serve``: the long-running grid-service mode.
+"""``repro farm serve``: the loop that drives farm jobs to completion.
 
-The service is a :class:`~repro.farm.coordinator.Coordinator` in a loop:
-it watches ``<farm>/spool/`` for submitted plan files (what
-``repro grid --farm <dir>`` writes), explodes each into a job, steals
-back expired leases every poll, and — when a job's last unit resolves —
-syncs the worker stores and assembles ``result.json``.  Execution itself
-belongs to the ``repro farm worker`` fleet; with ``self_execute=True``
-the service additionally drains claimable units in-process between
-polls, so a single ``repro farm serve --self-execute`` is a complete
-one-box farm (and the degraded mode a service falls back to when its
-fleet disappears entirely).
+Each poll the service turns ``<farm>/spool/`` submissions (what
+``repro grid --farm <dir>`` writes) into jobs, steals back expired
+leases of every pending job, and — when a job's last unit resolves —
+has :meth:`~repro.farm.coordinator.Farm.assemble` sync the worker stores
+and write ``result.json``.  Execution itself belongs to the
+``repro farm worker`` fleet; with ``self_execute=True`` the service
+additionally drains claimable units in-process between polls, so a
+single ``repro farm serve --self-execute`` is a complete one-box farm
+(and the degraded mode a service falls back to when its fleet
+disappears entirely).  A job whose ``job.json`` cannot be read is
+skipped, never fatal.
 
 The loop is crash-tolerant by the same argument as everything else here:
 all state is marker files and content-addressed stores, so a service
 that dies is replaced by starting another one — it re-accepts nothing
-(the spool file is gone), re-explodes nothing (unit creation is
+(the spool file is gone), re-creates nothing (job creation is
 idempotent), and re-assembles only jobs without a ``result.json``.
 """
 
@@ -23,13 +24,18 @@ from __future__ import annotations
 import time
 from typing import Callable, List, Optional
 
-from repro.farm.coordinator import Coordinator, Farm, FarmError
+from repro.farm import leases
+from repro.farm.coordinator import Farm, FarmError
 from repro.farm.worker import WorkerAgent
 from repro.perf.registry import PERF
 
 
 class FarmService:
-    """Spool watcher + coordinator loop (one instance per farm is typical)."""
+    """Spool watcher + job-driving loop (one instance per farm is typical).
+
+    ``clock``/``sleep`` are injectable for the unit tests; real services
+    run wall-clock.
+    """
 
     def __init__(
         self,
@@ -46,20 +52,11 @@ class FarmService:
         self.clock = clock
         self.sleep = sleep
         self.echo = echo
-        self.coordinator = Coordinator(
-            farm, poll_interval=poll_interval, clock=clock, sleep=sleep
-        )
         self.worker: Optional[WorkerAgent] = None
         if self_execute:
             self.worker = WorkerAgent(
                 farm, worker_id=worker_id, clock=clock, sleep=sleep
             )
-
-    def incomplete_jobs(self) -> list[str]:
-        return [
-            job_id for job_id in self.farm.job_ids()
-            if not self.farm.result_path(job_id).exists()
-        ]
 
     def poll_once(self) -> List[str]:
         """One service cycle; returns the job ids completed this cycle."""
@@ -68,15 +65,17 @@ class FarmService:
             self.echo(f"accepted job {job_id} "
                       f"({self.farm.progress(job_id).units} units)")
         completed: List[str] = []
-        for job_id in self.incomplete_jobs():
-            reaped = self.coordinator.reap(job_id)
+        for job_id in self.farm.pending_jobs():
+            # Work stealing's other half: expired leases return to the
+            # claimable pool even while every live worker is busy.
+            reaped = leases.reap_expired(self.farm.leases_dir(job_id), self.clock)
             if reaped:
                 self.echo(f"job {job_id}: stole back {reaped} expired lease(s)")
             if self.worker is not None:
                 self.worker.run(drain=True)
             progress = self.farm.progress(job_id)
             if progress.complete:
-                grid = self.coordinator.assemble(job_id)
+                grid = self.farm.assemble(job_id)
                 completed.append(job_id)
                 state = (
                     f"degraded ({len(grid.gaps)} gaps)" if grid.degraded
@@ -101,7 +100,7 @@ class FarmService:
 
         ``max_jobs`` exits after that many completions (CI smoke drives
         exactly one job); ``exit_when_idle`` exits once neither spool
-        files nor incomplete jobs remain; ``timeout`` bounds the whole
+        files nor pending jobs remain; ``timeout`` bounds the whole
         call with a :class:`FarmError`.  With none of the three the loop
         runs until interrupted — the long-running service.
         """
@@ -113,7 +112,7 @@ class FarmService:
                 return completed
             if exit_when_idle:
                 idle = (
-                    not self.incomplete_jobs()
+                    not self.farm.pending_jobs()
                     and not any(self.farm.spool_dir.glob("*.json"))
                 )
                 if idle:
@@ -121,6 +120,7 @@ class FarmService:
             if deadline is not None and self.clock() > deadline:
                 raise FarmError(
                     f"service timed out after {timeout:g}s with "
-                    f"{len(self.incomplete_jobs())} incomplete job(s)"
+                    f"{len(self.farm.pending_jobs())} pending job(s) — "
+                    f"are any workers running?"
                 )
             self.sleep(self.poll_interval)

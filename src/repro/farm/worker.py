@@ -2,9 +2,11 @@
 
 A worker owns nothing but a private disk store
 (``<farm>/workers/<id>/store``) and a worker id.  Each cycle it walks the
-farm's incomplete jobs in deterministic order, claims the first unit
-whose lease it can take (stealing expired leases on the way — see
-:mod:`repro.farm.leases`), and executes the unit through the standard
+farm's pending jobs in deterministic order, explodes each job's plan into
+its unique ``RunKey`` units (via the :class:`Farm` handle's plan cache),
+claims the first unit whose lease it can take (stealing expired leases on
+the way — see :mod:`repro.farm.leases`), and executes that one grid cell
+through the standard
 :func:`~repro.experiments.pipeline.execute_plan` supervisor, inheriting
 the whole PR-4 fault model for free: per-run wall-clock timeouts, bounded
 retries with deterministic backoff, the simulation watchdog, failure
@@ -14,7 +16,7 @@ heartbeating and the unit is stolen back after the lease expires.
 
 Commit is two files: the run document lands in the worker's own store
 (checkpointed by ``execute_plan`` itself), then a ``done/<digest>.json``
-marker tells the coordinator the unit is resolved.  A unit whose retries
+marker tells the farm service the unit is resolved.  A unit whose retries
 are exhausted gets a ``failed/<digest>.json`` marker instead — terminal
 for this job, surfaced by degrade-mode assembly as a journaled gap.
 
@@ -35,10 +37,9 @@ from pathlib import Path
 from typing import Callable, Optional
 
 from repro.experiments import chaos
-from repro.experiments.runstore import RunKey, RunStore, StoreError, atomic_write_text
+from repro.experiments.runstore import RunKey, RunStore, atomic_write_text
 from repro.farm import leases as leases_mod
 from repro.farm.coordinator import Farm
-from repro.farm.plan import FarmPlan, unit_from_document
 from repro.perf.registry import PERF
 
 
@@ -79,7 +80,6 @@ class WorkerAgent:
         self.sleep = sleep
         self.echo = echo
         self.store = RunStore(farm.worker_store_dir(self.worker_id))
-        self._plans: dict[str, FarmPlan] = {}
         #: the most recent unit's heartbeat thread, re-joined on worker
         #: exit — a renew that outlives its unit's 1 s join budget must
         #: not still be touching the lease file while the caller tears
@@ -87,27 +87,18 @@ class WorkerAgent:
         self._last_beat: Optional[threading.Thread] = None
 
     # -- claiming ------------------------------------------------------------
-    def _plan(self, job_id: str) -> FarmPlan:
-        plan = self._plans.get(job_id)
-        if plan is None:
-            plan = self.farm.load_plan(job_id)
-            self._plans[job_id] = plan
-        return plan
-
     def claim_next(self) -> Optional[ClaimedUnit]:
-        """The first claimable unit across all incomplete jobs, or None.
+        """The first claimable unit across all pending jobs, or None.
 
         Deterministic scan order (job id, then digest) concentrates rival
         workers on the same frontier; the lease's ``O_EXCL`` acquire
-        settles every tie with exactly one winner.
+        settles every tie with exactly one winner.  A job whose plan
+        cannot be read is never pending, so it never takes a lease.
         """
-        for job_id in self.farm.job_ids():
-            if self.farm.result_path(job_id).exists():
-                continue
+        for job_id in self.farm.pending_jobs():
             done_dir = self.farm.done_dir(job_id)
             failed_dir = self.farm.failed_dir(job_id)
-            for unit_path in sorted(self.farm.units_dir(job_id).glob("*.json")):
-                digest = unit_path.stem
+            for unit, digest in self.farm.units(job_id):
                 if (done_dir / f"{digest}.json").exists():
                     continue
                 if (failed_dir / f"{digest}.json").exists():
@@ -118,18 +109,6 @@ class WorkerAgent:
                     duration=self.lease_duration, clock=self.clock,
                 )
                 if lease is None:
-                    continue
-                try:
-                    unit, unit_digest = unit_from_document(
-                        json.loads(unit_path.read_text())
-                    )
-                except (OSError, ValueError, StoreError):
-                    # Unreadable unit file: drop the lease and move on —
-                    # the coordinator's evidence, not ours to destroy.
-                    leases_mod.release(lease_path, lease)
-                    continue
-                if unit_digest != digest:
-                    leases_mod.release(lease_path, lease)
                     continue
                 if PERF.enabled:
                     PERF.incr("farm.units_claimed")
@@ -147,7 +126,7 @@ class WorkerAgent:
         from repro.experiments.pipeline import execute_plan
 
         chaos.maybe_crash(claimed.digest)
-        plan = self._plan(claimed.job_id)
+        plan = self.farm.load_plan(claimed.job_id)
         stop = threading.Event()
 
         def heartbeat() -> None:
@@ -206,13 +185,11 @@ class WorkerAgent:
 
     # -- the loop ------------------------------------------------------------
     def _all_jobs_done(self) -> bool:
-        job_ids = self.farm.job_ids()
-        if not job_ids:
+        if not self.farm.job_ids():
             return False
         return all(
-            self.farm.result_path(job_id).exists()
-            or self.farm.progress(job_id).complete
-            for job_id in job_ids
+            self.farm.progress(job_id).complete
+            for job_id in self.farm.pending_jobs()
         )
 
     def run(

@@ -233,8 +233,3 @@ class SyntheticProvider:
             deadline_met=met,
             utility=linear_utility(job, finish),
         )
-
-    @property
-    def backlog_release(self) -> float:
-        """When the currently accepted work clears (absolute sim time)."""
-        return self._release

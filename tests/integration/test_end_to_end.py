@@ -11,7 +11,7 @@ from repro.core.objectives import Objective
 from repro.experiments.pipeline import execute_plan
 from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore
-from repro.experiments.scenarios import SCENARIOS, ExperimentConfig, scenario_by_name
+from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 
 BASE = ExperimentConfig(n_jobs=250, total_procs=128)
 CACHE = RunStore()

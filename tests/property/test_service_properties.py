@@ -7,11 +7,9 @@ faults (rack outages, cascade waves, both recovery modes).
 
 import math
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.objectives import compute_objectives
 from repro.economy.models import make_model
 from repro.faults.config import FaultConfig
 from repro.policies import POLICIES, make_policy

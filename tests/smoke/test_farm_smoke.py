@@ -22,8 +22,9 @@ import pytest
 import repro
 from repro.experiments.runner import run_grid
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
-from repro.farm.coordinator import Coordinator, Farm
+from repro.farm.coordinator import Farm
 from repro.farm.plan import plan_from_args
+from repro.farm.service import FarmService
 
 pytestmark = pytest.mark.smoke
 
@@ -91,10 +92,11 @@ def test_sigkilled_workers_lease_is_stolen_with_zero_gaps(tmp_path):
     assert len(leases) == 1, f"victim left no orphan lease: {leases}"
 
     survivor = subprocess.Popen(worker_cmd + ["--worker-id", "survivor"], env=ENV)
-    grid = Coordinator(farm, poll_interval=0.2).drive(job_id, timeout=180)
+    completed = FarmService(farm, poll_interval=0.2).serve(max_jobs=1, timeout=180)
     survivor.wait(timeout=60)
-    assert not grid.degraded and not grid.gaps, grid.gaps
+    assert completed == [job_id]
     result = json.loads(farm.result_path(job_id).read_text())
+    assert "gaps" not in result, result["gaps"]
     assert result == reference, "post-steal grid differs from serial"
     progress = farm.progress(job_id)
     assert progress.leased == 0, progress

@@ -192,8 +192,9 @@ def test_grid_serial_vs_pool_and_warm_store(tmp_path):
 def test_farm_overhead_over_a_direct_execute_plan(tmp_path):
     from repro.experiments.pipeline import execute_plan
     from repro.experiments.runstore import RunStore
-    from repro.farm.coordinator import Coordinator, Farm
+    from repro.farm.coordinator import Farm
     from repro.farm.plan import plan_from_args
+    from repro.farm.service import FarmService
     from repro.farm.worker import WorkerAgent
 
     policies, model, config, set_name, _ = _tiny_grid()
@@ -209,7 +210,7 @@ def test_farm_overhead_over_a_direct_execute_plan(tmp_path):
     t0 = time.perf_counter()
     job_id = farm.create_job(plan)
     WorkerAgent(farm, worker_id="bench").run(drain=True)
-    Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=600.0)
+    FarmService(farm, poll_interval=0.01).serve(max_jobs=1, timeout=600.0)
     farm_wall = time.perf_counter() - t0
     assert farm.progress(job_id).done == len(units)
     print(f"farm: {len(units)} units, direct {direct_wall:.3f} s, farm "

@@ -1,8 +1,6 @@
 """Unit tests for FCFS-BF, SJF-BF, EDF-BF (EASY backfilling + generous
 admission control)."""
 
-import pytest
-
 from repro.economy.models import make_model
 from repro.policies.edf_bf import EDFBackfill
 from repro.policies.fcfs_bf import FCFSBackfill

@@ -1,8 +1,6 @@
 """Unit tests for the ablation baselines: plain FCFS, conservative
 backfilling, and the admission-control switch."""
 
-import pytest
-
 from repro.economy.models import make_model
 from repro.policies import make_policy
 from repro.policies.conservative_bf import ConservativeBackfill

@@ -420,6 +420,15 @@ def test_grid_farm_rejects_unknown_scenario(tmp_path, capsys):
     assert "unknown scenario" in err
 
 
+@pytest.mark.parametrize("farm", [False, True])
+def test_grid_rejects_an_out_of_range_supervision_knob(tmp_path, capsys, farm):
+    extra = ("--farm", str(tmp_path / "farm")) if farm else ()
+    code, _, err = run_cli(capsys, "grid", "--jobs", "5", "--max-retries", "-1", *extra)
+    assert code == 2
+    assert "error: max_retries must be >= 0" in err
+    assert not (tmp_path / "farm" / "spool").exists()
+
+
 def test_farm_serve_self_execute_end_to_end(tmp_path, capsys):
     farm_dir = tmp_path / "farm"
     run_cli(

@@ -2,8 +2,9 @@
 
 The farm's headline contract — a farmed grid is bit-identical to a serial
 one — is asserted end to end, along with the protocol pieces it rests on:
-content-addressed plans and units, crash-tolerant lease files, idempotent
-job explosion, store sync, and the spool-watching service loop.
+content-addressed plans (a job is its plan: no per-unit files),
+crash-tolerant lease files, idempotent job creation, store sync, and the
+spool-watching service loop that drives every job.
 """
 
 import json
@@ -15,14 +16,8 @@ from repro.experiments.runner import run_grid
 from repro.experiments.runstore import RunKey, RunStore, StoreError
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.farm import leases
-from repro.farm.coordinator import Coordinator, Farm, FarmError
-from repro.farm.plan import (
-    FarmPlan,
-    load_plan_text,
-    plan_from_args,
-    unit_document,
-    unit_from_document,
-)
+from repro.farm.coordinator import Farm, FarmError
+from repro.farm.plan import FarmPlan, load_plan_text, plan_from_args
 from repro.farm.service import FarmService
 from repro.farm.worker import WorkerAgent
 
@@ -31,9 +26,15 @@ POLICIES = ["FCFS-BF", "Libra"]
 SCENARIO = "job mix"
 
 
-def small_plan(**kwargs) -> FarmPlan:
+def small_plan(**knobs) -> FarmPlan:
     return plan_from_args(POLICIES, "bid", SMALL, "A", scenarios=(SCENARIO,),
-                          **kwargs)
+                          execution=ExecutionPolicy(**knobs))
+
+
+def drive(farm: Farm) -> dict:
+    """Drive the farm's one job to ``result.json`` and return it."""
+    [job_id] = FarmService(farm, poll_interval=0.01).serve(max_jobs=1, timeout=60.0)
+    return json.loads(farm.result_path(job_id).read_text())
 
 
 def serial_reference() -> dict:
@@ -67,6 +68,12 @@ def test_plan_rejects_unknown_execution_knobs():
     with pytest.raises(ValueError, match="unknown execution knobs"):
         FarmPlan(policies=("FCFS-BF",), model="bid",
                  execution={"poll_interval": 1.0})
+    # An out-of-range value is refused at submission, not by a worker
+    # holding a lease: a spool file carrying one is rejected.
+    doc = small_plan().to_dict()
+    doc["execution"] = {"max_retries": -1}
+    with pytest.raises(StoreError, match="max_retries must be >= 0"):
+        FarmPlan.from_dict(doc)
 
 
 def test_plan_rejects_foreign_and_newer_documents():
@@ -80,14 +87,16 @@ def test_plan_rejects_foreign_and_newer_documents():
         load_plan_text("{trunca")
 
 
-def test_unit_document_roundtrip():
-    plan = small_plan()
-    item, digest = plan.unique_units()[0]
-    back_item, back_digest = unit_from_document(
-        json.loads(json.dumps(unit_document(item, digest)))
-    )
-    assert back_digest == digest
-    assert RunKey(*back_item).digest == digest
+def test_job_ids_are_pinned():
+    """Resubmitting a plan to an existing farm must resume its old job, so
+    a change to the farm's files or to ``plan_from_args`` may not move a
+    job id; only a plan-format or run-store schema bump may."""
+    assert small_plan().job_id == "a3e642d397f3"
+    degrade = small_plan(max_sim_events=10, max_retries=1, backoff_base=0.01,
+                         on_error="degrade")
+    assert degrade.execution == {"max_retries": 1, "backoff_base": 0.01,
+                                 "max_sim_events": 10, "on_error": "degrade"}
+    assert degrade.job_id == "25560a79a42e"
 
 
 def test_plan_execution_policy_carries_knobs():
@@ -153,11 +162,14 @@ def test_create_job_is_idempotent(tmp_path):
     farm = Farm(tmp_path)
     plan = small_plan()
     job_id = farm.create_job(plan)
-    units = sorted(p.name for p in farm.units_dir(job_id).glob("*.json"))
-    assert len(units) == 12
+    layout = sorted(p.name for p in farm.job_dir(job_id).iterdir())
+    assert layout == ["done", "failed", "job.json", "leases"]  # no units/
     assert farm.create_job(plan) == job_id  # resume, not duplicate
-    assert sorted(p.name for p in farm.units_dir(job_id).glob("*.json")) == units
+    assert sorted(p.name for p in farm.job_dir(job_id).iterdir()) == layout
     assert farm.load_plan(job_id) == plan
+    # A fresh handle explodes job.json into the plan's units, digest-sorted.
+    units = Farm(tmp_path).units(job_id)
+    assert [d for _, d in units] == sorted(d for _, d in plan.unique_units())
 
 
 def test_submission_spool_roundtrip_and_rejection(tmp_path):
@@ -181,12 +193,9 @@ def test_plan_and_unit_files_have_fixed_bytes_and_leave_no_temp_files(tmp_path):
     assert farm.submit(plan).read_bytes() == plan_text.encode()
     job_id = farm.create_job(plan)
     assert (farm.job_dir(job_id) / "job.json").read_bytes() == plan_text.encode()
-    units = plan.unique_units()
-    assert len(units) == 12
-    for unit, digest in units:
-        unit_text = json.dumps(unit_document(unit, digest), indent=1, sort_keys=True) + "\n"
-        unit_path = farm.units_dir(job_id) / f"{digest}.json"
-        assert unit_path.read_bytes() == unit_text.encode()
+    # job.json is the job's only description: no unit file is written.
+    assert [p for p in farm.job_dir(job_id).rglob("*") if p.is_file()] == \
+        [farm.job_dir(job_id) / "job.json"]
     assert [p for p in tmp_path.rglob("*") if ".tmp" in p.name] == []
 
 
@@ -207,11 +216,8 @@ def test_single_worker_farm_is_bit_identical_to_serial(tmp_path):
     job_id = farm.create_job(small_plan())
     executed = WorkerAgent(farm, worker_id="w0").run(drain=True)
     assert executed == 12
-    grid = Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=60.0)
-    assert not grid.degraded
-    result = json.loads(farm.result_path(job_id).read_text())
-    assert result == reference
-    assert grid.to_dict() == reference
+    assert drive(farm) == reference
+    assert farm.progress(job_id).done == 12
 
 
 def test_two_workers_split_the_job_and_merge(tmp_path):
@@ -223,9 +229,9 @@ def test_two_workers_split_the_job_and_merge(tmp_path):
     assert (first, second) == (5, 7)
     assert len(RunStore(farm.worker_store_dir("w1")).disk_digests()) == 5
     assert len(RunStore(farm.worker_store_dir("w2")).disk_digests()) == 7
-    Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=60.0)
+    assert drive(farm) == reference
     assert len(farm.store().disk_digests()) == 12
-    assert json.loads(farm.result_path(job_id).read_text()) == reference
+    assert farm.progress(job_id).done == 12
 
 
 def test_dead_workers_lease_is_stolen_and_job_completes(tmp_path):
@@ -241,10 +247,8 @@ def test_dead_workers_lease_is_stolen_and_job_completes(tmp_path):
 
     survivor = WorkerAgent(farm, worker_id="survivor")
     assert survivor.run(drain=True) == 12  # stole the orphan, ran everything
-    grid = Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=60.0)
-    assert not grid.degraded and not grid.gaps
+    assert drive(farm) == reference  # no "gaps": not degraded
     assert farm.progress(job_id).leased == 0
-    assert json.loads(farm.result_path(job_id).read_text()) == reference
 
 
 def test_dead_worker_on_correlated_fault_grid_is_stolen_bit_identically(tmp_path):
@@ -260,16 +264,14 @@ def test_dead_worker_on_correlated_fault_grid_is_stolen_bit_identically(tmp_path
     reference = run_grid(POLICIES, "bid", correlated, "A",
                          [scenario_by_name(SCENARIO)], RunStore()).to_dict()
     farm = Farm(tmp_path)
-    job_id = farm.create_job(
+    farm.create_job(
         plan_from_args(POLICIES, "bid", correlated, "A", scenarios=(SCENARIO,))
     )
     dead = WorkerAgent(farm, worker_id="dead", lease_duration=-1.0)
     assert dead.claim_next() is not None
     survivor = WorkerAgent(farm, worker_id="survivor")
     assert survivor.run(drain=True) == 12
-    grid = Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=60.0)
-    assert not grid.degraded and not grid.gaps
-    assert json.loads(farm.result_path(job_id).read_text()) == reference
+    assert drive(farm) == reference  # no "gaps": not degraded
 
 
 def test_failed_unit_degrades_with_gap_accounting(tmp_path):
@@ -283,19 +285,18 @@ def test_failed_unit_degrades_with_gap_accounting(tmp_path):
     assert executed == 12
     progress = farm.progress(job_id)
     assert progress.failed == 12 and progress.complete
-    grid = Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=60.0)
-    assert grid.degraded and len(grid.gaps) == 12
+    assert len(drive(farm)["gaps"]) == 12
     assert len(farm.store().failures()) == 12
 
 
-def test_coordinator_wait_times_out_without_workers(tmp_path):
+def test_service_times_out_without_workers(tmp_path):
     farm = Farm(tmp_path)
-    job_id = farm.create_job(small_plan())
+    farm.create_job(small_plan())
     clock = iter(float(t) for t in range(0, 1000, 10))
-    coordinator = Coordinator(farm, poll_interval=0.0,
-                              clock=lambda: next(clock), sleep=lambda _: None)
-    with pytest.raises(FarmError, match="outstanding"):
-        coordinator.wait(job_id, timeout=20.0)
+    service = FarmService(farm, poll_interval=0.0,
+                          clock=lambda: next(clock), sleep=lambda _: None)
+    with pytest.raises(FarmError, match="timed out after 20s with 1 pending job"):
+        service.serve(max_jobs=1, timeout=20.0)
 
 
 # -- service mode --------------------------------------------------------------
@@ -319,6 +320,38 @@ def test_service_picks_up_spool_and_self_executes(tmp_path):
 def test_service_exit_when_idle_with_empty_farm(tmp_path):
     service = FarmService(Farm(tmp_path), poll_interval=0.01)
     assert service.serve(exit_when_idle=True) == []
+
+
+def test_unreadable_job_is_skipped_and_never_leased(tmp_path, capsys):
+    """A job whose job.json cannot be read stops neither a worker nor the
+    service: it is never claimed (so no lease is left behind), the good
+    job drains and assembles, and ``farm status`` names it unreadable."""
+    from repro.cli import main
+
+    reference = serial_reference()
+    farm = Farm(tmp_path)
+    garbage = farm.job_dir("000000000000")  # scanned before the good job
+    (garbage / "leases").mkdir(parents=True)
+    (garbage / "job.json").write_text("{nope")
+    job_id = farm.create_job(small_plan())
+    with pytest.raises(FarmError, match="no readable job.json"):
+        farm.progress("000000000000")
+
+    assert WorkerAgent(farm, worker_id="w0").run(max_units=1) == 1
+    assert list((garbage / "leases").iterdir()) == []
+    service = FarmService(farm, poll_interval=0.01, self_execute=True,
+                          worker_id="svc")
+    assert service.serve(max_jobs=1, timeout=120.0) == [job_id]
+    assert json.loads(farm.result_path(job_id).read_text()) == reference
+    assert list((garbage / "leases").iterdir()) == []
+    assert not farm.result_path("000000000000").exists()
+    assert service.serve(exit_when_idle=True, timeout=10.0) == []
+
+    assert main(["farm", "status", "--farm", str(tmp_path)]) == 0
+    rows = {line.split()[0]: line.split()[-1]
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith(("000000000000", job_id))}
+    assert rows == {"000000000000": "unreadable", job_id: "assembled"}
 
 
 def test_sync_is_idempotent(tmp_path):

@@ -331,8 +331,9 @@ def _correlated_reference() -> dict:
 def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
     """Serial, 2-worker pool, resumed, and 2-worker farm execution of a
     correlated-fault grid are all bit-identical."""
-    from repro.farm.coordinator import Coordinator, Farm
+    from repro.farm.coordinator import Farm
     from repro.farm.plan import plan_from_args
+    from repro.farm.service import FarmService
     from repro.farm.worker import WorkerAgent
 
     reference = _correlated_reference()
@@ -372,7 +373,8 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
     first = WorkerAgent(farm, worker_id="w1").run(max_units=5)
     second = WorkerAgent(farm, worker_id="w2").run(drain=True)
     assert first + second == len(unique)
-    Coordinator(farm, poll_interval=0.01).drive(job_id, timeout=120.0)
+    assert FarmService(farm, poll_interval=0.01).serve(
+        max_jobs=1, timeout=120.0) == [job_id]
     assert json.loads(farm.result_path(job_id).read_text()) == reference
 
 

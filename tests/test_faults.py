@@ -22,7 +22,6 @@ from repro.faults.models import (
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
 from repro.service.sla import SLAStatus
-from repro.sim.engine import Simulator
 from repro.workload.job import Job
 
 

@@ -1,7 +1,5 @@
 """Unit tests for efficient-frontier analysis."""
 
-import math
-
 import pytest
 
 from repro.core.frontier import (

@@ -18,8 +18,6 @@ import sys
 import textwrap
 from pathlib import Path
 
-import pytest
-
 import repro
 
 SRC = Path(repro.__file__).resolve().parents[1]
@@ -143,7 +141,7 @@ def test_package_inits_hold_only_their_docstring():
         assert rest == [], f"{init} holds more than its docstring: {rest}"
 
 
-def test_submodules_still_import_through_a_lazy_facade():
+def test_submodules_import_from_their_package():
     from repro.experiments import figures
     from repro.farm import leases
 
@@ -151,7 +149,7 @@ def test_submodules_still_import_through_a_lazy_facade():
     assert leases.__name__ == "repro.farm.leases"
 
 
-def test_fault_sweep_reexports_the_correlated_machine():
+def test_correlated_machine_has_one_home():
     """The correlated machine has one home, ``repro.faults.config``; the
     fault sweep module does not re-export it."""
     from repro.experiments import faultsweep
