@@ -21,10 +21,11 @@ Lifecycle per node under a stochastic model::
     healthy ──(time_to_failure)──► down ──(time_to_repair)──► healthy …
 
 A scripted model replays its explicit schedule verbatim.  A fault run ends
-with its workload: once the last SLA resolves, the injector cancels every
-event it still has pending (failures, repairs, outages, cascades, capacity
-changes) and schedules no more, so the clock stops at the last resolution
-and downtime is measured over ``[0, last resolution]``.
+with its workload: the service's transition that resolves the last SLA
+calls :meth:`FaultInjector.close`, which cancels every event the injector
+still has pending (failures, repairs, outages, cascades, capacity changes)
+and schedules no more, so the clock stops at the last resolution and
+downtime is measured over ``[0, last resolution]``.
 
 On top of the independent per-node chains, the injector drives the
 *correlated* failure structure a config can describe (see
@@ -49,8 +50,12 @@ of :class:`~repro.sim.rng.RngStreams` seeded with the experiment seed;
 domain ``d`` draws from ``faults.domain.<d>``, cascades from
 ``faults.cascade``, and elastic events from ``faults.elastic``.  The
 substreams are name-addressed, so enabling any correlated feature never
-perturbs the draws of another — the failure history stays a pure function
-of ``(seed, FaultConfig)``, which is exactly what makes faulty runs
+perturbs the draws of another.  :meth:`FaultInjector.start` creates all
+the streams the config draws from in one
+:meth:`~repro.sim.rng.RngStreams.prime` pass, and a failure draws all its
+cascade edges in one ``random(k)`` call (the same doubles as ``k`` scalar
+draws, in peer order).  The failure history stays a pure function of
+``(seed, FaultConfig)``, which is exactly what makes faulty runs
 content-addressable in the run store.
 """
 
@@ -65,6 +70,9 @@ from repro.perf.registry import PERF
 from repro.sim.events import Priority
 from repro.sim.rng import RngStreams
 from repro.workload.job import Job
+
+#: priority of every injector event, read once per schedule call.
+_INTERNAL = Priority.INTERNAL
 
 
 @dataclass(frozen=True)
@@ -163,7 +171,7 @@ class FaultInjector:
         if enable is not None:
             enable()
         self.policy.fault_config = self.config
-        self.service.observers.append(self._on_sla_transition)
+        self._prime_streams()
         if isinstance(self._process, ScriptedFailures):
             for fail_time, node_id, downtime in self._process.schedule:
                 self._check_node(node_id)
@@ -173,6 +181,22 @@ class FaultInjector:
                 self._arm(node_id)
         self._start_domains()
         self._start_elastic()
+
+    def _prime_streams(self) -> None:
+        """Create, in one pass, every stream this run's config draws from."""
+        config = self.config
+        names: list[str] = []
+        if not isinstance(self._process, ScriptedFailures):
+            names += [f"faults.node{n}" for n in range(self.cluster.total_procs)]
+        if self._domain_process is not None:
+            names += [f"faults.domain.rack{r}" for r in range(self.topology.n_racks)]
+        if self._site_process is not None:
+            names += [f"faults.domain.site{s}" for s in range(self.topology.n_sites)]
+        if config.cascade_prob > 0:
+            names.append("faults.cascade")
+        if config.elastic_model == "stochastic":
+            names.append("faults.elastic")
+        self._streams.prime(names)
 
     def _start_domains(self) -> None:
         config = self.config
@@ -217,11 +241,11 @@ class FaultInjector:
     def _after(self, delay: float, fn, *args) -> None:
         """Schedule ``fn(*args)`` ``delay`` seconds from now, unless closed."""
         if not self._stopped:
-            self._track(self.sim.schedule(delay, fn, *args, priority=Priority.INTERNAL))
+            self._track(self.sim.schedule(delay, fn, *args, priority=_INTERNAL))
 
     def _at(self, time: float, fn, *args) -> None:
         """Schedule ``fn(*args)`` at ``time`` (the scripted events)."""
-        self._track(self.sim.schedule_at(time, fn, *args, priority=Priority.INTERNAL))
+        self._track(self.sim.schedule_at(time, fn, *args, priority=_INTERNAL))
 
     def _arm(self, node_id: int) -> None:
         """Schedule the next stochastic failure of a healthy node."""
@@ -244,16 +268,12 @@ class FaultInjector:
         self._after(delay, self._elastic_event)
 
     # -- end of the run --------------------------------------------------------
-    def _on_sla_transition(self, _event: str, _record) -> None:
-        if self._workload_done():
-            self.close()
-
     def close(self) -> None:
         """End the fault run now: cancel every pending injector event and
         schedule no more.
 
-        Called when the last SLA resolves.  Nodes still down stay down;
-        their downtime is counted up to this instant, so
+        The service calls this when its last SLA resolves.  Nodes still
+        down stay down; their downtime is counted up to this instant, so
         :attr:`FaultStats.downtime_s` covers exactly ``[0, now]``.
         """
         self._stopped = True
@@ -451,12 +471,10 @@ class FaultInjector:
         config = self.config
         if config.cascade_prob <= 0 or hops >= config.cascade_depth:
             return
-        rng = self._streams.get("faults.cascade")
+        peers = self.topology.node_peers(node_id)
+        draws = self._streams.get("faults.cascade").random(len(peers)).tolist()
         prob = config.cascade_prob
-        hits = tuple(
-            peer for peer in self.topology.node_peers(node_id)
-            if float(rng.random()) < prob
-        )
+        hits = tuple(peer for peer, u in zip(peers, draws) if u < prob)
         if hits:
             self._after(config.cascade_delay, self._cascade_fail,
                         hits, downtime, hops + 1)
@@ -466,9 +484,10 @@ class FaultInjector:
         config = self.config
         if config.cascade_prob <= 0 or hops >= config.cascade_depth:
             return
-        rng = self._streams.get("faults.cascade")
-        for peer_name in self.topology.rack_peers(rack):
-            if float(rng.random()) < config.cascade_prob:
+        peers = self.topology.rack_peers(rack)
+        draws = self._streams.get("faults.cascade").random(len(peers)).tolist()
+        for peer_name, u in zip(peers, draws):
+            if u < config.cascade_prob:
                 self._after(config.cascade_delay, self._cascade_domain_fail,
                             peer_name, downtime, hops + 1)
 

@@ -87,8 +87,9 @@ class CommercialComputingService:
         #: callbacks invoked as ``observer(event, record)`` on every SLA
         #: transition (event ∈ {"rejected", "accepted", "started",
         #: "finished", "interrupted"}); used by the multi-provider market
-        #: simulation, and by the fault injector to end a fault run when
-        #: the last SLA resolves.
+        #: simulation and :class:`~repro.service.monitoring.ServiceMonitor`.
+        #: A fault run needs none: the terminal transitions close the
+        #: injector themselves.
         self.observers: list = []
         self.cluster = policy.make_cluster(self.sim, total_procs)
         policy.bind(service=self, sim=self.sim, cluster=self.cluster)
@@ -143,8 +144,9 @@ class CommercialComputingService:
     def unresolved_count(self) -> int:
         """Registered SLAs not yet in a terminal state (REJECTED/FINISHED).
 
-        The fault injector closes once this hits zero: it cancels its
-        pending events, so the event list drains at the last resolution.
+        The transition that brings this to zero closes the fault injector:
+        it cancels its pending events, so the event list drains at the last
+        resolution.
         """
         return self._unresolved
 
@@ -209,6 +211,8 @@ class CommercialComputingService:
         record = self._records[job.job_id]
         record.reject(reason)
         self._unresolved -= 1
+        if self._unresolved == 0 and self.injector is not None:
+            self.injector.close()
         if self.observers:
             self._notify_observers("rejected", record)
 
@@ -233,6 +237,8 @@ class CommercialComputingService:
         record = self._records[job.job_id]
         record.kill(finish_time)
         self._unresolved -= 1
+        if self._unresolved == 0 and self.injector is not None:
+            self.injector.close()
         self.ledger.record(
             job.job_id, finish_time, 0.0, description="killed at estimate limit"
         )
@@ -245,6 +251,8 @@ class CommercialComputingService:
         utility = self.model.utility(job, finish_time, record.quoted_cost)
         record.finish(finish_time, utility)
         self._unresolved -= 1
+        if self._unresolved == 0 and self.injector is not None:
+            self.injector.close()
         self.ledger.record(
             job.job_id, finish_time, utility,
             description=f"{self.model.name} settlement",
@@ -274,6 +282,8 @@ class CommercialComputingService:
         utility = min(0.0, self.model.utility(job, finish_time, record.quoted_cost))
         record.fail(finish_time, utility)
         self._unresolved -= 1
+        if self._unresolved == 0 and self.injector is not None:
+            self.injector.close()
         self.ledger.record(
             job.job_id, finish_time, utility,
             description="SLA failed after node failure",

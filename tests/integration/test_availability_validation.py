@@ -47,7 +47,7 @@ class LoadedService:
         self.sim = Simulator()
         self.cluster = SpaceSharedCluster(self.sim, n_nodes)
         self.policy = self
-        self.observers: list = []
+        self.injector = None
         self.horizon = horizon
         self._next_id = 0
         self._resolved = False
@@ -58,8 +58,8 @@ class LoadedService:
 
     def _resolve(self) -> None:
         self._resolved = True
-        for observer in self.observers:
-            observer("finished", None)
+        # As the real service does when its last SLA resolves.
+        self.injector.close()
 
     def fill(self) -> None:
         while self.cluster.free_procs:
@@ -79,7 +79,7 @@ class LoadedService:
 
 def run_loaded(config: FaultConfig, n_nodes: int, horizon: float, seed: int):
     service = LoadedService(n_nodes, horizon)
-    injector = FaultInjector(service, config, seed=seed)
+    injector = service.injector = FaultInjector(service, config, seed=seed)
     injector.start()
     service.fill()
     service.sim.run()

@@ -194,6 +194,80 @@ def test_finished_fault_run_stays_inside_the_watchdog():
     assert abs(stats["observed_availability"] - config.faults.availability) < 0.005
 
 
+def _stochastic_fault_run(monitored: bool = False):
+    from repro.experiments.runner import build_workload
+    from repro.experiments.scenarios import ExperimentConfig
+    from repro.service.monitoring import ServiceMonitor
+
+    config = ExperimentConfig(n_jobs=60, total_procs=16).with_values(
+        fault_mtbf=20_000.0, fault_mttr=500.0, fault_domain_size=4,
+        fault_cascade_prob=0.5)
+    service = _service(procs=16, faults=config.faults, seed=config.seed)
+    monitor, events = None, []
+    if monitored:
+        monitor = ServiceMonitor(service)
+        service.observers.append(lambda event, record: events.append(
+            (event, record.job.job_id)))
+    jobs = build_workload(config)
+    return service, service.run(jobs), monitor, events, jobs
+
+
+def test_fault_run_carries_no_observer():
+    """The terminal transitions close the injector; no observer is needed."""
+    service, result, _, _, _ = _stochastic_fault_run()
+    assert service.observers == []
+    assert result.fault_stats["jobs_killed"] > 0
+    assert result.sim_time == max(r.finish_time for r in result.records
+                                  if r.finish_time is not None)
+
+
+@pytest.mark.parametrize("transition", ["rejected", "killed", "finished", "failed"])
+def test_each_terminal_transition_closes_the_injector(transition):
+    """Whichever transition resolves the last SLA cancels the injector's
+    pending events at once."""
+    service = _service(procs=4, faults=scripted([(500.0, 3, 100.0)]))
+    job = _job()
+    service.register(job)
+    assert service.sim.pending() == 1
+    if transition == "rejected":
+        service.notify_rejected(job, "declined")
+    else:
+        service.notify_accepted(job)
+        service.notify_started(job)
+        getattr(service, f"notify_{transition}")(job, 10.0)
+    assert service.sim.pending() == 0
+
+
+def test_monitor_on_a_fault_run_sees_every_transition():
+    plain = _stochastic_fault_run()[1]
+    service, result, monitor, events, jobs = _stochastic_fault_run(monitored=True)
+    assert result.outcomes == plain.outcomes
+    assert result.sim_time == plain.sim_time
+    terminal = [job_id for event, job_id in events
+                if event in ("finished", "rejected")]
+    assert sorted(terminal) == sorted(job.job_id for job in jobs)
+    interrupted = sum(event == "interrupted" for event, _ in events)
+    assert interrupted == sum(r.interruptions for r in result.records) > 0
+    last = max(r.finish_time for r in result.records if r.finish_time is not None)
+    assert result.sim_time == last
+    final = monitor.series.samples[-1]
+    assert final.time == last
+    assert final.submitted == len(jobs)
+    assert final.fulfilled == sum(r.deadline_met for r in result.records)
+
+
+def test_fault_run_with_no_jobs_terminates():
+    """Every failure, outage and elastic chain stops at its first event."""
+    config = FaultConfig(enabled=True, mtbf=1_000.0, mttr=100.0,
+                         domain_size=2, domain_mtbf=2_000.0, cascade_prob=1.0,
+                         elastic_model="stochastic", elastic_interval=500.0,
+                         elastic_max_extra=2)
+    service = _service(procs=4, faults=config)
+    result = service.run([])
+    assert result.fault_stats["failures"] == 0
+    assert result.fault_stats["nodes_commissioned"] == 0
+
+
 def test_failure_kills_running_job_and_frees_survivor_nodes():
     # One 4-proc job holds all nodes; node 2 dies mid-run.
     config = scripted([(40.0, 2, 1000.0)])
