@@ -58,7 +58,6 @@ from typing import TYPE_CHECKING, Callable, Optional, Sequence
 from repro.core.normalize import normalize_runs
 from repro.core.objectives import Objective, ObjectiveSet
 from repro.core.separate import SeparateRisk, separate_risk
-from repro.experiments import chaos
 from repro.experiments.errors import (
     FailureRecord,
     RunCrashed,
@@ -262,7 +261,6 @@ def _worker(
     (when the registry is enabled there) so the parent can fold
     worker-side activity back into its own registry.
     """
-    chaos.maybe_crash(unit.digest)
     before = dict(PERF.counters) if PERF.enabled else None
     error: Optional[dict] = None
     result = None
@@ -293,19 +291,12 @@ def _worker_batch(
 
     One future per batch instead of one per unit: the per-unit
     :func:`_worker` semantics (wall-clock alarm, error-as-data, perf
-    delta, chaos hook) are unchanged, but the pickling/IPC round trip is
-    paid once per batch.  A worker that dies mid-batch loses the whole
-    batch's results — the supervisor splits the batch into singletons to
-    isolate the culprit, so a unit is never charged an attempt for a
-    batchmate's crash.
-
-    The batch-level chaos hook (:func:`chaos.maybe_crash_batch`) fires
-    before any unit runs, so an armed "correlated outage" kills the
-    worker while it holds the *whole* batch — the exact failure shape a
-    fault domain produces — and the split-and-rerun path is exercised.
+    delta) are unchanged, but the pickling/IPC round trip is paid once
+    per batch.  A worker that dies mid-batch loses the whole batch's
+    results — the supervisor splits the batch into singletons to isolate
+    the culprit, so a unit is never charged an attempt for a batchmate's
+    crash.
     """
-    if len(units) > 1:
-        chaos.maybe_crash_batch([unit.digest for unit in units])
     return [_worker(unit, run_timeout, max_sim_events, max_sim_time) for unit in units]
 
 

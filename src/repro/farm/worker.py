@@ -8,11 +8,11 @@ claims the first unit whose lease it can take (stealing expired leases on
 the way — see :mod:`repro.farm.leases`), and executes that one grid cell
 through the standard
 :func:`~repro.experiments.pipeline.execute_plan` supervisor, inheriting
-the whole PR-4 fault model for free: per-run wall-clock timeouts, bounded
-retries with deterministic backoff, the simulation watchdog, failure
-journaling, and the chaos hooks.  While a unit runs, a daemon heartbeat
-thread renews the lease; a worker that dies mid-unit simply stops
-heartbeating and the unit is stolen back after the lease expires.
+the whole resilience layer for free: per-run wall-clock timeouts, bounded
+retries with deterministic backoff, the simulation watchdog and failure
+journaling.  While a unit runs, a daemon heartbeat thread renews the
+lease; a worker that dies mid-unit simply stops heartbeating and the unit
+is stolen back after the lease expires.
 
 Commit is two files: the run document lands in the worker's own store
 (checkpointed by ``execute_plan`` itself), then a ``done/<digest>.json``
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional
 
-from repro.experiments import chaos
 from repro.experiments.runstore import RunKey, RunStore, atomic_write_text
 from repro.farm import leases as leases_mod
 from repro.farm.coordinator import Farm
@@ -117,15 +116,9 @@ class WorkerAgent:
 
     # -- executing -----------------------------------------------------------
     def run_unit(self, claimed: ClaimedUnit) -> bool:
-        """Execute one claimed unit; True when it completed successfully.
-
-        The chaos hook fires *after* the lease is taken and *before* the
-        simulation starts — a chaos-killed worker therefore leaves
-        exactly the orphaned lease the stealing protocol exists for.
-        """
+        """Execute one claimed unit; True when it completed successfully."""
         from repro.experiments.pipeline import execute_plan
 
-        chaos.maybe_crash(claimed.digest)
         plan = self.farm.load_plan(claimed.job_id)
         stop = threading.Event()
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, fields
+from functools import cached_property
 
 _DOMAIN_RE = re.compile(r"^(node|rack|site)(\d+)$")
 
@@ -125,7 +126,21 @@ class FaultTopology:
 
     # -- cascade edges -------------------------------------------------------
     def node_peers(self, node_id: int) -> tuple[int, ...]:
-        """Rack-mates a node failure can cascade to (empty without racks)."""
+        """Rack-mates a node failure can cascade to (empty without racks).
+
+        Fixed for the topology's lifetime, so each node's tuple is built
+        on its first failure and served from a memo after that.
+        """
+        peers = self._node_peers.get(node_id)
+        if peers is None:
+            peers = self._node_peers[node_id] = self._rack_mates(node_id)
+        return peers
+
+    @cached_property
+    def _node_peers(self) -> dict[int, tuple[int, ...]]:
+        return {}
+
+    def _rack_mates(self, node_id: int) -> tuple[int, ...]:
         if self.rack_size == 0:
             return ()
         rack = self.rack_of(node_id)

@@ -6,11 +6,15 @@ going down mid-grid recovers in both chaos shapes.  Each test is one step
 of the ``chaos-smoke`` CI job, which runs it under the same step name and
 ``timeout``; the bodies are the scripts those steps used to run inline.
 
-They fork worker pools and SIGKILL workers, so they are opt-in: run them
-with ``pytest -m smoke`` (tier-1 does not collect ``tests/smoke/``).
+The crashes come from ``tests/crashkit.py``, installed around each
+``execute_plan`` call.  They fork worker pools and SIGKILL workers, so they
+are opt-in: run them with ``pytest -m smoke`` (tier-1 does not collect
+``tests/smoke/``).
 """
 
 import pytest
+
+import crashkit
 
 pytestmark = pytest.mark.smoke
 
@@ -38,16 +42,14 @@ def test_grid_survives_a_sigkilled_worker(tmp_path):
     reference = run_grid(policies, "bid", base, "A", scenarios).to_dict()
 
     chaos_dir = mkdir(tmp_path / "chaos")
-    os.environ["REPRO_CHAOS_DIR"] = chaos_dir
-    os.environ["REPRO_CHAOS_KILL"] = "2"
     plan = grid_plan(policies, "bid", base, "A", scenarios)
     store = RunStore(mkdir(tmp_path / "store"))
-    execution = execute_plan(
-        plan, store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=3, backoff_base=0.01,
-                                  poll_interval=0.05),
-    )
-    del os.environ["REPRO_CHAOS_DIR"], os.environ["REPRO_CHAOS_KILL"]
+    with crashkit.crashing_units(chaos_dir, 2):
+        execution = execute_plan(
+            plan, store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=3, backoff_base=0.01,
+                                      poll_interval=0.05),
+        )
 
     killed = [n for n in os.listdir(chaos_dir) if n.endswith(".killed")]
     assert len(killed) == 2, f"chaos never fired: {killed}"
@@ -117,15 +119,13 @@ def test_correlated_domain_outage_mid_grid_degrades_and_recovers(tmp_path):
     # Shape 1: a worker dies holding a whole batch of correlated-fault
     # runs.  The supervisor splits it uncharged and the grid recovers.
     chaos_dir = mkdir(tmp_path / "chaos-batch")
-    os.environ["REPRO_CHAOS_DIR"] = chaos_dir
-    os.environ["REPRO_CHAOS_BATCH"] = "1"
     store = RunStore(mkdir(tmp_path / "store-batch"))
-    execution = execute_plan(
-        plan, store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=0, on_error="degrade",
-                                  backoff_base=0.01, poll_interval=0.05),
-    )
-    del os.environ["REPRO_CHAOS_DIR"], os.environ["REPRO_CHAOS_BATCH"]
+    with crashkit.crashing_batches(chaos_dir, 1):
+        execution = execute_plan(
+            plan, store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=0, on_error="degrade",
+                                      backoff_base=0.01, poll_interval=0.05),
+        )
     batchkilled = [n for n in os.listdir(chaos_dir)
                    if n.endswith(".batchkilled")]
     assert len(batchkilled) == 1, f"batch chaos never fired: {batchkilled}"
@@ -137,17 +137,15 @@ def test_correlated_domain_outage_mid_grid_degrades_and_recovers(tmp_path):
     # gap — journaled, surfaced by degrade-mode assembly, and filled
     # bit-identically by a clean rerun on the same store.
     chaos_dir = mkdir(tmp_path / "chaos-gap")
-    os.environ["REPRO_CHAOS_DIR"] = chaos_dir
-    os.environ["REPRO_CHAOS_KILL"] = "1"
     cache_dir = mkdir(tmp_path / "store-gap")
     store = RunStore(cache_dir)
-    execution = execute_plan(
-        plan, store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=0, on_error="degrade",
-                                  batch_size=1, backoff_base=0.01,
-                                  poll_interval=0.05),
-    )
-    del os.environ["REPRO_CHAOS_DIR"], os.environ["REPRO_CHAOS_KILL"]
+    with crashkit.crashing_units(chaos_dir, 1):
+        execution = execute_plan(
+            plan, store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=0, on_error="degrade",
+                                      batch_size=1, backoff_base=0.01,
+                                      poll_interval=0.05),
+        )
     assert execution.failed, "singleton chaos kill never charged a gap"
     journal = open(f"{cache_dir}/failures.jsonl").read().splitlines()
     assert len(journal) >= len(execution.failed), journal

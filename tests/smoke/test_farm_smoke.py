@@ -29,6 +29,7 @@ from repro.farm.service import FarmService
 pytestmark = pytest.mark.smoke
 
 SRC = Path(repro.__file__).resolve().parents[1]
+CRASHKIT = Path(__file__).resolve().parents[1] / "crashkit.py"
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 POLICIES = ["FCFS-BF", "Libra"]
 BASE = ExperimentConfig(n_jobs=20, total_procs=16)
@@ -74,15 +75,15 @@ def test_sigkilled_workers_lease_is_stolen_with_zero_gaps(tmp_path):
 
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    worker_cmd = [sys.executable, "-m", "repro", "farm", "worker",
-                  "--farm", str(farm_dir), "--lease", "2", "--poll", "0.1",
-                  "--exit-when-done"]
-    # Worker "victim" self-SIGKILLs right after claiming its first
-    # lease (the chaos hook fires post-claim, pre-execute), leaving
-    # exactly the orphaned lease the stealing protocol exists for.
+    worker_args = ["farm", "worker", "--farm", str(farm_dir), "--lease", "2",
+                   "--poll", "0.1", "--exit-when-done"]
+    # Worker "victim" runs through the crash harness and self-SIGKILLs
+    # right after claiming its first lease (post-claim, pre-execute),
+    # leaving exactly the orphaned lease the stealing protocol exists for.
     victim = subprocess.Popen(
-        worker_cmd + ["--worker-id", "victim"],
-        env=dict(ENV, REPRO_CHAOS_DIR=str(chaos_dir), REPRO_CHAOS_KILL="1"),
+        [sys.executable, str(CRASHKIT), str(chaos_dir), "1", *worker_args,
+         "--worker-id", "victim"],
+        env=ENV,
     )
     victim.wait(timeout=120)
     assert victim.returncode == -9, f"victim exited {victim.returncode}"
@@ -91,9 +92,15 @@ def test_sigkilled_workers_lease_is_stolen_with_zero_gaps(tmp_path):
     leases = list(farm.leases_dir(job_id).glob("*.json"))
     assert len(leases) == 1, f"victim left no orphan lease: {leases}"
 
-    survivor = subprocess.Popen(worker_cmd + ["--worker-id", "survivor"], env=ENV)
-    completed = FarmService(farm, poll_interval=0.2).serve(max_jobs=1, timeout=180)
-    survivor.wait(timeout=60)
+    survivor = subprocess.Popen(
+        [sys.executable, "-m", "repro", *worker_args, "--worker-id", "survivor"],
+        env=ENV,
+    )
+    try:
+        completed = FarmService(farm, poll_interval=0.2).serve(max_jobs=1, timeout=180)
+        survivor.wait(timeout=60)
+    finally:
+        survivor.kill()  # a failed steal must not leave the survivor polling
     assert completed == [job_id]
     result = json.loads(farm.result_path(job_id).read_text())
     assert "gaps" not in result, result["gaps"]

@@ -1,17 +1,18 @@
 """Tests for the fault-domain subsystem (topology, correlated failures,
 cascades, elastic capacity) and its integration with the grid pipeline,
-the chaos harness, the farm, and the market.
+the crash harness (``crashkit``), the farm, and the market.
 
 The acceptance bar of the correlated-fault work: a fault-domain grid is
 bit-identical across serial, parallel, resumed, and farmed execution, and
-a whole-domain outage mid-grid (the chaos harness's correlated batch
-kill) degrades with correct gap accounting instead of corrupting state.
+a whole-domain outage mid-grid (``crashkit``'s correlated batch kill)
+degrades with correct gap accounting instead of corrupting state.
 """
 
 import json
 
 import pytest
 
+import crashkit
 from repro.economy.models import make_model
 from repro.experiments.pipeline import (
     ExecutionPolicy,
@@ -67,6 +68,9 @@ def test_topology_membership_and_partial_last_rack():
     assert topo.n_racks == 3
     assert topo.rack_nodes(0) == (0, 1, 2, 3)
     assert topo.rack_nodes(2) == (8, 9)  # partial last rack
+    assert topo.node_peers(9) == (8,)
+    assert topo.node_peers(11) == (8, 9)  # commissioned id inside rack 2
+    assert topo.node_peers(12) == ()  # beyond the last rack
     assert topo.rack_of(5) == 1
     assert topo.domain_nodes("node7") == (7,)
     assert topo.domain_nodes("rack1") == (4, 5, 6, 7)
@@ -89,6 +93,33 @@ def test_topology_site_layer_and_peers():
     # Without a site layer every other rack is a peer.
     flat = FaultTopology(total_nodes=12, rack_size=4)
     assert set(flat.rack_peers(1)) == {"rack0", "rack2"}
+
+
+@pytest.mark.parametrize("total,rack_size,site_racks", [
+    (10, 4, 0),   # short last rack
+    (16, 4, 2),   # site layer
+    (12, 4, 0),   # racks divide evenly
+    (8, 0, 0),    # no rack layer (domain_size=0)
+])
+def test_node_peers_are_rack_mates_for_every_node(total, rack_size, site_racks):
+    """Every node's peers, base and commissioned ids alike, equal its
+    rack-mates; the second call returns the memoised tuple, and the memo
+    leaves equality and serialisation alone."""
+    topo = FaultTopology(total, rack_size, site_racks)
+
+    def rack_mates(node_id):
+        if rack_size == 0 or node_id // rack_size >= topo.n_racks:
+            return ()
+        return tuple(n for n in topo.rack_nodes(node_id // rack_size) if n != node_id)
+
+    # Ids past the base machine: the rest of a short last rack, then beyond.
+    for node_id in range(total + 2 * max(rack_size, 1)):
+        peers = topo.node_peers(node_id)
+        assert peers == rack_mates(node_id), node_id
+        assert topo.node_peers(node_id) is peers
+    assert topo == FaultTopology(total, rack_size, site_racks)
+    assert topo.to_dict() == {"total_nodes": total, "rack_size": rack_size,
+                              "site_racks": site_racks}
 
 
 def test_topology_serialisation_and_validation():
@@ -382,7 +413,7 @@ def test_correlated_grid_parity_serial_parallel_resumed_farm(tmp_path):
 
 
 @pytest.mark.slow
-def test_batch_chaos_kills_whole_batch_and_grid_recovers(tmp_path, monkeypatch):
+def test_batch_chaos_kills_whole_batch_and_grid_recovers(tmp_path):
     """A worker dies holding a multi-run batch (the shape of a domain
     outage); the supervisor splits the batch uncharged and the grid
     completes bit-identically."""
@@ -390,20 +421,17 @@ def test_batch_chaos_kills_whole_batch_and_grid_recovers(tmp_path, monkeypatch):
     scenarios = [scenario_by_name(SCENARIO)]
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
-    monkeypatch.setenv("REPRO_CHAOS_BATCH", "1")
     plan = grid_plan(POLICIES, "bid", CORRELATED, "A", scenarios)
     store = RunStore(tmp_path / "store")
-    execution = execute_plan(
-        plan, store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=0, on_error="degrade", **FAST),
-    )
+    with crashkit.crashing_batches(chaos_dir, 1):
+        execution = execute_plan(
+            plan, store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=0, on_error="degrade", **FAST),
+        )
     assert len(list(chaos_dir.glob("*.batchkilled"))) == 1
     # The batch members were innocent: nobody was charged, nothing failed.
     assert execution.failed == ()
     assert execution.complete
-    monkeypatch.delenv("REPRO_CHAOS_DIR")
-    monkeypatch.delenv("REPRO_CHAOS_BATCH")
     grid = assemble_grid(
         RunStore(tmp_path / "store"), POLICIES, "bid", CORRELATED, "A", scenarios
     )
@@ -411,7 +439,7 @@ def test_batch_chaos_kills_whole_batch_and_grid_recovers(tmp_path, monkeypatch):
 
 
 @pytest.mark.slow
-def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path, monkeypatch):
+def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path):
     """A worker is killed holding a charged singleton run: degrade-mode
     assembly journals the gap instead of aborting, and a clean rerun
     against the same store reproduces the reference bit-identically.
@@ -423,15 +451,14 @@ def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path, monkeypat
     scenarios = [scenario_by_name(SCENARIO)]
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
-    monkeypatch.setenv("REPRO_CHAOS_KILL", "1")
     plan = grid_plan(POLICIES, "bid", CORRELATED, "A", scenarios)
     store = RunStore(tmp_path / "store")
-    execution = execute_plan(
-        plan, store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=0, on_error="degrade",
-                                  batch_size=1, **FAST),
-    )
+    with crashkit.crashing_units(chaos_dir, 1):
+        execution = execute_plan(
+            plan, store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=0, on_error="degrade",
+                                      batch_size=1, **FAST),
+        )
     # The singleton crash was charged; with zero retries it is a gap (a
     # broken pool can take in-flight siblings down with it, so >= 1).
     assert len(execution.failed) >= 1
@@ -440,8 +467,6 @@ def test_domain_outage_mid_grid_degrades_with_gap_accounting(tmp_path, monkeypat
     )
     assert grid.degraded and len(grid.gaps) >= 1
     assert all(gap.get("kind") for gap in grid.gaps)  # journaled reasons
-    monkeypatch.delenv("REPRO_CHAOS_DIR")
-    monkeypatch.delenv("REPRO_CHAOS_KILL")
     # Clean rerun on the same store fills the gap bit-identically.
     grid = run_grid(POLICIES, "bid", CORRELATED, "A", scenarios,
                     RunStore(tmp_path / "store"))

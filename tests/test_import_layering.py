@@ -7,7 +7,8 @@ package ``__init__`` holds only its docstring, so importing a package loads
 none of its submodules; every name is imported from its defining module.
 
 The guards assert module names, never timings, so they hold on every
-supported interpreter.
+supported interpreter.  A last guard keeps test-only crash injection out of
+the program: it lives in ``tests/crashkit.py``.
 """
 
 import ast
@@ -157,3 +158,54 @@ def test_correlated_machine_has_one_home():
 
     assert not hasattr(faultsweep, "CORRELATED_FAULTS")
     assert config.CORRELATED_FAULTS.enabled and config.CORRELATED_FAULTS.domain_size == 8
+
+
+# -- no crash switch in the program ----------------------------------------------
+
+#: calls that signal a process id; a first argument of ``getpid()`` / ``getpgrp()``
+#: / ``getpgid(…)`` or ``0`` is the calling process (or its group).
+KILL_CALLS = ("kill", "killpg")
+OWN_PID_CALLS = ("getpid", "getpgrp", "getpgid")
+
+
+def _callee(func: ast.expr):
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
+def _signals_itself(call: ast.Call) -> bool:
+    name = _callee(call.func)
+    if name == "raise_signal":
+        return True
+    if name not in KILL_CALLS or not call.args:
+        return False
+    target = call.args[0]
+    if isinstance(target, ast.Constant):
+        return target.value == 0
+    return isinstance(target, ast.Call) and _callee(target.func) in OWN_PID_CALLS
+
+
+def _imported(node: ast.AST) -> list:
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if isinstance(node, ast.ImportFrom):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
+    return []
+
+
+def test_the_program_holds_no_crash_switch():
+    """No module is named ``chaos`` or imports one, none mentions a
+    ``REPRO_CHAOS`` switch, and none signals its own process."""
+    found = []
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        relative = path.relative_to(SRC)
+        name, text = relative.as_posix(), path.read_text()
+        if "chaos" in relative.with_suffix("").parts:
+            found.append(f"{name}: a module named chaos")
+        if "REPRO_CHAOS" in text:
+            found.append(f"{name}: mentions REPRO_CHAOS")
+        for node in ast.walk(ast.parse(text)):
+            if any("chaos" in module.split(".") for module in _imported(node)):
+                found.append(f"{name}:{node.lineno}: imports chaos")
+            if isinstance(node, ast.Call) and _signals_itself(node):
+                found.append(f"{name}:{node.lineno}: signals its own process")
+    assert found == [], "\n".join(found)

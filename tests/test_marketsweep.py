@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import crashkit
 from repro.experiments.marketsweep import (
     MARKET_RUN_FORMAT,
     MarketConfig,
@@ -343,23 +344,20 @@ def test_pool_rows_match_serial(tmp_path):
     assert assemble_market_sweep(store, SCENARIO, base).rows == serial.rows
 
 
-def test_pool_sweep_survives_sigkilled_worker(tmp_path, monkeypatch):
+def test_pool_sweep_survives_sigkilled_worker(tmp_path):
     base = small_config()
     serial = run_market_sweep(base, SCENARIO)
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
-    monkeypatch.setenv("REPRO_CHAOS_KILL", "1")
     store = RunStore(tmp_path / "store")
-    execution = execute_plan(
-        market_plan(SCENARIO, base), store, n_workers=2,
-        execution=ExecutionPolicy(max_retries=3, backoff_base=0.001,
-                                  backoff_cap=0.002, poll_interval=0.02),
-    )
+    with crashkit.crashing_units(chaos_dir, 1):
+        execution = execute_plan(
+            market_plan(SCENARIO, base), store, n_workers=2,
+            execution=ExecutionPolicy(max_retries=3, backoff_base=0.001,
+                                      backoff_cap=0.002, poll_interval=0.02),
+        )
     assert len(list(chaos_dir.glob("*.killed"))) == 1
     assert execution.complete
-    monkeypatch.delenv("REPRO_CHAOS_DIR")
-    monkeypatch.delenv("REPRO_CHAOS_KILL")
     rows = assemble_market_sweep(RunStore(tmp_path / "store"), SCENARIO, base).rows
     assert rows == serial.rows
 

@@ -1,5 +1,5 @@
 """Tests for the resilient execution layer: timeouts, retries with backoff,
-crash-surviving workers (chaos injection), failure journaling, and
+crash-surviving workers (crash injection through ``crashkit``), failure journaling, and
 graceful-degradation grid assembly."""
 
 import json
@@ -8,9 +8,9 @@ import signal
 
 import pytest
 
+import crashkit
 from repro import perf
 from repro.core.separate import SeparateRisk
-from repro.experiments import chaos
 from repro.experiments.errors import (
     FailureRecord,
     GridExecutionError,
@@ -242,17 +242,15 @@ def test_pool_path_matches_serial_reference():
 
 
 @pytest.mark.slow
-def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
-    """Chaos: two workers SIGKILL themselves mid-grid; the supervisor
+def test_grid_survives_sigkilled_workers(tmp_path):
+    """Two workers are SIGKILLed mid-grid; the supervisor
     rebuilds the pool, resubmits, and the result is bit-identical."""
     reference_doc = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS).to_dict()
     chaos_dir = tmp_path / "chaos"
     chaos_dir.mkdir()
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(chaos_dir))
-    monkeypatch.setenv("REPRO_CHAOS_KILL", "2")
     plan = grid_plan(POLICIES, "bid", SMALL, "A", SCENARIOS)
     store = RunStore(tmp_path / "store")
-    with perf.capture() as registry:
+    with perf.capture() as registry, crashkit.crashing_units(chaos_dir, 2):
         execution = execute_plan(
             plan, store, n_workers=2,
             execution=ExecutionPolicy(max_retries=3, **FAST),
@@ -264,31 +262,26 @@ def test_grid_survives_sigkilled_workers(tmp_path, monkeypatch):
     # … and the grid still completed, bit-identical to the serial run.
     assert execution.failed == ()
     assert execution.complete
-    monkeypatch.delenv("REPRO_CHAOS_DIR")
-    monkeypatch.delenv("REPRO_CHAOS_KILL")
     grid = assemble_grid(RunStore(tmp_path / "store"), POLICIES, "bid", SMALL,
                          "A", SCENARIOS)
     assert grid.to_dict() == reference_doc
 
 
-@pytest.mark.parametrize("env,crash", [
-    ("REPRO_CHAOS_KILL", lambda: chaos.maybe_crash("d1")),
-    ("REPRO_CHAOS_BATCH", lambda: chaos.maybe_crash_batch(["d1", "d2"])),
-])
-def test_chaos_budget_is_claimed_before_the_marker(tmp_path, monkeypatch, env, crash):
+@pytest.mark.parametrize("slot,crash", [
+    ("kill-slot-0", lambda path: crashkit.crash_unit(path, 1, "d1")),
+    ("batch-slot-0", lambda path: crashkit.crash_batch(path, 1, ["d1", "d2"])),
+], ids=["unit", "batch"])
+def test_chaos_budget_is_claimed_before_the_marker(tmp_path, monkeypatch, slot, crash):
     """A worker that has claimed the last budget slot but not yet written
     its marker still blocks every other worker from crashing."""
     kills = []
-    monkeypatch.setattr(chaos.os, "kill", lambda pid, sig: kills.append(sig))
-    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
-    monkeypatch.setenv(env, "1")
-    slot = "kill-slot-0" if env == "REPRO_CHAOS_KILL" else "batch-slot-0"
+    monkeypatch.setattr(crashkit.os, "kill", lambda pid, sig: kills.append(sig))
     (tmp_path / slot).touch()  # another worker's claim in flight
-    crash()
+    crash(tmp_path)
     assert kills == []
     (tmp_path / slot).unlink()
-    crash()
-    crash()  # the marker now exists: the same item never crashes twice
+    crash(tmp_path)
+    crash(tmp_path)  # the marker now exists: the same item never crashes twice
     assert kills == [signal.SIGKILL]
 
 
