@@ -5,19 +5,13 @@ processors and running jobs; jobs run for their *actual* runtime (the
 scheduler only ever sees estimates), and a completion callback hands control
 back to the owning policy.
 
-The paper's SDSC SP2 is homogeneous (all SPEC rating 168), which is the
-default fast path here.  Passing ``node_ratings`` turns on heterogeneity:
-jobs are gang-scheduled on the fastest free nodes and progress at the pace
-of the *slowest* node in the allocation, so a parallel job's wall time is
-``runtime / min(speed factors)`` with runtimes expressed on the reference
-(rating-168) node.
+The machine is the paper's SDSC SP2, whose nodes are identical (each of
+SPEC rating 168), so a job runs for its trace runtime on whichever nodes
+it gets.
 
-Per-node bookkeeping (heterogeneous machines, and any machine the fault
-injector switches it on for) is an indexed pool: every node's sort key
-``(-speed_factor, node_id)`` is computed once, the free list is kept in
-key order by insertion rather than re-sorted (in plain node-id order while
-every node has the reference rating), and a node-to-job map finds the job
-holding a failed node without scanning the running jobs.
+Per-node bookkeeping, which the fault injector switches on, is a free
+list of node ids kept in id order, and a node-to-job map that finds the
+job holding a failed node without scanning the running jobs.
 
 Every machine, tracked or not, keeps the ``(estimated finish, procs)``
 release of each running job in one sorted list: the finish is struck once,
@@ -30,9 +24,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Union
 
-from repro.cluster.node import REFERENCE_RATING, Node
 from repro.cluster.profile import Release
 from repro.perf.registry import PERF
 from repro.sim.engine import Simulator
@@ -49,69 +42,39 @@ class RunningJob:
 
     job: Job
     start_time: float
-    #: execution speed relative to the reference node (min over allocation).
-    speed: float = 1.0
     #: node ids held by the job (clusters that track nodes only).
     nodes: tuple[int, ...] = ()
-    #: finish time the scheduler believes in (start + estimate at the
-    #: allocation's speed); set by :meth:`SpaceSharedCluster.start`.
+    #: finish time the scheduler believes in (start + estimate); set by
+    #: :meth:`SpaceSharedCluster.start`.
     estimated_finish: float = 0.0
     completion: Optional[EventHandle] = field(repr=False, default=None)
 
-    @property
-    def actual_finish(self) -> float:
-        return self.start_time + self.job.runtime / self.speed
-
 
 class SpaceSharedCluster:
-    """A space-shared machine, homogeneous by default.
+    """A space-shared machine of ``total_procs`` identical nodes.
 
     Parameters
     ----------
     sim:
         The driving simulator.
     total_procs:
-        Machine size (the paper's SDSC SP2: 128).  Ignored when
-        ``node_ratings`` is given (its length defines the size).
-    node_ratings:
-        Optional per-node SPEC ratings for a heterogeneous machine;
-        runtimes are interpreted on the reference rating
-        (:data:`repro.cluster.node.REFERENCE_RATING`).
+        Machine size (the paper's SDSC SP2: 128).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        total_procs: int = 128,
-        node_ratings: Optional[Sequence[float]] = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, total_procs: int = 128) -> None:
         self.sim = sim
-        if node_ratings is not None:
-            if not node_ratings:
-                raise ValueError("cluster needs at least one node")
-            self.nodes = [Node(i, float(r)) for i, r in enumerate(node_ratings)]
-            self.total_procs = len(self.nodes)
-            self.heterogeneous = True
-        else:
-            if total_procs < 1:
-                raise ValueError("cluster needs at least one processor")
-            self.nodes = [Node(i) for i in range(int(total_procs))]
-            self.total_procs = int(total_procs)
-            self.heterogeneous = False
+        if total_procs < 1:
+            raise ValueError("cluster needs at least one processor")
+        self.total_procs = int(total_procs)
         self.free_procs = self.total_procs
+        #: node ids ever created: ids are ``0 .. _node_count - 1``.
+        self._node_count = self.total_procs
         self._running: dict[int, RunningJob] = {}
         #: ``(estimated_finish, procs)`` of every running job, sorted.
         self._releases: list[Release] = []
-        # The indexed pool (see _index_nodes); empty until tracking is on.
-        #: free node ids, fastest first (ties by id): in ``_key`` order.
+        # The tracked pool; empty until tracking is on.
+        #: free node ids, in id order.
         self._free_nodes: list[int] = []
-        #: per node id: its sort key, ``(-speed_factor, node_id)``.
-        self._key: list[tuple[float, int]] = []
-        #: how the free list is sorted: ``None`` (by node id) while every
-        #: node ever created has the reference rating — the keys then tie
-        #: on speed, so id order is key order, and every allocation runs at
-        #: exactly 1.0 — else ``_key.__getitem__``.
-        self._sort_key: Optional[Callable[[int], tuple[float, int]]] = None
         #: node id -> the running job holding it.
         self._node_job: dict[int, RunningJob] = {}
         #: nodes currently failed (fault injection); never free nor running.
@@ -119,41 +82,26 @@ class SpaceSharedCluster:
         #: nodes decommissioned for good (elastic capacity); ids are never
         #: reused, so every node keeps a stable identity.
         self._retired: set[int] = set()
-        # Homogeneous clusters skip per-node bookkeeping entirely (the fast
-        # path the paper's SDSC SP2 uses); fault injection needs to know
+        # Without faults no job needs to know which nodes it holds, so
+        # per-node bookkeeping stays off; fault injection needs to know
         # which job holds which node, so the injector switches tracking on.
-        self._track_nodes = self.heterogeneous
-        if self._track_nodes:
-            self._index_nodes()
+        self._track_nodes = False
 
     # ------------------------------------------------------------------
     def can_fit(self, procs: int) -> bool:
         return procs <= self.free_procs
 
-    def _index_nodes(self) -> None:
-        """Build the indexed pool over the current nodes, all free."""
-        self._key = [(-node.speed_factor, node.node_id) for node in self.nodes]
-        if any(node.speed_factor != 1.0 for node in self.nodes):
-            self._sort_key = self._key.__getitem__
-        # Fastest-first free list: allocations prefer fast nodes so the
-        # gang speed (min over allocation) stays as high as possible.
-        self._free_nodes = sorted(range(len(self.nodes)), key=self._sort_key)
-
     def _allocate_nodes(self, record: RunningJob) -> None:
-        """Tracked path: give ``record`` the fastest free nodes."""
+        """Tracked path: give ``record`` the lowest-numbered free nodes."""
         procs = record.job.procs
         chosen = self._free_nodes[:procs]
         del self._free_nodes[:procs]
         record.nodes = tuple(chosen)
-        if self._sort_key is not None:
-            # The free list is fastest first, so the slowest node chosen —
-            # the allocation's speed — is the last one.
-            record.speed = -self._key[chosen[-1]][0]
         self._node_job.update(dict.fromkeys(chosen, record))
 
     def _release_nodes(self, record: RunningJob, failed: Optional[int] = None) -> None:
         """Tracked path: ``record``'s nodes leave the node-to-job map and
-        all but ``failed`` return to the free list.  They are in key order,
+        all but ``failed`` return to the free list.  They are in id order,
         so the sort merges two sorted runs."""
         node_job = self._node_job
         for node_id in record.nodes:
@@ -163,7 +111,7 @@ class SpaceSharedCluster:
             nodes = [i for i in nodes if i != failed]
         free = self._free_nodes
         free.extend(nodes)
-        free.sort(key=self._sort_key)
+        free.sort()
 
     def start(
         self,
@@ -172,9 +120,9 @@ class SpaceSharedCluster:
         max_runtime: Optional[float] = None,
     ) -> RunningJob:
         """Begin executing ``job`` now; ``on_finish(job, finish_time)`` fires
-        when the actual runtime (at the allocation's speed) elapses.
+        when the actual runtime elapses.
 
-        ``max_runtime`` caps execution (reference-node seconds): real batch
+        ``max_runtime`` caps execution (seconds): real batch
         systems kill a job once its requested time is exhausted, so passing
         ``job.estimate`` models that discipline; the caller can detect a
         kill by ``job.runtime > max_runtime``.
@@ -193,11 +141,11 @@ class SpaceSharedCluster:
         record = RunningJob(job=job, start_time=now)
         if self._track_nodes:
             self._allocate_nodes(record)
-        record.estimated_finish = finish = now + job.estimate / record.speed
+        record.estimated_finish = finish = now + job.estimate
         bisect.insort(self._releases, (finish, job.procs))
         duration = job.runtime if max_runtime is None else min(job.runtime, max_runtime)
         record.completion = self.sim.schedule(
-            duration / record.speed,
+            duration,
             self._complete,
             record,
             on_finish,
@@ -229,58 +177,61 @@ class SpaceSharedCluster:
 
     # -- fault injection ------------------------------------------------
     def enable_node_tracking(self) -> None:
-        """Switch a homogeneous cluster to per-node bookkeeping.
+        """Switch the cluster to per-node bookkeeping, every node free.
 
-        The fault injector needs to know which job holds which node; the
-        heterogeneous path already tracks that, so this only materialises
-        the free list on homogeneous machines.  Must be called before any
-        job starts (the injector calls it at t=0).
+        The fault injector needs to know which job holds which node.  Must
+        be called before any job starts (the injector calls it at t=0).
         """
         if self._track_nodes:
             return
         if self._running:
             raise RuntimeError("cannot enable node tracking with jobs running")
         self._track_nodes = True
-        self._index_nodes()
+        self._free_nodes = list(range(self._node_count))
 
-    def fail_node(self, node_id: int) -> list[tuple[Job, float]]:
-        """Take ``node_id`` down; return ``(job, progress)`` for jobs killed.
+    def fail_node(self, node_ids: Union[int, tuple[int, ...]]) -> list[tuple[Job, float]]:
+        """Take one node, or a batch of them, down at once; return
+        ``(job, progress)`` for the jobs killed, in node order.
 
         A failed node leaves the free pool until :meth:`repair_node`.  A job
-        holding the node is terminated: its other nodes return to the free
-        list and its completion event is cancelled.  ``progress`` is the
-        reference-node seconds of work done at the instant of failure.
+        holding a failed node is terminated: its other nodes return to the
+        free list and its completion event is cancelled.  ``progress`` is
+        the seconds of work done at the instant of failure.
         """
         if not self._track_nodes:
             raise RuntimeError("fail_node requires node tracking (enable_node_tracking)")
-        self._check_node_id(node_id)
-        if node_id in self._down:
-            raise ValueError(f"node {node_id} is already down")
-        victim = self._node_job.get(node_id)
-        if victim is None:
-            try:
-                self._free_nodes.remove(node_id)
-            except ValueError:  # pragma: no cover - defensive
-                raise RuntimeError(
-                    f"node {node_id} is neither free nor held by a running job"
-                ) from None
+        if isinstance(node_ids, int):
+            node_ids = (node_ids,)
+        killed: list[tuple[Job, float]] = []
+        for node_id in node_ids:
+            self._check_node_id(node_id)
+            if node_id in self._down:
+                raise ValueError(f"node {node_id} is already down")
+            victim = self._node_job.get(node_id)
+            if victim is None:
+                try:
+                    self._free_nodes.remove(node_id)
+                except ValueError:  # pragma: no cover - defensive
+                    raise RuntimeError(
+                        f"node {node_id} is neither free nor held by a running job"
+                    ) from None
+                self._down.add(node_id)
+                self.free_procs -= 1
+                continue
             self._down.add(node_id)
-            self.free_procs -= 1
-            return []
-        self._down.add(node_id)
-        if victim.completion is not None:
-            victim.completion.cancel()
-            victim.completion = None
-        del self._running[victim.job.job_id]
-        self._strike_release(victim)
-        self._release_nodes(victim, failed=node_id)
-        # The failed node stays out of the pool; its procs slot is down too.
-        self.free_procs += victim.job.procs - 1
-        progress = (self.sim.now - victim.start_time) * victim.speed
-        progress = min(max(progress, 0.0), victim.job.runtime)
-        if PERF.enabled:
-            PERF.incr("cluster.space.jobs_failed")
-        return [(victim.job, progress)]
+            if victim.completion is not None:
+                victim.completion.cancel()
+                victim.completion = None
+            del self._running[victim.job.job_id]
+            self._strike_release(victim)
+            self._release_nodes(victim, failed=node_id)
+            # The failed node stays out of the pool; its procs slot is down too.
+            self.free_procs += victim.job.procs - 1
+            progress = min(max(self.sim.now - victim.start_time, 0.0), victim.job.runtime)
+            killed.append((victim.job, progress))
+        if PERF.enabled and killed:
+            PERF.incr("cluster.space.jobs_failed", len(killed))
+        return killed
 
     def repair_node(self, node_id: int) -> None:
         """Bring a failed node back into the free pool."""
@@ -289,7 +240,7 @@ class SpaceSharedCluster:
         if node_id not in self._down:
             raise ValueError(f"node {node_id} is not down")
         self._down.discard(node_id)
-        bisect.insort(self._free_nodes, node_id, key=self._sort_key)
+        bisect.insort(self._free_nodes, node_id)
         self.free_procs += 1
 
     def down_nodes(self) -> frozenset[int]:
@@ -302,16 +253,15 @@ class SpaceSharedCluster:
     def _check_node_id(self, node_id: int) -> None:
         # Node ids are stable for life, so the valid range is everything
         # ever created — retirement shrinks capacity, not the id space.
-        if not 0 <= node_id < len(self.nodes):
+        if not 0 <= node_id < self._node_count:
             raise ValueError(f"no such node: {node_id}")
         if node_id in self._retired:
             raise ValueError(f"node {node_id} is decommissioned")
 
     # -- elastic capacity ----------------------------------------------------
-    def commission_node(self, rating: Optional[float] = None) -> int:
+    def commission_node(self) -> int:
         """Add a node to the machine; returns its (fresh, stable) id.
 
-        New nodes run at the reference rating unless ``rating`` is given.
         Requires node tracking (the fault injector enables it), because a
         commissioned node must join the per-node free list.
         """
@@ -319,15 +269,11 @@ class SpaceSharedCluster:
             raise RuntimeError(
                 "commission_node requires node tracking (enable_node_tracking)"
             )
-        node_id = len(self.nodes)
-        node = Node(node_id, float(rating) if rating is not None else REFERENCE_RATING)
-        self.nodes.append(node)
-        self._key.append((-node.speed_factor, node_id))
-        if node.speed_factor != 1.0:
-            self._sort_key = self._key.__getitem__
+        node_id = self._node_count
+        self._node_count += 1
         self.total_procs += 1
         self.free_procs += 1
-        bisect.insort(self._free_nodes, node_id, key=self._sort_key)
+        self._free_nodes.append(node_id)  # the highest id yet: order holds
         if PERF.enabled:
             PERF.incr("cluster.space.nodes_commissioned")
         return node_id

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import enum
 import math
-from typing import Callable, Collection, Optional, Sequence
+from typing import Callable, Collection, Optional, Sequence, Union
 
 import numpy as np
 
@@ -510,28 +510,33 @@ class TimeSharedCluster:
         cluster type.
         """
 
-    def fail_node(self, node_id: int) -> list[tuple[Job, float]]:
-        """Take ``node_id`` down; kill every job with a share slot on it.
+    def fail_node(self, node_ids: Union[int, tuple[int, ...]]) -> list[tuple[Job, float]]:
+        """Take one node, or a batch of them, down at once; kill every job
+        with a share slot on any of them.
 
-        Returns ``(job, progress)`` pairs, where ``progress`` is the
-        dedicated-CPU seconds of work the job had completed.  Shares the
-        victims held on *other* nodes are released and the surviving jobs'
-        rates are recomputed.
+        Returns ``(job, progress)`` pairs, node by node and, on each node,
+        by job id, where ``progress`` is the dedicated-CPU seconds of work
+        the job had completed.  Shares the victims held on *other* nodes
+        are released, and the surviving jobs' rates are recomputed once,
+        over every node the batch touched.
         """
-        self._check_node_id(node_id)
-        if node_id in self._down:
-            raise ValueError(f"node {node_id} is already down")
+        if isinstance(node_ids, int):
+            node_ids = (node_ids,)
         self._sync_progress()
-        self._down.add(node_id)
-        self._unavail[node_id] = True
-        victims = [self._states[jid] for jid in sorted(self.node_jobs[node_id])]
         killed: list[tuple[Job, float]] = []
         touched: set[int] = set()
-        for state in victims:
-            self._release(state)
-            touched.update(state.nodes)
-            progress = min(max(state.consumed, 0.0), state.job.runtime)
-            killed.append((state.job, progress))
+        for node_id in node_ids:
+            self._check_node_id(node_id)
+            if node_id in self._down:
+                raise ValueError(f"node {node_id} is already down")
+            self._down.add(node_id)
+            self._unavail[node_id] = True
+            for jid in sorted(self.node_jobs[node_id]):
+                state = self._states[jid]
+                self._release(state)
+                touched.update(state.nodes)
+                progress = min(max(state.consumed, 0.0), state.job.runtime)
+                killed.append((state.job, progress))
         if PERF.enabled and killed:
             PERF.incr("cluster.time.jobs_failed", len(killed))
         self._reschedule(touched)

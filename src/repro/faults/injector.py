@@ -79,14 +79,13 @@ _INTERNAL = Priority.INTERNAL
 class FaultKill:
     """One job terminated by a node failure.
 
-    ``progress`` is the reference-node seconds of work the job had
-    completed when the node died — what the checkpoint recovery discipline
-    rounds down to the last checkpoint.
+    ``progress`` is the seconds of work the job had completed when the
+    node died — what the checkpoint recovery discipline rounds down to the
+    last checkpoint.
     """
 
     job: Job
     progress: float
-    node_id: int
 
 
 @dataclass
@@ -408,10 +407,7 @@ class FaultInjector:
             return False  # nothing decommissionable (none, or all down)
         killed = self.cluster.decommission_node(node_id)
         self._gone.add(node_id)
-        kills = [
-            FaultKill(job=job, progress=progress, node_id=node_id)
-            for job, progress in killed
-        ]
+        kills = [FaultKill(job=job, progress=progress) for job, progress in killed]
         self.stats.nodes_decommissioned += 1
         self.stats.jobs_killed += len(kills)
         if PERF.enabled:
@@ -448,12 +444,13 @@ class FaultInjector:
         now = self.sim.now
         stats = self.stats
         per_node = stats.per_node_failures
-        kills: list[FaultKill] = []
         for node_id in node_ids:
             self._down[node_id] = now
-            for job, progress in self.cluster.fail_node(node_id):
-                kills.append(FaultKill(job=job, progress=progress, node_id=node_id))
             per_node[node_id] = per_node.get(node_id, 0) + 1
+        kills = [
+            FaultKill(job=job, progress=progress)
+            for job, progress in self.cluster.fail_node(node_ids)
+        ]
         stats.failures += len(node_ids)
         stats.jobs_killed += len(kills)
         if PERF.enabled:

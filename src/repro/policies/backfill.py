@@ -292,12 +292,10 @@ class BackfillPolicy(Policy, abc.ABC):
     def _backfill(self, head: Job) -> None:
         """Start, in priority order, each job that cannot delay the head.
 
-        A start only shrinks the free processors, and on a homogeneous
-        machine it leaves the shadow time alone and the spare no larger, so
-        no job already passed over can now fit: the scan goes on from where
-        it is.  On a heterogeneous machine a job slower than its estimate
-        can end past the shadow and move it later, which loosens the
-        window; the scan then restarts from the front.
+        A start only shrinks the free processors, leaves the shadow time
+        where it was and the spare no larger, so no job already passed over
+        can now fit: the scan goes on from where it is, and the window is
+        recomputed when the next job fits the free processors.
         """
         queue = self._queue
         cluster = self.cluster
@@ -320,9 +318,7 @@ class BackfillPolicy(Policy, abc.ABC):
                 return
             del queue[i]
             self._start(job)
-            window = self._window(head)
-            if window[0] != shadow or window[1] > spare:
-                i = 1
+            window = None
 
     # -- introspection --------------------------------------------------------
     @property

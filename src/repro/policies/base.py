@@ -100,7 +100,7 @@ class Policy(abc.ABC):
         self, node_ids: tuple[int, ...], kills: list["FaultKill"]
     ) -> None:
         """The nodes ``node_ids`` failed at this instant, as one batch;
-        ``kills`` lists the jobs they terminated (each names its node).
+        ``kills`` lists the jobs they terminated, in node order.
 
         Every node of the batch is already down, so the one dispatch at the
         end cannot start a job on any of them.  The default discipline:

@@ -31,10 +31,10 @@ from repro.workload.job import Job
 
 
 def rebuilt_releases(cluster) -> list[tuple[float, int]]:
-    """``(start + estimate / speed, procs)`` of every running job, in
-    start order."""
+    """``(start + estimate, procs)`` of every running job, in start
+    order."""
     return [
-        (r.start_time + r.job.estimate / r.speed, r.job.procs)
+        (r.start_time + r.job.estimate, r.job.procs)
         for r in sorted(cluster.running(), key=lambda r: r.start_time)
     ]
 

@@ -3,10 +3,9 @@
 Random job streams — bursts of same-instant arrivals, under- and
 over-estimated runtimes, deadlines already infeasible at submission,
 budgets near the quote — run through FCFS-BF, SJF-BF, EDF-BF, FCFS and
-Cons-BF and through :mod:`backfill_reference`, on homogeneous and
-heterogeneous machines, with scripted node failures and repairs under
-both recovery modes, a time-of-day tariff and the policies' ablation
-switches.
+Cons-BF and through :mod:`backfill_reference`, with scripted node
+failures and repairs under both recovery modes, a time-of-day tariff and
+the policies' ablation switches.
 
 Within each instant the fast path must start the same jobs in the same
 order and drop (reject or fail) the same jobs in the same order as the
@@ -19,11 +18,9 @@ from __future__ import annotations
 from itertools import groupby
 
 from backfill_reference import reference_policy
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.node import REFERENCE_RATING
-from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.economy.models import make_model
 from repro.economy.pricing import TimeOfDayPricing
 from repro.faults.config import FaultConfig
@@ -79,10 +76,8 @@ def fault_config(outages, recovery):
                        recovery=recovery, checkpoint_interval=300.0)
 
 
-def run_log(policy, jobs, model, faults, ratings):
+def run_log(policy, jobs, model, faults):
     """Per-instant (starts, drops) logs and the final outcome of every SLA."""
-    if ratings is not None:
-        policy.make_cluster = lambda sim, total: SpaceSharedCluster(sim, node_ratings=ratings)
     service = CommercialComputingService(policy, make_model(model), total_procs=PROCS,
                                          fault_config=faults)
     log = []
@@ -123,27 +118,11 @@ def run_log(policy, jobs, model, faults, ratings):
     }),
     outages=outages_strategy,
     recovery=st.sampled_from(["resubmit", "checkpoint"]),
-    ratings=st.one_of(
-        st.none(),
-        st.lists(st.sampled_from([0.5, 0.8, 1.0, 1.5]), min_size=PROCS, max_size=PROCS),
-    ),
 )
 @settings(max_examples=300, deadline=None)
-# Job 4 backfills on a half-speed node and outlives the head's shadow time,
-# which moves later; job 3, passed over before, now fits the looser window.
-@example(
-    raw=[(0.0, 100.0, 1.0, 1, 6.0, 3.0), (0.0, 100.0, 1.0, PROCS, 6.0, 3.0),
-         (0.0, 150.0, 1.0, 1, 6.0, 3.0), (0.0, 80.0, 1.0, 1, 6.0, 3.0)],
-    policy="FCFS-BF", model="bid",
-    options={"admission_control": True, "kill_at_estimate": False, "tariff": None},
-    outages=[], recovery="resubmit", ratings=[1.0] + [0.5] * (PROCS - 1),
-)
-def test_dispatch_matches_reference(raw, policy, model, options, outages, recovery,
-                                    ratings):
+def test_dispatch_matches_reference(raw, policy, model, options, outages, recovery):
     jobs = build_jobs(raw)
     faults = fault_config(outages, recovery)
-    if ratings is not None:
-        ratings = [r * REFERENCE_RATING for r in ratings]
-    fast = run_log(make_policy(policy, **options), jobs, model, faults, ratings)
-    slow = run_log(reference_policy(policy, **options), jobs, model, faults, ratings)
+    fast = run_log(make_policy(policy, **options), jobs, model, faults)
+    slow = run_log(reference_policy(policy, **options), jobs, model, faults)
     assert fast == slow

@@ -1,23 +1,21 @@
 """Property tests of the space-shared cluster's node pool against its reference.
 
-Random sequences of job starts, completions, node failures, repairs,
-commissions (at random SPEC ratings) and decommissions are driven on
-machines built homogeneous (node tracking switched on, as the fault
-injector does) and heterogeneous, over random ratings with repeats so that
-speed ties fall back to node ids.  The same operations are applied to
+Random sequences of job starts, completions, node failures (one node, or
+a batch of up to three failed in one call), repairs, commissions and
+decommissions are driven on a machine with node tracking switched on, as
+the fault injector does.  The same operations are applied to
 :class:`spaceshared_reference.ReferencePool`.
 
 After every operation the cluster's free list must equal the reference's in
 order, the free processor counts must agree, and the cluster's node-to-job
 map must name, for every held node, the job the reference's allocations
-give it.  Every allocation's node tuple and speed must equal the
-reference's bit for bit, and every failure or decommission must kill the
-same job.
+give it.  Every allocation's node tuple must equal the reference's, and
+every failure or decommission must kill the same job.
 
 The cluster's sorted release list is checked on the same sequences, and
-on an untracked homogeneous machine driven by starts and completions:
-after every operation :meth:`SpaceSharedCluster.releases` must equal the
-``(start + estimate / speed, procs)`` pairs of the running jobs, sorted.
+on an untracked machine driven by starts and completions: after every
+operation :meth:`SpaceSharedCluster.releases` must equal the
+``(start + estimate, procs)`` pairs of the running jobs, sorted.
 Most estimates differ from runtimes, and half the starts are killed at their
 estimate, so finishes fall before and after the actual completions.
 """
@@ -28,15 +26,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from spaceshared_reference import ReferencePool
 
-from repro.cluster.node import REFERENCE_RATING
 from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.sim import Simulator
 from repro.workload.job import Job
-
-#: ratings drawn for nodes; the reference rating is drawn more often so that
-#: machines of one rating, and ties, are common.
-RATINGS = (REFERENCE_RATING, REFERENCE_RATING, REFERENCE_RATING,
-           84.0, 126.0, 252.0, 336.0)
 
 #: starts are drawn twice as often so that machines fill up.
 OPS = ("start", "start", "step", "fail", "repair", "commission", "decommission")
@@ -52,7 +44,7 @@ def check_pool(cluster: SpaceSharedCluster, ref: ReferencePool) -> None:
 
 def check_releases(cluster: SpaceSharedCluster) -> None:
     assert cluster.releases() == sorted(
-        (r.start_time + r.job.estimate / r.speed, r.job.procs)
+        (r.start_time + r.job.estimate, r.job.procs)
         for r in cluster._running.values()
     )
 
@@ -70,24 +62,16 @@ def start_job(cluster, sim, job_id, data, finished):
 
 def up_nodes(ref: ReferencePool) -> list[int]:
     gone = ref.down | ref.retired
-    return [n for n in range(len(ref.nodes)) if n not in gone]
+    return [n for n in range(ref.n_nodes) if n not in gone]
 
 
-@given(st.booleans(), st.integers(1, 10), st.data())
+@given(st.integers(1, 10), st.data())
 @settings(max_examples=200, deadline=None)
-def test_pool_matches_reference(homogeneous, n_nodes, data):
+def test_pool_matches_reference(n_nodes, data):
     sim = Simulator()
-    if homogeneous:
-        cluster = SpaceSharedCluster(sim, total_procs=n_nodes)
-        cluster.enable_node_tracking()
-        ratings = [REFERENCE_RATING] * n_nodes
-    else:
-        ratings = data.draw(
-            st.lists(st.sampled_from(RATINGS), min_size=n_nodes, max_size=n_nodes),
-            label="ratings",
-        )
-        cluster = SpaceSharedCluster(sim, node_ratings=ratings)
-    ref = ReferencePool(ratings)
+    cluster = SpaceSharedCluster(sim, total_procs=n_nodes)
+    cluster.enable_node_tracking()
+    ref = ReferencePool(n_nodes)
     finished: list[int] = []
     next_id = 1
     check_pool(cluster, ref)
@@ -100,9 +84,7 @@ def test_pool_matches_reference(homogeneous, n_nodes, data):
                 continue
             record = start_job(cluster, sim, next_id, data, finished)
             next_id += 1
-            nodes, speed = ref.allocate(record.job.job_id, record.job.procs)
-            assert record.nodes == nodes
-            assert record.speed.hex() == speed.hex()
+            assert record.nodes == ref.allocate(record.job.job_id, record.job.procs)
         elif op == "step":
             before = len(finished)
             if not sim.step():
@@ -113,10 +95,11 @@ def test_pool_matches_reference(homogeneous, n_nodes, data):
             nodes = up_nodes(ref)
             if not nodes:
                 continue
-            node_id = data.draw(st.sampled_from(nodes), label="node")
-            killed = cluster.fail_node(node_id)
-            victim = ref.fail(node_id)
-            assert [job.job_id for job, _ in killed] == ([] if victim is None else [victim])
+            batch = data.draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=3,
+                                       unique=True), label="batch")
+            killed = cluster.fail_node(batch[0] if len(batch) == 1 else tuple(batch))
+            victims = [ref.fail(node_id) for node_id in batch]
+            assert [job.job_id for job, _ in killed] == [v for v in victims if v is not None]
         elif op == "repair":
             if not ref.down:
                 continue
@@ -124,8 +107,7 @@ def test_pool_matches_reference(homogeneous, n_nodes, data):
             cluster.repair_node(node_id)
             ref.repair(node_id)
         elif op == "commission":
-            rating = data.draw(st.sampled_from(RATINGS), label="rating")
-            assert cluster.commission_node(rating) == ref.commission(rating)
+            assert cluster.commission_node() == ref.commission()
         else:
             nodes = up_nodes(ref)
             if len(nodes) < 2:

@@ -7,10 +7,7 @@ EDF-BF, plain FCFS, Cons-BF and FirstReward are pinned under both economic
 models, failure-free and with correlated faults (node failures with rack
 outages, cascades and checkpoint recovery), on trace runtime estimates, so
 jobs under- and over-run their requests.  Three variants add a time-of-day
-tariff, kill-at-estimate and the admission-control ablation.  The
-heterogeneous cases run on a machine of four SPEC ratings under scripted
-node failures and scripted elastic commissions and decommissions, the only
-setting in which the order of the cluster's free-node pool shows in results.
+tariff, kill-at-estimate and the admission-control ablation.
 
 A change to the dispatcher that starts, rejects or fails a different job,
 or any job at a different instant, changes a digest.  The pins hold on
@@ -28,8 +25,6 @@ import hashlib
 
 import pytest
 
-from repro.cluster.node import REFERENCE_RATING
-from repro.cluster.spaceshared import SpaceSharedCluster
 from repro.economy.models import make_model
 from repro.economy.pricing import TimeOfDayPricing
 from repro.experiments.runner import build_workload
@@ -52,26 +47,7 @@ REGIMES = {
         ("fault_domain_mtbf", 864_000.0),
         ("fault_cascade_prob", 0.25),
     ),
-    # Scripted node failures over the first two days (a failure that finds
-    # its node already down is skipped) plus scripted capacity changes.
-    "scripted-elastic": (
-        ("fault_model", "scripted"),
-        ("fault_recovery", "checkpoint"),
-        ("fault_schedule", tuple(
-            (3_000.0 + 6_000.0 * i, (37 * i) % 64, 1_800.0 + 900.0 * (i % 5))
-            for i in range(24)
-        )),
-        ("fault_elastic_model", "scripted"),
-        ("fault_elastic_schedule", (
-            (20_000.0, 3), (50_000.0, -2), (80_000.0, 2), (110_000.0, -3),
-        )),
-    ),
 }
-
-#: SPEC ratings of the heterogeneous machine: 64 nodes, four speeds.
-HETERO_RATINGS = tuple(
-    REFERENCE_RATING * (0.5, 1.0, 1.5, 2.0)[i % 4] for i in range(64)
-)
 
 #: policy options of the variant cases, by name.
 VARIANTS = {
@@ -140,30 +116,16 @@ EXPECTED_VARIANTS = {
         '871e4628c0a4cce52927d4d68f91f52fd9157e812a2f7fa5a8e94403c7e1932a',
 }
 
-EXPECTED_HETERO = {
-    ('FCFS-BF', 'bid'):
-        'd49fc91424d6e98f95d54dbf1554776e197c6895edb409d917f1bcf2250ac343',
-    ('EDF-BF', 'commodity'):
-        '8b3bdf44def9c7644eec6ed99d406ce55f7ac8cb46be54c5c310acf0c0870e02',
-    ('FirstReward', 'bid'):
-        '137dbb4e8aeb0c51127ae18488277ed065e8f073a7afdbd7ce439d8e7ec36481',
-}
-
 def _hex(value) -> str:
     return "-" if value is None else float(value).hex()
 
 
-def run_digest(policy: str, model: str, regime: str = "none",
-               ratings=None, **options) -> str:
+def run_digest(policy: str, model: str, regime: str = "none", **options) -> str:
     config = ExperimentConfig(n_jobs=200, total_procs=64, seed=11,
                               inaccuracy_pct=100.0)
     if REGIMES[regime]:
         config = config.with_values(**dict(REGIMES[regime]))
     scheduler = make_policy(policy, **options)
-    if ratings is not None:
-        scheduler.make_cluster = (
-            lambda sim, total_procs: SpaceSharedCluster(sim, node_ratings=ratings)
-        )
     service = CommercialComputingService(
         scheduler, make_model(model),
         total_procs=config.total_procs,
@@ -193,16 +155,9 @@ VARIANT_CASES = [
 CASES = [(p, m, r) for p in POLICIES for m in MODELS
          for r in ("none", "correlated")]
 
-#: (policy, model) of the heterogeneous cases.
-HETERO_CASES = [("FCFS-BF", "bid"), ("EDF-BF", "commodity"), ("FirstReward", "bid")]
-
 
 def variant_digest(policy: str, model: str, variant: str) -> str:
     return run_digest(policy, model, **VARIANTS[variant]())
-
-
-def hetero_digest(policy: str, model: str) -> str:
-    return run_digest(policy, model, "scripted-elastic", ratings=HETERO_RATINGS)
 
 
 @pytest.mark.parametrize("policy,model,regime", CASES)
@@ -229,18 +184,6 @@ def test_backfill_variants_are_pinned_under_emulated_sum(policy, model, variant)
     assert digest == EXPECTED_VARIANTS[(policy, model, variant)]
 
 
-@pytest.mark.parametrize("policy,model", HETERO_CASES)
-def test_heterogeneous_results_are_pinned(policy, model):
-    assert hetero_digest(policy, model) == EXPECTED_HETERO[(policy, model)]
-
-
-@pytest.mark.parametrize("policy,model", HETERO_CASES)
-def test_heterogeneous_results_are_pinned_under_emulated_sum(policy, model):
-    with reversed_builtin_sum():
-        digest = hetero_digest(policy, model)
-    assert digest == EXPECTED_HETERO[(policy, model)]
-
-
 if __name__ == "__main__":
     print("EXPECTED = {")
     for case in CASES:
@@ -249,8 +192,4 @@ if __name__ == "__main__":
     print("\nEXPECTED_VARIANTS = {")
     for case in VARIANT_CASES:
         print(f"    {case!r}:\n        {variant_digest(*case)!r},")
-    print("}")
-    print("\nEXPECTED_HETERO = {")
-    for case in HETERO_CASES:
-        print(f"    {case!r}:\n        {hetero_digest(*case)!r},")
     print("}")

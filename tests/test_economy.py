@@ -2,8 +2,19 @@
 
 import pytest
 
-from repro.economy.models import BidBasedModel, CommodityMarketModel, make_model
-from repro.economy.penalty import breakeven_finish_time, delay_of, linear_utility, utility_curve
+from repro.economy.models import (
+    BidBasedModel,
+    BoundedBidModel,
+    CommodityMarketModel,
+    make_model,
+)
+from repro.economy.penalty import (
+    bounded_utility,
+    breakeven_finish_time,
+    delay_of,
+    linear_utility,
+    utility_curve,
+)
 from repro.economy.pricing import (
     PricingParams,
     flat_cost,
@@ -148,3 +159,32 @@ def test_make_model_factory():
     assert make_model("bid").name == "bid"
     with pytest.raises(ValueError):
         make_model("barter")
+
+
+# -- bounded penalty --------------------------------------------------------------
+
+def test_bounded_utility_floors_at_budget_multiple():
+    job = make_job(budget=100.0, penalty_rate=10.0, deadline=100.0)
+    very_late = job.submit_time + job.deadline + 1e6
+    assert linear_utility(job, very_late) < -100.0
+    assert bounded_utility(job, very_late, floor_factor=1.0) == -100.0
+    assert bounded_utility(job, very_late, floor_factor=0.0) == 0.0
+
+
+def test_bounded_matches_linear_when_on_time():
+    job = make_job(budget=100.0, penalty_rate=1.0, deadline=100.0)
+    assert bounded_utility(job, 50.0) == linear_utility(job, 50.0) == 100.0
+
+
+def test_bounded_model_registered():
+    model = make_model("bid-bounded")
+    assert model.name == "bid-bounded"
+    job = make_job(budget=100.0, penalty_rate=10.0, deadline=100.0)
+    assert model.utility(job, 1e7, 0.0) == -100.0
+
+
+def test_bounded_model_validation():
+    with pytest.raises(ValueError):
+        BoundedBidModel(floor_factor=-1.0)
+    with pytest.raises(ValueError):
+        bounded_utility(make_job(), 50.0, floor_factor=-0.5)

@@ -13,6 +13,7 @@ import json
 import pytest
 
 import crashkit
+from repro import perf
 from repro.economy.models import make_model
 from repro.experiments.pipeline import (
     ExecutionPolicy,
@@ -25,6 +26,7 @@ from repro.experiments.runstore import SCHEMA_VERSION, RunKey, RunStore
 from repro.experiments.scenarios import ExperimentConfig, scenario_by_name
 from repro.faults.config import FaultConfig
 from repro.faults.topology import FaultTopology
+from repro.perf.registry import PERF
 from repro.policies import make_policy
 from repro.service.provider import CommercialComputingService
 from repro.workload.job import Job
@@ -190,6 +192,33 @@ def test_scripted_rack_outage_downs_all_members_atomically():
     # The 8-proc job lost nodes and recovered through the normal path.
     record = service.record_of(service.collect().records[0].job)
     assert record.interruptions == 1 and not record.failed
+
+
+def test_a_rack_outage_rerates_the_time_shared_cluster_once():
+    # Eight two-node Libra jobs share sixteen nodes; rack0's eight nodes
+    # fail as one batch, and the survivors are re-rated once, not per node.
+    config = FaultConfig(
+        enabled=True, mtbf=QUIET_MTBF, domain_size=8,
+        domain_schedule=((50.0, "rack0", 200.0),),
+    )
+    service = _service("Libra", procs=16, faults=config)
+    cluster = service.cluster
+    fail_node = cluster.fail_node
+    rerates = []
+
+    def counted_fail_node(node_ids):
+        before = PERF.counters.get("cluster.time.reschedules", 0)
+        killed = fail_node(node_ids)
+        rerates.append(PERF.counters.get("cluster.time.reschedules", 0) - before)
+        return killed
+
+    cluster.fail_node = counted_fail_node
+    with perf.capture():
+        service.run([_job(i, runtime=1_000.0, procs=2) for i in range(1, 9)])
+    stats = service.injector.stats
+    assert stats.domain_outages == 1 and stats.failures == 8
+    assert stats.jobs_killed > 0
+    assert sum(rerates) == 1
 
 
 def test_scripted_site_outage_covers_every_rack_in_the_site():

@@ -4,7 +4,11 @@ graceful-degradation grid assembly."""
 
 import json
 import math
+import os
 import signal
+import time
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -320,6 +324,68 @@ def test_keyboard_interrupt_cleans_up_and_resumes(tmp_path, monkeypatch):
     grid = run_grid(POLICIES, "bid", SMALL, "A", SCENARIOS, resumed)
     assert resumed.misses == len(unique) - done
     assert grid.to_dict() == reference_doc
+
+
+@dataclass(frozen=True)
+class SleepyUnit:
+    """A plan unit that sleeps far past any test's patience: always, or,
+    given a marker path, only on the first run of any unit sharing it,
+    which creates the marker."""
+
+    digest: str
+    marker: Optional[str] = None
+    policy: str = "sleepy"
+    model: str = "none"
+
+    def execute(self, max_sim_events=None, max_sim_time=None):
+        if self.marker is None or not os.path.exists(self.marker):
+            if self.marker is not None:
+                open(self.marker, "x").close()
+            time.sleep(60.0)
+        return self.digest
+
+    def document(self, result):
+        return {"key": self.digest, "format": "sleepy", "result": result}
+
+    def load(self, doc):
+        return doc["result"]
+
+
+def test_straggler_eviction_resubmits_the_innocent_batch(tmp_path, monkeypatch):
+    """The backstop evicts the one batch past its deadline while a second
+    batch is in flight: killing the pool kills both, and the second is
+    resubmitted without being charged an attempt."""
+    import repro.experiments.pipeline as pipeline_mod
+
+    started = tmp_path / "innocent-started"
+    innocents = [SleepyUnit(f"innocent-{i}", str(started)) for i in (1, 2)]
+    straggler = SleepyUnit("straggler")
+    clock = FakeClock()
+    policy = ExecutionPolicy(run_timeout=60.0, max_retries=0, batch_size=2,
+                             clock=clock.clock, sleep=clock.sleep, **FAST)
+    # Batches: the two innocents (deadline twice the per-unit one, as the
+    # batch holds two units) and the straggler alone.  Once the innocent
+    # batch is sleeping in a worker, the clock moves past the straggler's
+    # deadline only.
+    real_wait = pipeline_mod.wait
+
+    def wait(*args, **kwargs):
+        done = real_wait(*args, **kwargs)
+        if started.exists():
+            clock.now = 1.5 * policy.straggler_deadline()
+        return done
+
+    monkeypatch.setattr(pipeline_mod, "wait", wait)
+    store = RunStore()
+    execution = execute_plan([*innocents, straggler], store, n_workers=2,
+                             execution=policy)
+    assert [store.lookup(unit) for unit in innocents] == ["innocent-1", "innocent-2"]
+    assert execution.retries == 0
+    assert execution.failed == ("straggler",)
+    failures = store.failures()
+    assert list(failures) == ["straggler"]
+    assert failures["straggler"].kind == "timeout"
+    assert failures["straggler"].attempts == 1
 
 
 # -- graceful degradation ------------------------------------------------------

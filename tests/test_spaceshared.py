@@ -53,7 +53,6 @@ def test_releases_report_estimated_finish():
     assert cluster.releases() == [(250.0, 3)]
     running = cluster.running()
     assert running[0].estimated_finish == 250.0
-    assert running[0].actual_finish == 100.0
 
 
 def test_running_sorted_by_estimated_finish():
