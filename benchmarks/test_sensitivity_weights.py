@@ -8,7 +8,7 @@ moves each objective most?*
 from conftest import one_shot
 
 from repro.core.objectives import OBJECTIVES, Objective
-from repro.core.weights import weight_sensitivity, winner_map
+from repro.core.weights import weight_sensitivity
 from repro.experiments.report import format_table
 from repro.experiments.runstore import RunStore
 from repro.experiments.scenarios import scenario_by_name

@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.core.integrated import equal_weights, integrated_risk
 from repro.core.objectives import Objective

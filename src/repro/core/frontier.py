@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 #: volatility below this counts as "riskless" for the ratio.
 RISKLESS_EPS = 1e-9

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from io import StringIO
-from typing import Mapping, Optional, Sequence
+from typing import Mapping
 
 from repro.core.trend import TrendLine, fit_trend
 

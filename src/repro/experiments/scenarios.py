@@ -25,7 +25,7 @@ load), bias 2, high:low ratio 4, low-value mean 4, and inaccuracy 0 %
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.faults.config import NO_FAULTS, FaultConfig
 from repro.workload.qos import QoSParameter, QoSSpec

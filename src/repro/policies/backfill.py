@@ -22,7 +22,22 @@ feasible, and each dispatch first drops the jobs that stopped being so:
 new arrivals, jobs whose latest feasible start has passed (popped from a
 heap) and, under a time-of-day tariff, any job whose quote now exceeds its
 budget.  A flat quote never changes while a job waits, so it is struck once
-when the job is queued.
+when the job is queued; so is every job's priority key.
+
+A full pass also leaves the head blocked and no other queued job able to
+backfill.  An arrival changes only the queue, so its dispatch examines
+the newcomer alone, with one EASY test against the head's window, when
+all of these hold:
+
+(a) the up-front drop removed nothing;
+(b) the newcomer is not the new head;
+(c) no running job's estimated finish is at or before ``now`` — else the
+    shadow clamps to ``now``, the spare grows with the clock and an older
+    job may fit;
+(d) the machine size is what it was when the last full pass ended — an
+    elastic decommission that kills nothing shrinks it without a dispatch.
+
+Every other change (a completion, a failure, a repair) runs the full pass.
 """
 
 from __future__ import annotations
@@ -77,8 +92,13 @@ class BackfillPolicy(Policy, abc.ABC):
         #: completion (non-preemptive).  This switch enables the real-world
         #: discipline for the kill-at-estimate ablation.
         self.kill_at_estimate = bool(kill_at_estimate)
-        #: waiting jobs in priority order.
+        #: waiting jobs in priority order, and each one's priority key,
+        #: struck when it was queued; the two lists change together.
         self._queue: list[Job] = []
+        self._keys: list = []
+        #: jobs queued (or re-queued) since the last drop step, which
+        #: examines each of them once.
+        self._fresh: list[Job] = []
         #: flat pricing: (admissible, cost) of each queued job, struck when
         #: it was queued.
         self._quotes: dict[int, tuple[bool, float]] = {}
@@ -88,6 +108,8 @@ class BackfillPolicy(Policy, abc.ABC):
         #: serial of each queued job's live ``_checks`` entry.
         self._check_serial: dict[int, int] = {}
         self._serials = itertools.count()
+        #: ``cluster.total_procs`` when the last full dispatch pass ended.
+        self._capacity: Optional[int] = None
 
     def make_cluster(self, sim: Simulator, total_procs: int) -> SpaceSharedCluster:
         return SpaceSharedCluster(sim, total_procs)
@@ -106,20 +128,19 @@ class BackfillPolicy(Policy, abc.ABC):
     # -- lifecycle ------------------------------------------------------------
     def submit(self, job: Job) -> None:
         self._require_bound()
-        self._enqueue(job)
-        self._dispatch()
+        self._dispatch(arrival=self._enqueue(job))
 
-    def _enqueue(self, job: Job) -> None:
-        bisect.insort(self._queue, job, key=self.priority_key)
+    def _enqueue(self, job: Job) -> int:
+        """Queue ``job`` in priority order; returns its position."""
+        key = self.priority_key(job)
+        i = bisect.bisect_right(self._keys, key)
+        self._keys.insert(i, key)
+        self._queue.insert(i, job)
         if self.tariff is None:
             self._quotes[job.job_id] = self._budget_ok(job)
             if self.backfilling:
-                self._check_after(job, -math.inf)
-
-    def _check_after(self, job: Job, time: float) -> None:
-        serial = next(self._serials)
-        self._check_serial[job.job_id] = serial
-        heapq.heappush(self._checks, (time, serial, job))
+                self._fresh.append(job)
+        return i
 
     def _forget(self, job: Job) -> None:
         """Discard the bookkeeping of a job leaving the queue."""
@@ -205,68 +226,115 @@ class BackfillPolicy(Policy, abc.ABC):
         self._dispatch()
 
     # -- the dispatcher ---------------------------------------------------------
-    def _dispatch(self) -> None:
+    def _dispatch(self, arrival: Optional[int] = None) -> None:
         """Start jobs off the head, then backfill, until no job can start now.
 
         With backfilling on, infeasible jobs are dropped up front; plain
         priority scheduling examines the head only, and only once it is the
         head, because an interrupted job's failure time sets its penalty.
+        ``arrival`` is the queue position of a job just submitted: when
+        nothing else changed since the last full pass, only it is examined.
         """
         queue = self._queue
+        keys = self._keys
         if self.backfilling:
-            self._drop_infeasible()
+            dropped = self._drop_infeasible()
+            # An arrival at position 0 is the new head: that takes a full pass.
+            if arrival and not dropped and self._last_pass_holds():
+                self._backfill_arrival(arrival)
+                return
         while queue:
             head = queue[0]
             if not self.backfilling:
                 reason = self._rejection_reason(head)
                 if reason is not None:
                     del queue[0]
+                    del keys[0]
                     self._forget(head)
                     self._drop(head, reason)
                     continue
             if not self.cluster.can_fit(head.procs):
                 break
             del queue[0]
+            del keys[0]
             self._start(head)
         if self.backfilling and len(queue) > 1:
             self._backfill(queue[0])
+        self._capacity = self.cluster.total_procs
 
-    def _drop_infeasible(self) -> None:
-        """Drop, in priority order, every queued job that fails admission now.
+    def _last_pass_holds(self) -> bool:
+        """Whether the last full pass's finding still holds: the head is
+        blocked and no other queued job passes the EASY test.  It does
+        while no release is due, so the head's window has not moved with
+        the clock, and the machine keeps its size."""
+        cluster = self.cluster
+        if cluster.total_procs != self._capacity:
+            return False
+        releases = cluster.releases()
+        return not releases or releases[0][0] > self.sim.now
+
+    def _backfill_arrival(self, i: int) -> None:
+        """Start the newcomer at queue position ``i`` (not the head) if it
+        cannot delay the head; no older job can start, as the last pass
+        found and nothing since has changed."""
+        job = self._queue[i]
+        free = self.cluster.free_procs
+        if job.procs > free:
+            return
+        shadow, spare = self._window(self._queue[0])
+        if can_backfill(self.sim.now, free, job.procs, job.estimate, shadow, spare):
+            del self._queue[i]
+            del self._keys[i]
+            self._start(job)
+
+    def _drop_infeasible(self) -> bool:
+        """Drop, in priority order, every queued job that fails admission
+        now; returns whether any was dropped.
 
         The previous dispatch left every queued job feasible.  Under flat
         pricing only the deadline test can fail later, once ``now`` passes
-        the job's latest feasible start, so only new jobs and jobs whose
+        the job's latest feasible start, so only fresh jobs and jobs whose
         check time has passed are examined; a tariff re-prices every job.
         """
         now = self.sim.now
         if self.tariff is not None:
             suspects = self._queue
         else:
-            suspects = []
+            suspects = self._fresh
             checks = self._checks
             while checks and checks[0][0] < now:
                 _, serial, job = heapq.heappop(checks)
                 if self._check_serial.get(job.job_id) == serial:
                     suspects.append(job)
-        dropped = []
+            if not suspects:
+                return False
+            self._fresh = []
+        gone: dict[int, str] = {}
+        recheck = self.tariff is None and self.admission_control
         for job in suspects:
             reason = self._rejection_reason(job)
             if reason is not None:
-                dropped.append((self.priority_key(job), job, reason))
-            elif self.tariff is None:
-                if self.admission_control:
-                    self._check_after(job, latest_feasible_start(job))
-                else:
-                    del self._check_serial[job.job_id]
-        if not dropped:
-            return
-        dropped.sort(key=lambda entry: entry[0])
-        gone = {job.job_id for _, job, _ in dropped}
-        self._queue[:] = [job for job in self._queue if job.job_id not in gone]
-        for _, job, reason in dropped:
+                gone[job.job_id] = reason
+            elif recheck:
+                serial = next(self._serials)
+                self._check_serial[job.job_id] = serial
+                heapq.heappush(self._checks, (latest_feasible_start(job), serial, job))
+        if not gone:
+            return False
+        queue, keys, dropped = [], [], []
+        for job, key in zip(self._queue, self._keys):
+            reason = gone.get(job.job_id)
+            if reason is None:
+                queue.append(job)
+                keys.append(key)
+            else:
+                dropped.append((job, reason))
+        self._queue[:] = queue
+        self._keys[:] = keys
+        for job, reason in dropped:
             self._forget(job)
             self._drop(job, reason)
+        return True
 
     def _window(self, head: Job) -> tuple[float, int]:
         """EASY shadow time and spare processors for the blocked head.
@@ -317,6 +385,7 @@ class BackfillPolicy(Policy, abc.ABC):
             else:
                 return
             del queue[i]
+            del self._keys[i]
             self._start(job)
             window = None
 

@@ -18,6 +18,8 @@ jobs that fail them before each plan.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.cluster.profile import Timeline
 from repro.policies.fcfs_bf import FCFSBackfill
 
@@ -27,10 +29,11 @@ class ConservativeBackfill(FCFSBackfill):
 
     name = "Cons-BF"
 
-    def _dispatch(self) -> None:
+    def _dispatch(self, arrival: Optional[int] = None) -> None:
         """Plan all queued jobs on the availability timeline; start those
         whose planned reservation is *now* (infeasible jobs are dropped
-        first, as in EASY)."""
+        first, as in EASY).  ``arrival`` is not used: every dispatch
+        replans the whole queue."""
         self._drop_infeasible()
         queue = self._queue
         now = self.sim.now
@@ -49,6 +52,7 @@ class ConservativeBackfill(FCFSBackfill):
                     # that the timeline already counts as released but whose
                     # events have not fired yet; dispatch re-runs when they do.
                     del queue[i]
+                    del self._keys[i]
                     self._start(job)
                     break  # cluster state changed; rebuild the timeline
                 timeline.reserve(start, job.procs, job.estimate)

@@ -14,6 +14,8 @@ Hot-path design (see ``docs/architecture.md``):
 - an unbounded ``run()`` (no ``until``, no ``max_events``, no armed budget)
   takes the inlined :meth:`Simulator._drain` loop; bounded runs go through
   one scrub-peek-pop step per event;
+- ``now`` is a plain attribute that the run loop writes and callers only
+  read, so the policies' per-decision clock reads cost no call;
 - perf instrumentation is *sampled*: with the registry enabled, dispatch
   latency is timed once every ``PERF.sample_interval`` events into a ring
   buffer, and the bulk counters (executed/scheduled/dropped) are flushed as
@@ -81,7 +83,10 @@ class Simulator:
             raise ValueError(
                 f"unknown event list {fel!r}; the simulator has one binary heap"
             )
-        self._now = float(start)
+        #: current simulation time.  A plain attribute, not a property,
+        #: because the hot paths above the event list read it once per
+        #: decision; only the run loop writes it, callers only read it.
+        self.now = float(start)
         self._heap: list = []
         self._seq = 0
         self._running = False
@@ -105,11 +110,6 @@ class Simulator:
         self._flushed_executed = 0
         self._flushed_scheduled = 0
         self._flushed_dropped = 0
-
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
 
     def set_budget(
         self,
@@ -141,7 +141,7 @@ class Simulator:
                 self._perf.incr("sim.budget_exceeded")
             raise SimBudgetExceeded(
                 f"event budget exhausted after {self.events_executed} events "
-                f"(sim time {self._now:.1f})",
+                f"(sim time {self.now:.1f})",
                 budget=f"max_events={self._budget_events}",
             )
         if self._budget_time is not None and next_time > self._budget_time:
@@ -158,7 +158,7 @@ class Simulator:
         if math.isnan(time):
             raise SimulationError("cannot schedule an event at time NaN")
         raise SimulationError(
-            f"cannot schedule into the past: t={time} < now={self._now}"
+            f"cannot schedule into the past: t={time} < now={self.now}"
         )
 
     def schedule(
@@ -176,7 +176,7 @@ class Simulator:
         The single ``t >= now`` test covers both NaN (all comparisons
         false) and into-the-past times; the cold path sorts out which.
         """
-        now = self._now
+        now = self.now
         t = now + delay
         if not t >= now:
             self._reject_time(t)
@@ -196,7 +196,7 @@ class Simulator:
     ) -> EventHandle:
         """Schedule ``fn(*args)`` at an absolute simulation time."""
         t = time + 0.0  # normalise ints without a float() call
-        if not t >= self._now:
+        if not t >= self.now:
             self._reject_time(t)
         seq = self._seq
         self._seq = seq + 1
@@ -231,7 +231,7 @@ class Simulator:
         """Schedule ``fn(*args)`` at absolute ``time`` under a sequence
         number drawn earlier from :meth:`reserve_seqs`."""
         t = time + 0.0
-        if not t >= self._now:
+        if not t >= self.now:
             self._reject_time(t)
         if not 0 <= seq < self._seq:
             raise SimulationError(f"sequence number {seq} was never reserved")
@@ -271,9 +271,9 @@ class Simulator:
     def _dispatch(self, entry: tuple, registry) -> None:
         """Execute one popped entry (bounded-path only; drain inlines this)."""
         handle = entry[3]
-        if entry[0] < self._now:  # pragma: no cover - defensive
+        if entry[0] < self.now:  # pragma: no cover - defensive
             raise SimulationError("event list corrupted: time went backwards")
-        self._now = entry[0]
+        self.now = entry[0]
         handle.fired = True
         self.events_executed += 1
         if registry is not None:
@@ -334,8 +334,8 @@ class Simulator:
         finally:
             self._running = False
             self._flush_perf()
-        if until is not None and self._now < until:
-            self._now = float(until)
+        if until is not None and self.now < until:
+            self.now = float(until)
 
     def _run_bounded(
         self,
@@ -384,7 +384,7 @@ class Simulator:
                         continue
                     h.fired = True
                     executed += 1
-                    self._now = e[0]
+                    self.now = e[0]
                     h.fn(*h.args)
             finally:
                 self._dropped += dropped
@@ -403,7 +403,7 @@ class Simulator:
                         continue
                     h.fired = True
                     executed += 1
-                    self._now = e[0]
+                    self.now = e[0]
                     countdown -= 1
                     if countdown:
                         h.fn(*h.args)

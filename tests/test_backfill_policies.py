@@ -96,6 +96,24 @@ def test_backfill_into_spare_processors():
     assert out[2].start_time == 100.0
 
 
+def test_arrival_after_an_overdue_release_rescans_the_queue():
+    # Jobs 1 and 2 overrun their estimates (due at 10 and 20 s).  At 2 s the
+    # head, job 3, has shadow 10 and no spare, so job 4 cannot backfill.  By
+    # job 5's arrival at 25 s both releases are overdue: the shadow clamps to
+    # 25 with one spare processor, and the older job 4 takes it, not job 5.
+    jobs = [
+        make_job(1, submit=0.0, procs=2, estimate=10.0, runtime=100.0),
+        make_job(2, submit=0.0, procs=1, estimate=20.0, runtime=100.0),
+        make_job(3, submit=1.0, procs=3, estimate=10.0, runtime=10.0),
+        make_job(4, submit=2.0, procs=1, estimate=100.0, runtime=100.0),
+        make_job(5, submit=25.0, procs=1, estimate=5.0, runtime=5.0),
+    ]
+    out = run(FCFSBackfill(), jobs)
+    assert out[4].start_time == 25.0
+    assert out[3].start_time == 100.0
+    assert out[5].start_time == 110.0
+
+
 def test_generous_admission_rejects_lapsed_deadline():
     jobs = [
         make_job(1, submit=0.0, runtime=100.0, procs=4),

@@ -5,7 +5,6 @@ import pytest
 from repro.experiments.scenarios import (
     SCENARIOS,
     ExperimentConfig,
-    Scenario,
     scenario_by_name,
 )
 
